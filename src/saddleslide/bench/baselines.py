@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..bilinear import _agd_loop
 from ..errors import BudgetExhausted, DivergenceDetected, ManifestError
 from ..outer import (
     TERMINATION_BUDGET,
@@ -148,9 +149,6 @@ def agd_joint_baseline(
     gain = float(np.linalg.norm(hq_inv @ B.T, 2))
     tol = mu_red * np.sqrt(eps / (1.0 + gain**2))
 
-    momentum = (np.sqrt(l_red) - np.sqrt(mu_red)) / (np.sqrt(l_red) + np.sqrt(mu_red))
-    x_prev = np.zeros(d_x)
-    y_pt = np.zeros(d_x)
     report = ConvergenceReport(
         final_pair=PointPair(np.zeros(d_x), hq_inv @ (-e)),
         counters=counters,
@@ -158,19 +156,21 @@ def agd_joint_baseline(
         planned_outer=max_iter,
         eps=eps,
     )
-    for t in range(max_iter + 1):
-        g = gradient(y_pt)
-        counters.outer_iterations = t
-        if np.linalg.norm(g) <= tol:
-            y_dual = hq_inv @ (B.T @ y_pt - e)
-            report.final_pair = PointPair(y_pt, y_dual)
-            report.termination = TERMINATION_RESIDUAL
-            return report
-        if t == max_iter:
-            break
-        x_new = y_pt - g / l_red
-        y_pt = x_new + momentum * (x_new - x_prev)
-        x_prev = x_new
-    exc = BudgetExhausted(f"agd-joint did not converge in {max_iter} iterations")
-    exc.report = report
-    raise exc
+    try:
+        x, steps = _agd_loop(
+            lambda v: (gradient(v), None),
+            mu_h=mu_red,
+            l_h=l_red,
+            start=np.zeros(d_x),
+            tol=tol,
+            max_iter=max_iter,
+        )
+    except BudgetExhausted as exc:
+        counters.outer_iterations = max_iter
+        failure = BudgetExhausted(f"agd-joint did not converge in {max_iter} iterations")
+        failure.report = report
+        raise failure from exc
+    counters.outer_iterations = steps
+    report.final_pair = PointPair(x, hq_inv @ (B.T @ x - e))
+    report.termination = TERMINATION_RESIDUAL
+    return report

@@ -14,7 +14,7 @@ from typing import Dict
 
 import numpy as np
 
-from ..bilinear import BilinearProblem, CouplingOperator
+from ..bilinear import BilinearProblem, CouplingOperator, power_lambda_max
 from ..errors import InfeasibleConstants, ManifestError, SingularSystem
 from ..problems import CompositeSaddleProblem, PointPair, SmoothnessSpec
 from . import matio
@@ -166,24 +166,6 @@ class Instance:
         return inst
 
 
-def _power_lambda_max(matvec, dim, seed=0, iters=100, tol=1e-6):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = matvec(v)
-        new = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(new - lam) <= tol * max(abs(new), 1e-30):
-            return new
-        lam = new
-    return lam
-
-
 def _power_lambda_min(matvec, dim, lam_max, deflate=None, seed=1, iters=100, tol=1e-6):
     # Smallest eigenvalue through power iteration on (shift I - M), with an
     # optional deflation of a known kernel direction.
@@ -197,7 +179,7 @@ def _power_lambda_min(matvec, dim, lam_max, deflate=None, seed=1, iters=100, tol
             w = w - deflate * (deflate @ w)
         return w
 
-    top = _power_lambda_max(shifted, dim, seed=seed, iters=iters, tol=tol)
+    top = power_lambda_max(shifted, dim, seed=seed, iters=iters, tol=tol)
     return shift - top
 
 
@@ -219,9 +201,9 @@ def verify_instance(inst: Instance) -> None:
     if inst.kind == KIND_QUADRATIC:
         P, Q, B = inst.arrays["P"], inst.arrays["Q"], inst.arrays["B"]
         if c["L_p"] > 0:
-            check("L_p", c["L_p"], _power_lambda_max(lambda v: P @ v, P.shape[0]))
+            check("L_p", c["L_p"], power_lambda_max(lambda v: P @ v, P.shape[0]))
         if c["L_q"] > 0:
-            check("L_q", c["L_q"], _power_lambda_max(lambda v: Q @ v, Q.shape[0]))
+            check("L_q", c["L_q"], power_lambda_max(lambda v: Q @ v, Q.shape[0]))
         mu_x, mu_y = c["mu_x"], c["mu_y"]
         d_x, d_y = P.shape[0], Q.shape[0]
 
@@ -230,30 +212,30 @@ def verify_instance(inst: Instance) -> None:
             return np.concatenate([mu_x * x + B @ y, B.T @ x - mu_y * y])
 
         # The R-gradient map is symmetric; its norm is the top |eigenvalue|.
-        check("L_R", c["L_R"], _power_lambda_max(
+        check("L_R", c["L_R"], power_lambda_max(
             lambda z: coupled(coupled(z)), d_x + d_y) ** 0.5)
     elif inst.kind == KIND_BILINEAR:
         Hp, Hq, B = inst.arrays["Hp"], inst.arrays["Hq"], inst.arrays["B"]
-        check("L_p", c["L_p"], _power_lambda_max(lambda v: Hp @ v, Hp.shape[0]))
-        check("L_q", c["L_q"], _power_lambda_max(lambda v: Hq @ v, Hq.shape[0]))
+        check("L_p", c["L_p"], power_lambda_max(lambda v: Hp @ v, Hp.shape[0]))
+        check("L_q", c["L_q"], power_lambda_max(lambda v: Hq @ v, Hq.shape[0]))
         check("mu_p", c["mu_p"],
               _power_lambda_min(lambda v: Hp @ v, Hp.shape[0], c["L_p"]))
         check("mu_q", c["mu_q"],
               _power_lambda_min(lambda v: Hq @ v, Hq.shape[0], c["L_q"]))
         check("lambda_max_BBt", c["lambda_max_BBt"],
-              _power_lambda_max(lambda v: B @ (B.T @ v), B.shape[0]))
+              power_lambda_max(lambda v: B @ (B.T @ v), B.shape[0]))
     elif inst.kind == KIND_CONSENSUS:
         W = inst.arrays["W"]
         n = W.shape[0]
         bbt = lambda v: W @ (W.T @ v)
-        check("lambda_max_BBt", c["lambda_max_BBt"], _power_lambda_max(bbt, n))
+        check("lambda_max_BBt", c["lambda_max_BBt"], power_lambda_max(bbt, n))
         ones = np.ones(n) / math.sqrt(n)
         check("lambda_min_plus_BBt", c["lambda_min_plus_BBt"],
               _power_lambda_min(bbt, n, c["lambda_max_BBt"], deflate=ones))
     elif inst.kind == KIND_LINEAR_BILINEAR:
         B = inst.arrays["B"]
         check("lambda_max_BBt", c["lambda_max_BBt"],
-              _power_lambda_max(lambda v: B @ (B.T @ v), B.shape[0]))
+              power_lambda_max(lambda v: B @ (B.T @ v), B.shape[0]))
         check("lambda_min_BBt", c["lambda_min_BBt"],
               _power_lambda_min(lambda v: B @ (B.T @ v), B.shape[0],
                                 c["lambda_max_BBt"]))
@@ -367,7 +349,11 @@ def gen_bilinear(
     Hq, _ = _random_sym_with_spectrum(rng, d_y, mu_q, L_q)
     B = _scaled_gaussian_coupling(rng, d_x, d_y, sigma_max)
     s = np.linalg.svd(B, compute_uv=False) if sigma_max > 0 else np.zeros(1)
-    lam_min = float(s[-1] ** 2) if (d_x <= d_y and sigma_max > 0) else 0.0
+    # Capped at the declared top, which rounding in the rescaled SVD can
+    # overshoot when all singular values coincide (d_x = 1).
+    lam_min = (
+        min(float(s[-1] ** 2), sigma_max**2) if (d_x <= d_y and sigma_max > 0) else 0.0
+    )
 
     x_star = rng.standard_normal(d_x)
     x_star /= np.linalg.norm(x_star)

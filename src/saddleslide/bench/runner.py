@@ -105,8 +105,9 @@ class RunReport:
         ]
 
 
-def _sliding_run(inst: Instance, eps: float, max_outer: int) -> ConvergenceReport:
-    reference = reference_solution(inst)
+def _sliding_run(
+    inst: Instance, eps: float, max_outer: int, reference: PointPair
+) -> ConvergenceReport:
     if inst.kind == KIND_QUADRATIC:
         problem = inst.problem()
         spec = inst.spec()
@@ -146,8 +147,9 @@ def _sliding_run(inst: Instance, eps: float, max_outer: int) -> ConvergenceRepor
     raise ManifestError(f"no sliding route for kind {inst.kind!r}")
 
 
-def _eg_run(inst: Instance, eps: float, max_outer: int) -> ConvergenceReport:
-    reference = reference_solution(inst)
+def _eg_run(
+    inst: Instance, eps: float, max_outer: int, reference: PointPair
+) -> ConvergenceReport:
     if inst.kind == KIND_QUADRATIC:
         problem = inst.problem()
         spec = inst.spec()
@@ -176,9 +178,9 @@ def run_single(
     reference = reference_solution(inst)
     started = time.perf_counter()
     if solver == SOLVER_SLIDING:
-        report = _sliding_run(inst, eps, max_outer)
+        report = _sliding_run(inst, eps, max_outer, reference)
     elif solver == SOLVER_EG:
-        report = _eg_run(inst, eps, max_outer)
+        report = _eg_run(inst, eps, max_outer, reference)
     elif solver == SOLVER_AGD_JOINT:
         report = agd_joint_baseline(inst, eps, max_iter=max_outer)
     else:

@@ -23,6 +23,7 @@ elimination-consistency tests).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
@@ -44,6 +45,7 @@ from .inner import (
     AuxiliaryProblem,
     InnerConfig,
     InnerResult,
+    stall_count,
 )
 from .outer import (
     ConvergenceReport,
@@ -59,6 +61,7 @@ from .problems import (
     OracleCounters,
     PointPair,
     SmoothnessSpec,
+    count_calls,
 )
 
 
@@ -113,6 +116,32 @@ class CouplingOperator:
         )
 
 
+def power_lambda_max(matvec, dim, seed=0, iters=100, tol=1e-6) -> float:
+    """Top eigenvalue of a symmetric positive semidefinite operator.
+
+    Power iteration from a random unit vector drawn from
+    ``np.random.default_rng(seed)`` (a Generator is drawn from in place),
+    stopped once successive Rayleigh quotients agree to relative ``tol``
+    or after ``iters`` products.  Returns 0 when the operator maps the
+    iterate to zero.
+    """
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(iters):
+        w = matvec(v)
+        new = float(v @ w)
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0
+        v = w / nw
+        if abs(new - lam) <= tol * max(abs(new), 1e-30):
+            return new
+        lam = new
+    return lam
+
+
 def estimate_spectral_bounds(
     matvec: Callable,
     rmatvec: Callable,
@@ -137,24 +166,7 @@ def estimate_spectral_bounds(
         used["n"] += 2
         return matvec(rmatvec(v))
 
-    v = rng.standard_normal(d_x)
-    v /= np.linalg.norm(v)
-    lam_max = 0.0
-    for _ in range(iters):
-        w = bbt(v)
-        lam = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            lam_max = 0.0
-            break
-        v_next = w / nw
-        if abs(lam - lam_max) <= tol * max(abs(lam), 1e-30):
-            lam_max = lam
-            v = v_next
-            break
-        lam_max = lam
-        v = v_next
-
+    lam_max = power_lambda_max(bbt, d_x, seed=rng, iters=iters, tol=tol)
     if lam_max <= 0.0:
         return 0.0, 0.0, used["n"]
 
@@ -218,43 +230,16 @@ def wrap_counting_bilinear(
     Each matvec or rmatvec adds one to ``calls_grad_R``.
     """
     counters = OracleCounters()
-
-    def counted_grad_p(x):
-        counters.calls_grad_p += 1
-        return bp.grad_p(x)
-
-    def counted_grad_q(y):
-        counters.calls_grad_q += 1
-        return bp.grad_q(y)
-
-    def counted_matvec(v):
-        counters.calls_grad_R += 1
-        return bp.coupling.matvec(v)
-
-    def counted_rmatvec(v):
-        counters.calls_grad_R += 1
-        return bp.coupling.rmatvec(v)
-
-    coupling = CouplingOperator(
-        matvec=counted_matvec,
-        rmatvec=counted_rmatvec,
-        d_x=bp.coupling.d_x,
-        d_y=bp.coupling.d_y,
-        lambda_max_BBt=bp.coupling.lambda_max_BBt,
-        lambda_min_BBt=bp.coupling.lambda_min_BBt,
-        kernel_basis=bp.coupling.kernel_basis,
-        lambda_min_plus_BBt=bp.coupling.lambda_min_plus_BBt,
+    coupling = dataclasses.replace(
+        bp.coupling,
+        matvec=count_calls(bp.coupling.matvec, counters, "calls_grad_R"),
+        rmatvec=count_calls(bp.coupling.rmatvec, counters, "calls_grad_R"),
     )
-    wrapped = BilinearProblem(
-        grad_p=counted_grad_p,
-        grad_q=counted_grad_q,
-        L_p=bp.L_p,
-        mu_p=bp.mu_p,
-        L_q=bp.L_q,
-        mu_q=bp.mu_q,
+    wrapped = dataclasses.replace(
+        bp,
+        grad_p=count_calls(bp.grad_p, counters, "calls_grad_p"),
+        grad_q=count_calls(bp.grad_q, counters, "calls_grad_q"),
         coupling=coupling,
-        value_p=bp.value_p,
-        value_q=bp.value_q,
     )
     return wrapped, counters
 
@@ -499,10 +484,7 @@ def make_bilinear_inner_solver(bp: BilinearProblem):
             bt_x, _ = extra
             prev = state["prev"]
             if prev is not None:
-                moved = float(np.linalg.norm(x_pt - prev)) / max(
-                    float(np.linalg.norm(prev)), 1.0
-                )
-                state["stalled"] = state["stalled"] + 1 if moved <= 1e-15 else 0
+                state["stalled"] = stall_count(state["stalled"], config, (x_pt, prev))
             state["prev"] = x_pt.copy()
 
             y_pt = qf.recover_y(x_pt, bt_x)
@@ -580,8 +562,7 @@ def solve_bilinear(
     if eps <= 0.0:
         raise NonPositiveInput(f"eps={eps}")
     wrapped, counters = wrap_counting_bilinear(bp)
-    composite, spec = split_bilinear(wrapped)
-    diagnostic, _ = split_bilinear(bp)
+    composite, spec = split_bilinear(bp)
     config = SolveConfig(
         eps=eps,
         max_outer=max_outer,
@@ -599,7 +580,6 @@ def solve_bilinear(
         config,
         inner_solver=make_bilinear_inner_solver(wrapped),
         counters=counters,
-        diagnostic_problem=diagnostic,
     )
 
 

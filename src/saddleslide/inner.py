@@ -137,6 +137,21 @@ class InnerConfig:
     stall_rtol: float = 1e-15
 
 
+def stall_count(stalled: int, config: InnerConfig, *steps) -> int:
+    """Stall count after one step of an inner solver.
+
+    ``steps`` holds the (new, old) iterate of each block.  The step stalls,
+    extending the count of consecutive stalls, when no block moved by more
+    than ``config.stall_rtol`` relative to ``max(||old||, 1)``; any other
+    step resets the count to zero.
+    """
+    for new, old in steps:
+        moved = float(np.linalg.norm(new - old)) / max(float(np.linalg.norm(old)), 1.0)
+        if not moved <= config.stall_rtol:
+            return 0
+    return stalled + 1
+
+
 def rescaled_smoothness_bound(
     spec: SmoothnessSpec, tuning: SolverTuning, rescaling: Rescaling
 ) -> float:
@@ -225,11 +240,7 @@ def solve_auxiliary(
         v_new = v + step * b * gh_y
         if not (np.all(np.abs(u_new) < 1e150) and np.all(np.abs(v_new) < 1e150)):
             raise DivergenceDetected(f"non-finite or huge inner iterate at step {t}")
-        moved = max(
-            float(np.linalg.norm(u_new - u)) / max(float(np.linalg.norm(u)), 1.0),
-            float(np.linalg.norm(v_new - v)) / max(float(np.linalg.norm(v)), 1.0),
-        )
-        stalled = stalled + 1 if moved <= config.stall_rtol else 0
+        stalled = stall_count(stalled, config, (u_new, u), (v_new, v))
         u, v = u_new, v_new
     raise InnerBudgetExhausted(
         f"criterion unmet after {config.max_inner} extragradient iterations"

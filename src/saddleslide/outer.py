@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DivergenceDetected,
+    InconsistentConstants,
     MissingValueOracle,
     NonPositiveInput,
 )
@@ -26,7 +27,6 @@ from .problems import (
     OracleCounters,
     PointPair,
     SmoothnessSpec,
-    bregman,
     unweighted_distance_sq,
     validate_spec,
     weighted_distance_sq,
@@ -80,11 +80,17 @@ def tune_parameters(spec: SmoothnessSpec) -> SolverTuning:
         eta_y = cap if spec.L_q * alpha <= spec.mu_y else 1.0 / (3.0 * spec.L_q * alpha)
         eta_x = (spec.mu_y / spec.mu_x) * eta_y
         branch = Y_DOMINANT
-    tuning = SolverTuning(alpha=alpha, eta_x=eta_x, eta_y=eta_y, branch=branch)
-    assert 0.0 < alpha <= 1.0
-    assert eta_x * spec.mu_x >= alpha / 3.0 * (1.0 - _TUNING_SLACK)
-    assert eta_y * spec.mu_y >= alpha / 3.0 * (1.0 - _TUNING_SLACK)
-    return tuning
+    floor = alpha / 3.0 * (1.0 - _TUNING_SLACK)
+    # Constants whose ratios under- or overflow float64 can break the
+    # bounds, e.g. mu_x/L_p rounding to 0 gives alpha = 0.
+    if not (
+        0.0 < alpha <= 1.0 and eta_x * spec.mu_x >= floor and eta_y * spec.mu_y >= floor
+    ):
+        raise InconsistentConstants(
+            f"constants {spec} give no valid tuning: alpha={alpha}, "
+            f"eta_x={eta_x}, eta_y={eta_y}"
+        )
+    return SolverTuning(alpha=alpha, eta_x=eta_x, eta_y=eta_y, branch=branch)
 
 
 def required_outer_iterations(spec: SmoothnessSpec, psi_0: float, eps: float) -> int:
@@ -194,6 +200,36 @@ class ConvergenceReport:
     eps: Optional[float] = None
 
 
+def potential(
+    problem: CompositeSaddleProblem, tuning: SolverTuning, solution: PointPair
+) -> Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], float]:
+    """Distance-plus-Bregman potential relative to the saddle ``solution``.
+
+    Returns ``psi(x, y, x_f, y_f) = (1/eta_x)||x - x*||^2
+    + (1/eta_y)||y - y*||^2 + (2/alpha) D_p(x_f, x*) + (2/alpha) D_q(y_f, y*)``.
+    The values and gradients of p and q at the saddle are evaluated here,
+    once: one ``grad_p`` and one ``grad_q`` call.  Needs the value oracles
+    of p and q.
+    """
+    if not problem.has_composite_values():
+        raise MissingValueOracle("potential needs value oracles for p and q")
+    x_star, y_star = solution.x, solution.y
+    p_star = float(problem.value_p(x_star))
+    q_star = float(problem.value_q(y_star))
+    gp_star = problem.grad_p(x_star)
+    gq_star = problem.grad_q(y_star)
+
+    def psi(x, y, xf, yf):
+        dx = x - x_star
+        dy = y - y_star
+        dist = float(dx @ dx) / tuning.eta_x + float(dy @ dy) / tuning.eta_y
+        d_p = problem.value_p(xf) - p_star - gp_star @ (xf - x_star)
+        d_q = problem.value_q(yf) - q_star - gq_star @ (yf - y_star)
+        return dist + (2.0 / tuning.alpha) * (float(d_p) + float(d_q))
+
+    return psi
+
+
 def compute_potential(
     problem: CompositeSaddleProblem,
     spec: SmoothnessSpec,
@@ -201,19 +237,10 @@ def compute_potential(
     state: OuterState,
     solution: PointPair,
 ) -> float:
-    """Distance-plus-Bregman potential of a state relative to the saddle.
-
-    Returns ``(1/eta_x)||x - x*||^2 + (1/eta_y)||y - y*||^2
-    + (2/alpha) D_p(x_f, x*) + (2/alpha) D_q(y_f, y*)``.  Needs the value
-    oracles of p and q.
-    """
-    if not problem.has_composite_values():
-        raise MissingValueOracle("potential needs value oracles for p and q")
+    """`potential` of an outer state: its z and z_f against ``solution``."""
     validate_spec(spec)
-    dist = weighted_distance_sq(state.z, solution, tuning.eta_x, tuning.eta_y)
-    d_p = bregman(problem.value_p, problem.grad_p, state.z_f.x, solution.x)
-    d_q = bregman(problem.value_q, problem.grad_q, state.z_f.y, solution.y)
-    return dist + (2.0 / tuning.alpha) * (d_p + d_q)
+    psi = potential(problem, tuning, solution)
+    return psi(state.z.x, state.z.y, state.z_f.x, state.z_f.y)
 
 
 def initial_potential(
@@ -225,29 +252,10 @@ def initial_potential(
     """Potential of a fresh run started at ``start`` (where z_f = z).
 
     Handy as the caller-supplied bound feeding `required_outer_iterations`.
+    Makes one ``grad_p`` and one ``grad_q`` call.
     """
-    tuning = tune_parameters(spec)
-    state = OuterState(
-        k=0,
-        z=start,
-        z_f=start,
-        z_g=start,
-        grad_p_g=np.zeros(start.x.size),
-        grad_q_g=np.zeros(start.y.size),
-    )
-    return compute_potential(problem, spec, tuning, state, solution)
-
-
-def _potential_from_cache(
-    problem, tuning, x, y, xf, yf, sol, p_star, q_star, gp_star, gq_star
-):
-    # Same quantity as compute_potential with the reference values reused.
-    dxs = x - sol.x
-    dys = y - sol.y
-    dist = float(dxs @ dxs) / tuning.eta_x + float(dys @ dys) / tuning.eta_y
-    d_p = problem.value_p(xf) - p_star - gp_star @ (xf - sol.x)
-    d_q = problem.value_q(yf) - q_star - gq_star @ (yf - sol.y)
-    return dist + (2.0 / tuning.alpha) * (float(d_p) + float(d_q))
+    psi = potential(problem, tune_parameters(spec), solution)
+    return psi(start.x, start.y, start.x, start.y)
 
 
 def solve(
@@ -257,7 +265,6 @@ def solve(
     config: SolveConfig,
     inner_solver: Optional[Callable] = None,
     counters: Optional[OracleCounters] = None,
-    diagnostic_problem: Optional[CompositeSaddleProblem] = None,
 ) -> ConvergenceReport:
     """Run the accelerated sliding loop on a composite saddle problem.
 
@@ -268,19 +275,18 @@ def solve(
     the inner solver; its final evaluation doubles as the one the main
     update needs.
 
+    ``problem`` is wrapped here for counting; potential tracking uses it
+    unwrapped, so diagnostics never perturb the tallies.
+
     Parameters
     ----------
     inner_solver : callable, optional
         ``(aux, spec, tuning, inner_config) -> InnerResult``.  Defaults to
         the extragradient subproblem solver.
     counters : OracleCounters, optional
-        Pass when ``problem`` is already a counting wrapper (e.g. the
-        bilinear path, which counts matrix-vector products).  Otherwise
-        the problem is wrapped here.
-    diagnostic_problem : CompositeSaddleProblem, optional
-        Uncounted oracles for potential tracking, so diagnostics never
-        perturb the tallies.  Defaults to ``problem`` when counters is
-        None (the pre-wrap problem is used).
+        Tallies to count into, shared with oracles the caller counts
+        itself (the bilinear path counts B/B^T products in its inner
+        solver).  Fresh counters by default.
     """
     from .inner import InnerConfig, build_auxiliary, solve_auxiliary
 
@@ -295,38 +301,22 @@ def solve(
     if inner_solver is None:
         inner_solver = solve_auxiliary
 
-    if counters is None:
-        diagnostic_problem = problem if diagnostic_problem is None else diagnostic_problem
-        problem, counters = wrap_counting(problem)
-    elif diagnostic_problem is None:
-        diagnostic_problem = problem
+    counted, counters = wrap_counting(problem, counters)
 
     sol = config.known_solution
-    track_psi = config.track_potential and sol is not None
-    if track_psi and not diagnostic_problem.has_composite_values():
-        raise MissingValueOracle("potential tracking needs value oracles for p and q")
-
-    p_star = q_star = None
-    gp_star = gq_star = None
+    psi = None
     psi_initial = None
-    if track_psi:
-        p_star = float(diagnostic_problem.value_p(sol.x))
-        q_star = float(diagnostic_problem.value_q(sol.y))
-        gp_star = diagnostic_problem.grad_p(sol.x)
-        gq_star = diagnostic_problem.grad_q(sol.y)
+    if config.track_potential and sol is not None:
+        psi = potential(problem, tuning, sol)
+        psi_initial = psi(start.x, start.y, start.x, start.y)
 
     x = start.x.copy()
     y = start.y.copy()
     xf = x.copy()
     yf = y.copy()
 
-    if track_psi:
-        psi_initial = _potential_from_cache(
-            diagnostic_problem, tuning, x, y, xf, yf, sol, p_star, q_star, gp_star, gq_star
-        )
-
     psi_bound = config.psi_0
-    if psi_bound is None and track_psi:
+    if psi_bound is None:
         psi_bound = psi_initial
     if psi_bound is not None and psi_bound > 0.0:
         planned = min(
@@ -356,8 +346,8 @@ def solve(
         else:
             xg = alpha * x + (1.0 - alpha) * xf
             yg = alpha * y + (1.0 - alpha) * yf
-        gp = problem.grad_p(xg)
-        gq = problem.grad_q(yg)
+        gp = counted.grad_p(xg)
+        gq = counted.grad_q(yg)
 
         state = OuterState(
             k=k,
@@ -367,7 +357,7 @@ def solve(
             grad_p_g=gp,
             grad_q_g=gq,
         )
-        aux = build_auxiliary(problem, state, tuning)
+        aux = build_auxiliary(counted, state, tuning)
         result = inner_solver(aux, spec, tuning, inner_cfg)
         x_hat, y_hat = result.pair.x, result.pair.y
         g_x, g_y = result.grad_x, result.grad_y
@@ -424,13 +414,8 @@ def solve(
                     raise DivergenceDetected(
                         f"weighted distance grew {wd / old:.1f}x over 10 steps"
                     )
-        if track_psi:
-            report.potentials.append(
-                _potential_from_cache(
-                    diagnostic_problem, tuning, x, y, xf, yf, sol,
-                    p_star, q_star, gp_star, gq_star,
-                )
-            )
+        if psi is not None:
+            report.potentials.append(psi(x, y, xf, yf))
 
         if config.use_residual_stop:
             # Upper bound on the joint residual at the accepted pair using

@@ -8,6 +8,7 @@ need them.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -154,39 +155,36 @@ class OracleCounters:
         return OracleCounters(**self.as_dict())
 
 
+def count_calls(oracle: Callable, counters: OracleCounters, tally: str) -> Callable:
+    """``oracle`` with every call added to the ``tally`` field of ``counters``."""
+
+    def counted(*args):
+        setattr(counters, tally, getattr(counters, tally) + 1)
+        return oracle(*args)
+
+    return counted
+
+
 def wrap_counting(
     problem: CompositeSaddleProblem,
+    counters: Optional[OracleCounters] = None,
 ) -> Tuple[CompositeSaddleProblem, OracleCounters]:
     """Wrap a problem so every gradient-oracle call bumps a counter.
 
-    The wrapped problem delegates to the original oracles unchanged; the
-    returned counters belong to this wrapper alone, so concurrent runs on
-    separate wrappers never share tallies.  Value oracles pass through
-    uncounted (they are diagnostics).
+    The wrapped problem delegates to the original oracles unchanged.  The
+    tallies go to ``counters`` when given (so several wrappers can share
+    them, as the bilinear path does for composites and B/B^T products),
+    otherwise to fresh counters that belong to this wrapper alone, so
+    concurrent runs on separate wrappers never share tallies.  Value
+    oracles pass through uncounted (they are diagnostics).
     """
-    counters = OracleCounters()
-
-    def counted_grad_p(x):
-        counters.calls_grad_p += 1
-        return problem.grad_p(x)
-
-    def counted_grad_q(y):
-        counters.calls_grad_q += 1
-        return problem.grad_q(y)
-
-    def counted_grad_R(x, y):
-        counters.calls_grad_R += 1
-        return problem.grad_R(x, y)
-
-    wrapped = CompositeSaddleProblem(
-        d_x=problem.d_x,
-        d_y=problem.d_y,
-        grad_p=counted_grad_p,
-        grad_q=counted_grad_q,
-        grad_R=counted_grad_R,
-        value_p=problem.value_p,
-        value_q=problem.value_q,
-        value_R=problem.value_R,
+    if counters is None:
+        counters = OracleCounters()
+    wrapped = dataclasses.replace(
+        problem,
+        grad_p=count_calls(problem.grad_p, counters, "calls_grad_p"),
+        grad_q=count_calls(problem.grad_q, counters, "calls_grad_q"),
+        grad_R=count_calls(problem.grad_R, counters, "calls_grad_R"),
     )
     return wrapped, counters
 

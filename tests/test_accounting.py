@@ -1,0 +1,74 @@
+"""Property tests of the oracle-accounting identities.
+
+Composite oracles are called once per outer step.  Coupling calls follow
+from the inner iteration counts: an extragradient inner run accepted after
+t steps makes 2t + 1 coupling calls, and a bilinear inner run makes one B
+product to build its linear term plus three B/B^T products per AGD
+gradient evaluation, t + 1 of them.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from saddleslide import PointPair, SolveConfig, initial_potential, solve, solve_bilinear
+from saddleslide.bench.generators import gen_bilinear, gen_quadratic_spp
+
+SETTINGS = settings(max_examples=20, deadline=None)
+dims = st.integers(min_value=1, max_value=4)
+seeds = st.integers(min_value=0, max_value=2**31 - 1)
+
+
+def _assert_composite_once_per_step(counters):
+    assert counters.calls_grad_p == counters.outer_iterations
+    assert counters.calls_grad_q == counters.outer_iterations
+    assert counters.outer_iterations >= 1
+
+
+@SETTINGS
+@given(
+    d_x=dims,
+    d_y=dims,
+    L_p=st.floats(0.0, 20.0),
+    L_q=st.floats(0.0, 20.0),
+    mu_x=st.floats(0.5, 2.0),
+    mu_y=st.floats(0.5, 2.0),
+    coupling_gain=st.floats(1.0, 5.0),
+    seed=seeds,
+)
+def test_extragradient_path_identities(
+    d_x, d_y, L_p, L_q, mu_x, mu_y, coupling_gain, seed
+):
+    L_R = coupling_gain * max(mu_x, mu_y)
+    inst = gen_quadratic_spp(d_x, d_y, L_p, mu_x, L_q, mu_y, L_R, seed)
+    problem, spec = inst.problem(), inst.spec()
+    start = PointPair(np.zeros(d_x), np.zeros(d_y))
+    psi_0 = initial_potential(problem, spec, start, inst.saddle())
+    report = solve(problem, spec, start, SolveConfig(eps=1e-4, psi_0=psi_0))
+    c = report.counters
+    _assert_composite_once_per_step(c)
+    assert c.calls_grad_R == 2 * c.inner_iterations + c.outer_iterations
+
+
+@SETTINGS
+@given(
+    d_x=dims,
+    d_y=dims,
+    mu_p=st.floats(0.5, 2.0),
+    mu_q=st.floats(0.5, 2.0),
+    cond_p=st.floats(1.0, 10.0),
+    cond_q=st.floats(1.0, 10.0),
+    sigma_max=st.floats(0.0, 10.0),
+    seed=seeds,
+)
+def test_bilinear_path_identities(
+    d_x, d_y, mu_p, mu_q, cond_p, cond_q, sigma_max, seed
+):
+    inst = gen_bilinear(
+        d_x, d_y, cond_p * mu_p, mu_p, cond_q * mu_q, mu_q, sigma_max, seed
+    )
+    start = PointPair(np.zeros(d_x), np.zeros(d_y))
+    report = solve_bilinear(inst.bilinear_problem(), start, 1e-4, psi_0=100.0)
+    c = report.counters
+    _assert_composite_once_per_step(c)
+    assert c.calls_grad_R == 4 * c.outer_iterations + 3 * c.inner_iterations

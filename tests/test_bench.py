@@ -63,6 +63,11 @@ class TestGenerators:
         ])
         assert np.linalg.norm(jac, 2) == pytest.approx(9.0, rel=1e-9)
 
+    def test_single_row_bilinear_coupling_builds(self):
+        # One singular value: the declared floor and top agree up to rounding.
+        coupling = gen_bilinear(1, 3, 1.0, 1.0, 1.0, 1.0, 1.0, seed=1).coupling()
+        assert coupling.lambda_min_BBt <= coupling.lambda_max_BBt
+
     def test_infeasible_constants_rejected(self):
         with pytest.raises(InfeasibleConstants):
             gen_quadratic_spp(3, 3, 1.0, 2.0, 1.0, 2.0, 1.0, seed=0)

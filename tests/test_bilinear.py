@@ -6,6 +6,7 @@ import pytest
 from saddleslide import (
     BilinearProblem,
     CouplingOperator,
+    InnerConfig,
     PointPair,
     agd_quadratic,
     eliminate_y,
@@ -334,6 +335,26 @@ class TestSolveBilinear:
         # per AGD gradient evaluation (two for the reduced gradient, one for
         # the acceptance check), with one evaluation beyond the update steps.
         assert c.calls_grad_R == c.outer_iterations * 4 + 3 * c.inner_iterations
+
+    def test_stall_rule_follows_inner_config(self, rng):
+        # stall_rtol = 1 counts every AGD step as a stall, so with a window
+        # of one some outer step must be accepted by the stall rule.
+        bp, _, _ = _random_bilinear(rng, 6, 5, sigma=20.0)
+        report = solve_bilinear(
+            bp, PointPair(np.zeros(6), np.zeros(5)), 1e-6, psi_0=50.0,
+            inner=InnerConfig(stall_window=1, stall_rtol=1.0),
+            track_inner_details=True,
+        )
+        assert any(log["accepted_by"] == "stall" for log in report.inner_logs)
+
+    def test_potential_tracking_leaves_tallies_unchanged(self, rng):
+        bp, _, saddle = _random_bilinear(rng, 5, 4)
+        start = PointPair(np.zeros(5), np.zeros(4))
+        plain = solve_bilinear(bp, start, 1e-6, psi_0=50.0)
+        tracked = solve_bilinear(bp, start, 1e-6, psi_0=50.0,
+                                 track_potential=True, known_solution=saddle)
+        assert len(tracked.potentials) == tracked.counters.outer_iterations > 0
+        assert tracked.counters.as_dict() == plain.counters.as_dict()
 
     def test_coupling_scale_sweep_separates_counts(self, rng):
         base_B = rng.standard_normal((6, 6))

@@ -21,6 +21,7 @@ from saddleslide import (
 from saddleslide.errors import (
     DimensionMismatch,
     DivergenceDetected,
+    InconsistentConstants,
     MissingValueOracle,
     NonPositiveInput,
     NonPositiveModulus,
@@ -67,6 +68,12 @@ class TestTuneParameters:
     def test_invalid_spec_propagates(self):
         with pytest.raises(NonPositiveModulus):
             tune_parameters(SmoothnessSpec(L_p=1, L_q=1, L_R=1, mu_x=-1, mu_y=1))
+
+    def test_underflowing_ratio_raises_named_error(self):
+        # Passes validate_spec, but mu_x/L_p underflows to 0 and so would alpha.
+        spec = SmoothnessSpec(L_p=1e300, L_q=0, L_R=1e300, mu_x=1e-300, mu_y=1e-300)
+        with pytest.raises(InconsistentConstants):
+            tune_parameters(spec)
 
     def test_feasibility_over_random_specs(self, rng):
         for _ in range(1000):
