@@ -158,7 +158,7 @@ def agd_joint_baseline(
     )
     try:
         x, steps = _agd_loop(
-            lambda v: (gradient(v), None),
+            gradient,
             mu_h=mu_red,
             l_h=l_red,
             start=np.zeros(d_x),

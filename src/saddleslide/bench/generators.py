@@ -56,28 +56,13 @@ class Instance:
 
     def coupling(self) -> CouplingOperator:
         B = self.arrays["B"] if "B" in self.arrays else self.arrays["W"]
-        lam_max = self.constants["lambda_max_BBt"]
-        kernel = None
-        lam_min_plus = None
-        if self.kind == KIND_CONSENSUS:
-            # The Laplacian coupling is singular with known kernel; the
-            # solver deflates it and works at the lambda_min_plus floor.
-            lam_min = 0.0
-            lam_min_plus = self.constants["lambda_min_plus_BBt"]
-            if self.manifest.get("kernel") == "ones":
-                n = B.shape[0]
-                kernel = np.full((n, 1), 1.0 / math.sqrt(n))
-        else:
-            lam_min = self.constants.get("lambda_min_BBt", 0.0)
         return CouplingOperator(
             matvec=lambda v, _B=B: _B @ v,
             rmatvec=lambda v, _B=B: _B.T @ v,
             d_x=B.shape[0],
             d_y=B.shape[1],
-            lambda_max_BBt=lam_max,
-            lambda_min_BBt=lam_min,
-            kernel_basis=kernel,
-            lambda_min_plus_BBt=lam_min_plus,
+            lambda_max_BBt=self.constants["lambda_max_BBt"],
+            lambda_min_BBt=self.constants.get("lambda_min_BBt", 0.0),
         )
 
     def spec(self) -> SmoothnessSpec:

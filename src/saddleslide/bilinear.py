@@ -3,9 +3,9 @@
 For ``min_x max_y p(x) + x^T B y - q(y)`` with strongly convex composites,
 the strong convexity is moved into the coupling term and the prox
 subproblem of each outer step collapses, after maximizing out y in closed
-form, to an unconstrained quadratic in x solved by accelerated gradient
-descent.  Every B or B^T product is counted individually, so coupling cost
-is measured in matrix-vector products.
+form, to an unconstrained quadratic in x solved by conjugate gradients,
+which needs no spectral bounds.  Every B or B^T product is counted
+individually, so coupling cost is measured in matrix-vector products.
 
 The reduced quadratic is ``x^T A x + b^T x + c`` with
 
@@ -70,13 +70,10 @@ class CouplingOperator:
     """Matrix-free coupling B with spectral bounds of B B^T.
 
     ``matvec`` maps y to B y (length d_x), ``rmatvec`` maps x to B^T x
-    (length d_y).
-
-    For rank-deficient couplings (graph Laplacians), ``kernel_basis`` may
-    hold orthonormal columns spanning ker(B^T) together with the smallest
-    nonzero eigenvalue ``lambda_min_plus_BBt``; the reduced inner solver
-    then handles the kernel component analytically and converges at the
-    positive part of the spectrum.
+    (length d_y).  ``lambda_max_BBt`` sets the coupling's smoothness
+    constant; ``lambda_min_BBt`` is read only by the linear-composite
+    reduction, which needs it positive.  Rank-deficient couplings such as
+    graph Laplacians may declare it 0: the inner solver needs no floor.
     """
 
     matvec: Callable[[np.ndarray], np.ndarray]
@@ -85,18 +82,12 @@ class CouplingOperator:
     d_y: int
     lambda_max_BBt: float
     lambda_min_BBt: float
-    kernel_basis: Optional[np.ndarray] = None
-    lambda_min_plus_BBt: Optional[float] = None
 
     def __post_init__(self):
         if not (self.lambda_max_BBt >= self.lambda_min_BBt >= 0.0):
             raise InconsistentConstants(
                 f"need lambda_max >= lambda_min >= 0, got "
                 f"{self.lambda_max_BBt}, {self.lambda_min_BBt}"
-            )
-        if self.kernel_basis is not None and self.lambda_min_plus_BBt is None:
-            raise InconsistentConstants(
-                "kernel_basis requires lambda_min_plus_BBt"
             )
 
     @classmethod
@@ -142,6 +133,41 @@ def power_lambda_max(matvec, dim, seed=0, iters=100, tol=1e-6) -> float:
     return lam
 
 
+def _cg_iterates(matvec, rmatvec, shift, rhs, x, max_iter):
+    """Conjugate gradients on ``(shift I + B B^T) x = rhs``.
+
+    Yields ``(x, B^T x, r)`` with residual ``r = rhs - (shift I + B B^T) x``
+    for the start and then after each step.  A step costs one B^T and one
+    B product; B^T x is advanced with the step length, not recomputed.
+    Returns early on breakdown (zero residual or ``p^T M p <= 0``), where
+    the last iterate solves the system to machine precision, and raises
+    BudgetExhausted when resumed after the ``max_iter``-th step.
+    """
+    x = np.array(x, dtype=float)
+    bt_x = rmatvec(x)
+    r = rhs - shift * x - matvec(bt_x)
+    p = r
+    rr = float(r @ r)
+    for _ in range(max_iter):
+        yield x, bt_x, r
+        if rr == 0.0:
+            return
+        bt_p = rmatvec(p)
+        m_p = shift * p + matvec(bt_p)
+        p_m_p = float(p @ m_p)
+        if p_m_p <= 0.0:
+            return
+        alpha = rr / p_m_p
+        x = x + alpha * p
+        bt_x = bt_x + alpha * bt_p
+        r = r - alpha * m_p
+        rr_next = float(r @ r)
+        p = r + (rr_next / rr) * p
+        rr = rr_next
+    yield x, bt_x, r
+    raise BudgetExhausted(f"no acceptance after {max_iter} iterations")
+
+
 def estimate_spectral_bounds(
     matvec: Callable,
     rmatvec: Callable,
@@ -155,38 +181,34 @@ def estimate_spectral_bounds(
 
     lambda_max comes from power iteration on B B^T; lambda_min from inverse
     power iteration on the slightly shifted B B^T + delta I, each inverse
-    application computed by accelerated gradient descent.  Returns the
-    estimates and the number of B/B^T products spent, which callers should
-    log separately from solver oracle counts.
+    application computed by conjugate gradients.  Returns the estimates and
+    the number of B/B^T products spent, which callers should log
+    separately from solver oracle counts.
     """
     rng = np.random.default_rng(seed)
-    used = {"n": 0}
+    used = OracleCounters()
+    matvec = count_calls(matvec, used, "calls_grad_R")
+    rmatvec = count_calls(rmatvec, used, "calls_grad_R")
 
     def bbt(v):
-        used["n"] += 2
         return matvec(rmatvec(v))
 
     lam_max = power_lambda_max(bbt, d_x, seed=rng, iters=iters, tol=tol)
     if lam_max <= 0.0:
-        return 0.0, 0.0, used["n"]
+        return 0.0, 0.0, used.calls_grad_R
 
     delta = 1e-6 * lam_max
     u = rng.standard_normal(d_x)
     u /= np.linalg.norm(u)
     lam_min = lam_max
     for _ in range(iters):
-        # z = (B B^T + delta I)^{-1} u, via AGD on the induced quadratic.
-        def gradient_fn(x, _u=u):
-            return bbt(x) + delta * x - _u, None
-
-        z, _ = _agd_loop(
-            gradient_fn,
-            mu_h=delta,
-            l_h=lam_max + delta,
-            start=u / (lam_max + delta),
-            tol=1e-9 * np.linalg.norm(u),
-            max_iter=50_000,
-        )
+        # z = (B B^T + delta I)^{-1} u
+        stop = 1e-9 * np.linalg.norm(u)
+        for z, _, r in _cg_iterates(
+            matvec, rmatvec, delta, u, u / (lam_max + delta), 50_000
+        ):
+            if np.linalg.norm(r) <= stop:
+                break
         nz = np.linalg.norm(z)
         if nz == 0.0:
             break
@@ -196,7 +218,7 @@ def estimate_spectral_bounds(
             lam_min = lam
             break
         lam_min = lam
-    return lam_max, max(lam_min, 0.0), used["n"]
+    return lam_max, max(lam_min, 0.0), used.calls_grad_R
 
 
 @dataclass(frozen=True)
@@ -324,12 +346,6 @@ class QuadraticForm:
     def gradient(self, v: np.ndarray) -> np.ndarray:
         return 2.0 * self.apply_A(v) + self.b
 
-    def gradient_with_coupling(self, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Gradient plus the intermediate B^T v, for reuse by callers."""
-        bt_v = self.rmatvec(v)
-        grad = self.kappa * v + self.matvec(bt_v) + self.b
-        return grad, bt_v
-
     def recover_y(self, x: np.ndarray, bt_x: Optional[np.ndarray] = None) -> np.ndarray:
         if bt_x is None:
             bt_x = self.rmatvec(x)
@@ -388,21 +404,18 @@ def eliminate_y(
     )
 
 
-def _agd_loop(gradient_fn, mu_h, l_h, start, tol, max_iter, stop_check=None):
+def _agd_loop(gradient_fn, mu_h, l_h, start, tol, max_iter):
     """Nesterov's method for mu_h-strongly convex, l_h-smooth objectives.
 
-    ``gradient_fn(x) -> (grad, extra)``; ``stop_check(x, grad, extra)`` may
-    accept early.  Returns the evaluation point whose gradient passed a
-    test, with the number of update steps taken.
+    Returns the first evaluation point whose gradient norm is <= tol, with
+    the number of update steps taken.
     """
     momentum = (math.sqrt(l_h) - math.sqrt(mu_h)) / (math.sqrt(l_h) + math.sqrt(mu_h))
     x_prev = start.copy()
     y_pt = start.copy()
     for t in range(max_iter + 1):
-        g, extra = gradient_fn(y_pt)
-        if stop_check is not None and stop_check(y_pt, g, extra):
-            return y_pt, t
-        if stop_check is None and np.linalg.norm(g) <= tol:
+        g = gradient_fn(y_pt)
+        if np.linalg.norm(g) <= tol:
             return y_pt, t
         if t == max_iter:
             break
@@ -428,7 +441,7 @@ def agd_quadratic(
     if not (0.0 < mu_A <= L_A):
         raise NonPositiveInput(f"need 0 < mu_A <= L_A, got {mu_A}, {L_A}")
     x, _ = _agd_loop(
-        lambda v: (qf.gradient(v), None),
+        qf.gradient,
         mu_h=2.0 * mu_A,
         l_h=2.0 * L_A,
         start=np.asarray(start, dtype=float).copy(),
@@ -439,10 +452,14 @@ def agd_quadratic(
 
 
 def make_bilinear_inner_solver(bp: BilinearProblem):
-    """Inner solver closure: eliminate y, run AGD until the outer criterion.
+    """Inner solver closure: eliminate y, run CG until the outer criterion.
 
-    ``bp`` should be the counting-wrapped problem so B/B^T products land in
-    ``calls_grad_R``.
+    Each iterate is checked against the outer loop's inexactness criterion
+    and accepted by it, by the stall rule of ``InnerConfig``, or on a CG
+    breakdown.  Building the linear term costs one B product and every
+    checked iterate three B/B^T products, so a run of t steps makes
+    3t + 4.  ``bp`` should be the counting-wrapped problem so the
+    products land in ``calls_grad_R``.
     """
 
     def inner(
@@ -454,87 +471,51 @@ def make_bilinear_inner_solver(bp: BilinearProblem):
         qf = _eliminate_from_parts(
             bp, aux.grad_p_anchor, aux.grad_q_anchor, aux.x_k, aux.y_k, tuning
         )
-        kernel = bp.coupling.kernel_basis
-        if kernel is not None:
-            # The kernel block of the reduced quadratic decouples (B'U = 0):
-            # pin it at its exact minimizer and run AGD on the orthogonal
-            # complement, where the curvature floor is kappa + lambda_min_plus.
-            ker_opt = -(kernel.T @ qf.b) / qf.kappa
-            start = aux.x_k + kernel @ (ker_opt - kernel.T @ aux.x_k)
-            mu_A = 0.5 * (qf.kappa + bp.coupling.lambda_min_plus_BBt)
-
-            def gradient_fn(v):
-                grad, bt_v = qf.gradient_with_coupling(v)
-                coef = kernel.T @ grad
-                return grad - kernel @ coef, (bt_v, coef)
-
-        else:
-            start = aux.x_k.copy()
-            mu_A = 0.5 * (qf.kappa + bp.coupling.lambda_min_BBt)
-
-            def gradient_fn(v):
-                grad, bt_v = qf.gradient_with_coupling(v)
-                return grad, (bt_v, None)
-
-        L_A = 0.5 * (qf.kappa + bp.coupling.lambda_max_BBt)
-        accepted = {}
-        state = {"prev": None, "stalled": 0}
-
-        def stop_check(x_pt, grad, extra):
-            bt_x, _ = extra
-            prev = state["prev"]
-            if prev is not None:
-                state["stalled"] = stall_count(state["stalled"], config, (x_pt, prev))
-            state["prev"] = x_pt.copy()
-
-            y_pt = qf.recover_y(x_pt, bt_x)
-            # Evaluate the subproblem gradients from their definition (one
-            # extra B product) rather than unscaling the reduced gradient,
-            # which would amplify its rounding noise by 1/shift.
-            g_x = (
-                aux.grad_p_anchor
-                + (x_pt - aux.x_k) / tuning.eta_x
-                + bp.mu_p * x_pt
-                + bp.coupling.matvec(y_pt)
-            )
-            g_y = (
-                bt_x
-                - bp.mu_q * y_pt
-                - (y_pt - aux.y_k) / tuning.eta_y
-                - aux.grad_q_anchor
-            )
-            ok = check_inner_criterion(
-                g_x, g_y, x_pt - aux.x_k, y_pt - aux.y_k, tuning, config.floor_tol
-            )
-            # An iterate pinned in place for many steps is the subproblem
-            # solution to machine precision; nothing better is representable.
-            if not ok and state["stalled"] >= config.stall_window:
-                accepted.update(x=x_pt, y=y_pt, g_x=g_x, g_y=g_y,
-                                by=ACCEPTED_STALL)
-                return True
-            if ok:
-                accepted.update(x=x_pt, y=y_pt, g_x=g_x, g_y=g_y,
-                                by=ACCEPTED_CRITERION)
-            return ok
-
+        # The reduced gradient is (kappa I + B B^T) x + b.
+        iterates = _cg_iterates(
+            qf.matvec, qf.rmatvec, qf.kappa, -qf.b, aux.x_k, config.max_inner
+        )
+        accepted_by, stalled, x_prev = ACCEPTED_STALL, 0, None
         try:
-            _, iterations = _agd_loop(
-                gradient_fn,
-                mu_h=2.0 * mu_A,
-                l_h=2.0 * L_A,
-                start=start,
-                tol=0.0,
-                max_iter=config.max_inner,
-                stop_check=stop_check,
-            )
+            for iterations, (x_pt, bt_x, _) in enumerate(iterates):
+                if x_prev is not None:
+                    stalled = stall_count(stalled, config, (x_pt, x_prev))
+                x_prev = x_pt
+                y_pt = qf.recover_y(x_pt, bt_x)
+                # Evaluate the subproblem gradients from their definition
+                # (one extra B product) rather than unscaling the reduced
+                # gradient, which would amplify its rounding noise by 1/shift.
+                g_x = (
+                    aux.grad_p_anchor
+                    + (x_pt - aux.x_k) / tuning.eta_x
+                    + bp.mu_p * x_pt
+                    + bp.coupling.matvec(y_pt)
+                )
+                g_y = (
+                    bt_x
+                    - bp.mu_q * y_pt
+                    - (y_pt - aux.y_k) / tuning.eta_y
+                    - aux.grad_q_anchor
+                )
+                if check_inner_criterion(
+                    g_x, g_y, x_pt - aux.x_k, y_pt - aux.y_k, tuning, config.floor_tol
+                ):
+                    accepted_by = ACCEPTED_CRITERION
+                    break
+                # An iterate pinned in place for many steps is the subproblem
+                # solution to machine precision; nothing better is
+                # representable.  A CG breakdown ends the loop on such a
+                # point too.
+                if stalled >= config.stall_window:
+                    break
         except BudgetExhausted as exc:
             raise InnerBudgetExhausted(str(exc)) from exc
         return InnerResult(
-            pair=PointPair(accepted["x"], accepted["y"]),
+            pair=PointPair(x_pt, y_pt),
             iterations=iterations,
-            grad_x=accepted["g_x"],
-            grad_y=accepted["g_y"],
-            accepted_by=accepted["by"],
+            grad_x=g_x,
+            grad_y=g_y,
+            accepted_by=accepted_by,
         )
 
     return inner
@@ -556,7 +537,7 @@ def solve_bilinear(
     """Sliding solver specialized to bilinear coupling.
 
     Splits the composites, then runs the outer loop with the
-    elimination-plus-AGD inner solver.  ``counters.calls_grad_R`` in the
+    elimination-plus-CG inner solver.  ``counters.calls_grad_R`` in the
     report counts individual B/B^T products.
     """
     if eps <= 0.0:

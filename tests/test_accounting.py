@@ -3,16 +3,30 @@
 Composite oracles are called once per outer step.  Coupling calls follow
 from the inner iteration counts: an extragradient inner run accepted after
 t steps makes 2t + 1 coupling calls, and a bilinear inner run makes one B
-product to build its linear term plus three B/B^T products per AGD
-gradient evaluation, t + 1 of them.
+product to build its linear term plus three B/B^T products per iterate it
+checks, t + 1 of them: two for the start's residual or for the
+conjugate-gradient step that reached the iterate, one for the acceptance
+check.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saddleslide import PointPair, SolveConfig, initial_potential, solve, solve_bilinear
-from saddleslide.bench.generators import gen_bilinear, gen_quadratic_spp
+from saddleslide import (
+    PointPair,
+    SolveConfig,
+    initial_potential,
+    solve,
+    solve_affine_constrained,
+    solve_bilinear,
+)
+from saddleslide.bench.generators import (
+    gen_bilinear,
+    gen_consensus,
+    gen_quadratic_spp,
+    reference_solution,
+)
 
 SETTINGS = settings(max_examples=20, deadline=None)
 dims = st.integers(min_value=1, max_value=4)
@@ -72,3 +86,30 @@ def test_bilinear_path_identities(
     c = report.counters
     _assert_composite_once_per_step(c)
     assert c.calls_grad_R == 4 * c.outer_iterations + 3 * c.inner_iterations
+
+
+@SETTINGS
+@given(
+    n_nodes=st.integers(min_value=2, max_value=8),
+    topology=st.sampled_from(["path", "ring", "star"]),
+    seed=seeds,
+)
+def test_consensus_path_identities(n_nodes, topology, seed):
+    eps = 1e-6
+    inst = gen_consensus(n_nodes, topology, 1.0, 4.0, seed)
+    grad, value = inst.local_objective()
+    report = solve_affine_constrained(
+        grad_p=grad,
+        L_p=inst.constants["local_L"],
+        mu_p=inst.constants["local_mu"],
+        coupling=inst.coupling(),
+        c=inst.arrays["c"],
+        D_y=inst.constants["D_y"],
+        eps=eps,
+        value_p=value,
+    )
+    c = report.counters
+    _assert_composite_once_per_step(c)
+    assert c.calls_grad_R == 4 * c.outer_iterations + 3 * c.inner_iterations
+    x_ref = reference_solution(inst).x
+    assert np.sum((report.final_pair.x - x_ref) ** 2) <= eps

@@ -21,11 +21,12 @@ from saddleslide import (
     weighted_distance_sq,
     wrap_counting_bilinear,
 )
-from saddleslide.bilinear import _eliminate_from_parts
+from saddleslide.bilinear import _cg_iterates, _eliminate_from_parts
 from saddleslide.errors import (
     BudgetExhausted,
     InconsistentConstants,
     InfeasibleTarget,
+    InnerBudgetExhausted,
     NonPositiveInput,
     NonPositiveModulus,
 )
@@ -332,12 +333,12 @@ class TestSolveBilinear:
         assert c.calls_grad_p == c.outer_iterations
         assert c.calls_grad_q == c.outer_iterations
         # Per outer step: one product to build the linear term, then three
-        # per AGD gradient evaluation (two for the reduced gradient, one for
-        # the acceptance check), with one evaluation beyond the update steps.
+        # per checked CG iterate (two for the start's residual or the CG
+        # step, one for the acceptance check), one iterate beyond the steps.
         assert c.calls_grad_R == c.outer_iterations * 4 + 3 * c.inner_iterations
 
     def test_stall_rule_follows_inner_config(self, rng):
-        # stall_rtol = 1 counts every AGD step as a stall, so with a window
+        # stall_rtol = 1 counts every CG step as a stall, so with a window
         # of one some outer step must be accepted by the stall rule.
         bp, _, _ = _random_bilinear(rng, 6, 5, sigma=20.0)
         report = solve_bilinear(
@@ -346,6 +347,14 @@ class TestSolveBilinear:
             track_inner_details=True,
         )
         assert any(log["accepted_by"] == "stall" for log in report.inner_logs)
+
+    def test_inner_budget_raises_named_error(self, rng):
+        bp, _, _ = _random_bilinear(rng, 6, 5, sigma=20.0)
+        with pytest.raises(InnerBudgetExhausted):
+            solve_bilinear(
+                bp, PointPair(np.ones(6), np.ones(5)), 1e-6, psi_0=50.0,
+                inner=InnerConfig(max_inner=0),
+            )
 
     def test_potential_tracking_leaves_tallies_unchanged(self, rng):
         bp, _, saddle = _random_bilinear(rng, 5, 4)
@@ -422,6 +431,30 @@ class TestSolveAffineConstrained:
         assert np.max(np.abs(x - x.mean())) <= 1e-3
         centralized = reference_solution(inst)
         assert np.sum((x - centralized.x) ** 2) <= 1e-6
+
+    def test_long_path_needs_no_spectral_floor(self):
+        # The path Laplacian's smallest nonzero eigenvalue shrinks like
+        # 1/n^2; an inner solver whose rate depends on it exhausts 400
+        # steps here.
+        from saddleslide.bench import gen_consensus, reference_solution
+
+        eps = 1e-6
+        inst = gen_consensus(40, "path", 1.0, 4.0, seed=0)
+        grad, value = inst.local_objective()
+        report = solve_affine_constrained(
+            grad_p=grad,
+            L_p=inst.constants["local_L"],
+            mu_p=inst.constants["local_mu"],
+            coupling=inst.coupling(),
+            c=inst.arrays["c"],
+            D_y=inst.constants["D_y"],
+            eps=eps,
+            value_p=value,
+            inner=InnerConfig(max_inner=400),
+        )
+        x_ref = reference_solution(inst).x
+        assert np.sum((report.final_pair.x - x_ref) ** 2) <= eps
+        assert report.constraint_residual <= math.sqrt(eps)
 
     def test_infeasible_rhs_raises(self):
         # Constraint row space misses the second coordinate of c.
@@ -517,6 +550,44 @@ class TestSpectralEstimation:
         )
         assert lmax == pytest.approx(4.0, rel=1e-4)
         assert lmin <= 1e-6
+
+
+    def test_rank_deficient_coupling_cost(self):
+        B = np.random.default_rng(0).standard_normal((30, 20))
+        lam = np.linalg.eigvalsh(B @ B.T)
+        lmax, lmin, used = estimate_spectral_bounds(
+            lambda v: B @ v, lambda v: B.T @ v, 30, 20
+        )
+        assert used <= 20_000
+        assert lmax == pytest.approx(lam[-1], rel=1e-3)
+        assert lmin <= 1e-6
+
+
+class TestConjugateGradients:
+    def test_zero_residual_ends_iteration(self):
+        # (1 + 1) x = 4 is solved exactly by the first step.
+        one = lambda v: v.copy()
+        iterates = list(_cg_iterates(one, one, 1.0, np.array([4.0]), np.zeros(1), 10))
+        assert len(iterates) == 2
+        x, bt_x, r = iterates[-1]
+        assert x[0] == 2.0 and bt_x[0] == 2.0 and r[0] == 0.0
+
+    def test_nonpositive_curvature_ends_iteration(self):
+        zero = lambda v: np.zeros_like(v)
+        iterates = list(_cg_iterates(zero, zero, -1.0, np.ones(2), np.zeros(2), 10))
+        assert len(iterates) == 1
+
+    def test_tracks_coupling_image_and_residual(self, rng):
+        B = rng.standard_normal((6, 4))
+        rhs = rng.standard_normal(6)
+        for x, bt_x, r in _cg_iterates(
+            lambda v: B @ v, lambda v: B.T @ v, 0.5, rhs, np.ones(6), 50
+        ):
+            assert np.allclose(bt_x, B.T @ x)
+            assert np.allclose(r, rhs - 0.5 * x - B @ (B.T @ x))
+            if np.linalg.norm(r) <= 1e-10:
+                break
+        assert np.allclose(0.5 * x + B @ (B.T @ x), rhs)
 
 
 def test_wrap_counting_bilinear_tallies(rng):
