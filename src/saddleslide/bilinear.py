@@ -35,24 +35,15 @@ from .errors import (
     DimensionMismatch,
     InconsistentConstants,
     InfeasibleTarget,
-    InnerBudgetExhausted,
     NonPositiveInput,
     NonPositiveModulus,
 )
-from .inner import (
-    ACCEPTED_CRITERION,
-    ACCEPTED_STALL,
-    AuxiliaryProblem,
-    InnerConfig,
-    InnerResult,
-    stall_count,
-)
+from .inner import AuxiliaryProblem, InnerConfig, InnerResult, accept_first
 from .outer import (
     ConvergenceReport,
     OuterState,
     SolveConfig,
     SolverTuning,
-    check_inner_criterion,
     solve,
     tune_parameters,
 )
@@ -63,6 +54,7 @@ from .problems import (
     SmoothnessSpec,
     count_calls,
 )
+from .regularization import plan_cc
 
 
 @dataclass(frozen=True)
@@ -133,22 +125,22 @@ def power_lambda_max(matvec, dim, seed=0, iters=100, tol=1e-6) -> float:
     return lam
 
 
-def _cg_iterates(matvec, rmatvec, shift, rhs, x, max_iter):
+def _cg_iterates(matvec, rmatvec, shift, rhs, x):
     """Conjugate gradients on ``(shift I + B B^T) x = rhs``.
 
     Yields ``(x, B^T x, r)`` with residual ``r = rhs - (shift I + B B^T) x``
-    for the start and then after each step.  A step costs one B^T and one
-    B product; B^T x is advanced with the step length, not recomputed.
-    Returns early on breakdown (zero residual or ``p^T M p <= 0``), where
-    the last iterate solves the system to machine precision, and raises
-    BudgetExhausted when resumed after the ``max_iter``-th step.
+    for the start and then after each step.  The start costs one B^T and
+    one B product, and so does each step; B^T x is advanced with the step
+    length, not recomputed.  The iterates end on breakdown (zero residual
+    or ``p^T M p <= 0``), where the last one solves the system to machine
+    precision, and otherwise never: the caller owns the budget.
     """
     x = np.array(x, dtype=float)
     bt_x = rmatvec(x)
     r = rhs - shift * x - matvec(bt_x)
     p = r
     rr = float(r @ r)
-    for _ in range(max_iter):
+    while True:
         yield x, bt_x, r
         if rr == 0.0:
             return
@@ -164,8 +156,6 @@ def _cg_iterates(matvec, rmatvec, shift, rhs, x, max_iter):
         rr_next = float(r @ r)
         p = r + (rr_next / rr) * p
         rr = rr_next
-    yield x, bt_x, r
-    raise BudgetExhausted(f"no acceptance after {max_iter} iterations")
 
 
 def estimate_spectral_bounds(
@@ -181,9 +171,10 @@ def estimate_spectral_bounds(
 
     lambda_max comes from power iteration on B B^T; lambda_min from inverse
     power iteration on the slightly shifted B B^T + delta I, each inverse
-    application computed by conjugate gradients.  Returns the estimates and
-    the number of B/B^T products spent, which callers should log
-    separately from solver oracle counts.
+    application computed by conjugate gradients to relative residual 1e-9
+    (BudgetExhausted if one takes more than 50,000 steps).  Returns the
+    estimates and the number of B/B^T products spent, which callers
+    should log separately from solver oracle counts.
     """
     rng = np.random.default_rng(seed)
     used = OracleCounters()
@@ -204,11 +195,13 @@ def estimate_spectral_bounds(
     for _ in range(iters):
         # z = (B B^T + delta I)^{-1} u
         stop = 1e-9 * np.linalg.norm(u)
-        for z, _, r in _cg_iterates(
-            matvec, rmatvec, delta, u, u / (lam_max + delta), 50_000
+        for t, (z, _, r) in enumerate(
+            _cg_iterates(matvec, rmatvec, delta, u, u / (lam_max + delta))
         ):
             if np.linalg.norm(r) <= stop:
                 break
+            if t >= 50_000:
+                raise BudgetExhausted("inverse power step unsolved after 50000 CG steps")
         nz = np.linalg.norm(z)
         if nz == 0.0:
             break
@@ -454,12 +447,12 @@ def agd_quadratic(
 def make_bilinear_inner_solver(bp: BilinearProblem):
     """Inner solver closure: eliminate y, run CG until the outer criterion.
 
-    Each iterate is checked against the outer loop's inexactness criterion
-    and accepted by it, by the stall rule of ``InnerConfig``, or on a CG
-    breakdown.  Building the linear term costs one B product and every
-    checked iterate three B/B^T products, so a run of t steps makes
-    3t + 4.  ``bp`` should be the counting-wrapped problem so the
-    products land in ``calls_grad_R``.
+    The CG iterates, with their recovered y and subproblem gradients, go
+    through the stop rule of `inner.accept_first`; a CG breakdown ends them
+    and its last iterate is accepted as a stall.  Building the linear term
+    costs one B product and every checked iterate three B/B^T products, so
+    a run of t steps makes 3t + 4.  ``bp`` should be the counting-wrapped
+    problem so the products land in ``calls_grad_R``.
     """
 
     def inner(
@@ -471,52 +464,22 @@ def make_bilinear_inner_solver(bp: BilinearProblem):
         qf = _eliminate_from_parts(
             bp, aux.grad_p_anchor, aux.grad_q_anchor, aux.x_k, aux.y_k, tuning
         )
-        # The reduced gradient is (kappa I + B B^T) x + b.
-        iterates = _cg_iterates(
-            qf.matvec, qf.rmatvec, qf.kappa, -qf.b, aux.x_k, config.max_inner
-        )
-        accepted_by, stalled, x_prev = ACCEPTED_STALL, 0, None
-        try:
-            for iterations, (x_pt, bt_x, _) in enumerate(iterates):
-                if x_prev is not None:
-                    stalled = stall_count(stalled, config, (x_pt, x_prev))
-                x_prev = x_pt
-                y_pt = qf.recover_y(x_pt, bt_x)
+
+        def iterates():
+            # The reduced gradient is (kappa I + B B^T) x + b.
+            cg = _cg_iterates(qf.matvec, qf.rmatvec, qf.kappa, -qf.b, aux.x_k)
+            for x, bt_x, _ in cg:
+                y = qf.recover_y(x, bt_x)
                 # Evaluate the subproblem gradients from their definition
                 # (one extra B product) rather than unscaling the reduced
                 # gradient, which would amplify its rounding noise by 1/shift.
-                g_x = (
-                    aux.grad_p_anchor
-                    + (x_pt - aux.x_k) / tuning.eta_x
-                    + bp.mu_p * x_pt
-                    + bp.coupling.matvec(y_pt)
-                )
-                g_y = (
-                    bt_x
-                    - bp.mu_q * y_pt
-                    - (y_pt - aux.y_k) / tuning.eta_y
-                    - aux.grad_q_anchor
-                )
-                if check_inner_criterion(
-                    g_x, g_y, x_pt - aux.x_k, y_pt - aux.y_k, tuning, config.floor_tol
-                ):
-                    accepted_by = ACCEPTED_CRITERION
-                    break
-                # An iterate pinned in place for many steps is the subproblem
-                # solution to machine precision; nothing better is
-                # representable.  A CG breakdown ends the loop on such a
-                # point too.
-                if stalled >= config.stall_window:
-                    break
-        except BudgetExhausted as exc:
-            raise InnerBudgetExhausted(str(exc)) from exc
-        return InnerResult(
-            pair=PointPair(x_pt, y_pt),
-            iterations=iterations,
-            grad_x=g_x,
-            grad_y=g_y,
-            accepted_by=accepted_by,
-        )
+                g_x = (aux.grad_p_anchor + (x - aux.x_k) / tuning.eta_x
+                       + bp.mu_p * x + bp.coupling.matvec(y))
+                g_y = (bt_x - bp.mu_q * y - (y - aux.y_k) / tuning.eta_y
+                       - aux.grad_q_anchor)
+                yield x, y, g_x, g_y, (x,)
+
+        return accept_first(iterates(), aux, tuning, config)
 
     return inner
 
@@ -678,25 +641,23 @@ def solve_bilinear_linear_composites(
 
     Requires full row rank coupling (lambda_min(B B^T) > 0) and norm
     bounds ``||x*|| <= D_x``, ``||y*|| <= D_y`` on the solution.  Both
-    blocks get ``(eps/16 D^2)||.||^2`` regularizers and the regularized
-    problem is solved to unweighted accuracy eps/2, which certifies an
-    eps-solution of the original.
+    blocks get `plan_cc`'s ``(eps/16 D^2)||.||^2`` regularizers and the
+    regularized problem is solved to unweighted accuracy eps/2, which
+    certifies an eps-solution of the original.
 
     Since both step sizes scale like ``D^2/eps``, recovering the dual from
     ``B^T x`` loses roughly ``eps/(16 D^2)`` relative precision; in float64
     the reduction is reliable down to ``eps/D^2`` around 1e-5 and degrades
     below that.
     """
-    if eps <= 0.0 or D_x <= 0.0 or D_y <= 0.0:
-        raise NonPositiveInput(f"eps={eps}, D_x={D_x}, D_y={D_y}")
+    plan = plan_cc(eps, D_x, D_y)
     if coupling.lambda_min_BBt <= 0.0:
         raise InconsistentConstants(
             f"lambda_min(B B^T)={coupling.lambda_min_BBt} must be positive"
         )
     d = np.asarray(d, dtype=float)
     c = np.asarray(c, dtype=float)
-    coeff_x = eps / (16.0 * D_x**2)
-    coeff_y = eps / (16.0 * D_y**2)
+    coeff_x, coeff_y = plan.coeff_x, plan.coeff_y
     mu_p = 2.0 * coeff_x
     mu_q = 2.0 * coeff_y
 
@@ -713,7 +674,7 @@ def solve_bilinear_linear_composites(
     )
     _, spec = split_bilinear(bp)
     tuning = tune_parameters(spec)
-    tau = (eps / 2.0) / max(1.0, tuning.eta_x, tuning.eta_y)
+    tau = plan.inner_target / max(1.0, tuning.eta_x, tuning.eta_y)
 
     x0 = np.zeros(coupling.d_x) if x0 is None else np.asarray(x0, dtype=float)
     y0 = np.zeros(coupling.d_y) if y0 is None else np.asarray(y0, dtype=float)

@@ -5,11 +5,13 @@ quadratics around the current outer iterate, leaving a strongly
 convex-concave saddle in the coupling term alone.  It is solved by
 extragradient on a variable-rescaled formulation whose block curvatures
 are balanced, with acceptance decided by the outer criterion evaluated in
-the original coordinates at every iterate.
+the original coordinates at every iterate.  That stop rule, `accept_first`,
+is shared with the bilinear conjugate-gradient solver.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -20,6 +22,7 @@ from .errors import (
     DivergenceDetected,
     InnerBudgetExhausted,
     MissingValueOracle,
+    NonPositiveInput,
     NonPositiveStep,
 )
 from .outer import OuterState, SolverTuning, check_inner_criterion
@@ -127,7 +130,8 @@ class InnerConfig:
     ``stall_window``/``stall_rtol`` accept an iterate that has not moved
     by more than ``stall_rtol`` (relative) for that many consecutive
     steps: it is then the subproblem solution to machine precision and no
-    further progress is representable in float64.
+    further progress is representable in float64.  ``stall_window < 1``
+    and ``max_inner < 0`` raise NonPositiveInput.
     """
 
     step: Optional[float] = None
@@ -135,6 +139,12 @@ class InnerConfig:
     floor_tol: float = 1e-24
     stall_window: int = 32
     stall_rtol: float = 1e-15
+
+    def __post_init__(self):
+        if self.stall_window < 1 or self.max_inner < 0:
+            raise NonPositiveInput(
+                f"stall_window={self.stall_window}, max_inner={self.max_inner}"
+            )
 
 
 def stall_count(stalled: int, config: InnerConfig, *steps) -> int:
@@ -184,25 +194,43 @@ class InnerResult:
     accepted_by: str = ACCEPTED_CRITERION
 
 
-def solve_auxiliary(
-    aux: AuxiliaryProblem,
-    spec: SmoothnessSpec,
-    tuning: SolverTuning,
-    config: InnerConfig,
-    callback: Optional[Callable] = None,
+def accept_first(
+    iterates, aux: AuxiliaryProblem, tuning: SolverTuning, config: InnerConfig
 ) -> InnerResult:
-    """Extragradient on the rescaled subproblem operator until acceptance.
+    """Stop rule of every inner solver: accept the first good iterate.
 
-    Starts from the outer iterate (x_k, y_k).  Each iteration makes two
-    coupling calls (half step and full step); the acceptance check reuses
-    the gradient already computed at the current iterate, so a run
-    accepted after t iterations costs exactly 2t + 1 coupling calls.
+    ``iterates`` yields ``(x, y, g_x, g_y, blocks)``: an iterate, the
+    subproblem gradients there and the arrays the stall rule compares
+    between iterates.  Accepts by `check_inner_criterion`, else as a stall
+    after ``stall_window`` stalled steps or on the last iterate if they end
+    early; raises InnerBudgetExhausted after checking iterate ``max_inner``.
+    """
+    stalled, previous = 0, None
+    for t, (x, y, g_x, g_y, blocks) in enumerate(iterates):
+        if previous is not None:
+            stalled = stall_count(stalled, config, *zip(blocks, previous))
+        previous = blocks
+        if check_inner_criterion(
+            g_x, g_y, x - aux.x_k, y - aux.y_k, tuning, config.floor_tol
+        ):
+            return InnerResult(pair=PointPair(x, y), iterations=t, grad_x=g_x, grad_y=g_y)
+        # An iterate pinned in place for many steps is the subproblem
+        # solution to machine precision; nothing better is representable.
+        if stalled >= config.stall_window:
+            break
+        if t >= config.max_inner:
+            raise InnerBudgetExhausted(f"criterion unmet after {t} inner iterations")
+    return InnerResult(PointPair(x, y), t, g_x, g_y, accepted_by=ACCEPTED_STALL)
 
-    Parameters
-    ----------
-    callback : callable, optional
-        Called as ``callback(t, x, y)`` with the iterate in original
-        coordinates at the start of every acceptance check.
+
+def extragradient_iterates(
+    aux: AuxiliaryProblem, spec: SmoothnessSpec, tuning: SolverTuning, config: InnerConfig
+):
+    """Extragradient iterates on the rescaled subproblem operator.
+
+    Starts from the outer iterate (x_k, y_k) and yields, for `accept_first`,
+    each iterate in original coordinates with its gradients and rescaled
+    blocks ``(u, v)``.  The start costs one coupling call, each step two.
     """
     rescaling = compute_rescaling(tuning)
     a, b = rescaling.alpha_scale, rescaling.beta_scale
@@ -214,37 +242,35 @@ def solve_auxiliary(
 
     u = aux.x_k / a
     v = aux.y_k / b
-    stalled = 0
-    for t in range(config.max_inner + 1):
-        x = a * u
-        y = b * v
-        if callback is not None:
-            callback(t, x, y)
+    for t in itertools.count():
+        x, y = a * u, b * v
         g_x, g_y = aux.gradients(x, y)
-        if check_inner_criterion(
-            g_x, g_y, x - aux.x_k, y - aux.y_k, tuning, config.floor_tol
-        ):
-            return InnerResult(pair=PointPair(x, y), iterations=t, grad_x=g_x, grad_y=g_y)
-        if stalled >= config.stall_window:
-            return InnerResult(
-                pair=PointPair(x, y), iterations=t, grad_x=g_x, grad_y=g_y,
-                accepted_by=ACCEPTED_STALL,
-            )
-        if t == config.max_inner:
-            break
+        yield x, y, g_x, g_y, (u, v)
         # Monotone operator of the rescaled saddle: (a g_x, -b g_y).
         u_half = u - step * a * g_x
         v_half = v + step * b * g_y
         gh_x, gh_y = aux.gradients(a * u_half, b * v_half)
-        u_new = u - step * a * gh_x
-        v_new = v + step * b * gh_y
-        if not (np.all(np.abs(u_new) < 1e150) and np.all(np.abs(v_new) < 1e150)):
+        u = u - step * a * gh_x
+        v = v + step * b * gh_y
+        if not (np.all(np.abs(u) < 1e150) and np.all(np.abs(v) < 1e150)):
             raise DivergenceDetected(f"non-finite or huge inner iterate at step {t}")
-        stalled = stall_count(stalled, config, (u_new, u), (v_new, v))
-        u, v = u_new, v_new
-    raise InnerBudgetExhausted(
-        f"criterion unmet after {config.max_inner} extragradient iterations"
-    )
+
+
+def solve_auxiliary(
+    aux: AuxiliaryProblem,
+    spec: SmoothnessSpec,
+    tuning: SolverTuning,
+    config: InnerConfig,
+) -> InnerResult:
+    """Extragradient on the rescaled subproblem operator until acceptance.
+
+    `extragradient_iterates` under the stop rule of `accept_first`.  The
+    acceptance check reuses the gradient already computed at the current
+    iterate, so a run accepted after t iterations costs exactly 2t + 1
+    coupling calls.
+    """
+    iterates = extragradient_iterates(aux, spec, tuning, config)
+    return accept_first(iterates, aux, tuning, config)
 
 
 def gamma_target(

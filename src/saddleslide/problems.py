@@ -151,9 +151,6 @@ class OracleCounters:
             "inner_iterations": self.inner_iterations,
         }
 
-    def snapshot(self) -> "OracleCounters":
-        return OracleCounters(**self.as_dict())
-
 
 def count_calls(oracle: Callable, counters: OracleCounters, tally: str) -> Callable:
     """``oracle`` with every call added to the ``tally`` field of ``counters``."""

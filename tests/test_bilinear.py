@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -567,21 +568,23 @@ class TestConjugateGradients:
     def test_zero_residual_ends_iteration(self):
         # (1 + 1) x = 4 is solved exactly by the first step.
         one = lambda v: v.copy()
-        iterates = list(_cg_iterates(one, one, 1.0, np.array([4.0]), np.zeros(1), 10))
+        iterates = list(itertools.islice(
+            _cg_iterates(one, one, 1.0, np.array([4.0]), np.zeros(1)), 10))
         assert len(iterates) == 2
         x, bt_x, r = iterates[-1]
         assert x[0] == 2.0 and bt_x[0] == 2.0 and r[0] == 0.0
 
     def test_nonpositive_curvature_ends_iteration(self):
         zero = lambda v: np.zeros_like(v)
-        iterates = list(_cg_iterates(zero, zero, -1.0, np.ones(2), np.zeros(2), 10))
+        iterates = list(itertools.islice(
+            _cg_iterates(zero, zero, -1.0, np.ones(2), np.zeros(2)), 10))
         assert len(iterates) == 1
 
     def test_tracks_coupling_image_and_residual(self, rng):
         B = rng.standard_normal((6, 4))
         rhs = rng.standard_normal(6)
-        for x, bt_x, r in _cg_iterates(
-            lambda v: B @ v, lambda v: B.T @ v, 0.5, rhs, np.ones(6), 50
+        for x, bt_x, r in itertools.islice(
+            _cg_iterates(lambda v: B @ v, lambda v: B.T @ v, 0.5, rhs, np.ones(6)), 51
         ):
             assert np.allclose(bt_x, B.T @ x)
             assert np.allclose(r, rhs - 0.5 * x - B @ (B.T @ x))

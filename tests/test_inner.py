@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from saddleslide import (
     AuxiliaryProblem,
+    BilinearProblem,
     CompositeSaddleProblem,
+    CouplingOperator,
     InnerConfig,
     PointPair,
     SmoothnessSpec,
@@ -12,11 +16,19 @@ from saddleslide import (
     compute_rescaling,
     gamma_target,
     solve_auxiliary,
+    split_bilinear,
     tune_parameters,
     wrap_counting,
+    wrap_counting_bilinear,
 )
-from saddleslide.errors import DimensionMismatch, NonPositiveStep
-from saddleslide.inner import rescaled_smoothness_bound
+from saddleslide.bilinear import make_bilinear_inner_solver
+from saddleslide.errors import (
+    DimensionMismatch,
+    InnerBudgetExhausted,
+    NonPositiveInput,
+    NonPositiveStep,
+)
+from saddleslide.inner import extragradient_iterates, rescaled_smoothness_bound
 from saddleslide.outer import OuterState, SolverTuning, X_DOMINANT
 
 from conftest import central_diff, random_quadratic_instance, random_sym_psd
@@ -199,12 +211,9 @@ class TestSolveAuxiliary:
         # and the full step at 1 - 0.5 * 0.5 = 0.75.
         aux = _identity_operator_aux()
         tuning = SolverTuning(alpha=1.0, eta_x=1.0, eta_y=1.0, branch=X_DOMINANT)
-        seen = []
         config = InnerConfig(step=0.5, max_inner=50, floor_tol=0.0)
-        result = solve_auxiliary(
-            aux, self.SPEC, tuning, config,
-            callback=lambda t, x, y: seen.append((t, x[0], y[0])),
-        )
+        iterates = itertools.islice(extragradient_iterates(aux, self.SPEC, tuning, config), 3)
+        seen = [(t, x[0], y[0]) for t, (x, y, *_) in enumerate(iterates)]
         assert seen[0][1] == pytest.approx(1.0)
         assert seen[1][1] == pytest.approx(0.75)
         assert seen[1][2] == pytest.approx(0.75)
@@ -262,13 +271,13 @@ class TestSolveAuxiliary:
             aux.grad_q_anchor - y_k / tuning.eta_y,
         ])
         exact = np.linalg.solve(mat, rhs)
-        dists = []
-        solve_auxiliary(
-            aux, spec, tuning, InnerConfig(floor_tol=0.0),
-            callback=lambda t, x, y: dists.append(
-                np.linalg.norm(np.concatenate([x, y]) - exact)
-            ),
-        )
+        config = InnerConfig(floor_tol=0.0)
+        result = solve_auxiliary(aux, spec, tuning, config)
+        iterates = extragradient_iterates(aux, spec, tuning, config)
+        dists = [
+            np.linalg.norm(np.concatenate([x, y]) - exact)
+            for x, y, *_ in itertools.islice(iterates, result.iterations + 1)
+        ]
         assert len(dists) >= 2
         for before, after in zip(dists, dists[1:]):
             assert after <= before * (1 + 1e-12)
@@ -323,6 +332,63 @@ class TestSolveAuxiliary:
         measured = totals[50.0] / max(totals[5.0], 1)
         predicted = totals["pred50.0"] / totals["pred5.0"]
         assert measured <= 2.0 * predicted
+
+
+def test_inner_config_rejects_empty_stall_window_and_negative_budget():
+    # A window of 0 would accept the untouched start as a stall.
+    with pytest.raises(NonPositiveInput):
+        InnerConfig(stall_window=0)
+    with pytest.raises(NonPositiveInput):
+        InnerConfig(max_inner=-1)
+
+
+def _extragradient_case(rng):
+    problem, spec, _, _ = random_quadratic_instance(rng, 4, 3, 2.0, 1.0, 2.0, 1.0, 3.0)
+    wrapped, counters = wrap_counting(problem)
+    tuning = tune_parameters(spec)
+    state = _state(problem, rng.standard_normal(4), rng.standard_normal(3), tuning)
+    aux = build_auxiliary(wrapped, state, tuning)
+    return solve_auxiliary, aux, spec, tuning, counters
+
+
+def _conjugate_gradient_case(rng):
+    B = rng.standard_normal((4, 3))
+    B *= 20.0 / np.linalg.svd(B, compute_uv=False)[0]
+    bp = BilinearProblem(
+        grad_p=lambda x: x + 1.0, grad_q=lambda y: y - 1.0,
+        L_p=1.0, mu_p=1.0, L_q=1.0, mu_q=1.0,
+        coupling=CouplingOperator.from_dense(B),
+    )
+    wrapped, counters = wrap_counting_bilinear(bp)
+    composite, spec = split_bilinear(bp)
+    tuning = tune_parameters(spec)
+    state = _state(composite, rng.standard_normal(4), rng.standard_normal(3), tuning)
+    aux = build_auxiliary(composite, state, tuning)
+    return make_bilinear_inner_solver(wrapped), aux, spec, tuning, counters
+
+
+@pytest.mark.parametrize(
+    "case, budget_calls", [(_extragradient_case, 1), (_conjugate_gradient_case, 4)]
+)
+class TestInnerExits:
+    """The criterion, stall and budget exits, shared by both inner solvers."""
+
+    def test_criterion(self, rng, case, budget_calls):
+        solver, aux, spec, tuning, _ = case(rng)
+        assert solver(aux, spec, tuning, InnerConfig()).accepted_by == "criterion"
+
+    def test_stall(self, rng, case, budget_calls):
+        solver, aux, spec, tuning, _ = case(rng)
+        config = InnerConfig(stall_window=1, stall_rtol=1.0)
+        assert solver(aux, spec, tuning, config).accepted_by == "stall"
+
+    def test_budget(self, rng, case, budget_calls):
+        # Only the start is checked: one coupling call for extragradient;
+        # the linear term, B^T x, B B^T x and the check's B y for CG.
+        solver, aux, spec, tuning, counters = case(rng)
+        with pytest.raises(InnerBudgetExhausted):
+            solver(aux, spec, tuning, InnerConfig(max_inner=0))
+        assert counters.calls_grad_R == budget_calls
 
 
 class TestGammaTarget:
