@@ -24,6 +24,7 @@ from ..problems import (
     OracleCounters,
     PointPair,
     SmoothnessSpec,
+    count_calls,
     unweighted_distance_sq,
     validate_spec,
     weighted_distance_sq,
@@ -137,12 +138,13 @@ def agd_joint_baseline(
     mu_red, l_red = float(eigs[0]), float(eigs[-1])
 
     counters = OracleCounters()
+    grad_p = count_calls(lambda x: Hp @ x + a, counters, "calls_grad_p")
+    best_y = count_calls(lambda u: hq_inv @ (u - e), counters, "calls_grad_q")
+    matvec = count_calls(lambda v: B @ v, counters, "calls_grad_R")
+    rmatvec = count_calls(lambda v: B.T @ v, counters, "calls_grad_R")
 
     def gradient(x):
-        counters.calls_grad_p += 1
-        counters.calls_grad_q += 1
-        counters.calls_grad_R += 2
-        return Hp @ x + a + B @ (hq_inv @ (B.T @ x - e))
+        return grad_p(x) + matvec(best_y(rmatvec(x)))
 
     # ||z - z*||^2 <= (1 + gain^2) ||x - x*||^2 with gain = |Hq^-1 B'|;
     # stop once the gradient certifies that much through strong convexity.

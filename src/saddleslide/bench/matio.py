@@ -45,18 +45,6 @@ def read_matrix(path) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(float)
 
 
-def read_vector(path) -> np.ndarray:
-    arr = read_matrix(path)
-    if arr.shape[1] != 1 and arr.shape[0] != 1:
-        raise ManifestError(f"{path} holds a {arr.shape} matrix, expected a vector")
-    return arr.ravel()
-
-
-def matrix_to_csv(path, arr: np.ndarray) -> None:
-    """Optional textual export of a stored matrix."""
-    np.savetxt(path, np.atleast_2d(np.asarray(arr, dtype=float)), delimiter=",")
-
-
 def save_manifest(path, manifest: dict) -> None:
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise ManifestError(

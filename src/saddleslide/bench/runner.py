@@ -224,8 +224,6 @@ def run_succeeded(row: RunReport) -> bool:
 
 
 def _expand_grid(config: dict) -> List[dict]:
-    if "runs" in config:
-        return list(config["runs"])
     runs = []
     for manifest in config.get("instances", []):
         for solver in config.get("solvers", [SOLVER_SLIDING]):

@@ -126,6 +126,10 @@ def check_inner_criterion(
     or the left-hand side is already below ``floor_tol`` (absolute escape
     hatch for the degenerate case dx = dy = 0, where the right-hand side
     vanishes and exact satisfaction is impossible in floating point).
+
+    It is also the divergence guard of every inner solver: it raises
+    DivergenceDetected unless each of the four squared norms is below
+    ``1e300`` (a NaN fails that test too).
     """
     g_x = np.asarray(g_x, dtype=float)
     g_y = np.asarray(g_y, dtype=float)
@@ -136,8 +140,12 @@ def check_inner_criterion(
             f"gradient shapes {g_x.shape}/{g_y.shape} vs displacement "
             f"{dx.shape}/{dy.shape}"
         )
-    lhs = tuning.eta_x * float(g_x @ g_x) + tuning.eta_y * float(g_y @ g_y)
-    rhs = float(dx @ dx) / (6.0 * tuning.eta_x) + float(dy @ dy) / (6.0 * tuning.eta_y)
+    gx2, gy2 = float(g_x @ g_x), float(g_y @ g_y)
+    dx2, dy2 = float(dx @ dx), float(dy @ dy)
+    if not (gx2 < 1e300 and gy2 < 1e300 and dx2 < 1e300 and dy2 < 1e300):
+        raise DivergenceDetected("non-finite or huge inner iterate or gradient")
+    lhs = tuning.eta_x * gx2 + tuning.eta_y * gy2
+    rhs = dx2 / (6.0 * tuning.eta_x) + dy2 / (6.0 * tuning.eta_y)
     return lhs <= rhs or lhs <= floor_tol
 
 
@@ -396,7 +404,8 @@ def solve(
         report.inner_iterations.append(result.iterations)
 
         # Guard against magnitudes whose squares overflow before the
-        # growth rule below could catch them.
+        # growth rule below could catch them; a custom inner solver need
+        # not pass its iterates through check_inner_criterion's guard.
         if not (np.all(np.abs(x) < 1e150) and np.all(np.abs(y) < 1e150)):
             raise DivergenceDetected(f"non-finite or huge iterate at outer step {k}")
 

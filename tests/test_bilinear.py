@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -25,6 +26,7 @@ from saddleslide import (
 from saddleslide.bilinear import _cg_iterates, _eliminate_from_parts
 from saddleslide.errors import (
     BudgetExhausted,
+    DivergenceDetected,
     InconsistentConstants,
     InfeasibleTarget,
     InnerBudgetExhausted,
@@ -355,6 +357,23 @@ class TestSolveBilinear:
             solve_bilinear(
                 bp, PointPair(np.ones(6), np.ones(5)), 1e-6, psi_0=50.0,
                 inner=InnerConfig(max_inner=0),
+            )
+
+    def test_non_finite_composite_raises_divergence(self, rng):
+        # A NaN composite gradient poisons the conjugate-gradient iterates;
+        # the inner criterion must name it instead of exhausting the budget.
+        bp, _, _ = _random_bilinear(rng, 6, 5)
+        calls = []
+
+        def grad_p(x):
+            calls.append(None)
+            return bp.grad_p(x) * (np.nan if len(calls) > 3 else 1.0)
+
+        with pytest.raises(DivergenceDetected):
+            solve_bilinear(
+                dataclasses.replace(bp, grad_p=grad_p),
+                PointPair(np.zeros(6), np.zeros(5)), 1e-6, psi_0=50.0,
+                inner=InnerConfig(max_inner=1000),
             )
 
     def test_potential_tracking_leaves_tallies_unchanged(self, rng):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -24,6 +25,7 @@ from saddleslide import (
 from saddleslide.bilinear import make_bilinear_inner_solver
 from saddleslide.errors import (
     DimensionMismatch,
+    DivergenceDetected,
     InnerBudgetExhausted,
     NonPositiveInput,
     NonPositiveStep,
@@ -218,6 +220,20 @@ class TestSolveAuxiliary:
         assert seen[1][1] == pytest.approx(0.75)
         assert seen[1][2] == pytest.approx(0.75)
         assert seen[2][1] == pytest.approx(0.75 - 0.5 * (0.75 - 0.5 * 0.75))
+
+    def test_non_finite_coupling_raises_divergence(self):
+        # The start is fine; the first extragradient step turns NaN.
+        calls = []
+
+        def grad_R(x, y):
+            calls.append(None)
+            bad = np.full(1, np.nan if len(calls) > 1 else 0.0)
+            return bad, bad
+
+        aux = dataclasses.replace(_identity_operator_aux(), grad_R=grad_R)
+        tuning = SolverTuning(alpha=1.0, eta_x=1.0, eta_y=1.0, branch=X_DOMINANT)
+        with pytest.raises(DivergenceDetected):
+            solve_auxiliary(aux, self.SPEC, tuning, InnerConfig())
 
     def test_random_quadratic_matches_subproblem_kkt(self, rng):
         problem, spec, _, data = random_quadratic_instance(

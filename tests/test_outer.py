@@ -140,6 +140,14 @@ class TestInnerCriterion:
         with pytest.raises(DimensionMismatch):
             check_inner_criterion(np.ones(2), np.ones(2), np.ones(3), np.ones(2), t)
 
+    def test_non_finite_or_huge_inputs_raise(self):
+        t = SolverTuning(alpha=1.0, eta_x=1.0, eta_y=1.0, branch=X_DOMINANT)
+        one = np.ones(1)
+        with pytest.raises(DivergenceDetected):
+            check_inner_criterion(one, np.array([np.nan]), one, one, t)
+        with pytest.raises(DivergenceDetected):
+            check_inner_criterion(one, one, np.array([1e151]), one, t)
+
 
 def _decoupled_problem(mu_x=1.0, mu_y=1.0):
     return CompositeSaddleProblem(
