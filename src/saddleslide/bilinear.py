@@ -470,14 +470,15 @@ def make_bilinear_inner_solver(bp: BilinearProblem):
             cg = _cg_iterates(qf.matvec, qf.rmatvec, qf.kappa, -qf.b, aux.x_k)
             for x, bt_x, _ in cg:
                 y = qf.recover_y(x, bt_x)
+                dx = x - aux.x_k
+                dy = y - aux.y_k
                 # Evaluate the subproblem gradients from their definition
                 # (one extra B product) rather than unscaling the reduced
                 # gradient, which would amplify its rounding noise by 1/shift.
-                g_x = (aux.grad_p_anchor + (x - aux.x_k) / tuning.eta_x
+                g_x = (aux.grad_p_anchor + dx / tuning.eta_x
                        + bp.mu_p * x + bp.coupling.matvec(y))
-                g_y = (bt_x - bp.mu_q * y - (y - aux.y_k) / tuning.eta_y
-                       - aux.grad_q_anchor)
-                yield x, y, g_x, g_y, (x,)
+                g_y = bt_x - bp.mu_q * y - dy / tuning.eta_y - aux.grad_q_anchor
+                yield x, y, dx, dy, g_x, g_y, (x,)
 
         return accept_first(iterates(), aux, tuning, config)
 

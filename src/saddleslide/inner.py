@@ -11,6 +11,7 @@ is shared with the bilinear conjugate-gradient solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -52,10 +53,17 @@ class AuxiliaryProblem:
 
     def gradients(self, x: np.ndarray, y: np.ndarray):
         """Both gradients at (x, y); makes exactly one coupling call."""
-        r_x, r_y = self.grad_R(x, y)
-        g_x = self.grad_p_anchor + (x - self.x_k) / self.eta_x + r_x
-        g_y = r_y - self.grad_q_anchor - (y - self.y_k) / self.eta_y
+        g_x, g_y, _, _ = self.gradients_and_displacement(x, y)
         return g_x, g_y
+
+    def gradients_and_displacement(self, x: np.ndarray, y: np.ndarray):
+        """``(g_x, g_y, x - x_k, y - y_k)``; makes exactly one coupling call."""
+        r_x, r_y = self.grad_R(x, y)
+        dx = x - self.x_k
+        dy = y - self.y_k
+        g_x = self.grad_p_anchor + dx / self.eta_x + r_x
+        g_y = r_y - self.grad_q_anchor - dy / self.eta_y
+        return g_x, g_y, dx, dy
 
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
         """Objective value (diagnostics only; needs the R value oracle)."""
@@ -154,7 +162,9 @@ def stall_count(stalled: int, config: InnerConfig, *steps) -> int:
     step resets the count to zero.
     """
     for new, old in steps:
-        moved = float(np.linalg.norm(new - old)) / max(float(np.linalg.norm(old)), 1.0)
+        # Norms exactly as np.linalg.norm computes them, minus its dispatch.
+        d = new - old
+        moved = math.sqrt(float(d.dot(d))) / max(math.sqrt(float(old.dot(old))), 1.0)
         if not moved <= config.stall_rtol:
             return 0
     return stalled + 1
@@ -197,20 +207,19 @@ def accept_first(
 ) -> InnerResult:
     """Stop rule of every inner solver: accept the first good iterate.
 
-    ``iterates`` yields ``(x, y, g_x, g_y, blocks)``: an iterate, the
+    ``iterates`` yields ``(x, y, dx, dy, g_x, g_y, blocks)``: an iterate,
+    its displacement ``(x - x_k, y - y_k)`` from the outer iterate, the
     subproblem gradients there and the arrays the stall rule compares
     between iterates.  Accepts by `check_inner_criterion`, else as a stall
     after ``stall_window`` stalled steps or on the last iterate if they end
     early; raises InnerBudgetExhausted after checking iterate ``max_inner``.
     """
     stalled, previous = 0, None
-    for t, (x, y, g_x, g_y, blocks) in enumerate(iterates):
+    for t, (x, y, dx, dy, g_x, g_y, blocks) in enumerate(iterates):
         if previous is not None:
             stalled = stall_count(stalled, config, *zip(blocks, previous))
         previous = blocks
-        if check_inner_criterion(
-            g_x, g_y, x - aux.x_k, y - aux.y_k, tuning, config.floor_tol
-        ):
+        if check_inner_criterion(g_x, g_y, dx, dy, tuning, config.floor_tol):
             return InnerResult(pair=PointPair(x, y), iterations=t, grad_x=g_x, grad_y=g_y)
         # An iterate pinned in place for many steps is the subproblem
         # solution to machine precision; nothing better is representable.
@@ -227,8 +236,9 @@ def extragradient_iterates(
     """Extragradient iterates on the rescaled subproblem operator.
 
     Starts from the outer iterate (x_k, y_k) and yields, for `accept_first`,
-    each iterate in original coordinates with its gradients and rescaled
-    blocks ``(u, v)``.  The start costs one coupling call, each step two.
+    each iterate in original coordinates with its displacement, its
+    gradients and rescaled blocks ``(u, v)``.  The start costs one coupling
+    call, each step two.
     """
     rescaling = compute_rescaling(tuning)
     a, b = rescaling.alpha_scale, rescaling.beta_scale
@@ -237,19 +247,25 @@ def extragradient_iterates(
         step = 1.0 / (2.0 * rescaled_smoothness_bound(spec, tuning, rescaling))
     if step <= 0.0:
         raise NonPositiveStep(f"step={step}")
+    # step * a * g is evaluated as (step * a) * g; and one of a, b is 1,
+    # whose multiply is exact and is skipped.
+    sa, sb = step * a, step * b
 
     u = aux.x_k / a
     v = aux.y_k / b
     while True:
-        x, y = a * u, b * v
-        g_x, g_y = aux.gradients(x, y)
-        yield x, y, g_x, g_y, (u, v)
+        x = u if a == 1.0 else a * u
+        y = v if b == 1.0 else b * v
+        g_x, g_y, dx, dy = aux.gradients_and_displacement(x, y)
+        yield x, y, dx, dy, g_x, g_y, (u, v)
         # Monotone operator of the rescaled saddle: (a g_x, -b g_y).
-        u_half = u - step * a * g_x
-        v_half = v + step * b * g_y
-        gh_x, gh_y = aux.gradients(a * u_half, b * v_half)
-        u = u - step * a * gh_x
-        v = v + step * b * gh_y
+        u_half = u - sa * g_x
+        v_half = v + sb * g_y
+        gh_x, gh_y, _, _ = aux.gradients_and_displacement(
+            u_half if a == 1.0 else a * u_half, v_half if b == 1.0 else b * v_half
+        )
+        u = u - sa * gh_x
+        v = v + sb * gh_y
 
 
 def solve_auxiliary(

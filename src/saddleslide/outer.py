@@ -98,9 +98,10 @@ def required_outer_iterations(spec: SmoothnessSpec, psi_0: float, eps: float) ->
 
     Returns ``ceil(3 * max(1, sqrt(L_p/mu_x), sqrt(L_q/mu_y)) * ln(psi_0/eps))``
     floored at 1, where ``psi_0`` upper-bounds the initial potential.
+    Raises NonPositiveInput unless both are positive and finite.
     """
-    if psi_0 <= 0.0 or eps <= 0.0:
-        raise NonPositiveInput(f"psi_0={psi_0} and eps={eps} must be positive")
+    if not (0.0 < psi_0 < math.inf and 0.0 < eps < math.inf):
+        raise NonPositiveInput(f"psi_0={psi_0} and eps={eps} must be positive and finite")
     validate_spec(spec)
     factor = max(1.0, math.sqrt(spec.L_p / spec.mu_x), math.sqrt(spec.L_q / spec.mu_y))
     k = math.ceil(3.0 * factor * math.log(psi_0 / eps))
@@ -140,8 +141,9 @@ def check_inner_criterion(
             f"gradient shapes {g_x.shape}/{g_y.shape} vs displacement "
             f"{dx.shape}/{dy.shape}"
         )
-    gx2, gy2 = float(g_x @ g_x), float(g_y @ g_y)
-    dx2, dy2 = float(dx @ dx), float(dy @ dy)
+    # ndarray.dot: the BLAS dot that @ calls on 1-D arrays, minus dispatch.
+    gx2, gy2 = float(g_x.dot(g_x)), float(g_y.dot(g_y))
+    dx2, dy2 = float(dx.dot(dx)), float(dy.dot(dy))
     if not (gx2 < 1e300 and gy2 < 1e300 and dx2 < 1e300 and dy2 < 1e300):
         raise DivergenceDetected("non-finite or huge inner iterate or gradient")
     lhs = tuning.eta_x * gx2 + tuning.eta_y * gy2
@@ -165,13 +167,15 @@ class OuterState:
 class SolveConfig:
     """Knobs of a solve run.
 
-    ``eps`` is the target for the weighted squared distance to the saddle.
-    The outer budget is ``required_outer_iterations`` from ``psi_0`` when a
-    bound is supplied or computable (known solution plus value oracles),
-    capped by ``max_outer``.  ``use_residual_stop`` enables an optional
-    early stop from a computable upper bound on the joint gradient residual
-    (sufficient for eps/4 unweighted accuracy under strong monotonicity);
-    it costs no extra oracle calls.
+    ``eps`` is the target for the weighted squared distance to the saddle;
+    `solve` rejects it unless positive and finite, and a supplied ``psi_0``
+    unless finite and non-negative.  The outer budget is
+    ``required_outer_iterations`` from ``psi_0`` when a positive bound is
+    supplied or computable (known solution plus value oracles), capped by
+    ``max_outer``; otherwise it is ``max_outer``.  ``use_residual_stop``
+    enables an optional early stop from a computable upper bound on the
+    joint gradient residual (sufficient for eps/4 unweighted accuracy under
+    strong monotonicity); it costs no extra oracle calls.
     """
 
     eps: float
@@ -299,10 +303,12 @@ def solve(
     from .inner import InnerConfig, build_auxiliary, solve_auxiliary
 
     validate_spec(spec)
-    if config.eps <= 0.0 or config.max_outer < 1:
+    if not 0.0 < config.eps < math.inf or config.max_outer < 1:
         raise NonPositiveInput(
-            f"need eps > 0 and max_outer >= 1, got {config.eps}, {config.max_outer}"
+            f"need finite eps > 0 and max_outer >= 1, got {config.eps}, {config.max_outer}"
         )
+    if config.psi_0 is not None and not 0.0 <= config.psi_0 < math.inf:
+        raise NonPositiveInput(f"need a finite psi_0 >= 0, got {config.psi_0}")
     start.check_dims(problem.d_x, problem.d_y)
     tuning = tune_parameters(spec)
     inner_cfg = config.inner if config.inner is not None else InnerConfig()
@@ -406,7 +412,7 @@ def solve(
         # Guard against magnitudes whose squares overflow before the
         # growth rule below could catch them; a custom inner solver need
         # not pass its iterates through check_inner_criterion's guard.
-        if not (np.all(np.abs(x) < 1e150) and np.all(np.abs(y) < 1e150)):
+        if not ((np.abs(x) < 1e150).all() and (np.abs(y) < 1e150).all()):
             raise DivergenceDetected(f"non-finite or huge iterate at outer step {k}")
 
         if sol is not None:

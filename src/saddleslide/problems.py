@@ -44,7 +44,7 @@ class PointPair:
     def __post_init__(self):
         object.__setattr__(self, "x", _as_vector(self.x))
         object.__setattr__(self, "y", _as_vector(self.y))
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
+        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
             raise ValueError("PointPair entries must be finite")
 
     @property

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +23,13 @@ from saddleslide import (
     wrap_counting,
     wrap_counting_bilinear,
 )
-from saddleslide.bilinear import make_bilinear_inner_solver
+from saddleslide.bench.generators import gen_bilinear, gen_quadratic_spp
+from saddleslide.bilinear import (
+    _cg_iterates,
+    _eliminate_from_parts,
+    make_bilinear_inner_solver,
+    solve_bilinear,
+)
 from saddleslide.errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -30,8 +37,8 @@ from saddleslide.errors import (
     NonPositiveInput,
     NonPositiveStep,
 )
-from saddleslide.inner import extragradient_iterates, rescaled_smoothness_bound
-from saddleslide.outer import OuterState, SolverTuning, X_DOMINANT
+from saddleslide.inner import InnerResult, extragradient_iterates, rescaled_smoothness_bound
+from saddleslide.outer import OuterState, SolveConfig, SolverTuning, X_DOMINANT, solve
 
 from conftest import central_diff, random_quadratic_instance, random_sym_psd
 
@@ -405,6 +412,144 @@ class TestInnerExits:
         with pytest.raises(InnerBudgetExhausted):
             solver(aux, spec, tuning, InnerConfig(max_inner=0))
         assert counters.calls_grad_R == budget_calls
+
+
+# ---------------------------------------------------------------------------
+# Reference copies of the inner loops in their plain form: the stall rule by
+# np.linalg.norm, the displacement recomputed for the criterion and the unit
+# rescaling factor multiplied.  The library's loops must produce the same
+# floating-point results bit for bit.
+
+
+def _reference_accept_first(iterates, aux, tuning, config):
+    stalled, previous = 0, None
+    for t, (x, y, g_x, g_y, blocks) in enumerate(iterates):
+        if previous is not None:
+            moved = [
+                float(np.linalg.norm(new - old)) / max(float(np.linalg.norm(old)), 1.0)
+                for new, old in zip(blocks, previous)
+            ]
+            stalled = stalled + 1 if all(m <= config.stall_rtol for m in moved) else 0
+        previous = blocks
+        if check_inner_criterion(
+            g_x, g_y, x - aux.x_k, y - aux.y_k, tuning, config.floor_tol
+        ):
+            return InnerResult(PointPair(x, y), t, g_x, g_y)
+        if stalled >= config.stall_window:
+            break
+        if t >= config.max_inner:
+            raise InnerBudgetExhausted(f"criterion unmet after {t} inner iterations")
+    return InnerResult(PointPair(x, y), t, g_x, g_y, accepted_by="stall")
+
+
+def _reference_extragradient(aux, spec, tuning, config):
+    rescaling = compute_rescaling(tuning)
+    a, b = rescaling.alpha_scale, rescaling.beta_scale
+    step = config.step
+    if step is None:
+        step = 1.0 / (2.0 * rescaled_smoothness_bound(spec, tuning, rescaling))
+
+    def iterates():
+        u = aux.x_k / a
+        v = aux.y_k / b
+        while True:
+            x, y = a * u, b * v
+            g_x, g_y = aux.gradients(x, y)
+            yield x, y, g_x, g_y, (u, v)
+            u_half = u - step * a * g_x
+            v_half = v + step * b * g_y
+            gh_x, gh_y = aux.gradients(a * u_half, b * v_half)
+            u = u - step * a * gh_x
+            v = v + step * b * gh_y
+
+    return _reference_accept_first(iterates(), aux, tuning, config)
+
+
+def _reference_bilinear_inner(bp):
+    def inner(aux, spec, tuning, config):
+        qf = _eliminate_from_parts(
+            bp, aux.grad_p_anchor, aux.grad_q_anchor, aux.x_k, aux.y_k, tuning
+        )
+
+        def iterates():
+            for x, bt_x, _ in _cg_iterates(qf.matvec, qf.rmatvec, qf.kappa, -qf.b, aux.x_k):
+                y = qf.recover_y(x, bt_x)
+                g_x = (aux.grad_p_anchor + (x - aux.x_k) / tuning.eta_x
+                       + bp.mu_p * x + bp.coupling.matvec(y))
+                g_y = (bt_x - bp.mu_q * y - (y - aux.y_k) / tuning.eta_y
+                       - aux.grad_q_anchor)
+                yield x, y, g_x, g_y, (x,)
+
+        return _reference_accept_first(iterates(), aux, tuning, config)
+
+    return inner
+
+
+def _same_result(got, want):
+    return (
+        got.iterations == want.iterations
+        and got.accepted_by == want.accepted_by
+        and all(
+            np.array_equal(g, w)
+            for g, w in [
+                (got.pair.x, want.pair.x), (got.pair.y, want.pair.y),
+                (got.grad_x, want.grad_x), (got.grad_y, want.grad_y),
+            ]
+        )
+    )
+
+
+REFERENCE_CONFIGS = {
+    "default": InnerConfig(),
+    "stall-heavy": InnerConfig(stall_window=1, stall_rtol=1.0),
+}
+
+
+class TestReferenceEquivalence:
+    """Bit-equal results against the reference loops over whole solves."""
+
+    # mu_x/mu_y of 100 rescales y (b != 1), of 0.01 rescales x (a != 1).
+    @pytest.mark.parametrize("mu_x, mu_y, scaled", [
+        (1.0, 1.0, (False, False)), (1.0, 0.01, (False, True)), (0.01, 1.0, (True, False)),
+    ])
+    @pytest.mark.parametrize("config_name", sorted(REFERENCE_CONFIGS))
+    def test_extragradient_matches_reference(self, mu_x, mu_y, scaled, config_name):
+        config = REFERENCE_CONFIGS[config_name]
+        inst = gen_quadratic_spp(
+            10, 8, 4.0 * mu_x, mu_x, 4.0 * mu_y, mu_y, 10.0 * math.sqrt(mu_x * mu_y), 1
+        )
+        problem, spec = inst.problem(), inst.spec()
+        rescaling = compute_rescaling(tune_parameters(spec))
+        assert (rescaling.alpha_scale != 1.0, rescaling.beta_scale != 1.0) == scaled
+        exits = set()
+
+        def checked_inner(aux, spec_, tuning, config_):
+            got = solve_auxiliary(aux, spec_, tuning, config_)
+            assert _same_result(got, _reference_extragradient(aux, spec_, tuning, config_))
+            exits.add(got.accepted_by)
+            return got
+
+        start = PointPair(np.zeros(10), np.zeros(8))
+        solve(problem, spec, start, SolveConfig(eps=1e-8, max_outer=40, inner=config),
+              inner_solver=checked_inner)
+        assert ("stall" if config_name == "stall-heavy" else "criterion") in exits
+
+    @pytest.mark.parametrize("config_name", sorted(REFERENCE_CONFIGS))
+    def test_bilinear_matches_reference(self, config_name):
+        config = REFERENCE_CONFIGS[config_name]
+        bp = gen_bilinear(30, 20, 4.0, 1.0, 0.04, 0.01, 2.0, 1).bilinear_problem()
+        start = PointPair(np.zeros(30), np.zeros(20))
+        got = solve_bilinear(bp, start, 1e-8, max_outer=60, inner=config)
+
+        wrapped, counters = wrap_counting_bilinear(bp)
+        composite, spec = split_bilinear(bp)
+        want = solve(composite, spec, start,
+                     SolveConfig(eps=1e-8, max_outer=60, inner=config),
+                     inner_solver=_reference_bilinear_inner(wrapped), counters=counters)
+        assert np.array_equal(got.final_pair.x, want.final_pair.x)
+        assert np.array_equal(got.final_pair.y, want.final_pair.y)
+        assert got.counters.as_dict() == want.counters.as_dict()
+        assert got.inner_iterations == want.inner_iterations
 
 
 class TestGammaTarget:

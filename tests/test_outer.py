@@ -18,6 +18,7 @@ from saddleslide import (
     tune_parameters,
     weighted_distance_sq,
 )
+from saddleslide.bench.generators import gen_quadratic_spp
 from saddleslide.errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -105,6 +106,13 @@ class TestRequiredOuterIterations:
             required_outer_iterations(self.SPEC1, 0.0, 1.0)
         with pytest.raises(NonPositiveInput):
             required_outer_iterations(self.SPEC1, 1.0, -1.0)
+
+    @pytest.mark.parametrize("psi_0, eps", [
+        (math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_non_finite_inputs(self, psi_0, eps):
+        with pytest.raises(NonPositiveInput):
+            required_outer_iterations(self.SPEC1, psi_0, eps)
 
 
 class TestInnerCriterion:
@@ -310,6 +318,32 @@ class TestSolve:
             solve(problem, spec, start, SolveConfig(eps=0.0))
         with pytest.raises(NonPositiveInput):
             solve(problem, spec, start, SolveConfig(eps=1e-6, max_outer=0))
+
+    @staticmethod
+    def _small_instance():
+        inst = gen_quadratic_spp(4, 4, 4.0, 1.0, 4.0, 1.0, 3.0, 0)
+        return inst.problem(), inst.spec(), PointPair(np.zeros(4), np.zeros(4))
+
+    @pytest.mark.parametrize("psi_0", [-1.0, math.nan, math.inf])
+    def test_bad_psi_0_rejected(self, psi_0):
+        # A negative or NaN bound used to run all max_outer steps and report
+        # budget-exhausted; an infinite one raised a bare OverflowError.
+        problem, spec, start = self._small_instance()
+        with pytest.raises(NonPositiveInput):
+            solve(problem, spec, start, SolveConfig(eps=1e-6, psi_0=psi_0, max_outer=50))
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    @pytest.mark.parametrize("psi_0", [None, 1.0])
+    def test_non_finite_eps_rejected(self, eps, psi_0):
+        problem, spec, start = self._small_instance()
+        with pytest.raises(NonPositiveInput):
+            solve(problem, spec, start, SolveConfig(eps=eps, psi_0=psi_0, max_outer=50))
+
+    def test_zero_psi_0_plans_max_outer(self):
+        problem, spec, start = self._small_instance()
+        report = solve(problem, spec, start, SolveConfig(eps=1e-6, psi_0=0.0, max_outer=7))
+        assert report.planned_outer == 7
+        assert report.counters.outer_iterations == 7
 
     def test_budget_from_computed_potential(self, rng):
         problem, spec, saddle, _ = random_quadratic_instance(
