@@ -24,18 +24,15 @@ from .inner import (
     InnerConfig,
     InnerResult,
     Rescaling,
-    build_auxiliary,
     compute_rescaling,
     gamma_target,
     solve_auxiliary,
 )
 from .outer import (
     ConvergenceReport,
-    OuterState,
     SolveConfig,
     SolverTuning,
     check_inner_criterion,
-    compute_potential,
     initial_potential,
     required_outer_iterations,
     solve,
@@ -68,7 +65,6 @@ __all__ = [
     "InnerConfig",
     "InnerResult",
     "OracleCounters",
-    "OuterState",
     "PointPair",
     "QuadraticForm",
     "RegularizationPlan",
@@ -79,9 +75,7 @@ __all__ = [
     "agd_quadratic",
     "apply_plan",
     "bregman",
-    "build_auxiliary",
     "check_inner_criterion",
-    "compute_potential",
     "compute_rescaling",
     "eliminate_y",
     "estimate_spectral_bounds",

@@ -122,7 +122,7 @@ def _sliding_run(
         psi_0 = initial_potential(composite, spec, start, reference)
         return solve_bilinear(bp, start, eps, max_outer=max_outer, psi_0=psi_0)
     if inst.kind == KIND_CONSENSUS:
-        grad, value = inst.local_objective()
+        grad, _ = inst.local_objective()
         return solve_affine_constrained(
             grad_p=grad,
             L_p=inst.constants["local_L"],
@@ -131,7 +131,6 @@ def _sliding_run(
             c=inst.arrays["c"],
             D_y=inst.constants["D_y"],
             eps=eps,
-            value_p=value,
             max_outer=max_outer,
         )
     if inst.kind == KIND_LINEAR_BILINEAR:

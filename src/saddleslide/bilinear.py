@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import (
     BudgetExhausted,
-    DimensionMismatch,
     InconsistentConstants,
     InfeasibleTarget,
     NonPositiveInput,
@@ -41,7 +40,6 @@ from .errors import (
 from .inner import AuxiliaryProblem, InnerConfig, InnerResult, accept_first
 from .outer import (
     ConvergenceReport,
-    OuterState,
     SolveConfig,
     SolverTuning,
     solve,
@@ -348,24 +346,20 @@ class QuadraticForm:
         return float(v @ self.apply_A(v) + self.b @ v + self.c)
 
 
-def _eliminate_from_parts(
-    bp: BilinearProblem,
-    gp: np.ndarray,
-    gq: np.ndarray,
-    x_k: np.ndarray,
-    y_k: np.ndarray,
-    tuning: SolverTuning,
-) -> QuadraticForm:
-    if gp.shape != (bp.d_x,) or gq.shape != (bp.d_y,):
-        raise DimensionMismatch(
-            f"gradients have shapes {gp.shape}/{gq.shape}, expected "
-            f"({bp.d_x},)/({bp.d_y},)"
-        )
-    eta_x, eta_y = tuning.eta_x, tuning.eta_y
+def eliminate_y(bp: BilinearProblem, aux: AuxiliaryProblem) -> QuadraticForm:
+    """Reduce the bilinear prox subproblem to a quadratic in x.
+
+    ``aux`` must carry the split-composite gradients as its anchors (the
+    form the outer loop builds when running on `split_bilinear` output).
+    The minimizer x of the returned form together with ``recover_y(x)`` is
+    the unique saddle of the subproblem.
+    """
+    x_k, y_k, gq = aux.x_k, aux.y_k, aux.grad_q_anchor
+    eta_x, eta_y = aux.eta_x, aux.eta_y
     shift = 1.0 / eta_y + bp.mu_q
     kappa = (1.0 / eta_x + bp.mu_p) * shift
     w = gq - y_k / eta_y
-    b = shift * (gp - x_k / eta_x) - bp.coupling.matvec(w)
+    b = shift * (aux.grad_p_anchor - x_k / eta_x) - bp.coupling.matvec(w)
     c = shift * (
         float(x_k @ x_k) / (2.0 * eta_x) - float(y_k @ y_k) / (2.0 * eta_y)
     ) + 0.5 * float(w @ w)
@@ -379,21 +373,6 @@ def _eliminate_from_parts(
         eta_y=eta_y,
         y_anchor=y_k,
         grad_q_anchor=gq,
-    )
-
-
-def eliminate_y(
-    bp: BilinearProblem, state: OuterState, tuning: SolverTuning
-) -> QuadraticForm:
-    """Reduce the bilinear prox subproblem to a quadratic in x.
-
-    ``state`` must carry the split-composite gradients (the form the outer
-    loop caches when running on `split_bilinear` output).  The minimizer
-    x of the returned form together with ``recover_y(x)`` is the unique
-    saddle of the subproblem.
-    """
-    return _eliminate_from_parts(
-        bp, state.grad_p_g, state.grad_q_g, state.z.x, state.z.y, tuning
     )
 
 
@@ -461,9 +440,7 @@ def make_bilinear_inner_solver(bp: BilinearProblem):
         tuning: SolverTuning,
         config: InnerConfig,
     ) -> InnerResult:
-        qf = _eliminate_from_parts(
-            bp, aux.grad_p_anchor, aux.grad_q_anchor, aux.x_k, aux.y_k, tuning
-        )
+        qf = eliminate_y(bp, aux)
 
         def iterates():
             # The reduced gradient is (kappa I + B B^T) x + b.
@@ -504,8 +481,6 @@ def solve_bilinear(
     elimination-plus-CG inner solver.  ``counters.calls_grad_R`` in the
     report counts individual B/B^T products.
     """
-    if eps <= 0.0:
-        raise NonPositiveInput(f"eps={eps}")
     wrapped, counters = wrap_counting_bilinear(bp)
     composite, spec = split_bilinear(bp)
     config = SolveConfig(
@@ -539,7 +514,6 @@ def solve_affine_constrained(
     *,
     x0: Optional[np.ndarray] = None,
     y0: Optional[np.ndarray] = None,
-    value_p: Optional[Callable] = None,
     max_outer: int = 100_000,
     inner: Optional[InnerConfig] = None,
     track_inner_details: bool = False,
@@ -560,8 +534,8 @@ def solve_affine_constrained(
         If the final constraint residual exceeds ``sqrt(eps)(1 + ||c||)``,
         signalling c outside range(B^T) or an underestimated D_y.
     """
-    if eps <= 0.0 or D_y <= 0.0:
-        raise NonPositiveInput(f"eps={eps}, D_y={D_y}")
+    if not (0.0 < eps < math.inf and 0.0 < D_y < math.inf):
+        raise NonPositiveInput(f"eps={eps}, D_y={D_y} must be positive and finite")
     if mu_p <= 0.0:
         raise NonPositiveModulus(f"mu_p={mu_p}")
     c = np.asarray(c, dtype=float)
@@ -571,9 +545,6 @@ def solve_affine_constrained(
     def grad_q(y):
         return c + mu_q * y
 
-    def value_q(y):
-        return float(c @ y) + coeff_y * float(y @ y)
-
     bp = BilinearProblem(
         grad_p=grad_p,
         grad_q=grad_q,
@@ -582,8 +553,6 @@ def solve_affine_constrained(
         L_q=mu_q,
         mu_q=mu_q,
         coupling=coupling,
-        value_p=value_p,
-        value_q=value_q,
     )
     _, spec = split_bilinear(bp)
     tuning = tune_parameters(spec)
@@ -658,9 +627,8 @@ def solve_bilinear_linear_composites(
         )
     d = np.asarray(d, dtype=float)
     c = np.asarray(c, dtype=float)
-    coeff_x, coeff_y = plan.coeff_x, plan.coeff_y
-    mu_p = 2.0 * coeff_x
-    mu_q = 2.0 * coeff_y
+    mu_p = 2.0 * plan.coeff_x
+    mu_q = 2.0 * plan.coeff_y
 
     bp = BilinearProblem(
         grad_p=lambda x: d + mu_p * x,
@@ -670,8 +638,6 @@ def solve_bilinear_linear_composites(
         L_q=mu_q,
         mu_q=mu_q,
         coupling=coupling,
-        value_p=lambda x: float(d @ x) + coeff_x * float(x @ x),
-        value_q=lambda y: float(c @ y) + coeff_y * float(y @ y),
     )
     _, spec = split_bilinear(bp)
     tuning = tune_parameters(spec)

@@ -1,8 +1,9 @@
 """Prox subproblem of the outer loop and its extragradient solver.
 
-The subproblem freezes the composite gradients and adds proximal
-quadratics around the current outer iterate, leaving a strongly
-convex-concave saddle in the coupling term alone.  It is solved by
+The subproblem, `AuxiliaryProblem`, freezes the composite gradients and
+adds proximal quadratics around the current outer iterate, leaving a
+strongly convex-concave saddle in the coupling term alone; `outer.solve`
+builds one per outer step and hands it to an inner solver.  It is solved by
 extragradient on a variable-rescaled formulation whose block curvatures
 are balanced, with acceptance decided by the outer criterion evaluated in
 the original coordinates at every iterate.  That stop rule, `accept_first`,
@@ -18,21 +19,23 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     InnerBudgetExhausted,
     MissingValueOracle,
     NonPositiveInput,
     NonPositiveStep,
 )
-from .outer import OuterState, SolverTuning, check_inner_criterion
-from .problems import CompositeSaddleProblem, PointPair, SmoothnessSpec
+from .outer import SolverTuning, check_inner_criterion
+from .problems import PointPair, SmoothnessSpec
 
 
 @dataclass
 class AuxiliaryProblem:
-    """Prox-regularized saddle subproblem built around one outer state.
+    """Prox-regularized saddle subproblem of one outer step.
 
-    Its gradients satisfy, by construction,
+    It holds everything an inner solver reads: the composite gradients
+    frozen at the extrapolated point (the anchors), the outer iterate
+    ``(x_k, y_k)`` and the steps ``eta_x``, ``eta_y``.  Its gradients
+    satisfy, by construction,
 
         g_x(x, y) = grad_p_anchor + (x - x_k)/eta_x + dR/dx(x, y)
         g_y(x, y) = dR/dy(x, y) - grad_q_anchor - (y - y_k)/eta_y
@@ -78,28 +81,6 @@ class AuxiliaryProblem:
             - self.grad_q_anchor @ y
             - dy @ dy / (2.0 * self.eta_y)
         )
-
-
-def build_auxiliary(
-    problem: CompositeSaddleProblem, state: OuterState, tuning: SolverTuning
-) -> AuxiliaryProblem:
-    """Assemble the subproblem for the given outer state."""
-    if state.grad_p_g.shape != (problem.d_x,) or state.grad_q_g.shape != (problem.d_y,):
-        raise DimensionMismatch(
-            f"cached gradients have shapes {state.grad_p_g.shape}/{state.grad_q_g.shape}, "
-            f"expected ({problem.d_x},)/({problem.d_y},)"
-        )
-    state.z.check_dims(problem.d_x, problem.d_y)
-    return AuxiliaryProblem(
-        grad_R=problem.grad_R,
-        grad_p_anchor=state.grad_p_g,
-        grad_q_anchor=state.grad_q_g,
-        x_k=state.z.x,
-        y_k=state.z.y,
-        eta_x=tuning.eta_x,
-        eta_y=tuning.eta_y,
-        value_R=problem.value_R,
-    )
 
 
 @dataclass(frozen=True)

@@ -98,14 +98,23 @@ def required_outer_iterations(spec: SmoothnessSpec, psi_0: float, eps: float) ->
 
     Returns ``ceil(3 * max(1, sqrt(L_p/mu_x), sqrt(L_q/mu_y)) * ln(psi_0/eps))``
     floored at 1, where ``psi_0`` upper-bounds the initial potential.
-    Raises NonPositiveInput unless both are positive and finite.
+    Raises NonPositiveInput unless both are positive and finite, and
+    InconsistentConstants when the condition numbers overflow the budget.
     """
     if not (0.0 < psi_0 < math.inf and 0.0 < eps < math.inf):
         raise NonPositiveInput(f"psi_0={psi_0} and eps={eps} must be positive and finite")
     validate_spec(spec)
     factor = max(1.0, math.sqrt(spec.L_p / spec.mu_x), math.sqrt(spec.L_q / spec.mu_y))
-    k = math.ceil(3.0 * factor * math.log(psi_0 / eps))
-    return max(1, k)
+    ratio = psi_0 / eps
+    # A quotient that over- or underflows still has a finite logarithm.
+    if 0.0 < ratio < math.inf:
+        log_ratio = math.log(ratio)
+    else:
+        log_ratio = math.log(psi_0) - math.log(eps)
+    budget = 3.0 * factor * log_ratio
+    if not math.isfinite(budget):
+        raise InconsistentConstants(f"constants {spec} give no finite outer budget")
+    return max(1, math.ceil(budget))
 
 
 def check_inner_criterion(
@@ -149,18 +158,6 @@ def check_inner_criterion(
     lhs = tuning.eta_x * gx2 + tuning.eta_y * gy2
     rhs = dx2 / (6.0 * tuning.eta_x) + dy2 / (6.0 * tuning.eta_y)
     return lhs <= rhs or lhs <= floor_tol
-
-
-@dataclass
-class OuterState:
-    """Snapshot of the outer loop entering step k."""
-
-    k: int
-    z: PointPair
-    z_f: PointPair
-    z_g: PointPair
-    grad_p_g: np.ndarray
-    grad_q_g: np.ndarray
 
 
 @dataclass
@@ -242,19 +239,6 @@ def potential(
     return psi
 
 
-def compute_potential(
-    problem: CompositeSaddleProblem,
-    spec: SmoothnessSpec,
-    tuning: SolverTuning,
-    state: OuterState,
-    solution: PointPair,
-) -> float:
-    """`potential` of an outer state: its z and z_f against ``solution``."""
-    validate_spec(spec)
-    psi = potential(problem, tuning, solution)
-    return psi(state.z.x, state.z.y, state.z_f.x, state.z_f.y)
-
-
 def initial_potential(
     problem: CompositeSaddleProblem,
     spec: SmoothnessSpec,
@@ -281,11 +265,13 @@ def solve(
     """Run the accelerated sliding loop on a composite saddle problem.
 
     Per outer step: extrapolate to the gradient point, evaluate the
-    composite gradients there exactly once each, solve the prox
-    subproblem to the acceptance criterion, then update the main and
-    extrapolation sequences.  The coupling oracle is called only inside
-    the inner solver; its final evaluation doubles as the one the main
-    update needs.
+    composite gradients there exactly once each, build the step's
+    `AuxiliaryProblem` (those gradients as anchors, the current iterate,
+    ``eta_x``, ``eta_y``), solve it to the acceptance criterion, then
+    update the main and extrapolation sequences.  The coupling oracle is
+    called only inside the inner solver; its final evaluation doubles as
+    the one the main update needs.  Composite gradients and inner results
+    of the wrong shape raise DimensionMismatch.
 
     ``problem`` is wrapped here for counting; potential tracking uses it
     unwrapped, so diagnostics never perturb the tallies.
@@ -300,7 +286,7 @@ def solve(
         itself (the bilinear path counts B/B^T products in its inner
         solver).  Fresh counters by default.
     """
-    from .inner import InnerConfig, build_auxiliary, solve_auxiliary
+    from .inner import AuxiliaryProblem, InnerConfig, solve_auxiliary
 
     validate_spec(spec)
     if not 0.0 < config.eps < math.inf or config.max_outer < 1:
@@ -362,17 +348,17 @@ def solve(
             yg = alpha * y + (1.0 - alpha) * yf
         gp = counted.grad_p(xg)
         gq = counted.grad_q(yg)
+        if gp.shape != (problem.d_x,) or gq.shape != (problem.d_y,):
+            raise DimensionMismatch(
+                f"composite gradients have shapes {gp.shape}/{gq.shape}, "
+                f"expected ({problem.d_x},)/({problem.d_y},)"
+            )
 
-        state = OuterState(
-            k=k,
-            z=PointPair(x, y),
-            z_f=PointPair(xf, yf),
-            z_g=PointPair(xg, yg),
-            grad_p_g=gp,
-            grad_q_g=gq,
+        aux = AuxiliaryProblem(
+            counted.grad_R, gp, gq, x, y, eta_x, eta_y, counted.value_R
         )
-        aux = build_auxiliary(counted, state, tuning)
         result = inner_solver(aux, spec, tuning, inner_cfg)
+        result.pair.check_dims(problem.d_x, problem.d_y)
         x_hat, y_hat = result.pair.x, result.pair.y
         g_x, g_y = result.grad_x, result.grad_y
 
@@ -437,8 +423,8 @@ def solve(
             # only quantities already in hand: the subproblem gradients give
             # the coupling part exactly, and L_p/L_q bound the gap between
             # the frozen and the exact composite gradients.
-            rx = g_x - (x_hat - state.z.x) / eta_x
-            ry = -g_y - (y_hat - state.z.y) / eta_y
+            rx = g_x - (x_hat - aux.x_k) / eta_x
+            ry = -g_y - (y_hat - aux.y_k) / eta_y
             bx = np.linalg.norm(rx) + spec.L_p * np.linalg.norm(x_hat - xg)
             by = np.linalg.norm(ry) + spec.L_q * np.linalg.norm(y_hat - yg)
             if bx * bx + by * by <= residual_threshold:

@@ -9,6 +9,7 @@ of the original.  Accuracies here are in the plain squared-distance sense.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -42,10 +43,11 @@ def plan_scc(eps: float, D_y: float) -> RegularizationPlan:
     """Plan for strongly-convex-concave problems (mu_x > 0, mu_y = 0).
 
     Only the dual gets a regularizer, ``eps/(12 D_y^2) ||y||^2``, and the
-    wrapped problem must be solved to accuracy ``2 eps / 3``.
+    wrapped problem must be solved to accuracy ``2 eps / 3``.  Raises
+    NonPositiveInput unless ``eps`` and ``D_y`` are positive and finite.
     """
-    if eps <= 0.0 or D_y <= 0.0:
-        raise NonPositiveInput(f"eps={eps}, D_y={D_y} must be positive")
+    if not (0.0 < eps < math.inf and 0.0 < D_y < math.inf):
+        raise NonPositiveInput(f"eps={eps}, D_y={D_y} must be positive and finite")
     return RegularizationPlan(
         case=CASE_SCC,
         D_x=None,
@@ -61,10 +63,14 @@ def plan_cc(eps: float, D_x: float, D_y: float) -> RegularizationPlan:
     """Plan for convex-concave problems (mu_x = mu_y = 0).
 
     Both blocks get ``eps/(16 D^2) ||.||^2`` regularizers and the wrapped
-    problem must be solved to accuracy ``eps / 2``.
+    problem must be solved to accuracy ``eps / 2``.  Raises
+    NonPositiveInput unless ``eps``, ``D_x`` and ``D_y`` are positive and
+    finite.
     """
-    if eps <= 0.0 or D_x <= 0.0 or D_y <= 0.0:
-        raise NonPositiveInput(f"eps={eps}, D_x={D_x}, D_y={D_y} must be positive")
+    if not all(0.0 < v < math.inf for v in (eps, D_x, D_y)):
+        raise NonPositiveInput(
+            f"eps={eps}, D_x={D_x}, D_y={D_y} must be positive and finite"
+        )
     return RegularizationPlan(
         case=CASE_CC,
         D_x=D_x,

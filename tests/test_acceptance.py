@@ -32,10 +32,10 @@ from saddleslide.bench import (
     gen_consensus,
     gen_quadratic_spp,
     reference_solution,
+    run_single,
 )
-from saddleslide.bilinear import _eliminate_from_parts
-from saddleslide.inner import build_auxiliary
-from saddleslide.outer import OuterState
+from saddleslide.bilinear import eliminate_y
+from saddleslide.inner import AuxiliaryProblem
 
 from conftest import central_diff, random_sym_psd
 
@@ -196,10 +196,11 @@ def test_criterion_05_bilinear_correctness():
             B = inst.arrays["B"]
             lam = np.linalg.eigvalsh(B @ B.T)
             for log in report.inner_logs:
-                qf = _eliminate_from_parts(
-                    bp, log["grad_p_g"], log["grad_q_g"],
-                    log["x_k"], log["y_k"], t,
+                aux = AuxiliaryProblem(
+                    composite.grad_R, log["grad_p_g"], log["grad_q_g"],
+                    log["x_k"], log["y_k"], t.eta_x, t.eta_y,
                 )
+                qf = eliminate_y(bp, aux)
                 x_hat = agd_quadratic(
                     qf,
                     0.5 * (qf.kappa + max(lam[0], 0.0)),
@@ -236,7 +237,7 @@ def test_criterion_06_affinely_constrained_reduction():
         cases.append((topo, n, 600 + i))
     for topo, n, seed in cases:
         inst = gen_consensus(n, topo, 1.0, 4.0, seed=seed, spread=0.1)
-        grad, value = inst.local_objective()
+        grad, _ = inst.local_objective()
         report = solve_affine_constrained(
             grad_p=grad,
             L_p=inst.constants["local_L"],
@@ -245,7 +246,6 @@ def test_criterion_06_affinely_constrained_reduction():
             c=inst.arrays["c"],
             D_y=inst.constants["D_y"],
             eps=eps,
-            value_p=value,
         )
         centralized = reference_solution(inst)
         assert report.constraint_residual <= math.sqrt(eps)
@@ -267,7 +267,7 @@ def test_criterion_06_affinely_constrained_reduction():
     for n, group in sweep.items():
         tallies = []
         for inst in group:
-            grad, value = inst.local_objective()
+            grad, _ = inst.local_objective()
             report = solve_affine_constrained(
                 grad_p=grad,
                 L_p=inst.constants["local_L"],
@@ -276,7 +276,6 @@ def test_criterion_06_affinely_constrained_reduction():
                 c=inst.arrays["c"],
                 D_y=d_common,
                 eps=eps,
-                value_p=value,
             )
             tallies.append(report.counters.calls_grad_R)
         counts[n] = float(np.median(tallies))
@@ -391,15 +390,11 @@ def test_criterion_09_gradient_consistency():
           lambda y: problem.grad_R(np.ones(5), y)[1], 4)
 
     tuning = tune_parameters(spec)
-    state = OuterState(
-        k=0,
-        z=PointPair(rng.standard_normal(5), rng.standard_normal(4)),
-        z_f=PointPair(np.zeros(5), np.zeros(4)),
-        z_g=PointPair(np.zeros(5), np.zeros(4)),
-        grad_p_g=rng.standard_normal(5),
-        grad_q_g=rng.standard_normal(4),
+    x_k, y_k = rng.standard_normal(5), rng.standard_normal(4)
+    aux = AuxiliaryProblem(
+        problem.grad_R, rng.standard_normal(5), rng.standard_normal(4),
+        x_k, y_k, tuning.eta_x, tuning.eta_y, problem.value_R,
     )
-    aux = build_auxiliary(problem, state, tuning)
     check(lambda x: aux.value(x, np.ones(4)),
           lambda x: aux.gradients(x, np.ones(4))[0], 5)
     check(lambda y: -aux.value(np.ones(5), y),
@@ -436,3 +431,35 @@ def test_criterion_10_baseline_contrast():
     assert ratio >= 5.0
     _report(10, f"joint extragradient needed {ratio:.1f}x more composite "
                 f"calls than sliding at the same accuracy")
+
+
+def test_criterion_11_unequal_moduli():
+    # The headline regime mu_x != mu_y: with L_p/mu_x = L_q/mu_y = 4 and
+    # L_R = 10 sqrt(mu_x mu_y) the sliding bounds stay put as mu_x/mu_y
+    # grows, while extragradient pays L_R/min(mu).  Measured on seeds 0-2:
+    # sliding grad_p 124-130, grad_R at most 1.79x its ratio-1 count, eg
+    # grad_R 27-48x.  eg still stops on the reference solution here; a
+    # computable stop for it is a separate change (ROADMAP item 2).
+    eps = 1e-8
+    worst_R, least_eg = 0.0, math.inf
+    for seed in range(3):
+        rows = {}
+        for ratio in (1.0, 10.0, 100.0):
+            mu_y = 1.0 / ratio
+            inst = gen_quadratic_spp(
+                10, 10, 4.0, 1.0, 4.0 * mu_y, mu_y, 10.0 * math.sqrt(mu_y), seed
+            )
+            rows[ratio] = (run_single(inst, "sliding", eps), run_single(inst, "eg", eps))
+        base, base_eg = rows[1.0]
+        for ratio, (sliding, _) in rows.items():
+            assert sliding.dist_weighted <= eps, f"seed {seed} ratio {ratio}"
+            assert abs(sliding.calls_grad_p - base.calls_grad_p) <= 0.1 * base.calls_grad_p
+            growth = sliding.calls_grad_R / base.calls_grad_R
+            assert growth <= 2.5, f"seed {seed} ratio {ratio}: {growth:.2f}"
+            worst_R = max(worst_R, growth)
+        eg_growth = rows[100.0][1].calls_grad_R / base_eg.calls_grad_R
+        assert eg_growth >= 10.0, f"seed {seed}: eg grew {eg_growth:.1f}x"
+        least_eg = min(least_eg, eg_growth)
+    _report(11, f"mu_x/mu_y up to 100: sliding composite calls within 10%, "
+                f"coupling calls at most {worst_R:.2f}x; eg coupling calls "
+                f"grew at least {least_eg:.0f}x")

@@ -97,7 +97,7 @@ def test_bilinear_path_identities(
 def test_consensus_path_identities(n_nodes, topology, seed):
     eps = 1e-6
     inst = gen_consensus(n_nodes, topology, 1.0, 4.0, seed)
-    grad, value = inst.local_objective()
+    grad, _ = inst.local_objective()
     report = solve_affine_constrained(
         grad_p=grad,
         L_p=inst.constants["local_L"],
@@ -106,7 +106,6 @@ def test_consensus_path_identities(n_nodes, topology, seed):
         c=inst.arrays["c"],
         D_y=inst.constants["D_y"],
         eps=eps,
-        value_p=value,
     )
     c = report.counters
     _assert_composite_once_per_step(c)

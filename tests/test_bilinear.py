@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from saddleslide import (
+    AuxiliaryProblem,
     BilinearProblem,
     CouplingOperator,
     InnerConfig,
@@ -23,7 +24,7 @@ from saddleslide import (
     weighted_distance_sq,
     wrap_counting_bilinear,
 )
-from saddleslide.bilinear import _cg_iterates, _eliminate_from_parts
+from saddleslide.bilinear import _cg_iterates
 from saddleslide.errors import (
     BudgetExhausted,
     DivergenceDetected,
@@ -120,6 +121,12 @@ class TestSplitBilinear:
             split_bilinear(bp)
 
 
+def _aux(bp, gp, gq, x_k, y_k, tuning):
+    # The subproblem the outer loop builds on split_bilinear output.
+    coupled = split_bilinear(bp)[0]
+    return AuxiliaryProblem(coupled.grad_R, gp, gq, x_k, y_k, tuning.eta_x, tuning.eta_y)
+
+
 class TestEliminateY:
     def test_unit_example_matches_display(self):
         # 1-d with unit steps and moduli and B = [1]: the quadratic
@@ -130,9 +137,8 @@ class TestEliminateY:
             coupling=CouplingOperator.from_dense(np.array([[1.0]])),
         )
         tuning = SolverTuning(alpha=1.0, eta_x=1.0, eta_y=1.0, branch=X_DOMINANT)
-        qf = _eliminate_from_parts(
-            bp, np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), tuning
-        )
+        aux = _aux(bp, np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), tuning)
+        qf = eliminate_y(bp, aux)
         assert qf.apply_A(np.ones(1))[0] == pytest.approx(2.5)
 
     def test_zero_data_gives_zero_saddle(self):
@@ -142,30 +148,12 @@ class TestEliminateY:
             coupling=CouplingOperator.from_dense(np.array([[1.0, 0.5]])),
         )
         tuning = SolverTuning(alpha=1.0, eta_x=0.5, eta_y=0.5, branch=X_DOMINANT)
-        qf = _eliminate_from_parts(
-            bp, np.zeros(1), np.zeros(2), np.zeros(1), np.zeros(2), tuning
-        )
+        aux = _aux(bp, np.zeros(1), np.zeros(2), np.zeros(1), np.zeros(2), tuning)
+        qf = eliminate_y(bp, aux)
         assert np.all(qf.b == 0.0)
         x_hat = agd_quadratic(qf, 1.0, 5.0, np.ones(1), tol=1e-12)
         assert np.linalg.norm(x_hat) <= 1e-10
         assert np.linalg.norm(qf.recover_y(x_hat)) <= 1e-10
-
-    def test_public_wrapper_uses_state_fields(self, rng):
-        from saddleslide.outer import OuterState
-
-        bp, _, _ = _random_bilinear(rng, 2, 2)
-        tuning = tune_parameters(split_bilinear(bp)[1])
-        gp, gq = rng.standard_normal(2), rng.standard_normal(2)
-        x_k, y_k = rng.standard_normal(2), rng.standard_normal(2)
-        state = OuterState(
-            k=0, z=PointPair(x_k, y_k), z_f=PointPair(x_k, y_k),
-            z_g=PointPair(x_k, y_k), grad_p_g=gp, grad_q_g=gq,
-        )
-        via_state = eliminate_y(bp, state, tuning)
-        direct = _eliminate_from_parts(bp, gp, gq, x_k, y_k, tuning)
-        assert np.array_equal(via_state.b, direct.b)
-        assert via_state.kappa == direct.kappa
-        assert via_state.c == direct.c
 
     def test_matches_direct_kkt_on_random_instance(self, rng):
         bp, data, _ = _random_bilinear(rng, 3, 2)
@@ -174,7 +162,7 @@ class TestEliminateY:
         gq = rng.standard_normal(2)
         x_k = rng.standard_normal(3)
         y_k = rng.standard_normal(2)
-        qf = _eliminate_from_parts(bp, gp, gq, x_k, y_k, tuning)
+        qf = eliminate_y(bp, _aux(bp, gp, gq, x_k, y_k, tuning))
         lam = np.linalg.eigvalsh(data["B"] @ data["B"].T)
         x_hat = agd_quadratic(
             qf, 0.5 * (qf.kappa + max(lam[0], 0.0)), 0.5 * (qf.kappa + lam[-1]),
@@ -200,7 +188,7 @@ class TestEliminateY:
             gq = rng.standard_normal(d_y)
             x_k = rng.standard_normal(d_x)
             y_k = rng.standard_normal(d_y)
-            qf = _eliminate_from_parts(bp, gp, gq, x_k, y_k, tuning)
+            qf = eliminate_y(bp, _aux(bp, gp, gq, x_k, y_k, tuning))
             lam = np.linalg.eigvalsh(data["B"] @ data["B"].T)
             x_hat = agd_quadratic(
                 qf, 0.5 * (qf.kappa + max(lam[0], 0.0)), 0.5 * (qf.kappa + lam[-1]),
@@ -216,9 +204,8 @@ class TestEliminateY:
     def test_spectral_sandwich(self, rng):
         bp, data, _ = _random_bilinear(rng, 5, 3, sigma=3.0)
         tuning = tune_parameters(split_bilinear(bp)[1])
-        qf = _eliminate_from_parts(
-            bp, np.zeros(5), np.zeros(3), np.zeros(5), np.zeros(3), tuning
-        )
+        aux = _aux(bp, np.zeros(5), np.zeros(3), np.zeros(5), np.zeros(3), tuning)
+        qf = eliminate_y(bp, aux)
         dense_A = np.column_stack([qf.apply_A(e) for e in np.eye(5)])
         eigs = np.linalg.eigvalsh(0.5 * (dense_A + dense_A.T))
         lam = np.linalg.eigvalsh(data["B"] @ data["B"].T)
@@ -232,9 +219,8 @@ class TestEliminateY:
         wrapped, counters = wrap_counting_bilinear(bp)
         tuning = tune_parameters(split_bilinear(bp)[1])
         before = counters.calls_grad_R
-        qf = _eliminate_from_parts(
-            wrapped, np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(2), tuning
-        )
+        aux = _aux(wrapped, np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(2), tuning)
+        qf = eliminate_y(wrapped, aux)
         assert counters.calls_grad_R == before + 1  # one product to build b
         qf.apply_A(np.ones(3))
         assert counters.calls_grad_R == before + 3  # plus B^T and B
@@ -436,7 +422,7 @@ class TestSolveAffineConstrained:
         from saddleslide.bench import gen_consensus, reference_solution
 
         inst = gen_consensus(4, "path", 1.0, 3.0, seed=9, spread=0.2)
-        grad, value = inst.local_objective()
+        grad, _ = inst.local_objective()
         report = solve_affine_constrained(
             grad_p=grad,
             L_p=inst.constants["local_L"],
@@ -445,7 +431,6 @@ class TestSolveAffineConstrained:
             c=inst.arrays["c"],
             D_y=inst.constants["D_y"],
             eps=1e-6,
-            value_p=value,
         )
         x = report.final_pair.x
         assert np.max(np.abs(x - x.mean())) <= 1e-3
@@ -460,7 +445,7 @@ class TestSolveAffineConstrained:
 
         eps = 1e-6
         inst = gen_consensus(40, "path", 1.0, 4.0, seed=0)
-        grad, value = inst.local_objective()
+        grad, _ = inst.local_objective()
         report = solve_affine_constrained(
             grad_p=grad,
             L_p=inst.constants["local_L"],
@@ -469,7 +454,6 @@ class TestSolveAffineConstrained:
             c=inst.arrays["c"],
             D_y=inst.constants["D_y"],
             eps=eps,
-            value_p=value,
             inner=InnerConfig(max_inner=400),
         )
         x_ref = reference_solution(inst).x
@@ -495,6 +479,14 @@ class TestSolveAffineConstrained:
                 coupling=CouplingOperator.from_dense(B),
                 c=np.zeros(2), D_y=1.0, eps=-1.0,
             )
+        bad = [(math.nan, 1.0), (math.inf, 1.0), (1e-4, math.nan), (1e-4, math.inf)]
+        for eps, D_y in bad:
+            with pytest.raises(NonPositiveInput):
+                solve_affine_constrained(
+                    grad_p=lambda x: x, L_p=1.0, mu_p=1.0,
+                    coupling=CouplingOperator.from_dense(B),
+                    c=np.zeros(2), D_y=D_y, eps=eps,
+                )
 
 
 class TestSolveLinearComposites:

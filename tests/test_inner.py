@@ -13,7 +13,6 @@ from saddleslide import (
     InnerConfig,
     PointPair,
     SmoothnessSpec,
-    build_auxiliary,
     check_inner_criterion,
     compute_rescaling,
     gamma_target,
@@ -26,7 +25,7 @@ from saddleslide import (
 from saddleslide.bench.generators import gen_bilinear, gen_quadratic_spp
 from saddleslide.bilinear import (
     _cg_iterates,
-    _eliminate_from_parts,
+    eliminate_y,
     make_bilinear_inner_solver,
     solve_bilinear,
 )
@@ -38,21 +37,20 @@ from saddleslide.errors import (
     NonPositiveStep,
 )
 from saddleslide.inner import InnerResult, extragradient_iterates, rescaled_smoothness_bound
-from saddleslide.outer import OuterState, SolveConfig, SolverTuning, X_DOMINANT, solve
+from saddleslide.outer import SolveConfig, SolverTuning, X_DOMINANT, solve
 
 from conftest import central_diff, random_quadratic_instance, random_sym_psd
 
 
-def _state(problem, x, y, tuning):
+def _aux(problem, x, y, tuning, coupled=None):
+    # Anchored at (x, y) with the composite gradients of ``problem`` there;
+    # the coupling oracle comes from ``coupled`` (a counting wrapper, say).
+    coupled = problem if coupled is None else coupled
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    return OuterState(
-        k=0,
-        z=PointPair(x, y),
-        z_f=PointPair(x, y),
-        z_g=PointPair(x, y),
-        grad_p_g=problem.grad_p(x),
-        grad_q_g=problem.grad_q(y),
+    return AuxiliaryProblem(
+        coupled.grad_R, problem.grad_p(x), problem.grad_q(y), x, y,
+        tuning.eta_x, tuning.eta_y, coupled.value_R,
     )
 
 
@@ -65,7 +63,7 @@ class TestBuildAuxiliary:
             grad_R=lambda x, y: (np.zeros(2), np.zeros(2)),
         )
         tuning = SolverTuning(alpha=1.0, eta_x=1.0, eta_y=1.0, branch=X_DOMINANT)
-        aux = build_auxiliary(problem, _state(problem, np.zeros(2), np.zeros(2), tuning), tuning)
+        aux = _aux(problem, np.zeros(2), np.zeros(2), tuning)
         g_x, g_y = aux.gradients(np.zeros(2), np.zeros(2))
         assert np.all(g_x == 0.0) and np.all(g_y == 0.0)
 
@@ -90,7 +88,7 @@ class TestBuildAuxiliary:
         tuning = tune_parameters(spec)
         x_k = rng.standard_normal(3)
         y_k = rng.standard_normal(4)
-        aux = build_auxiliary(problem, _state(problem, x_k, y_k, tuning), tuning)
+        aux = _aux(problem, x_k, y_k, tuning)
         for _ in range(20):
             x = rng.standard_normal(3)
             y = rng.standard_normal(4)
@@ -100,24 +98,37 @@ class TestBuildAuxiliary:
             assert np.linalg.norm(fd_x - g_x) <= 1e-6 * (1 + np.linalg.norm(g_x))
             assert np.linalg.norm(fd_y - g_y) <= 1e-6 * (1 + np.linalg.norm(g_y))
 
+    # The outer loop builds the subproblem from the composite gradients and
+    # takes back the inner solver's pair; a wrong shape in either is caught.
+    SPEC = SmoothnessSpec(L_p=1, L_q=1, L_R=1, mu_x=1, mu_y=1)
+
     def test_dimension_mismatch(self):
+        problem = CompositeSaddleProblem(
+            d_x=2, d_y=2,
+            grad_p=lambda x: np.zeros(3),
+            grad_q=lambda y: np.zeros(2),
+            grad_R=lambda x, y: (np.zeros(2), np.zeros(2)),
+        )
+        start = PointPair(np.zeros(2), np.zeros(2))
+        with pytest.raises(DimensionMismatch):
+            solve(problem, self.SPEC, start, SolveConfig(eps=1e-6, max_outer=3))
+
+    def test_inner_result_dimension_mismatch(self):
         problem = CompositeSaddleProblem(
             d_x=2, d_y=2,
             grad_p=lambda x: np.zeros(2),
             grad_q=lambda y: np.zeros(2),
             grad_R=lambda x, y: (np.zeros(2), np.zeros(2)),
         )
-        tuning = SolverTuning(alpha=1.0, eta_x=1.0, eta_y=1.0, branch=X_DOMINANT)
-        bad = OuterState(
-            k=0,
-            z=PointPair(np.zeros(2), np.zeros(2)),
-            z_f=PointPair(np.zeros(2), np.zeros(2)),
-            z_g=PointPair(np.zeros(2), np.zeros(2)),
-            grad_p_g=np.zeros(3),
-            grad_q_g=np.zeros(2),
-        )
+
+        def short_pair(aux, spec, tuning, config):
+            return InnerResult(PointPair(np.zeros(1), np.zeros(2)), 0,
+                               np.zeros(1), np.zeros(2))
+
+        start = PointPair(np.zeros(2), np.zeros(2))
         with pytest.raises(DimensionMismatch):
-            build_auxiliary(problem, bad, tuning)
+            solve(problem, self.SPEC, start, SolveConfig(eps=1e-6, max_outer=3),
+                  inner_solver=short_pair)
 
     def test_single_coupling_call_per_gradient(self):
         calls = {"n": 0}
@@ -249,7 +260,7 @@ class TestSolveAuxiliary:
         tuning = tune_parameters(spec)
         x_k = rng.standard_normal(4)
         y_k = rng.standard_normal(4)
-        aux = build_auxiliary(problem, _state(problem, x_k, y_k, tuning), tuning)
+        aux = _aux(problem, x_k, y_k, tuning)
         result = solve_auxiliary(aux, spec, tuning, InnerConfig(floor_tol=0.0))
         # Re-assert the acceptance test at the returned point.
         assert check_inner_criterion(
@@ -283,7 +294,7 @@ class TestSolveAuxiliary:
         assert tuning.eta_x == tuning.eta_y
         x_k = rng.standard_normal(3)
         y_k = rng.standard_normal(3)
-        aux = build_auxiliary(problem, _state(problem, x_k, y_k, tuning), tuning)
+        aux = _aux(problem, x_k, y_k, tuning)
         B = data["B"]
         mat = np.block([
             [(1 / tuning.eta_x + 1.0) * np.eye(3), B],
@@ -315,7 +326,7 @@ class TestSolveAuxiliary:
         assert tuning.eta_x != tuning.eta_y
         x_k = rng.standard_normal(3)
         y_k = rng.standard_normal(2)
-        aux = build_auxiliary(problem, _state(problem, x_k, y_k, tuning), tuning)
+        aux = _aux(problem, x_k, y_k, tuning)
         result = solve_auxiliary(aux, spec, tuning, InnerConfig(floor_tol=0.0))
 
         rescaling = compute_rescaling(tuning)
@@ -346,7 +357,7 @@ class TestSolveAuxiliary:
             tuning = tune_parameters(spec)
             x_k = rng.standard_normal(6)
             y_k = rng.standard_normal(6)
-            aux = build_auxiliary(wrapped, _state(problem, x_k, y_k, tuning), tuning)
+            aux = _aux(problem, x_k, y_k, tuning, coupled=wrapped)
             result = solve_auxiliary(aux, spec, tuning, InnerConfig())
             assert counters.calls_grad_R == 2 * result.iterations + 1
             totals[sigma] = result.iterations
@@ -369,8 +380,8 @@ def _extragradient_case(rng):
     problem, spec, _, _ = random_quadratic_instance(rng, 4, 3, 2.0, 1.0, 2.0, 1.0, 3.0)
     wrapped, counters = wrap_counting(problem)
     tuning = tune_parameters(spec)
-    state = _state(problem, rng.standard_normal(4), rng.standard_normal(3), tuning)
-    aux = build_auxiliary(wrapped, state, tuning)
+    aux = _aux(problem, rng.standard_normal(4), rng.standard_normal(3), tuning,
+               coupled=wrapped)
     return solve_auxiliary, aux, spec, tuning, counters
 
 
@@ -385,8 +396,7 @@ def _conjugate_gradient_case(rng):
     wrapped, counters = wrap_counting_bilinear(bp)
     composite, spec = split_bilinear(bp)
     tuning = tune_parameters(spec)
-    state = _state(composite, rng.standard_normal(4), rng.standard_normal(3), tuning)
-    aux = build_auxiliary(composite, state, tuning)
+    aux = _aux(composite, rng.standard_normal(4), rng.standard_normal(3), tuning)
     return make_bilinear_inner_solver(wrapped), aux, spec, tuning, counters
 
 
@@ -467,9 +477,7 @@ def _reference_extragradient(aux, spec, tuning, config):
 
 def _reference_bilinear_inner(bp):
     def inner(aux, spec, tuning, config):
-        qf = _eliminate_from_parts(
-            bp, aux.grad_p_anchor, aux.grad_q_anchor, aux.x_k, aux.y_k, tuning
-        )
+        qf = eliminate_y(bp, aux)
 
         def iterates():
             for x, bt_x, _ in _cg_iterates(qf.matvec, qf.rmatvec, qf.kappa, -qf.b, aux.x_k):

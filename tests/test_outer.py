@@ -6,12 +6,10 @@ import pytest
 from saddleslide import (
     CompositeSaddleProblem,
     InnerConfig,
-    OuterState,
     PointPair,
     SmoothnessSpec,
     SolveConfig,
     check_inner_criterion,
-    compute_potential,
     initial_potential,
     required_outer_iterations,
     solve,
@@ -33,6 +31,7 @@ from saddleslide.outer import (
     X_DOMINANT,
     Y_DOMINANT,
     SolverTuning,
+    potential,
 )
 
 from conftest import random_quadratic_instance
@@ -113,6 +112,18 @@ class TestRequiredOuterIterations:
     def test_non_finite_inputs(self, psi_0, eps):
         with pytest.raises(NonPositiveInput):
             required_outer_iterations(self.SPEC1, psi_0, eps)
+
+    def test_overflowing_quotient(self):
+        # psi_0/eps = 1e600 overflows float64; 3 ln(1e600) = 4144.65.
+        assert required_outer_iterations(self.SPEC1, 1e300, 1e-300) == 4145
+        # And 1e-600 underflows to 0; its logarithm is negative.
+        assert required_outer_iterations(self.SPEC1, 1e-300, 1e300) == 1
+
+    def test_overflowing_condition_number_raises_named_error(self):
+        # L_p/mu_x = 1e600 makes the budget itself infinite.
+        spec = SmoothnessSpec(L_p=1e300, L_q=1, L_R=1, mu_x=1e-300, mu_y=1)
+        with pytest.raises(InconsistentConstants):
+            required_outer_iterations(spec, 10.0, 1e-8)
 
 
 class TestInnerCriterion:
@@ -358,24 +369,19 @@ class TestSolve:
 
 
 class TestComputePotential:
-    def _state(self, z, z_f):
-        return OuterState(k=0, z=z, z_f=z_f, z_g=z,
-                          grad_p_g=np.zeros(z.x.size), grad_q_g=np.zeros(z.y.size))
-
     def test_zero_at_solution(self):
         problem = _decoupled_problem()
         spec = SmoothnessSpec(L_p=0, L_q=0, L_R=1, mu_x=1, mu_y=1)
         tuning = tune_parameters(spec)
         sol = PointPair(np.zeros(3), np.zeros(2))
-        assert compute_potential(problem, spec, tuning, self._state(sol, sol), sol) == 0.0
+        assert potential(problem, tuning, sol)(sol.x, sol.y, sol.x, sol.y) == 0.0
 
     def test_distance_only_for_zero_composites(self):
         problem = _decoupled_problem()
-        spec = SmoothnessSpec(L_p=0, L_q=0, L_R=1, mu_x=1, mu_y=1)
         tuning = SolverTuning(alpha=1.0, eta_x=1.0, eta_y=1.0, branch=X_DOMINANT)
         sol = PointPair(np.zeros(3), np.zeros(2))
         z = PointPair([1.0, 0.0, 0.0], [1.0, 0.0])
-        assert compute_potential(problem, spec, tuning, self._state(z, sol), sol) == pytest.approx(2.0)
+        assert potential(problem, tuning, sol)(z.x, z.y, sol.x, sol.y) == pytest.approx(2.0)
 
     def test_bregman_term_weighting(self):
         # p = ||x||^2/2, alpha = 1, eta = 1/3, unit offsets in the x block.
@@ -387,11 +393,10 @@ class TestComputePotential:
             value_p=lambda x: 0.5 * float(x @ x),
             value_q=lambda y: 0.0,
         )
-        spec = SmoothnessSpec(L_p=1, L_q=0, L_R=1, mu_x=1, mu_y=1)
         tuning = SolverTuning(alpha=1.0, eta_x=1 / 3, eta_y=1 / 3, branch=X_DOMINANT)
         sol = PointPair([0.0], [0.0])
         z = PointPair([1.0], [0.0])
-        value = compute_potential(problem, spec, tuning, self._state(z, z), sol)
+        value = potential(problem, tuning, sol)(z.x, z.y, z.x, z.y)
         assert value == pytest.approx(4.0)
 
     def test_missing_value_oracle(self):
@@ -405,4 +410,4 @@ class TestComputePotential:
         tuning = tune_parameters(spec)
         sol = PointPair([0.0], [0.0])
         with pytest.raises(MissingValueOracle):
-            compute_potential(problem, spec, tuning, self._state(sol, sol), sol)
+            potential(problem, tuning, sol)

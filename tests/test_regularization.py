@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,11 @@ class TestPlanScc:
             plan_scc(0.0, 1.0)
         with pytest.raises(NonPositiveInput):
             plan_scc(1.0, -1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(NonPositiveInput):
+                plan_scc(bad, 1.0)
+            with pytest.raises(NonPositiveInput):
+                plan_scc(1.0, bad)
 
 
 class TestPlanCc:
@@ -62,6 +69,10 @@ class TestPlanCc:
     def test_rejects_non_positive(self):
         with pytest.raises(NonPositiveInput):
             plan_cc(1.0, 0.0, 1.0)
+        for bad in (math.nan, math.inf):
+            for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+                with pytest.raises(NonPositiveInput):
+                    plan_cc(*args)
 
 
 def _bilinear_cc_problem(B):
