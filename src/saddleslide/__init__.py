@@ -10,7 +10,6 @@ from .bilinear import (
     BilinearProblem,
     CouplingOperator,
     QuadraticForm,
-    agd_quadratic,
     eliminate_y,
     estimate_spectral_bounds,
     solve_affine_constrained,
@@ -72,7 +71,6 @@ __all__ = [
     "SmoothnessSpec",
     "SolveConfig",
     "SolverTuning",
-    "agd_quadratic",
     "apply_plan",
     "bregman",
     "check_inner_criterion",

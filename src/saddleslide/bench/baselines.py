@@ -8,11 +8,11 @@ primal where the instance structure allows it.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
-from ..bilinear import _agd_loop
 from ..errors import BudgetExhausted, DivergenceDetected, ManifestError
 from ..outer import (
     TERMINATION_BUDGET,
@@ -105,6 +105,27 @@ def baseline_extragradient(
         exc.report = report
         raise exc
     return report
+
+
+def _agd_loop(gradient_fn, mu_h, l_h, start, tol, max_iter):
+    """Nesterov's method for mu_h-strongly convex, l_h-smooth objectives.
+
+    Returns the first evaluation point whose gradient norm is <= tol, with
+    the number of update steps taken.
+    """
+    momentum = (math.sqrt(l_h) - math.sqrt(mu_h)) / (math.sqrt(l_h) + math.sqrt(mu_h))
+    x_prev = start.copy()
+    y_pt = start.copy()
+    for t in range(max_iter + 1):
+        g = gradient_fn(y_pt)
+        if np.linalg.norm(g) <= tol:
+            return y_pt, t
+        if t == max_iter:
+            break
+        x_new = y_pt - g / l_h
+        y_pt = x_new + momentum * (x_new - x_prev)
+        x_prev = x_new
+    raise BudgetExhausted(f"gradient tolerance unmet after {max_iter} iterations")
 
 
 def agd_joint_baseline(

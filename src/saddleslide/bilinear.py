@@ -7,18 +7,20 @@ form, to an unconstrained quadratic in x solved by conjugate gradients,
 which needs no spectral bounds.  Every B or B^T product is counted
 individually, so coupling cost is measured in matrix-vector products.
 
-The reduced quadratic is ``x^T A x + b^T x + c`` with
+The reduced quadratic is ``x^T A x + b^T x`` (up to a constant) with
 
     A = (1/2) ((1/eta_x + mu_p)(1/eta_y + mu_q) I + B B^T)
     b = (1/eta_y + mu_q) (gp - x_k/eta_x) - B (gq - y_k/eta_y)
-    c = (1/eta_y + mu_q) (||x_k||^2/(2 eta_x) - ||y_k||^2/(2 eta_y))
-        + ||y_k/eta_y - gq||^2 / 2
 
 where gp, gq are the frozen split-composite gradients.  The whole
 objective is scaled by (1/eta_y + mu_q) relative to the direct reduction,
-which leaves the minimizer unchanged; b and c here come from an
-independent re-derivation verified against direct saddle solves (see the
+which leaves the minimizer unchanged; b here comes from an independent
+re-derivation verified against direct saddle solves (see the
 elimination-consistency tests).
+
+The two regularized reductions, affinely constrained minimization and
+fully linear composites, size their regularizers and accuracy targets by
+the plans of `regularization` and share one solve from the origin.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .errors import (
     BudgetExhausted,
     InconsistentConstants,
     InfeasibleTarget,
-    NonPositiveInput,
     NonPositiveModulus,
 )
 from .inner import AuxiliaryProblem, InnerConfig, InnerResult, accept_first
@@ -52,7 +53,7 @@ from .problems import (
     SmoothnessSpec,
     count_calls,
 )
-from .regularization import plan_cc
+from .regularization import plan_cc, plan_scc
 
 
 @dataclass(frozen=True)
@@ -313,12 +314,11 @@ def split_bilinear(bp: BilinearProblem) -> Tuple[CompositeSaddleProblem, Smoothn
 
 @dataclass
 class QuadraticForm:
-    """Reduced objective ``x^T A x + b^T x + c`` with matrix-free A.
+    """Reduced objective ``x^T A x + b^T x`` with matrix-free A.
 
-    ``A = (kappa I + B B^T)/2`` is applied through one B and one B^T
-    product per call; the gradient convention is ``2 A x + b``.
-    ``recover_y`` maps an x-candidate to the exact inner maximizer of the
-    underlying saddle.
+    ``A = (kappa I + B B^T)/2``, applied through ``matvec`` and
+    ``rmatvec``.  ``recover_y`` maps an x-candidate to the exact inner
+    maximizer of the underlying saddle.
     """
 
     matvec: Callable
@@ -326,24 +326,14 @@ class QuadraticForm:
     kappa: float
     shift: float  # 1/eta_y + mu_q
     b: np.ndarray
-    c: float
     eta_y: float
     y_anchor: np.ndarray
     grad_q_anchor: np.ndarray
-
-    def apply_A(self, v: np.ndarray) -> np.ndarray:
-        return 0.5 * (self.kappa * v + self.matvec(self.rmatvec(v)))
-
-    def gradient(self, v: np.ndarray) -> np.ndarray:
-        return 2.0 * self.apply_A(v) + self.b
 
     def recover_y(self, x: np.ndarray, bt_x: Optional[np.ndarray] = None) -> np.ndarray:
         if bt_x is None:
             bt_x = self.rmatvec(x)
         return (bt_x - self.grad_q_anchor + self.y_anchor / self.eta_y) / self.shift
-
-    def value(self, v: np.ndarray) -> float:
-        return float(v @ self.apply_A(v) + self.b @ v + self.c)
 
 
 def eliminate_y(bp: BilinearProblem, aux: AuxiliaryProblem) -> QuadraticForm:
@@ -358,69 +348,17 @@ def eliminate_y(bp: BilinearProblem, aux: AuxiliaryProblem) -> QuadraticForm:
     eta_x, eta_y = aux.eta_x, aux.eta_y
     shift = 1.0 / eta_y + bp.mu_q
     kappa = (1.0 / eta_x + bp.mu_p) * shift
-    w = gq - y_k / eta_y
-    b = shift * (aux.grad_p_anchor - x_k / eta_x) - bp.coupling.matvec(w)
-    c = shift * (
-        float(x_k @ x_k) / (2.0 * eta_x) - float(y_k @ y_k) / (2.0 * eta_y)
-    ) + 0.5 * float(w @ w)
+    b = shift * (aux.grad_p_anchor - x_k / eta_x) - bp.coupling.matvec(gq - y_k / eta_y)
     return QuadraticForm(
         matvec=bp.coupling.matvec,
         rmatvec=bp.coupling.rmatvec,
         kappa=kappa,
         shift=shift,
         b=b,
-        c=c,
         eta_y=eta_y,
         y_anchor=y_k,
         grad_q_anchor=gq,
     )
-
-
-def _agd_loop(gradient_fn, mu_h, l_h, start, tol, max_iter):
-    """Nesterov's method for mu_h-strongly convex, l_h-smooth objectives.
-
-    Returns the first evaluation point whose gradient norm is <= tol, with
-    the number of update steps taken.
-    """
-    momentum = (math.sqrt(l_h) - math.sqrt(mu_h)) / (math.sqrt(l_h) + math.sqrt(mu_h))
-    x_prev = start.copy()
-    y_pt = start.copy()
-    for t in range(max_iter + 1):
-        g = gradient_fn(y_pt)
-        if np.linalg.norm(g) <= tol:
-            return y_pt, t
-        if t == max_iter:
-            break
-        x_new = y_pt - g / l_h
-        y_pt = x_new + momentum * (x_new - x_prev)
-        x_prev = x_new
-    raise BudgetExhausted(f"gradient tolerance unmet after {max_iter} iterations")
-
-
-def agd_quadratic(
-    qf: QuadraticForm,
-    mu_A: float,
-    L_A: float,
-    start: np.ndarray,
-    tol: float,
-    max_iter: int = 200_000,
-) -> np.ndarray:
-    """Minimize ``x^T A x + b^T x`` to gradient norm <= tol.
-
-    ``mu_A``/``L_A`` must bound the spectrum of A; the iteration count is
-    O(sqrt(L_A/mu_A) log(1/tol)) A-applications.
-    """
-    if not (0.0 < mu_A <= L_A):
-        raise NonPositiveInput(f"need 0 < mu_A <= L_A, got {mu_A}, {L_A}")
-    x, _ = _agd_loop(
-        qf.gradient,
-        mu_h=2.0 * mu_A,
-        l_h=2.0 * L_A,
-        start=np.asarray(start, dtype=float).copy(),
-        tol=tol,
-        max_iter=max_iter,
-    )
-    return x
 
 
 def make_bilinear_inner_solver(bp: BilinearProblem):
@@ -503,6 +441,38 @@ def solve_bilinear(
     )
 
 
+def _solve_regularized(
+    bp: BilinearProblem,
+    target: float,
+    x_reach: float,
+    y_reach: float,
+    max_outer: int,
+    inner: Optional[InnerConfig],
+) -> ConvergenceReport:
+    """Solve a regularized reduction's saddle from the origin.
+
+    ``target`` is the plain squared distance to reach; the outer loop
+    measures the step-weighted one, so it is scaled by
+    ``max(1, eta_x, eta_y)``.  ``x_reach`` and ``y_reach`` bound the norms
+    of the saddle's blocks and size the a priori potential bound, of which
+    only the logarithm matters.
+    """
+    _, spec = split_bilinear(bp)
+    tuning = tune_parameters(spec)
+    psi_0 = 2.0 * (
+        (1.0 / tuning.eta_x + spec.L_p / tuning.alpha) * (x_reach + 1.0) ** 2
+        + (1.0 / tuning.eta_y) * (y_reach + 1.0) ** 2
+    )
+    return solve_bilinear(
+        bp,
+        PointPair(np.zeros(bp.d_x), np.zeros(bp.d_y)),
+        target / max(1.0, tuning.eta_x, tuning.eta_y),
+        max_outer=max_outer,
+        psi_0=psi_0,
+        inner=inner,
+    )
+
+
 def solve_affine_constrained(
     grad_p: Callable,
     L_p: float,
@@ -512,21 +482,18 @@ def solve_affine_constrained(
     D_y: float,
     eps: float,
     *,
-    x0: Optional[np.ndarray] = None,
-    y0: Optional[np.ndarray] = None,
     max_outer: int = 100_000,
     inner: Optional[InnerConfig] = None,
-    track_inner_details: bool = False,
 ) -> ConvergenceReport:
     """Minimize p subject to ``B^T x = c`` through the regularized saddle.
 
-    The equivalent saddle ``min_x max_y p(x) + x^T B y - y^T c`` gets the
-    dual regularizer ``(eps/(16 D_y^2)) ||y||^2``; solving it to accuracy
-    2 eps / 3 certifies an eps-solution of the constrained problem.  The
-    solve target is additionally tightened to ``eps / (4 lambda_max(BB^T))``
-    so the constraint residual of the final primal lands below
-    ``sqrt(eps) (1 + ||c||)``.  ``D_y`` must bound the norm of some dual
-    solution.
+    The equivalent saddle ``min_x max_y p(x) + x^T B y - y^T c`` gets
+    `plan_scc`'s dual regularizer ``(eps/(12 D_y^2)) ||y||^2``; solving it
+    to accuracy 2 eps / 3 certifies an eps-solution of the constrained
+    problem.  The solve target is additionally tightened to
+    ``eps / (4 lambda_max(BB^T))`` so the constraint residual of the final
+    primal lands below ``sqrt(eps) (1 + ||c||)``.  ``D_y`` must bound the
+    norm of some dual solution.
 
     Raises
     ------
@@ -534,13 +501,11 @@ def solve_affine_constrained(
         If the final constraint residual exceeds ``sqrt(eps)(1 + ||c||)``,
         signalling c outside range(B^T) or an underestimated D_y.
     """
-    if not (0.0 < eps < math.inf and 0.0 < D_y < math.inf):
-        raise NonPositiveInput(f"eps={eps}, D_y={D_y} must be positive and finite")
+    plan = plan_scc(eps, D_y)
     if mu_p <= 0.0:
         raise NonPositiveModulus(f"mu_p={mu_p}")
     c = np.asarray(c, dtype=float)
-    coeff_y = eps / (16.0 * D_y**2)
-    mu_q = 2.0 * coeff_y
+    mu_q = 2.0 * plan.coeff_y
 
     def grad_q(y):
         return c + mu_q * y
@@ -554,35 +519,12 @@ def solve_affine_constrained(
         mu_q=mu_q,
         coupling=coupling,
     )
-    _, spec = split_bilinear(bp)
-    tuning = tune_parameters(spec)
-    target_unweighted = min(
-        2.0 * eps / 3.0, eps / (4.0 * max(1.0, coupling.lambda_max_BBt))
-    )
-    tau = target_unweighted / max(1.0, tuning.eta_x, tuning.eta_y)
-
-    x0 = np.zeros(coupling.d_x) if x0 is None else np.asarray(x0, dtype=float)
-    y0 = np.zeros(coupling.d_y) if y0 is None else np.asarray(y0, dtype=float)
-    # A priori potential bound; only its logarithm matters.  The saddle's
-    # x-block is within ||grad p(0)||/mu_p + sqrt(lambda_max) D_y / mu_p of
-    # the origin, its y-block within D_y.
+    # The saddle's x-block is within ||grad p(0)||/mu_p
+    # + sqrt(lambda_max) D_y / mu_p of the origin, its y-block within D_y.
     gp0 = np.linalg.norm(grad_p(np.zeros(coupling.d_x)))
     x_reach = gp0 / mu_p + math.sqrt(coupling.lambda_max_BBt) * D_y / mu_p
-    psi_0 = 2.0 * (
-        (1.0 / tuning.eta_x + spec.L_p / tuning.alpha)
-        * (np.linalg.norm(x0) + x_reach + 1.0) ** 2
-        + (1.0 / tuning.eta_y) * (np.linalg.norm(y0) + D_y + 1.0) ** 2
-    )
-
-    report = solve_bilinear(
-        bp,
-        PointPair(x0, y0),
-        tau,
-        max_outer=max_outer,
-        psi_0=psi_0,
-        inner=inner,
-        track_inner_details=track_inner_details,
-    )
+    target = min(plan.inner_target, eps / (4.0 * max(1.0, coupling.lambda_max_BBt)))
+    report = _solve_regularized(bp, target, x_reach, D_y, max_outer, inner)
     residual = float(np.linalg.norm(coupling.rmatvec(report.final_pair.x) - c))
     report.constraint_residual = residual
     if residual > math.sqrt(eps) * (1.0 + np.linalg.norm(c)):
@@ -602,8 +544,6 @@ def solve_bilinear_linear_composites(
     D_y: float,
     eps: float,
     *,
-    x0: Optional[np.ndarray] = None,
-    y0: Optional[np.ndarray] = None,
     max_outer: int = 100_000,
     inner: Optional[InnerConfig] = None,
 ) -> ConvergenceReport:
@@ -639,24 +579,7 @@ def solve_bilinear_linear_composites(
         mu_q=mu_q,
         coupling=coupling,
     )
-    _, spec = split_bilinear(bp)
-    tuning = tune_parameters(spec)
-    tau = plan.inner_target / max(1.0, tuning.eta_x, tuning.eta_y)
-
-    x0 = np.zeros(coupling.d_x) if x0 is None else np.asarray(x0, dtype=float)
-    y0 = np.zeros(coupling.d_y) if y0 is None else np.asarray(y0, dtype=float)
-    # Split composites are linear, so the Bregman terms of the potential
-    # vanish and the distance part is bounded through D_x, D_y.
     root = math.sqrt(eps)
-    psi_0 = 2.0 * (
-        (1.0 / tuning.eta_x) * (np.linalg.norm(x0) + D_x + root + 1.0) ** 2
-        + (1.0 / tuning.eta_y) * (np.linalg.norm(y0) + D_y + root + 1.0) ** 2
-    )
-    return solve_bilinear(
-        bp,
-        PointPair(x0, y0),
-        tau,
-        max_outer=max_outer,
-        psi_0=psi_0,
-        inner=inner,
+    return _solve_regularized(
+        bp, plan.inner_target, D_x + root, D_y + root, max_outer, inner
     )

@@ -5,6 +5,8 @@ small quadratic terms sized from the target accuracy and the solution
 norm bounds, so the strongly monotone solver applies; solving the wrapped
 problem to the plan's ``inner_target`` accuracy certifies an eps-solution
 of the original.  Accuracies here are in the plain squared-distance sense.
+The bilinear reductions run on these plans: `bilinear.solve_affine_constrained`
+on `plan_scc`, `bilinear.solve_bilinear_linear_composites` on `plan_cc`.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ def plan_scc(eps: float, D_y: float) -> RegularizationPlan:
     Only the dual gets a regularizer, ``eps/(12 D_y^2) ||y||^2``, and the
     wrapped problem must be solved to accuracy ``2 eps / 3``.  Raises
     NonPositiveInput unless ``eps`` and ``D_y`` are positive and finite.
+    `bilinear.solve_affine_constrained` takes its dual regularizer, its
+    accuracy target and this input check from here.
     """
     if not (0.0 < eps < math.inf and 0.0 < D_y < math.inf):
         raise NonPositiveInput(f"eps={eps}, D_y={D_y} must be positive and finite")
@@ -65,7 +69,7 @@ def plan_cc(eps: float, D_x: float, D_y: float) -> RegularizationPlan:
     Both blocks get ``eps/(16 D^2) ||.||^2`` regularizers and the wrapped
     problem must be solved to accuracy ``eps / 2``.  Raises
     NonPositiveInput unless ``eps``, ``D_x`` and ``D_y`` are positive and
-    finite.
+    finite.  `bilinear.solve_bilinear_linear_composites` runs on this plan.
     """
     if not all(0.0 < v < math.inf for v in (eps, D_x, D_y)):
         raise NonPositiveInput(
@@ -76,8 +80,8 @@ def plan_cc(eps: float, D_x: float, D_y: float) -> RegularizationPlan:
         D_x=D_x,
         D_y=D_y,
         eps=eps,
-        coeff_x=eps / (16.0 * D_x**2),
-        coeff_y=eps / (16.0 * D_y**2),
+        coeff_x=eps / 16.0 / D_x**2,
+        coeff_y=eps / 16.0 / D_y**2,
         inner_target=eps / 2.0,
     )
 

@@ -6,27 +6,39 @@ t steps makes 2t + 1 coupling calls, and a bilinear inner run makes one B
 product to build its linear term plus three B/B^T products per iterate it
 checks, t + 1 of them: two for the start's residual or for the
 conjugate-gradient step that reached the iterate, one for the acceptance
-check.
+check.  The two regularized reductions make only a fixed few oracle calls
+outside those tallies.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saddleslide import (
+    BilinearProblem,
+    OracleCounters,
     PointPair,
     SolveConfig,
     initial_potential,
+    plan_scc,
     solve,
     solve_affine_constrained,
     solve_bilinear,
+    solve_bilinear_linear_composites,
+    split_bilinear,
+    tune_parameters,
 )
 from saddleslide.bench.generators import (
     gen_bilinear,
     gen_consensus,
+    gen_linear_bilinear,
     gen_quadratic_spp,
     reference_solution,
 )
+from saddleslide.problems import count_calls
 
 SETTINGS = settings(max_examples=20, deadline=None)
 dims = st.integers(min_value=1, max_value=4)
@@ -112,3 +124,63 @@ def test_consensus_path_identities(n_nodes, topology, seed):
     assert c.calls_grad_R == 4 * c.outer_iterations + 3 * c.inner_iterations
     x_ref = reference_solution(inst).x
     assert np.sum((report.final_pair.x - x_ref) ** 2) <= eps
+
+
+def _counted_coupling(op, counters):
+    return dataclasses.replace(
+        op,
+        matvec=count_calls(op.matvec, counters, "calls_grad_R"),
+        rmatvec=count_calls(op.rmatvec, counters, "calls_grad_R"),
+    )
+
+
+def test_affine_reduction_runs_on_the_scc_plan():
+    eps = 1e-6
+    inst = gen_consensus(6, "ring", 1.0, 4.0, seed=3)
+    grad, _ = inst.local_objective()
+    consts, coupling = inst.constants, inst.coupling()
+    report = solve_affine_constrained(
+        grad_p=grad, L_p=consts["local_L"], mu_p=consts["local_mu"],
+        coupling=coupling, c=inst.arrays["c"], D_y=consts["D_y"], eps=eps,
+    )
+    mu_q = 2.0 * plan_scc(eps, consts["D_y"]).coeff_y
+    bp = BilinearProblem(
+        grad_p=grad, grad_q=lambda y: y, L_p=consts["local_L"],
+        mu_p=consts["local_mu"], L_q=mu_q, mu_q=mu_q, coupling=coupling,
+    )
+    assert report.tuning == tune_parameters(split_bilinear(bp)[1])
+
+
+@pytest.mark.parametrize("topology", ["ring", "path"])
+def test_affine_reduction_uncounted_calls(topology):
+    # One grad_p(0) sizes the potential bound and one B^T product checks
+    # the constraint residual; neither lands in the report's tallies.
+    inst = gen_consensus(8, topology, 1.0, 4.0, seed=1)
+    grad, _ = inst.local_objective()
+    mine = OracleCounters()
+    report = solve_affine_constrained(
+        grad_p=count_calls(grad, mine, "calls_grad_p"),
+        L_p=inst.constants["local_L"],
+        mu_p=inst.constants["local_mu"],
+        coupling=_counted_coupling(inst.coupling(), mine),
+        c=inst.arrays["c"],
+        D_y=inst.constants["D_y"],
+        eps=1e-6,
+    )
+    assert mine.calls_grad_p == report.counters.calls_grad_p + 1
+    assert mine.calls_grad_R == report.counters.calls_grad_R + 1
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_linear_reduction_counts_every_product(seed):
+    inst = gen_linear_bilinear(8, seed)
+    mine = OracleCounters()
+    report = solve_bilinear_linear_composites(
+        d=inst.arrays["d"],
+        c=inst.arrays["c"],
+        coupling=_counted_coupling(inst.coupling(), mine),
+        D_x=inst.constants["D_x"],
+        D_y=inst.constants["D_y"],
+        eps=1e-3,
+    )
+    assert mine.calls_grad_R == report.counters.calls_grad_R > 0

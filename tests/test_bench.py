@@ -206,6 +206,15 @@ class TestAgdJointBaseline:
         assert c.calls_grad_p == c.calls_grad_q > c.outer_iterations
         assert c.calls_grad_R == 2 * c.calls_grad_p
 
+    def test_budget_exhaustion_raises_with_report(self):
+        # Two steps evaluate three reduced gradients, far from 1e-8.
+        inst = gen_bilinear(6, 5, 4.0, 1.0, 3.0, 0.5, 2.0, seed=2)
+        with pytest.raises(BudgetExhausted) as info:
+            agd_joint_baseline(inst, eps=1e-8, max_iter=2)
+        counters = info.value.report.counters
+        assert counters.outer_iterations == 2
+        assert counters.calls_grad_p == 3
+
 
 class TestMatio:
     def test_matrix_round_trip_is_bitwise(self, tmp_path, rng):

@@ -11,7 +11,6 @@ from saddleslide import (
     CouplingOperator,
     InnerConfig,
     PointPair,
-    agd_quadratic,
     eliminate_y,
     estimate_spectral_bounds,
     initial_potential,
@@ -26,7 +25,6 @@ from saddleslide import (
 )
 from saddleslide.bilinear import _cg_iterates
 from saddleslide.errors import (
-    BudgetExhausted,
     DivergenceDetected,
     InconsistentConstants,
     InfeasibleTarget,
@@ -127,6 +125,11 @@ def _aux(bp, gp, gq, x_k, y_k, tuning):
     return AuxiliaryProblem(coupled.grad_R, gp, gq, x_k, y_k, tuning.eta_x, tuning.eta_y)
 
 
+def _dense_minimizer(qf, B):
+    # The reduced gradient (kappa I + B B^T) x + b vanishes here.
+    return np.linalg.solve(qf.kappa * np.eye(B.shape[0]) + B @ B.T, -qf.b)
+
+
 class TestEliminateY:
     def test_unit_example_matches_display(self):
         # 1-d with unit steps and moduli and B = [1]: the quadratic
@@ -139,7 +142,8 @@ class TestEliminateY:
         tuning = SolverTuning(alpha=1.0, eta_x=1.0, eta_y=1.0, branch=X_DOMINANT)
         aux = _aux(bp, np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), tuning)
         qf = eliminate_y(bp, aux)
-        assert qf.apply_A(np.ones(1))[0] == pytest.approx(2.5)
+        one = np.ones(1)
+        assert 0.5 * (qf.kappa * one + qf.matvec(qf.rmatvec(one)))[0] == pytest.approx(2.5)
 
     def test_zero_data_gives_zero_saddle(self):
         bp = BilinearProblem(
@@ -151,7 +155,7 @@ class TestEliminateY:
         aux = _aux(bp, np.zeros(1), np.zeros(2), np.zeros(1), np.zeros(2), tuning)
         qf = eliminate_y(bp, aux)
         assert np.all(qf.b == 0.0)
-        x_hat = agd_quadratic(qf, 1.0, 5.0, np.ones(1), tol=1e-12)
+        x_hat = _dense_minimizer(qf, np.array([[1.0, 0.5]]))
         assert np.linalg.norm(x_hat) <= 1e-10
         assert np.linalg.norm(qf.recover_y(x_hat)) <= 1e-10
 
@@ -163,11 +167,7 @@ class TestEliminateY:
         x_k = rng.standard_normal(3)
         y_k = rng.standard_normal(2)
         qf = eliminate_y(bp, _aux(bp, gp, gq, x_k, y_k, tuning))
-        lam = np.linalg.eigvalsh(data["B"] @ data["B"].T)
-        x_hat = agd_quadratic(
-            qf, 0.5 * (qf.kappa + max(lam[0], 0.0)), 0.5 * (qf.kappa + lam[-1]),
-            x_k.copy(), tol=1e-13,
-        )
+        x_hat = _dense_minimizer(qf, data["B"])
         y_hat = qf.recover_y(x_hat)
         x_ref, y_ref = _aux_saddle_direct(data, bp, gp, gq, x_k, y_k, tuning)
         assert np.linalg.norm(x_hat - x_ref) <= 1e-10
@@ -189,30 +189,13 @@ class TestEliminateY:
             x_k = rng.standard_normal(d_x)
             y_k = rng.standard_normal(d_y)
             qf = eliminate_y(bp, _aux(bp, gp, gq, x_k, y_k, tuning))
-            lam = np.linalg.eigvalsh(data["B"] @ data["B"].T)
-            x_hat = agd_quadratic(
-                qf, 0.5 * (qf.kappa + max(lam[0], 0.0)), 0.5 * (qf.kappa + lam[-1]),
-                x_k.copy(), tol=1e-12,
-            )
+            x_hat = _dense_minimizer(qf, data["B"])
             y_hat = qf.recover_y(x_hat)
             x_ref, y_ref = _aux_saddle_direct(data, bp, gp, gq, x_k, y_k, tuning)
             err = max(
                 np.linalg.norm(x_hat - x_ref), np.linalg.norm(y_hat - y_ref)
             )
             assert err <= 1e-8, f"trial {trial}: {err}"
-
-    def test_spectral_sandwich(self, rng):
-        bp, data, _ = _random_bilinear(rng, 5, 3, sigma=3.0)
-        tuning = tune_parameters(split_bilinear(bp)[1])
-        aux = _aux(bp, np.zeros(5), np.zeros(3), np.zeros(5), np.zeros(3), tuning)
-        qf = eliminate_y(bp, aux)
-        dense_A = np.column_stack([qf.apply_A(e) for e in np.eye(5)])
-        eigs = np.linalg.eigvalsh(0.5 * (dense_A + dense_A.T))
-        lam = np.linalg.eigvalsh(data["B"] @ data["B"].T)
-        lo = 0.5 * (qf.kappa + max(lam[0], 0.0))
-        hi = 0.5 * (qf.kappa + lam[-1])
-        assert eigs[0] >= lo * (1 - 1e-6)
-        assert eigs[-1] <= hi * (1 + 1e-6)
 
     def test_matvec_counts_per_apply(self, rng):
         bp, _, _ = _random_bilinear(rng, 3, 2)
@@ -222,63 +205,8 @@ class TestEliminateY:
         aux = _aux(wrapped, np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(2), tuning)
         qf = eliminate_y(wrapped, aux)
         assert counters.calls_grad_R == before + 1  # one product to build b
-        qf.apply_A(np.ones(3))
+        qf.matvec(qf.rmatvec(np.ones(3)))
         assert counters.calls_grad_R == before + 3  # plus B^T and B
-
-
-class TestAgdQuadratic:
-    def _simple_qf(self, B, kappa, b):
-        coupling = CouplingOperator.from_dense(B)
-        return __import__("saddleslide").QuadraticForm(
-            matvec=coupling.matvec,
-            rmatvec=coupling.rmatvec,
-            kappa=kappa,
-            shift=1.0,
-            b=np.asarray(b, float),
-            c=0.0,
-            eta_y=1.0,
-            y_anchor=np.zeros(B.shape[1]),
-            grad_q_anchor=np.zeros(B.shape[1]),
-        )
-
-    def test_zero_linear_term(self, rng):
-        B = rng.standard_normal((4, 4))
-        qf = self._simple_qf(B, kappa=2.0, b=np.zeros(4))
-        lam = np.linalg.eigvalsh(B @ B.T)
-        x = agd_quadratic(qf, 0.5 * (2 + max(lam[0], 0)), 0.5 * (2 + lam[-1]),
-                          rng.standard_normal(4), tol=1e-12)
-        assert np.linalg.norm(x) <= 1e-10
-
-    def test_one_dimensional_minimizer(self):
-        # A = I (kappa=1, B=[1] gives A = (1 + 1)/2 = 1), b = -2: the
-        # gradient 2x - 2 vanishes at x = 1.
-        qf = self._simple_qf(np.array([[1.0]]), kappa=1.0, b=np.array([-2.0]))
-        x = agd_quadratic(qf, 1.0, 1.0, np.zeros(1), tol=1e-12)
-        assert x[0] == pytest.approx(1.0, abs=1e-10)
-
-    def test_matches_dense_solve(self, rng):
-        B = rng.standard_normal((5, 5))
-        b = rng.standard_normal(5)
-        qf = self._simple_qf(B, kappa=1.3, b=b)
-        lam = np.linalg.eigvalsh(B @ B.T)
-        x = agd_quadratic(qf, 0.5 * (1.3 + max(lam[0], 0)), 0.5 * (1.3 + lam[-1]),
-                          np.zeros(5), tol=1e-12)
-        dense_hessian = 1.3 * np.eye(5) + B @ B.T
-        x_ref = np.linalg.solve(dense_hessian, -b)
-        assert np.linalg.norm(x - x_ref) <= 1e-9
-
-    def test_budget_exhausted(self, rng):
-        B = rng.standard_normal((4, 4))
-        qf = self._simple_qf(B, kappa=0.01, b=rng.standard_normal(4))
-        lam = np.linalg.eigvalsh(B @ B.T)
-        with pytest.raises(BudgetExhausted):
-            agd_quadratic(qf, 0.5 * (0.01 + max(lam[0], 0)), 0.5 * (0.01 + lam[-1]),
-                          np.zeros(4), tol=1e-14, max_iter=2)
-
-    def test_validates_spectrum_bounds(self):
-        qf = self._simple_qf(np.array([[1.0]]), kappa=1.0, b=np.array([1.0]))
-        with pytest.raises(NonPositiveInput):
-            agd_quadratic(qf, 0.0, 1.0, np.zeros(1), tol=1e-8)
 
 
 class TestSolveBilinear:
