@@ -137,6 +137,11 @@ class Instance:
 
     @classmethod
     def load(cls, manifest_path, verify: bool = True) -> "Instance":
+        """Read a saved instance; its arrays come back read-only.
+
+        Grid cells share one loaded instance across threads, so an in-place
+        write raises ValueError instead of corrupting another cell.
+        """
         manifest_path = Path(manifest_path)
         manifest = matio.load_manifest(manifest_path)
         arrays = {}
@@ -144,6 +149,7 @@ class Instance:
             arr = matio.read_matrix(manifest_path.parent / rel)
             if name not in _MATRIX_NAMES:
                 arr = arr.ravel()
+            arr.flags.writeable = False
             arrays[name] = arr
         inst = cls(manifest=manifest, arrays=arrays)
         if verify:

@@ -13,10 +13,13 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
+import threading
 import time
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import List, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -171,10 +174,19 @@ def _eg_run(
 
 
 def run_single(
-    inst: Instance, solver: str, eps: float, max_outer: int = 200_000
+    inst: Instance,
+    solver: str,
+    eps: float,
+    max_outer: int = 200_000,
+    reference: Optional[PointPair] = None,
 ) -> RunReport:
-    """Execute one (instance, solver, eps) cell and measure it."""
-    reference = reference_solution(inst)
+    """Execute one (instance, solver, eps) cell and measure it.
+
+    ``reference`` is the instance's KKT reference when the caller has
+    already solved it; otherwise it is solved here.
+    """
+    if reference is None:
+        reference = reference_solution(inst)
     started = time.perf_counter()
     if solver == SOLVER_SLIDING:
         report = _sliding_run(inst, eps, max_outer, reference)
@@ -231,6 +243,38 @@ def _expand_grid(config: dict) -> List[dict]:
     return runs
 
 
+class _PreparedManifests:
+    """Each manifest of a grid loaded, verified and KKT-solved once.
+
+    The first cell to need a manifest prepares it under that manifest's
+    lock while its other cells wait.  A failed preparation is not kept, so
+    every cell of that manifest raises the same error, as it would alone.
+    The entry is dropped when the manifest's last cell finishes, so about
+    ``parallel`` instances are alive at a time.
+    """
+
+    def __init__(self, runs: List[dict]):
+        self._cells_left = Counter(r["manifest"] for r in runs)
+        self._locks = {m: threading.Lock() for m in self._cells_left}
+        self._entries = {}  # manifest -> (instance, KKT reference)
+        self._count_lock = threading.Lock()
+
+    @contextmanager
+    def use(self, manifest: str):
+        try:
+            with self._locks[manifest]:
+                if manifest not in self._entries:
+                    inst = Instance.load(manifest)
+                    self._entries[manifest] = (inst, reference_solution(inst))
+                entry = self._entries[manifest]
+            yield entry
+        finally:
+            with self._count_lock:
+                self._cells_left[manifest] -= 1
+                if not self._cells_left[manifest]:
+                    self._entries.pop(manifest, None)
+
+
 def run_experiment(
     config: Union[dict, str, Path],
     out_dir: Union[str, Path],
@@ -238,9 +282,12 @@ def run_experiment(
 ) -> List[RunReport]:
     """Execute a config grid; write one JSON per run and an aggregate CSV.
 
-    Runs are independent and may execute concurrently up to ``parallel``;
-    all output is written serially afterwards in grid order, so the CSV
-    byte stream is deterministic for a fixed config (apart from wall_ms).
+    Each distinct manifest is loaded, verified and solved for its KKT
+    reference once; its cells share the instance.  Runs are independent and
+    may execute concurrently up to ``parallel`` threads; all output is
+    written serially afterwards in grid order, so the CSV byte stream is
+    deterministic for a fixed config (apart from wall_ms).  ``run_*.json``
+    files in ``out_dir`` that this call did not write are removed.
     """
     if not isinstance(config, dict):
         with open(config) as fh:
@@ -250,11 +297,17 @@ def run_experiment(
     runs = _expand_grid(config)
     max_outer = int(config.get("max_outer", 200_000))
 
+    prepared = _PreparedManifests(runs)
+
     def execute(run_spec):
-        inst = Instance.load(run_spec["manifest"])
-        return run_single(
-            inst, run_spec["solver"], float(run_spec["eps"]), max_outer=max_outer
-        )
+        with prepared.use(run_spec["manifest"]) as (inst, reference):
+            return run_single(
+                inst,
+                run_spec["solver"],
+                float(run_spec["eps"]),
+                max_outer=max_outer,
+                reference=reference,
+            )
 
     if parallel > 1 and len(runs) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=parallel) as pool:
@@ -262,8 +315,10 @@ def run_experiment(
     else:
         reports = [execute(r) for r in runs]
 
-    for i, report in enumerate(reports):
-        path = out_dir / f"run_{i:04d}.json"
+    paths = [out_dir / f"run_{i:04d}.json" for i in range(len(reports))]
+    for stale in set(out_dir.glob("run_*.json")).difference(paths):
+        stale.unlink()
+    for path, report in zip(paths, reports):
         with open(path, "w") as fh:
             json.dump(asdict(report), fh, indent=2, sort_keys=True)
             fh.write("\n")

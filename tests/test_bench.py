@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from saddleslide.bench import (
     run_single,
     verify_instance,
 )
-from saddleslide.bench import matio
+from saddleslide.bench import matio, runner
 from saddleslide.bench.baselines import agd_joint_baseline
 from saddleslide.bench.cli import main
 from saddleslide.errors import (
@@ -254,6 +255,15 @@ class TestInstanceRoundTrip:
             assert np.array_equal(inst.arrays[key], loaded.arrays[key])
         assert loaded.instance_id == inst.instance_id
 
+    def test_loaded_arrays_are_read_only(self, tmp_path):
+        inst = gen_quadratic_spp(4, 3, 3.0, 1.0, 2.0, 1.0, 5.0, seed=11)
+        loaded = Instance.load(inst.save(tmp_path / "inst"))
+        for name, arr in loaded.arrays.items():
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+            with pytest.raises(ValueError):
+                arr += 1.0
+
     def test_verification_catches_tampered_constants(self, tmp_path):
         inst = gen_quadratic_spp(4, 3, 3.0, 1.0, 2.0, 1.0, 5.0, seed=11)
         inst.manifest["constants"]["L_p"] = 30.0
@@ -334,6 +344,70 @@ class TestRunExperiment:
         d2 = determinism_digest((tmp_path / "b" / "aggregate.csv").read_text())
         assert d1 == d2
         assert len(r1) == len(r2) == 6
+
+    @pytest.mark.parametrize("parallel", [1, 3])
+    def test_each_manifest_prepared_once(self, tmp_path, monkeypatch, parallel):
+        manifests = [
+            str(gen_quadratic_spp(4, 4, 3.0, 1.0, 2.0, 1.0, 5.0, seed=s)
+                .save(tmp_path / f"inst{s}"))
+            for s in (2, 3)
+        ]
+        config = {"instances": manifests, "solvers": ["sliding", "eg"],
+                  "eps": [1e-6, 1e-8]}
+
+        def without_wall(row):
+            fields = asdict(row)
+            del fields["wall_ms"]
+            return fields
+
+        fresh = [
+            without_wall(run_single(Instance.load(m), solver, eps))
+            for m in manifests for solver in config["solvers"] for eps in config["eps"]
+        ]
+
+        loads, references = [], []
+        load, reference = Instance.load, runner.reference_solution
+
+        def counting_load(cls, path, verify=True):
+            loads.append(path)
+            return load(path, verify)
+
+        def counting_reference(inst):
+            references.append(inst.instance_id)
+            return reference(inst)
+
+        monkeypatch.setattr(Instance, "load", classmethod(counting_load))
+        monkeypatch.setattr(runner, "reference_solution", counting_reference)
+        reports = run_experiment(config, tmp_path / "out", parallel=parallel)
+        assert sorted(loads) == manifests
+        assert sorted(references) == ["quadratic-spp-d4x4-seed2", "quadratic-spp-d4x4-seed3"]
+        assert [without_wall(r) for r in reports] == fresh
+
+    @pytest.mark.parametrize("parallel", [1, 3])
+    def test_tampered_manifest_raises(self, tmp_path, parallel):
+        good = gen_quadratic_spp(4, 4, 3.0, 1.0, 2.0, 1.0, 5.0, seed=2)
+        bad = gen_quadratic_spp(4, 4, 3.0, 1.0, 2.0, 1.0, 5.0, seed=3)
+        bad.manifest["constants"]["L_p"] = 30.0
+        config = {
+            "instances": [str(good.save(tmp_path / "good")), str(bad.save(tmp_path / "bad"))],
+            "solvers": ["sliding", "eg"],
+            "eps": [1e-6],
+        }
+        with pytest.raises(ManifestError, match="L_p"):
+            run_experiment(config, tmp_path / "out", parallel=parallel)
+
+    def test_stale_run_files_removed(self, tmp_path, capsys):
+        manifest = str(gen_quadratic_spp(4, 4, 3.0, 1.0, 2.0, 1.0, 5.0, seed=2)
+                       .save(tmp_path / "inst"))
+        out = tmp_path / "out"
+        run_experiment({"instances": [manifest], "solvers": ["sliding", "eg", "agd-joint"],
+                        "eps": [1e-6]}, out)
+        run_experiment({"instances": [manifest], "solvers": ["sliding"],
+                        "eps": [1e-4]}, out)
+        assert sorted(p.name for p in out.glob("run_*.json")) == ["run_0000.json"]
+        assert main(["report", "--out", str(out)]) == 0
+        lines = (out / "aggregate.csv").read_text().strip().splitlines()
+        assert len(lines) == 2 and ",sliding,0.0001," in lines[1]
 
     def test_coupling_sweep_separates_counts(self, tmp_path):
         manifests = []
