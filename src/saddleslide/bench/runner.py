@@ -109,21 +109,33 @@ class RunReport:
 
 
 def _sliding_run(
-    inst: Instance, eps: float, max_outer: int, reference: PointPair
+    inst: Instance,
+    eps: float,
+    max_outer: int,
+    reference: PointPair,
+    use_residual_stop: bool,
 ) -> ConvergenceReport:
+    # The SCSC routes size their planned budget, the cap of a certified
+    # run, from the reference's initial potential.
     if inst.kind == KIND_QUADRATIC:
         problem = inst.problem()
         spec = inst.spec()
         start = PointPair(np.zeros(problem.d_x), np.zeros(problem.d_y))
         psi_0 = initial_potential(problem, spec, start, reference)
-        config = SolveConfig(eps=eps, max_outer=max_outer, psi_0=psi_0)
+        config = SolveConfig(
+            eps=eps, max_outer=max_outer, psi_0=psi_0,
+            use_residual_stop=use_residual_stop,
+        )
         return solve(problem, spec, start, config)
     if inst.kind == KIND_BILINEAR:
         bp = inst.bilinear_problem()
         start = PointPair(np.zeros(bp.d_x), np.zeros(bp.d_y))
         composite, spec = split_bilinear(bp)
         psi_0 = initial_potential(composite, spec, start, reference)
-        return solve_bilinear(bp, start, eps, max_outer=max_outer, psi_0=psi_0)
+        return solve_bilinear(
+            bp, start, eps, max_outer=max_outer, psi_0=psi_0,
+            use_residual_stop=use_residual_stop,
+        )
     if inst.kind == KIND_CONSENSUS:
         grad, _ = inst.local_objective()
         return solve_affine_constrained(
@@ -135,6 +147,7 @@ def _sliding_run(
             D_y=inst.constants["D_y"],
             eps=eps,
             max_outer=max_outer,
+            use_residual_stop=use_residual_stop,
         )
     if inst.kind == KIND_LINEAR_BILINEAR:
         return solve_bilinear_linear_composites(
@@ -145,6 +158,7 @@ def _sliding_run(
             D_y=inst.constants["D_y"],
             eps=eps,
             max_outer=max_outer,
+            use_residual_stop=use_residual_stop,
         )
     raise ManifestError(f"no sliding route for kind {inst.kind!r}")
 
@@ -179,17 +193,21 @@ def run_single(
     eps: float,
     max_outer: int = 200_000,
     reference: Optional[PointPair] = None,
+    use_residual_stop: bool = True,
 ) -> RunReport:
     """Execute one (instance, solver, eps) cell and measure it.
 
     ``reference`` is the instance's KKT reference when the caller has
-    already solved it; otherwise it is solved here.
+    already solved it; otherwise it is solved here.  A sliding run stops
+    ``residual-met`` once its certificate proves its route's target, with
+    the planned budget as its cap; ``use_residual_stop=False`` runs the
+    whole planned budget.  The baselines ignore it.
     """
     if reference is None:
         reference = reference_solution(inst)
     started = time.perf_counter()
     if solver == SOLVER_SLIDING:
-        report = _sliding_run(inst, eps, max_outer, reference)
+        report = _sliding_run(inst, eps, max_outer, reference, use_residual_stop)
     elif solver == SOLVER_EG:
         report = _eg_run(inst, eps, max_outer, reference)
     elif solver == SOLVER_AGD_JOINT:
@@ -283,7 +301,9 @@ def run_experiment(
     """Execute a config grid; write one JSON per run and an aggregate CSV.
 
     Each distinct manifest is loaded, verified and solved for its KKT
-    reference once; its cells share the instance.  Runs are independent and
+    reference once; its cells share the instance.  A config's
+    ``"use_residual_stop": false`` makes its sliding cells run the whole
+    planned budget (see `run_single`).  Runs are independent and
     may execute concurrently up to ``parallel`` threads; all output is
     written serially afterwards in grid order, so the CSV byte stream is
     deterministic for a fixed config (apart from wall_ms).  ``run_*.json``
@@ -296,6 +316,7 @@ def run_experiment(
     out_dir.mkdir(parents=True, exist_ok=True)
     runs = _expand_grid(config)
     max_outer = int(config.get("max_outer", 200_000))
+    use_residual_stop = bool(config.get("use_residual_stop", True))
 
     prepared = _PreparedManifests(runs)
 
@@ -307,6 +328,7 @@ def run_experiment(
                 float(run_spec["eps"]),
                 max_outer=max_outer,
                 reference=reference,
+                use_residual_stop=use_residual_stop,
             )
 
     if parallel > 1 and len(runs) > 1:

@@ -417,7 +417,8 @@ def solve_bilinear(
 
     Splits the composites, then runs the outer loop with the
     elimination-plus-CG inner solver.  ``counters.calls_grad_R`` in the
-    report counts individual B/B^T products.
+    report counts individual B/B^T products.  ``use_residual_stop`` is
+    `SolveConfig`'s: stop once the weighted target is certified.
     """
     wrapped, counters = wrap_counting_bilinear(bp)
     composite, spec = split_bilinear(bp)
@@ -448,6 +449,7 @@ def _solve_regularized(
     y_reach: float,
     max_outer: int,
     inner: Optional[InnerConfig],
+    use_residual_stop: bool,
 ) -> ConvergenceReport:
     """Solve a regularized reduction's saddle from the origin.
 
@@ -455,7 +457,8 @@ def _solve_regularized(
     measures the step-weighted one, so it is scaled by
     ``max(1, eta_x, eta_y)``.  ``x_reach`` and ``y_reach`` bound the norms
     of the saddle's blocks and size the a priori potential bound, of which
-    only the logarithm matters.
+    only the logarithm matters.  ``use_residual_stop`` ends the run early
+    once the outer loop's certificate proves that scaled target.
     """
     _, spec = split_bilinear(bp)
     tuning = tune_parameters(spec)
@@ -470,6 +473,7 @@ def _solve_regularized(
         max_outer=max_outer,
         psi_0=psi_0,
         inner=inner,
+        use_residual_stop=use_residual_stop,
     )
 
 
@@ -484,6 +488,7 @@ def solve_affine_constrained(
     *,
     max_outer: int = 100_000,
     inner: Optional[InnerConfig] = None,
+    use_residual_stop: bool = False,
 ) -> ConvergenceReport:
     """Minimize p subject to ``B^T x = c`` through the regularized saddle.
 
@@ -494,6 +499,9 @@ def solve_affine_constrained(
     ``eps / (4 lambda_max(BB^T))`` so the constraint residual of the final
     primal lands below ``sqrt(eps) (1 + ||c||)``.  ``D_y`` must bound the
     norm of some dual solution.
+
+    ``use_residual_stop`` ends the solve once the outer loop certifies its
+    target; the planned budget stays the cap.
 
     Raises
     ------
@@ -524,7 +532,9 @@ def solve_affine_constrained(
     gp0 = np.linalg.norm(grad_p(np.zeros(coupling.d_x)))
     x_reach = gp0 / mu_p + math.sqrt(coupling.lambda_max_BBt) * D_y / mu_p
     target = min(plan.inner_target, eps / (4.0 * max(1.0, coupling.lambda_max_BBt)))
-    report = _solve_regularized(bp, target, x_reach, D_y, max_outer, inner)
+    report = _solve_regularized(
+        bp, target, x_reach, D_y, max_outer, inner, use_residual_stop
+    )
     residual = float(np.linalg.norm(coupling.rmatvec(report.final_pair.x) - c))
     report.constraint_residual = residual
     if residual > math.sqrt(eps) * (1.0 + np.linalg.norm(c)):
@@ -546,6 +556,7 @@ def solve_bilinear_linear_composites(
     *,
     max_outer: int = 100_000,
     inner: Optional[InnerConfig] = None,
+    use_residual_stop: bool = False,
 ) -> ConvergenceReport:
     """Solve ``min_x max_y x^T d + x^T B y - y^T c`` by double regularization.
 
@@ -558,7 +569,8 @@ def solve_bilinear_linear_composites(
     Since both step sizes scale like ``D^2/eps``, recovering the dual from
     ``B^T x`` loses roughly ``eps/(16 D^2)`` relative precision; in float64
     the reduction is reliable down to ``eps/D^2`` around 1e-5 and degrades
-    below that.
+    below that.  ``use_residual_stop`` ends the solve once the outer loop
+    certifies the eps/2 target; the planned budget stays the cap.
     """
     plan = plan_cc(eps, D_x, D_y)
     if coupling.lambda_min_BBt <= 0.0:
@@ -581,5 +593,6 @@ def solve_bilinear_linear_composites(
     )
     root = math.sqrt(eps)
     return _solve_regularized(
-        bp, plan.inner_target, D_x + root, D_y + root, max_outer, inner
+        bp, plan.inner_target, D_x + root, D_y + root, max_outer, inner,
+        use_residual_stop,
     )

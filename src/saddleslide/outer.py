@@ -170,9 +170,9 @@ class SolveConfig:
     ``required_outer_iterations`` from ``psi_0`` when a positive bound is
     supplied or computable (known solution plus value oracles), capped by
     ``max_outer``; otherwise it is ``max_outer``.  ``use_residual_stop``
-    enables an optional early stop from a computable upper bound on the
-    joint gradient residual (sufficient for eps/4 unweighted accuracy under
-    strong monotonicity); it costs no extra oracle calls.
+    stops the run, within that budget, once a computable bound certifies
+    the weighted squared distance ``eps`` at the accepted inner pair (see
+    `solve`); it costs no extra oracle calls.
     """
 
     eps: float
@@ -273,6 +273,20 @@ def solve(
     the one the main update needs.  Composite gradients and inner results
     of the wrong shape raise DimensionMismatch.
 
+    With ``config.use_residual_stop`` the run ends ``residual-met`` at the
+    accepted pair ``z = (x_hat, y_hat)`` once bounds ``b_x >= ||F_x(z)||``,
+    ``b_y >= ||F_y(z)||`` on the saddle operator ``F = (grad_x f, -grad_y f)``
+    certify the weighted target.  Strong monotonicity with ``F(z*) = 0``
+    and Cauchy-Schwarz plus Young give
+
+        mu_x ||dx||^2 + mu_y ||dy||^2 <= <F(z), z - z*>
+                                      <= b_x^2 / mu_x + b_y^2 / mu_y,
+
+    and weighing block i by ``1/(eta_i mu_i)`` bounds the weighted squared
+    distance ``||dx||^2/eta_x + ||dy||^2/eta_y`` by
+    ``max(1/(eta_x mu_x), 1/(eta_y mu_y)) (b_x^2/mu_x + b_y^2/mu_y)``; the
+    run stops once that is at most ``eps``.
+
     ``problem`` is wrapped here for counting; potential tracking uses it
     unwrapped, so diagnostics never perturb the tallies.
 
@@ -337,8 +351,7 @@ def solve(
 
     alpha = tuning.alpha
     eta_x, eta_y = tuning.eta_x, tuning.eta_y
-    mu_min = min(spec.mu_x, spec.mu_y)
-    residual_threshold = mu_min * mu_min * config.eps / 4.0
+    weight = max(1.0 / (eta_x * spec.mu_x), 1.0 / (eta_y * spec.mu_y))
 
     for k in range(planned):
         if alpha == 1.0:
@@ -427,7 +440,7 @@ def solve(
             ry = -g_y - (y_hat - aux.y_k) / eta_y
             bx = np.linalg.norm(rx) + spec.L_p * np.linalg.norm(x_hat - xg)
             by = np.linalg.norm(ry) + spec.L_q * np.linalg.norm(y_hat - yg)
-            if bx * bx + by * by <= residual_threshold:
+            if weight * (bx * bx / spec.mu_x + by * by / spec.mu_y) <= config.eps:
                 report.final_pair = PointPair(x_hat, y_hat)
                 report.termination = TERMINATION_RESIDUAL
                 return report

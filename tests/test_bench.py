@@ -414,11 +414,12 @@ class TestRunExperiment:
         for L_R in [2.0, 20.0]:
             inst = gen_quadratic_spp(6, 6, 4.0, 1.0, 4.0, 1.0, L_R, seed=13)
             manifests.append(str(inst.save(tmp_path / f"lr{int(L_R)}")))
-        config = {"instances": manifests, "solvers": ["sliding"], "eps": [1e-6]}
+        config = {"instances": manifests, "solvers": ["sliding"], "eps": [1e-6],
+                  "use_residual_stop": False}
         reports = run_experiment(config, tmp_path / "out")
         # Coupling calls grow with the coupling constant while composite
         # calls stay flat (up to the tiny budget change from the per-instance
-        # potential bound).
+        # potential bound) over the whole planned budget.
         assert reports[1].calls_grad_R > reports[0].calls_grad_R
         assert abs(reports[1].calls_grad_p - reports[0].calls_grad_p) <= max(
             3, 0.1 * reports[0].calls_grad_p
@@ -449,6 +450,29 @@ class TestRunSingle:
         inst = gen_linear_bilinear(8, seed=3)
         with pytest.raises(DivergenceDetected):
             run_single(inst, "sliding", 1e-8)
+
+    @pytest.mark.parametrize("make, eps, distance", [
+        (lambda: gen_quadratic_spp(10, 10, 100.0, 1.0, 100.0, 1.0, 10.0, 0),
+         1e-8, "dist_weighted"),
+        (lambda: gen_bilinear(20, 20, 4.0, 1.0, 4.0, 1.0, 5.0, 0), 1e-6, "dist_weighted"),
+        (lambda: gen_consensus(10, "ring", 1.0, 4.0, 0), 1e-6, "dist_unweighted"),
+        (lambda: gen_linear_bilinear(8, 4), 1e-3, "dist_unweighted"),
+    ], ids=["quadratic-spp", "bilinear", "consensus", "linear-bilinear"])
+    def test_sliding_stops_on_certificate(self, make, eps, distance):
+        # Each route's guarantee: the step-weighted distance on the SCSC
+        # routes, the plain one (which bounds the primal's) on the
+        # reductions.  The quadratic cell took 280 composite calls against
+        # the plan's 763.
+        inst = make()
+        reference = reference_solution(inst)
+        row = run_single(inst, "sliding", eps, reference=reference)
+        planned = run_single(inst, "sliding", eps, reference=reference,
+                             use_residual_stop=False)
+        assert row.termination == "residual-met"
+        assert planned.termination == "budget-exhausted"
+        assert getattr(row, distance) <= eps
+        assert runner.run_succeeded(row)
+        assert row.calls_grad_p < planned.calls_grad_p
 
     def test_unknown_solver_rejected(self):
         from saddleslide.bench import run_single
