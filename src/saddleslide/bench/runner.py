@@ -301,9 +301,7 @@ def run_experiment(
     """Execute a config grid; write one JSON per run and an aggregate CSV.
 
     Each distinct manifest is loaded, verified and solved for its KKT
-    reference once; its cells share the instance.  A config's
-    ``"use_residual_stop": false`` makes its sliding cells run the whole
-    planned budget (see `run_single`).  Runs are independent and
+    reference once; its cells share the instance.  Runs are independent and
     may execute concurrently up to ``parallel`` threads; all output is
     written serially afterwards in grid order, so the CSV byte stream is
     deterministic for a fixed config (apart from wall_ms).  ``run_*.json``
@@ -316,7 +314,6 @@ def run_experiment(
     out_dir.mkdir(parents=True, exist_ok=True)
     runs = _expand_grid(config)
     max_outer = int(config.get("max_outer", 200_000))
-    use_residual_stop = bool(config.get("use_residual_stop", True))
 
     prepared = _PreparedManifests(runs)
 
@@ -328,7 +325,6 @@ def run_experiment(
                 float(run_spec["eps"]),
                 max_outer=max_outer,
                 reference=reference,
-                use_residual_stop=use_residual_stop,
             )
 
     if parallel > 1 and len(runs) > 1:

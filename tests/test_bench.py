@@ -409,14 +409,12 @@ class TestRunExperiment:
         lines = (out / "aggregate.csv").read_text().strip().splitlines()
         assert len(lines) == 2 and ",sliding,0.0001," in lines[1]
 
-    def test_coupling_sweep_separates_counts(self, tmp_path):
-        manifests = []
-        for L_R in [2.0, 20.0]:
-            inst = gen_quadratic_spp(6, 6, 4.0, 1.0, 4.0, 1.0, L_R, seed=13)
-            manifests.append(str(inst.save(tmp_path / f"lr{int(L_R)}")))
-        config = {"instances": manifests, "solvers": ["sliding"], "eps": [1e-6],
-                  "use_residual_stop": False}
-        reports = run_experiment(config, tmp_path / "out")
+    def test_coupling_sweep_separates_counts(self):
+        reports = [
+            run_single(gen_quadratic_spp(6, 6, 4.0, 1.0, 4.0, 1.0, L_R, seed=13),
+                       "sliding", 1e-6, use_residual_stop=False)
+            for L_R in [2.0, 20.0]
+        ]
         # Coupling calls grow with the coupling constant while composite
         # calls stay flat (up to the tiny budget change from the per-instance
         # potential bound) over the whole planned budget.

@@ -387,13 +387,14 @@ _CERTIFICATE = settings(max_examples=25, deadline=None)
 
 
 def _assert_certified(report, spec, psi_0, eps, reference):
-    # On 150 draws per route from these ranges every run certified, at
-    # most 0.34 eps (quadratic) and 0.67 eps (bilinear) from the reference.
-    assert report.termination in (TERMINATION_RESIDUAL, TERMINATION_BUDGET)
-    if report.termination == TERMINATION_RESIDUAL:
-        t = report.tuning
-        assert weighted_distance_sq(report.final_pair, reference, t.eta_x, t.eta_y) <= eps
-        assert report.counters.outer_iterations <= required_outer_iterations(spec, psi_0, eps)
+    # On 528 draws per route from these ranges, every corner among them,
+    # every run certified, at most 0.59 eps (quadratic) and 0.76 eps
+    # (bilinear) from the reference, so a certificate that stops firing
+    # fails here.
+    assert report.termination == TERMINATION_RESIDUAL
+    t = report.tuning
+    assert weighted_distance_sq(report.final_pair, reference, t.eta_x, t.eta_y) <= eps
+    assert report.counters.outer_iterations <= required_outer_iterations(spec, psi_0, eps)
 
 
 class TestResidualCertificate:
