@@ -22,9 +22,6 @@ from .inner import (
     AuxiliaryProblem,
     InnerConfig,
     InnerResult,
-    Rescaling,
-    compute_rescaling,
-    gamma_target,
     solve_auxiliary,
 )
 from .outer import (
@@ -42,7 +39,6 @@ from .problems import (
     OracleCounters,
     PointPair,
     SmoothnessSpec,
-    bregman,
     unweighted_distance_sq,
     validate_spec,
     weighted_distance_sq,
@@ -67,17 +63,13 @@ __all__ = [
     "PointPair",
     "QuadraticForm",
     "RegularizationPlan",
-    "Rescaling",
     "SmoothnessSpec",
     "SolveConfig",
     "SolverTuning",
     "apply_plan",
-    "bregman",
     "check_inner_criterion",
-    "compute_rescaling",
     "eliminate_y",
     "estimate_spectral_bounds",
-    "gamma_target",
     "initial_potential",
     "plan_cc",
     "plan_scc",

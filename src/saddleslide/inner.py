@@ -1,13 +1,16 @@
-"""Prox subproblem of the outer loop and its extragradient solver.
+"""Prox subproblem of the outer loop and its forward-backward-forward solver.
 
 The subproblem, `AuxiliaryProblem`, freezes the composite gradients and
 adds proximal quadratics around the current outer iterate, leaving a
 strongly convex-concave saddle in the coupling term alone; `outer.solve`
 builds one per outer step and hands it to an inner solver.  It is solved by
-extragradient on a variable-rescaled formulation whose block curvatures
-are balanced, with acceptance decided by the outer criterion evaluated in
-the original coordinates at every iterate.  That stop rule, `accept_first`,
-is shared with the bilinear conjugate-gradient solver.
+Tseng's forward-backward-forward splitting, his modified extragradient
+method (Tseng 2000, SIAM J. Control Optim. 38(2)): the prox quadratics and
+R's declared moduli are taken by their exact resolvent, a per-coordinate
+division, and only the monotone remainder of the coupling gradient takes
+forward steps.  Acceptance is decided by the outer criterion at every
+iterate.  That stop rule, `accept_first`, is shared with the bilinear
+conjugate-gradient solver.
 """
 
 from __future__ import annotations
@@ -18,12 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    InnerBudgetExhausted,
-    MissingValueOracle,
-    NonPositiveInput,
-    NonPositiveStep,
-)
+from .errors import InnerBudgetExhausted, MissingValueOracle, NonPositiveInput
 from .outer import SolverTuning, check_inner_criterion
 from .problems import PointPair, SmoothnessSpec
 
@@ -56,17 +54,10 @@ class AuxiliaryProblem:
 
     def gradients(self, x: np.ndarray, y: np.ndarray):
         """Both gradients at (x, y); makes exactly one coupling call."""
-        g_x, g_y, _, _ = self.gradients_and_displacement(x, y)
-        return g_x, g_y
-
-    def gradients_and_displacement(self, x: np.ndarray, y: np.ndarray):
-        """``(g_x, g_y, x - x_k, y - y_k)``; makes exactly one coupling call."""
         r_x, r_y = self.grad_R(x, y)
-        dx = x - self.x_k
-        dy = y - self.y_k
-        g_x = self.grad_p_anchor + dx / self.eta_x + r_x
-        g_y = r_y - self.grad_q_anchor - dy / self.eta_y
-        return g_x, g_y, dx, dy
+        g_x = self.grad_p_anchor + (x - self.x_k) / self.eta_x + r_x
+        g_y = r_y - self.grad_q_anchor - (y - self.y_k) / self.eta_y
+        return g_x, g_y
 
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
         """Objective value (diagnostics only; needs the R value oracle)."""
@@ -83,35 +74,9 @@ class AuxiliaryProblem:
         )
 
 
-@dataclass(frozen=True)
-class Rescaling:
-    """Variable substitution x = alpha_scale * u, y = beta_scale * v.
-
-    Under it a coupling with constants (L, mu_x, mu_y) becomes
-    ``max(alpha_scale^2, beta_scale^2) * L``-smooth with moduli
-    ``alpha_scale^2 * mu_x`` and ``beta_scale^2 * mu_y``.
-    """
-
-    alpha_scale: float
-    beta_scale: float
-
-
-def compute_rescaling(tuning: SolverTuning) -> Rescaling:
-    """Balance the subproblem blocks through a variable substitution.
-
-    For eta_x > eta_y uses alpha_scale^2 = sqrt(eta_x/eta_y) with
-    beta_scale = 1; the opposite case is symmetric.
-    """
-    if tuning.eta_x <= 0.0 or tuning.eta_y <= 0.0:
-        raise NonPositiveStep(f"eta_x={tuning.eta_x}, eta_y={tuning.eta_y}")
-    if tuning.eta_x > tuning.eta_y:
-        return Rescaling(alpha_scale=(tuning.eta_x / tuning.eta_y) ** 0.25, beta_scale=1.0)
-    return Rescaling(alpha_scale=1.0, beta_scale=(tuning.eta_y / tuning.eta_x) ** 0.25)
-
-
 @dataclass
 class InnerConfig:
-    """Inner-solver settings; ``step=None`` selects 1/(2 * smoothness bound).
+    """Inner-solver settings.
 
     ``floor_tol`` is the absolute escape hatch of the acceptance test.
     ``stall_window``/``stall_rtol`` accept an iterate that has not moved
@@ -121,7 +86,6 @@ class InnerConfig:
     and ``max_inner < 0`` raise NonPositiveInput.
     """
 
-    step: Optional[float] = None
     max_inner: int = 200_000
     floor_tol: float = 1e-24
     stall_window: int = 32
@@ -149,23 +113,6 @@ def stall_count(stalled: int, config: InnerConfig, *steps) -> int:
         if not moved <= config.stall_rtol:
             return 0
     return stalled + 1
-
-
-def rescaled_smoothness_bound(
-    spec: SmoothnessSpec, tuning: SolverTuning, rescaling: Rescaling
-) -> float:
-    """Upper bound on the Lipschitz constant of the rescaled subproblem operator.
-
-    The subproblem adds (1/eta + mu)-quadratics to the coupling, so
-    ``max(a^2, b^2) * L_R + max(a^2 (1/eta_x + mu_x), b^2 (1/eta_y + mu_y))``
-    is safe.
-    """
-    a2 = rescaling.alpha_scale**2
-    b2 = rescaling.beta_scale**2
-    return max(a2, b2) * spec.L_R + max(
-        a2 * (1.0 / tuning.eta_x + spec.mu_x),
-        b2 * (1.0 / tuning.eta_y + spec.mu_y),
-    )
 
 
 ACCEPTED_CRITERION = "criterion"
@@ -211,42 +158,65 @@ def accept_first(
     return InnerResult(PointPair(x, y), t, g_x, g_y, accepted_by=ACCEPTED_STALL)
 
 
-def extragradient_iterates(
-    aux: AuxiliaryProblem, spec: SmoothnessSpec, tuning: SolverTuning, config: InnerConfig
-):
-    """Extragradient iterates on the rescaled subproblem operator.
+def fbf_iterates(aux: AuxiliaryProblem, spec: SmoothnessSpec):
+    """Tseng's forward-backward-forward iterates on the subproblem.
 
-    Starts from the outer iterate (x_k, y_k) and yields, for `accept_first`,
-    each iterate in original coordinates with its displacement, its
-    gradients and rescaled blocks ``(u, v)``.  The start costs one coupling
-    call, each step two.
+    Write ``z = (x, y)`` and ``D = diag(mu_x I, mu_y I)``.  The subproblem
+    operator ``(g_x, -g_y)`` splits into ``A + B'``: ``A`` holds the prox
+    quadratics and R's declared moduli,
+
+        A(z) = (grad_p_anchor + (x - x_k)/eta_x + mu_x x,
+                grad_q_anchor + (y - y_k)/eta_y + mu_y y),
+
+    and ``B'(z) = (dR/dx - mu_x x, -dR/dy - mu_y y)`` is the monotone
+    remainder.  ``A`` is diagonal, so its resolvent ``J = (I + s A)^-1`` is
+    a per-coordinate division, and each step is
+
+        z_h = J(z - s B'(z)),    z+ = z_h - s (B'(z_h) - B'(z)).
+
+    FBF converges for any ``s < 1/Lip(B')``.  ``B(z) = (dR/dx, -dR/dy)`` is
+    L_R-Lipschitz and m-strongly monotone with ``m = min(mu_x, mu_y)``, so
+    with ``u = z - z'`` and ``v = B(z) - B(z')``,
+
+        ||v - m u||^2 = ||v||^2 - 2m <v, u> + m^2 ||u||^2
+                     <= (L_R^2 - m^2) ||u||^2,
+
+    and ``B' = (B - mI) - (D - mI)`` with ``||D - mI|| = |mu_x - mu_y|``
+    gives ``Lip(B') <= sqrt(L_R^2 - m^2) + |mu_x - mu_y|
+    <= L_R + |mu_x - mu_y|``; the step is 0.9 over that bound.  L_R alone
+    does not bound ``B'`` when the moduli differ: ``B = [[0.5, 1], [-1, 1]]``
+    with ``D = diag(0.5, 0)`` has ``||B|| = 1.5`` but ``||B - D|| = 1.618``.
+
+    Starts from the outer iterate (x_k, y_k) and yields, for
+    `accept_first`, each iterate with its displacement, its subproblem
+    gradients and the blocks ``(x, y)``.  The start costs one coupling
+    call, each step two: at ``z_h`` and at ``z+``, whose gradient serves
+    both the acceptance check and the next forward step.
     """
-    rescaling = compute_rescaling(tuning)
-    a, b = rescaling.alpha_scale, rescaling.beta_scale
-    step = config.step
-    if step is None:
-        step = 1.0 / (2.0 * rescaled_smoothness_bound(spec, tuning, rescaling))
-    if step <= 0.0:
-        raise NonPositiveStep(f"step={step}")
-    # step * a * g is evaluated as (step * a) * g; and one of a, b is 1,
-    # whose multiply is exact and is skipped.
-    sa, sb = step * a, step * b
+    mu_x, mu_y = spec.mu_x, spec.mu_y
+    eta_x, eta_y = aux.eta_x, aux.eta_y
+    x_k, y_k = aux.x_k, aux.y_k
+    s = 0.9 / (spec.L_R + abs(mu_x - mu_y))
+    # Resolvent terms that do not change between steps.
+    s_gp, s_xk, div_x = s * aux.grad_p_anchor, (s / eta_x) * x_k, 1.0 + s / eta_x + s * mu_x
+    s_gq, s_yk, div_y = s * aux.grad_q_anchor, (s / eta_y) * y_k, 1.0 + s / eta_y + s * mu_y
 
-    u = aux.x_k / a
-    v = aux.y_k / b
+    x, y = x_k, y_k
+    r_x, r_y = aux.grad_R(x, y)
     while True:
-        x = u if a == 1.0 else a * u
-        y = v if b == 1.0 else b * v
-        g_x, g_y, dx, dy = aux.gradients_and_displacement(x, y)
-        yield x, y, dx, dy, g_x, g_y, (u, v)
-        # Monotone operator of the rescaled saddle: (a g_x, -b g_y).
-        u_half = u - sa * g_x
-        v_half = v + sb * g_y
-        gh_x, gh_y, _, _ = aux.gradients_and_displacement(
-            u_half if a == 1.0 else a * u_half, v_half if b == 1.0 else b * v_half
-        )
-        u = u - sa * gh_x
-        v = v + sb * gh_y
+        dx = x - x_k
+        dy = y - y_k
+        g_x = aux.grad_p_anchor + dx / eta_x + r_x
+        g_y = r_y - aux.grad_q_anchor - dy / eta_y
+        yield x, y, dx, dy, g_x, g_y, (x, y)
+        b_x = r_x - mu_x * x
+        b_y = -r_y - mu_y * y
+        x_h = (x - s * b_x - s_gp + s_xk) / div_x
+        y_h = (y - s * b_y - s_gq + s_yk) / div_y
+        rh_x, rh_y = aux.grad_R(x_h, y_h)
+        x = x_h - s * (rh_x - mu_x * x_h - b_x)
+        y = y_h - s * (-rh_y - mu_y * y_h - b_y)
+        r_x, r_y = aux.grad_R(x, y)
 
 
 def solve_auxiliary(
@@ -255,37 +225,11 @@ def solve_auxiliary(
     tuning: SolverTuning,
     config: InnerConfig,
 ) -> InnerResult:
-    """Extragradient on the rescaled subproblem operator until acceptance.
+    """Forward-backward-forward on the subproblem until acceptance.
 
-    `extragradient_iterates` under the stop rule of `accept_first`.  The
-    acceptance check reuses the gradient already computed at the current
-    iterate, so a run accepted after t iterations costs exactly 2t + 1
-    coupling calls.
+    `fbf_iterates` under the stop rule of `accept_first`.  The acceptance
+    check reuses the gradient already computed at the current iterate, so
+    a run accepted after t iterations costs exactly 2t + 1 coupling calls.
+    ``spec`` must pass `validate_spec`, as `outer.solve` checks.
     """
-    iterates = extragradient_iterates(aux, spec, tuning, config)
-    return accept_first(iterates, aux, tuning, config)
-
-
-def gamma_target(
-    tuning: SolverTuning, spec: SmoothnessSpec, dx: np.ndarray, dy: np.ndarray
-) -> float:
-    """Diagnostic accuracy target for the subproblem, given the displacement.
-
-    Returns
-    ``(||dx||^2/(6 eta_x) + ||dy||^2/(6 eta_y))
-    / max(eta_x (L_R + 1/eta_x)^2, eta_y (L_R + 1/eta_y)^2)``.
-
-    It references the displacement of the accepted point itself, so it can
-    only be evaluated after the fact; the online acceptance test is
-    `check_inner_criterion`.
-    """
-    if tuning.eta_x <= 0.0 or tuning.eta_y <= 0.0:
-        raise NonPositiveStep(f"eta_x={tuning.eta_x}, eta_y={tuning.eta_y}")
-    dx = np.asarray(dx, dtype=float)
-    dy = np.asarray(dy, dtype=float)
-    num = float(dx @ dx) / (6.0 * tuning.eta_x) + float(dy @ dy) / (6.0 * tuning.eta_y)
-    den = max(
-        tuning.eta_x * (spec.L_R + 1.0 / tuning.eta_x) ** 2,
-        tuning.eta_y * (spec.L_R + 1.0 / tuning.eta_y) ** 2,
-    )
-    return num / den
+    return accept_first(fbf_iterates(aux, spec), aux, tuning, config)

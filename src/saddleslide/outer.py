@@ -294,7 +294,8 @@ def solve(
     ----------
     inner_solver : callable, optional
         ``(aux, spec, tuning, inner_config) -> InnerResult``.  Defaults to
-        the extragradient subproblem solver.
+        `inner.solve_auxiliary`, forward-backward-forward on the
+        subproblem.
     counters : OracleCounters, optional
         Tallies to count into, shared with oracles the caller counts
         itself (the bilinear path counts B/B^T products in its inner

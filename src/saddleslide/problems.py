@@ -2,8 +2,7 @@
 
 A problem ``min_x max_y p(x) + R(x, y) - q(y)`` is represented by its
 first-order oracles only.  Function-value oracles are optional and feed
-diagnostics (Bregman divergences, potential tracking); the solvers never
-need them.
+diagnostics (potential tracking); the solvers never need them.
 """
 
 from __future__ import annotations
@@ -184,24 +183,6 @@ def wrap_counting(
         grad_R=count_calls(problem.grad_R, counters, "calls_grad_R"),
     )
     return wrapped, counters
-
-
-def bregman(
-    value_oracle: ValueOracle,
-    grad_oracle: GradOracle,
-    x: np.ndarray,
-    x_ref: np.ndarray,
-) -> float:
-    """Bregman divergence ``f(x) - f(x_ref) - <grad f(x_ref), x - x_ref>``.
-
-    Non-negative whenever f is convex.
-    """
-    x = _as_vector(x)
-    x_ref = _as_vector(x_ref)
-    if x.size != x_ref.size:
-        raise DimensionMismatch(f"x has size {x.size}, x_ref has size {x_ref.size}")
-    diff = x - x_ref
-    return float(value_oracle(x) - value_oracle(x_ref) - grad_oracle(x_ref) @ diff)
 
 
 def weighted_distance_sq(

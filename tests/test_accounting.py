@@ -1,8 +1,9 @@
 """Property tests of the oracle-accounting identities.
 
 Composite oracles are called once per outer step.  Coupling calls follow
-from the inner iteration counts: an extragradient inner run accepted after
-t steps makes 2t + 1 coupling calls, and a bilinear inner run makes one B
+from the inner iteration counts: a forward-backward-forward inner run
+(Tseng's modified extragradient) accepted after t steps makes 2t + 1
+coupling calls, and a bilinear inner run makes one B
 product to build its linear term plus three B/B^T products per iterate it
 checks, t + 1 of them: two for the start's residual or for the
 conjugate-gradient step that reached the iterate, one for the acceptance

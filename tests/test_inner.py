@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddleslide import (
     AuxiliaryProblem,
@@ -14,8 +16,6 @@ from saddleslide import (
     PointPair,
     SmoothnessSpec,
     check_inner_criterion,
-    compute_rescaling,
-    gamma_target,
     solve_auxiliary,
     split_bilinear,
     tune_parameters,
@@ -34,9 +34,8 @@ from saddleslide.errors import (
     DivergenceDetected,
     InnerBudgetExhausted,
     NonPositiveInput,
-    NonPositiveStep,
 )
-from saddleslide.inner import InnerResult, extragradient_iterates, rescaled_smoothness_bound
+from saddleslide.inner import InnerResult, fbf_iterates
 from saddleslide.outer import SolveConfig, SolverTuning, X_DOMINANT, solve
 
 from conftest import central_diff, random_quadratic_instance, random_sym_psd
@@ -146,57 +145,6 @@ class TestBuildAuxiliary:
         assert calls["n"] == 1
 
 
-class TestRescaling:
-    def test_wide_x_step(self):
-        t = SolverTuning(alpha=0.5, eta_x=4.0, eta_y=1.0, branch=X_DOMINANT)
-        r = compute_rescaling(t)
-        assert r.alpha_scale**2 == pytest.approx(2.0)
-        assert r.beta_scale == 1.0
-
-    def test_symmetric_steps(self):
-        t = SolverTuning(alpha=0.5, eta_x=0.3, eta_y=0.3, branch=X_DOMINANT)
-        r = compute_rescaling(t)
-        assert r.alpha_scale == 1.0 and r.beta_scale == 1.0
-
-    def test_wide_y_step(self):
-        t = SolverTuning(alpha=0.5, eta_x=1.0, eta_y=9.0, branch=X_DOMINANT)
-        r = compute_rescaling(t)
-        assert r.alpha_scale == 1.0
-        assert r.beta_scale**2 == pytest.approx(3.0)
-
-    def test_non_positive_step(self):
-        t = SolverTuning(alpha=0.5, eta_x=-1.0, eta_y=1.0, branch=X_DOMINANT)
-        with pytest.raises(NonPositiveStep):
-            compute_rescaling(t)
-
-    def test_scaled_constant_law(self, rng):
-        # The rescaled coupling operator's per-pair Lipschitz ratio never
-        # exceeds max(a^2, b^2) times the exact unscaled constant.
-        d_x, d_y = 3, 5
-        Hx = random_sym_psd(rng, d_x, 0.4, 1.5)
-        Hy = random_sym_psd(rng, d_y, 0.3, 1.2)
-        B = rng.standard_normal((d_x, d_y))
-        jac = np.block([[Hx, B], [B.T, -Hy]])
-        L_exact = float(np.linalg.norm(jac, 2))
-
-        def grad_R(x, y):
-            return Hx @ x + B @ y, B.T @ x - Hy @ y
-
-        for a, b in [(1.7, 1.0), (1.0, 2.3), (0.6, 1.0)]:
-            bound = max(a**2, b**2) * L_exact
-            for _ in range(100):
-                u1, u2 = rng.standard_normal((2, d_x))
-                v1, v2 = rng.standard_normal((2, d_y))
-                r1x, r1y = grad_R(a * u1, b * v1)
-                r2x, r2y = grad_R(a * u2, b * v2)
-                # Rescaled operator values (a * dR/dx, b * dR/dy).
-                num = np.sqrt(
-                    np.sum((a * (r1x - r2x)) ** 2) + np.sum((b * (r1y - r2y)) ** 2)
-                )
-                den = np.sqrt(np.sum((u1 - u2) ** 2) + np.sum((v1 - v2) ** 2))
-                assert num <= bound * den * (1 + 1e-6)
-
-
 def _identity_operator_aux():
     # Subproblem whose gradients are g_x = x and g_y = -y: from the anchor
     # (1, 1) with unit steps, a frozen x gradient of 1 and a frozen y
@@ -226,21 +174,23 @@ class TestSolveAuxiliary:
         assert result.iterations == 0
         assert np.all(result.pair.x == 0.0)
 
-    def test_extragradient_update_by_hand(self):
-        # Identity operator, step 1/2, start 1: the half step lands at 0.5
-        # and the full step at 1 - 0.5 * 0.5 = 0.75.
+    def test_fbf_update_by_hand(self):
+        # SPEC declares mu = 1 for a coupling that is zero, so the forward
+        # operator is B'(z) = -z, the step s = 0.9/(1 + 0) = 9/10 and the
+        # resolvent divides by 1 + s/eta + s*mu = 14/5.  From x = 1:
+        # x_h = (1 + 9/10 - 9/10 + 9/10) / (14/5) = 19/28, and the
+        # correction x+ = x_h - (9/10)(-x_h + 1) = 109/280.  The update is
+        # linear, so every step multiplies by 109/280, in y alike.
         aux = _identity_operator_aux()
-        tuning = SolverTuning(alpha=1.0, eta_x=1.0, eta_y=1.0, branch=X_DOMINANT)
-        config = InnerConfig(step=0.5, max_inner=50, floor_tol=0.0)
-        iterates = itertools.islice(extragradient_iterates(aux, self.SPEC, tuning, config), 3)
-        seen = [(t, x[0], y[0]) for t, (x, y, *_) in enumerate(iterates)]
-        assert seen[0][1] == pytest.approx(1.0)
-        assert seen[1][1] == pytest.approx(0.75)
-        assert seen[1][2] == pytest.approx(0.75)
-        assert seen[2][1] == pytest.approx(0.75 - 0.5 * (0.75 - 0.5 * 0.75))
+        seen = [(x[0], y[0]) for x, y, *_ in
+                itertools.islice(fbf_iterates(aux, self.SPEC), 3)]
+        assert seen[0] == (1.0, 1.0)
+        for t, (x, y) in enumerate(seen):
+            assert x == pytest.approx((109 / 280) ** t)
+            assert y == pytest.approx((109 / 280) ** t)
 
     def test_non_finite_coupling_raises_divergence(self):
-        # The start is fine; the first extragradient step turns NaN.
+        # The start is fine; the first forward-backward-forward step turns NaN.
         calls = []
 
         def grad_R(x, y):
@@ -285,8 +235,8 @@ class TestSolveAuxiliary:
         assert end_dist <= start_dist
 
     def test_monotone_contraction_toward_exact_solution(self, rng):
-        # Symmetric steps: extragradient distance to the exact subproblem
-        # solution never increases with the default step size.
+        # FBF is Fejer monotone: the distance to the exact subproblem
+        # solution never increases at a step below 1/Lip(B').
         problem, spec, _, data = random_quadratic_instance(
             rng, 3, 3, 2.0, 1.0, 2.0, 1.0, 2.5
         )
@@ -307,7 +257,7 @@ class TestSolveAuxiliary:
         exact = np.linalg.solve(mat, rhs)
         config = InnerConfig(floor_tol=0.0)
         result = solve_auxiliary(aux, spec, tuning, config)
-        iterates = extragradient_iterates(aux, spec, tuning, config)
+        iterates = fbf_iterates(aux, spec)
         dists = [
             np.linalg.norm(np.concatenate([x, y]) - exact)
             for x, y, *_ in itertools.islice(iterates, result.iterations + 1)
@@ -315,34 +265,6 @@ class TestSolveAuxiliary:
         assert len(dists) >= 2
         for before, after in zip(dists, dists[1:]):
             assert after <= before * (1 + 1e-12)
-
-    def test_rescaling_round_trip(self, rng):
-        # The substitution is equivalent to block-scaled extragradient steps
-        # in the original coordinates; both must accept the same point.
-        problem, spec, _, _ = random_quadratic_instance(
-            rng, 3, 2, 4.0, 2.0, 1.0, 0.5, 1.5
-        )
-        tuning = tune_parameters(spec)
-        assert tuning.eta_x != tuning.eta_y
-        x_k = rng.standard_normal(3)
-        y_k = rng.standard_normal(2)
-        aux = _aux(problem, x_k, y_k, tuning)
-        result = solve_auxiliary(aux, spec, tuning, InnerConfig(floor_tol=0.0))
-
-        rescaling = compute_rescaling(tuning)
-        a2 = rescaling.alpha_scale**2
-        b2 = rescaling.beta_scale**2
-        step = 1.0 / (2.0 * rescaled_smoothness_bound(spec, tuning, rescaling))
-        x, y = x_k.copy(), y_k.copy()
-        for _ in range(result.iterations):
-            g_x, g_y = aux.gradients(x, y)
-            xh = x - step * a2 * g_x
-            yh = y + step * b2 * g_y
-            gh_x, gh_y = aux.gradients(xh, yh)
-            x = x - step * a2 * gh_x
-            y = y + step * b2 * gh_y
-        assert np.linalg.norm(x - result.pair.x) <= 1e-10
-        assert np.linalg.norm(y - result.pair.y) <= 1e-10
 
     def test_inner_call_accounting_and_growth(self, rng):
         # Coupling calls are exactly 2 per iteration plus the acceptance
@@ -376,8 +298,75 @@ def test_inner_config_rejects_empty_stall_window_and_negative_budget():
         InnerConfig(max_inner=-1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    d_x=st.integers(1, 4),
+    d_y=st.integers(1, 4),
+    log_mu_ratio=st.floats(-3.0, 3.0),
+    log_gain=st.floats(0.0, 3.0),
+    curv_x=st.floats(0.0, 1.0),
+    curv_y=st.floats(0.0, 1.0),
+    coupling=st.floats(0.0, 1.0),
+    cond_p=st.floats(0.0, 100.0),
+    cond_q=st.floats(0.0, 100.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_fbf_step_bound_accepts_by_criterion(
+    d_x, d_y, log_mu_ratio, log_gain, curv_x, curv_y, coupling, cond_p, cond_q, seed
+):
+    # R = x'Hx x/2 + x'By - y'Hy y/2 with spectrum(Hx) in [mu_x, top],
+    # spectrum(Hy) in [mu_y, top] and ||B|| <= top, top = 10^log_gain max(mu),
+    # so R's curvature may exceed its declared moduli and B' need not be
+    # skew: only L_R + |mu_x - mu_y| bounds it.  All of curv_x, curv_y and
+    # coupling at 0 is the edge where B' vanishes and L_R = max(mu).
+    rng = np.random.default_rng(seed)
+    mu_x, mu_y = 1.0, 10.0 ** -log_mu_ratio
+    top = 10.0 ** log_gain * max(mu_x, mu_y)
+    Hx = random_sym_psd(rng, d_x, mu_x, mu_x + curv_x * (top - mu_x))
+    Hy = random_sym_psd(rng, d_y, mu_y, mu_y + curv_y * (top - mu_y))
+    B = rng.standard_normal((d_x, d_y))
+    B *= coupling * top / np.linalg.norm(B, 2)
+    L_R = max(float(np.linalg.norm(np.block([[Hx, B], [B.T, -Hy]]), 2)), mu_x, mu_y)
+    remainder = np.block([[Hx - mu_x * np.eye(d_x), B], [-B.T, Hy - mu_y * np.eye(d_y)]])
+    assert np.linalg.norm(remainder, 2) <= (L_R + abs(mu_x - mu_y)) * (1.0 + 1e-12)
+    spec = SmoothnessSpec(L_p=cond_p * mu_x, L_q=cond_q * mu_y, L_R=L_R, mu_x=mu_x, mu_y=mu_y)
+    tuning = tune_parameters(spec)
+    calls = []
+
+    def grad_R(x, y):
+        calls.append(None)
+        return Hx @ x + B @ y, B.T @ x - Hy @ y
+
+    x_k, y_k = rng.standard_normal(d_x), rng.standard_normal(d_y)
+    aux = AuxiliaryProblem(grad_R, rng.standard_normal(d_x), rng.standard_normal(d_y),
+                           x_k, y_k, tuning.eta_x, tuning.eta_y)
+    result = solve_auxiliary(aux, spec, tuning, InnerConfig())
+    assert result.accepted_by == "criterion"
+    assert len(calls) == 2 * result.iterations + 1
+
+    # Dense KKT solve of the subproblem: its operator (g_x, -g_y) is
+    # F(z) = K z - rhs with K = [[Hx, B], [-B', Hy]] + diag(1/eta).
+    w = np.concatenate([np.full(d_x, 1.0 / tuning.eta_x), np.full(d_y, 1.0 / tuning.eta_y)])
+    K = np.block([[Hx, B], [-B.T, Hy]]) + np.diag(w)
+    z_k = np.concatenate([x_k, y_k])
+    rhs = w * z_k - np.concatenate([aux.grad_p_anchor, aux.grad_q_anchor])
+    z_star = np.linalg.solve(K, rhs)
+    z = np.concatenate([result.pair.x, result.pair.y])
+    F = np.concatenate([result.grad_x, -result.grad_y])
+    assert np.linalg.norm(F - (K @ z - rhs)) <= 1e-6 * (
+        np.linalg.norm(K, 2) * np.linalg.norm(z) + np.linalg.norm(rhs))
+    # The criterion eta_x ||g_x||^2 + eta_y ||g_y||^2 <= ||d||_W^2 / 6 and
+    # the subproblem's 1/eta strong monotonicity put the accepted point within
+    # ||d||_W / sqrt(6) of the solution in the norm ||v||_W^2 = sum ||v_i||^2/eta_i.
+    dist = math.sqrt(float(w @ (z - z_star) ** 2))
+    assert dist <= math.sqrt(float(w @ (z - z_k) ** 2) / 6.0) * (1.0 + 1e-6) + 1e-12
+
+
 def _extragradient_case(rng):
-    problem, spec, _, _ = random_quadratic_instance(rng, 4, 3, 2.0, 1.0, 2.0, 1.0, 3.0)
+    # Forward-backward-forward, Tseng's modified extragradient; its
+    # coupling is stiff enough that the criterion waits five steps, so
+    # test_stall's window of one is reached first.
+    problem, spec, _, _ = random_quadratic_instance(rng, 4, 3, 2.0, 1.0, 2.0, 1.0, 20.0)
     wrapped, counters = wrap_counting(problem)
     tuning = tune_parameters(spec)
     aux = _aux(problem, rng.standard_normal(4), rng.standard_normal(3), tuning,
@@ -416,7 +405,7 @@ class TestInnerExits:
         assert solver(aux, spec, tuning, config).accepted_by == "stall"
 
     def test_budget(self, rng, case, budget_calls):
-        # Only the start is checked: one coupling call for extragradient;
+        # Only the start is checked: one coupling call for FBF;
         # the linear term, B^T x, B B^T x and the check's B y for CG.
         solver, aux, spec, tuning, counters = case(rng)
         with pytest.raises(InnerBudgetExhausted):
@@ -426,9 +415,9 @@ class TestInnerExits:
 
 # ---------------------------------------------------------------------------
 # Reference copies of the inner loops in their plain form: the stall rule by
-# np.linalg.norm, the displacement recomputed for the criterion and the unit
-# rescaling factor multiplied.  The library's loops must produce the same
-# floating-point results bit for bit.
+# np.linalg.norm, the displacement recomputed for the criterion and the FBF
+# resolvent written out as a function.  The library's loops must produce the
+# same floating-point results bit for bit.
 
 
 def _reference_accept_first(iterates, aux, tuning, config):
@@ -452,25 +441,26 @@ def _reference_accept_first(iterates, aux, tuning, config):
     return InnerResult(PointPair(x, y), t, g_x, g_y, accepted_by="stall")
 
 
-def _reference_extragradient(aux, spec, tuning, config):
-    rescaling = compute_rescaling(tuning)
-    a, b = rescaling.alpha_scale, rescaling.beta_scale
-    step = config.step
-    if step is None:
-        step = 1.0 / (2.0 * rescaled_smoothness_bound(spec, tuning, rescaling))
+def _reference_fbf(aux, spec, tuning, config):
+    s = 0.9 / (spec.L_R + abs(spec.mu_x - spec.mu_y))
+
+    def resolvent(w, grad_anchor, z_k, eta, mu):
+        return (w - s * grad_anchor + (s / eta) * z_k) / (1.0 + s / eta + s * mu)
 
     def iterates():
-        u = aux.x_k / a
-        v = aux.y_k / b
+        x, y = aux.x_k, aux.y_k
+        r_x, r_y = aux.grad_R(x, y)
         while True:
-            x, y = a * u, b * v
-            g_x, g_y = aux.gradients(x, y)
-            yield x, y, g_x, g_y, (u, v)
-            u_half = u - step * a * g_x
-            v_half = v + step * b * g_y
-            gh_x, gh_y = aux.gradients(a * u_half, b * v_half)
-            u = u - step * a * gh_x
-            v = v + step * b * gh_y
+            g_x = aux.grad_p_anchor + (x - aux.x_k) / aux.eta_x + r_x
+            g_y = r_y - aux.grad_q_anchor - (y - aux.y_k) / aux.eta_y
+            yield x, y, g_x, g_y, (x, y)
+            b_x, b_y = r_x - spec.mu_x * x, -r_y - spec.mu_y * y
+            x_h = resolvent(x - s * b_x, aux.grad_p_anchor, aux.x_k, aux.eta_x, spec.mu_x)
+            y_h = resolvent(y - s * b_y, aux.grad_q_anchor, aux.y_k, aux.eta_y, spec.mu_y)
+            rh_x, rh_y = aux.grad_R(x_h, y_h)
+            x = x_h - s * ((rh_x - spec.mu_x * x_h) - b_x)
+            y = y_h - s * ((-rh_y - spec.mu_y * y_h) - b_y)
+            r_x, r_y = aux.grad_R(x, y)
 
     return _reference_accept_first(iterates(), aux, tuning, config)
 
@@ -516,24 +506,21 @@ REFERENCE_CONFIGS = {
 class TestReferenceEquivalence:
     """Bit-equal results against the reference loops over whole solves."""
 
-    # mu_x/mu_y of 100 rescales y (b != 1), of 0.01 rescales x (a != 1).
-    @pytest.mark.parametrize("mu_x, mu_y, scaled", [
-        (1.0, 1.0, (False, False)), (1.0, 0.01, (False, True)), (0.01, 1.0, (True, False)),
-    ])
+    # Unequal moduli give unequal steps eta_x != eta_y and a step s that
+    # pays |mu_x - mu_y|.
+    @pytest.mark.parametrize("mu_x, mu_y", [(1.0, 1.0), (1.0, 0.01), (0.01, 1.0)])
     @pytest.mark.parametrize("config_name", sorted(REFERENCE_CONFIGS))
-    def test_extragradient_matches_reference(self, mu_x, mu_y, scaled, config_name):
+    def test_fbf_matches_reference(self, mu_x, mu_y, config_name):
         config = REFERENCE_CONFIGS[config_name]
         inst = gen_quadratic_spp(
             10, 8, 4.0 * mu_x, mu_x, 4.0 * mu_y, mu_y, 10.0 * math.sqrt(mu_x * mu_y), 1
         )
         problem, spec = inst.problem(), inst.spec()
-        rescaling = compute_rescaling(tune_parameters(spec))
-        assert (rescaling.alpha_scale != 1.0, rescaling.beta_scale != 1.0) == scaled
         exits = set()
 
         def checked_inner(aux, spec_, tuning, config_):
             got = solve_auxiliary(aux, spec_, tuning, config_)
-            assert _same_result(got, _reference_extragradient(aux, spec_, tuning, config_))
+            assert _same_result(got, _reference_fbf(aux, spec_, tuning, config_))
             exits.add(got.accepted_by)
             return got
 
@@ -558,28 +545,3 @@ class TestReferenceEquivalence:
         assert np.array_equal(got.final_pair.y, want.final_pair.y)
         assert got.counters.as_dict() == want.counters.as_dict()
         assert got.inner_iterations == want.inner_iterations
-
-
-class TestGammaTarget:
-    TUNING = SolverTuning(alpha=1.0, eta_x=1.0, eta_y=1.0, branch=X_DOMINANT)
-
-    def test_unit_example(self):
-        spec = SmoothnessSpec(L_p=1, L_q=1, L_R=1, mu_x=1, mu_y=1)
-        value = gamma_target(self.TUNING, spec, np.array([1.0]), np.array([1.0]))
-        assert value == pytest.approx(1 / 12)
-
-    def test_zero_displacement(self):
-        spec = SmoothnessSpec(L_p=1, L_q=1, L_R=1, mu_x=1, mu_y=1)
-        assert gamma_target(self.TUNING, spec, np.zeros(3), np.zeros(2)) == 0.0
-
-    def test_third_steps_example(self):
-        tuning = SolverTuning(alpha=1.0, eta_x=1 / 3, eta_y=1 / 3, branch=X_DOMINANT)
-        spec = SmoothnessSpec(L_p=1, L_q=1, L_R=3, mu_x=1, mu_y=1)
-        value = gamma_target(tuning, spec, np.array([1.0]), np.array([0.0]))
-        assert value == pytest.approx(1 / 24)
-
-    def test_non_positive_step(self):
-        tuning = SolverTuning(alpha=1.0, eta_x=0.0, eta_y=1.0, branch=X_DOMINANT)
-        spec = SmoothnessSpec(L_p=1, L_q=1, L_R=1, mu_x=1, mu_y=1)
-        with pytest.raises(NonPositiveStep):
-            gamma_target(tuning, spec, np.ones(1), np.ones(1))

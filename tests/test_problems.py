@@ -5,7 +5,6 @@ from saddleslide import (
     CompositeSaddleProblem,
     PointPair,
     SmoothnessSpec,
-    bregman,
     unweighted_distance_sq,
     validate_spec,
     weighted_distance_sq,
@@ -137,44 +136,6 @@ def test_oracle_determinism(rng):
     rx1, ry1 = problem.grad_R(x, y)
     rx2, ry2 = problem.grad_R(x, y)
     assert np.array_equal(rx1, rx2) and np.array_equal(ry1, ry2)
-
-
-class TestBregman:
-    def test_half_norm_squared(self):
-        f = lambda x: 0.5 * float(x @ x)
-        g = lambda x: x
-        assert bregman(f, g, np.array([1.0, 0.0]), np.zeros(2)) == pytest.approx(0.5)
-
-    def test_same_point_is_zero(self):
-        f = lambda x: float(np.sum(x**4))
-        g = lambda x: 4.0 * x**3
-        x = np.array([1.3, -0.2])
-        assert bregman(f, g, x, x) == pytest.approx(0.0, abs=1e-15)
-
-    def test_quartic_example(self):
-        f = lambda x: 0.25 * float(x[0] ** 4)
-        g = lambda x: np.array([x[0] ** 3])
-        assert bregman(f, g, np.array([2.0]), np.array([1.0])) == pytest.approx(2.75)
-
-    def test_dimension_mismatch(self):
-        f = lambda x: float(x @ x)
-        g = lambda x: 2 * x
-        with pytest.raises(DimensionMismatch):
-            bregman(f, g, np.ones(2), np.ones(3))
-
-    def test_non_negative_on_convex_quadratics(self, rng):
-        from conftest import random_sym_psd
-
-        for _ in range(20):
-            n = int(rng.integers(1, 6))
-            M = random_sym_psd(rng, n, 0.0, rng.uniform(0.5, 3.0))
-            b = rng.standard_normal(n)
-            f = lambda x, M=M, b=b: 0.5 * float(x @ (M @ x)) + float(b @ x)
-            g = lambda x, M=M, b=b: M @ x + b
-            for _ in range(50):
-                x = rng.standard_normal(n)
-                x_ref = rng.standard_normal(n)
-                assert bregman(f, g, x, x_ref) >= -1e-12
 
 
 class TestWeightedDistance:
