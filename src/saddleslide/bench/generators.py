@@ -98,7 +98,7 @@ class Instance:
         )
 
     def bilinear_problem(self) -> BilinearProblem:
-        """Bilinear oracle form (bilinear and linear-bilinear instances)."""
+        """Bilinear oracle form; instances of other kinds raise ManifestError."""
         c = self.constants
         if self.kind == KIND_BILINEAR:
             Hp, Hq = self.arrays["Hp"], self.arrays["Hq"]

@@ -51,6 +51,7 @@ from .problems import (
     OracleCounters,
     PointPair,
     SmoothnessSpec,
+    check_shape,
     count_calls,
 )
 from .regularization import plan_cc, plan_scc
@@ -272,11 +273,12 @@ def split_bilinear(bp: BilinearProblem) -> Tuple[CompositeSaddleProblem, Smoothn
     mu_p, mu_q = bp.mu_p, bp.mu_q
     coupling = bp.coupling
 
+    # A wrongly shaped gradient would broadcast against the modulus term.
     def grad_p_tilde(x):
-        return bp.grad_p(x) - mu_p * x
+        return check_shape(bp.grad_p(x), x, "grad_p") - mu_p * x
 
     def grad_q_tilde(y):
-        return bp.grad_q(y) - mu_q * y
+        return check_shape(bp.grad_q(y), y, "grad_q") - mu_q * y
 
     def grad_R(x, y):
         return mu_p * x + coupling.matvec(y), coupling.rmatvec(x) - mu_q * y
@@ -401,37 +403,16 @@ def make_bilinear_inner_solver(bp: BilinearProblem):
 
 
 def solve_bilinear(
-    bp: BilinearProblem,
-    start: PointPair,
-    eps: float,
-    *,
-    max_outer: int = 100_000,
-    psi_0: Optional[float] = None,
-    known_solution: Optional[PointPair] = None,
-    track_potential: bool = False,
-    track_inner_details: bool = False,
-    use_residual_stop: bool = False,
-    inner: Optional[InnerConfig] = None,
+    bp: BilinearProblem, start: PointPair, config: SolveConfig
 ) -> ConvergenceReport:
     """Sliding solver specialized to bilinear coupling.
 
-    Splits the composites, then runs the outer loop with the
+    Splits the composites, then runs `solve` with ``config`` and the
     elimination-plus-CG inner solver.  ``counters.calls_grad_R`` in the
-    report counts individual B/B^T products.  ``use_residual_stop`` is
-    `SolveConfig`'s: stop once the weighted target is certified.
+    report counts individual B/B^T products.
     """
     wrapped, counters = wrap_counting_bilinear(bp)
     composite, spec = split_bilinear(bp)
-    config = SolveConfig(
-        eps=eps,
-        max_outer=max_outer,
-        inner=inner if inner is not None else InnerConfig(),
-        track_potential=track_potential,
-        known_solution=known_solution,
-        psi_0=psi_0,
-        use_residual_stop=use_residual_stop,
-        track_inner_details=track_inner_details,
-    )
     return solve(
         composite,
         spec,
@@ -448,7 +429,6 @@ def _solve_regularized(
     x_reach: float,
     y_reach: float,
     max_outer: int,
-    inner: Optional[InnerConfig],
     use_residual_stop: bool,
 ) -> ConvergenceReport:
     """Solve a regularized reduction's saddle from the origin.
@@ -466,15 +446,13 @@ def _solve_regularized(
         (1.0 / tuning.eta_x + spec.L_p / tuning.alpha) * (x_reach + 1.0) ** 2
         + (1.0 / tuning.eta_y) * (y_reach + 1.0) ** 2
     )
-    return solve_bilinear(
-        bp,
-        PointPair(np.zeros(bp.d_x), np.zeros(bp.d_y)),
-        target / max(1.0, tuning.eta_x, tuning.eta_y),
+    config = SolveConfig(
+        eps=target / max(1.0, tuning.eta_x, tuning.eta_y),
         max_outer=max_outer,
         psi_0=psi_0,
-        inner=inner,
         use_residual_stop=use_residual_stop,
     )
+    return solve_bilinear(bp, PointPair(np.zeros(bp.d_x), np.zeros(bp.d_y)), config)
 
 
 def solve_affine_constrained(
@@ -487,7 +465,6 @@ def solve_affine_constrained(
     eps: float,
     *,
     max_outer: int = 100_000,
-    inner: Optional[InnerConfig] = None,
     use_residual_stop: bool = False,
 ) -> ConvergenceReport:
     """Minimize p subject to ``B^T x = c`` through the regularized saddle.
@@ -532,9 +509,7 @@ def solve_affine_constrained(
     gp0 = np.linalg.norm(grad_p(np.zeros(coupling.d_x)))
     x_reach = gp0 / mu_p + math.sqrt(coupling.lambda_max_BBt) * D_y / mu_p
     target = min(plan.inner_target, eps / (4.0 * max(1.0, coupling.lambda_max_BBt)))
-    report = _solve_regularized(
-        bp, target, x_reach, D_y, max_outer, inner, use_residual_stop
-    )
+    report = _solve_regularized(bp, target, x_reach, D_y, max_outer, use_residual_stop)
     residual = float(np.linalg.norm(coupling.rmatvec(report.final_pair.x) - c))
     report.constraint_residual = residual
     if residual > math.sqrt(eps) * (1.0 + np.linalg.norm(c)):
@@ -555,7 +530,6 @@ def solve_bilinear_linear_composites(
     eps: float,
     *,
     max_outer: int = 100_000,
-    inner: Optional[InnerConfig] = None,
     use_residual_stop: bool = False,
 ) -> ConvergenceReport:
     """Solve ``min_x max_y x^T d + x^T B y - y^T c`` by double regularization.
@@ -593,6 +567,5 @@ def solve_bilinear_linear_composites(
     )
     root = math.sqrt(eps)
     return _solve_regularized(
-        bp, plan.inner_target, D_x + root, D_y + root, max_outer, inner,
-        use_residual_stop,
+        bp, plan.inner_target, D_x + root, D_y + root, max_outer, use_residual_stop
     )

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InnerBudgetExhausted, MissingValueOracle, NonPositiveInput
 from .outer import SolverTuning, check_inner_criterion
-from .problems import PointPair, SmoothnessSpec
+from .problems import PointPair, SmoothnessSpec, check_shape
 
 
 @dataclass
@@ -203,6 +203,9 @@ def fbf_iterates(aux: AuxiliaryProblem, spec: SmoothnessSpec):
 
     x, y = x_k, y_k
     r_x, r_y = aux.grad_R(x, y)
+    # The gradient sums below would broadcast a wrongly shaped output.
+    check_shape(r_x, x, "dR/dx")
+    check_shape(r_y, y, "dR/dy")
     while True:
         dx = x - x_k
         dy = y - y_k

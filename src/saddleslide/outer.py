@@ -167,9 +167,11 @@ class SolveConfig:
     ``eps`` is the target for the weighted squared distance to the saddle;
     `solve` rejects it unless positive and finite, and a supplied ``psi_0``
     unless finite and non-negative.  The outer budget is
-    ``required_outer_iterations`` from ``psi_0`` when a positive bound is
-    supplied or computable (known solution plus value oracles), capped by
-    ``max_outer``; otherwise it is ``max_outer``.  ``use_residual_stop``
+    ``required_outer_iterations`` from a positive potential bound, capped
+    by ``max_outer``: ``psi_0`` when supplied, else the initial potential
+    when it is computed, which takes ``track_potential=True``, a
+    ``known_solution`` and the value oracles of p and q.  Without either
+    the budget is ``max_outer``.  ``use_residual_stop``
     stops the run, within that budget, once a computable bound certifies
     the weighted squared distance ``eps`` at the accepted inner pair (see
     `solve`); it costs no extra oracle calls.
@@ -288,7 +290,9 @@ def solve(
     run stops once that is at most ``eps``.
 
     ``problem`` is wrapped here for counting; potential tracking uses it
-    unwrapped, so diagnostics never perturb the tallies.
+    unwrapped, so its oracle calls are never tallied.  The diagnostics
+    leave the tallies unchanged only when ``config.psi_0`` is given:
+    otherwise the tracked initial potential sizes the budget.
 
     Parameters
     ----------

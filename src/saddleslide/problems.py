@@ -33,6 +33,19 @@ def _as_vector(v) -> np.ndarray:
     return arr
 
 
+def check_shape(value, like: np.ndarray, name: str):
+    """Return ``value`` once it has the shape of ``like``.
+
+    Oracle outputs of the wrong shape would otherwise broadcast silently
+    against the iterates; raises DimensionMismatch.
+    """
+    if np.shape(value) != like.shape:
+        raise DimensionMismatch(
+            f"{name} has shape {np.shape(value)}, expected {like.shape}"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class PointPair:
     """A primal/dual pair (x, y) with finite entries."""

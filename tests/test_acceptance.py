@@ -186,7 +186,7 @@ def test_criterion_05_bilinear_correctness():
         psi0 = initial_potential(composite, spec, start, saddle)
         track = i < 10
         report = solve_bilinear(
-            bp, start, 1e-8, psi_0=psi0, track_inner_details=track
+            bp, start, SolveConfig(eps=1e-8, psi_0=psi0, track_inner_details=track)
         )
         t = report.tuning
         assert weighted_distance_sq(report.final_pair, saddle, t.eta_x, t.eta_y) <= 1e-8

@@ -95,7 +95,9 @@ def test_bilinear_path_identities(
         d_x, d_y, cond_p * mu_p, mu_p, cond_q * mu_q, mu_q, sigma_max, seed
     )
     start = PointPair(np.zeros(d_x), np.zeros(d_y))
-    report = solve_bilinear(inst.bilinear_problem(), start, 1e-4, psi_0=100.0)
+    report = solve_bilinear(
+        inst.bilinear_problem(), start, SolveConfig(eps=1e-4, psi_0=100.0)
+    )
     c = report.counters
     _assert_composite_once_per_step(c)
     assert c.calls_grad_R == 4 * c.outer_iterations + 3 * c.inner_iterations

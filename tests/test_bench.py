@@ -472,6 +472,15 @@ class TestRunSingle:
         assert runner.run_succeeded(row)
         assert row.calls_grad_p < planned.calls_grad_p
 
+    def test_uncertified_budget_run_fails(self):
+        # eps = 1e-6 is below the linear-bilinear reduction's float64
+        # floor: the planned budget runs out at about 5.8e4 eps from the
+        # reference, and the row must not pass on its instance kind alone.
+        row = run_single(gen_linear_bilinear(8, 3), "sliding", 1e-6)
+        assert row.termination == "budget-exhausted"
+        assert row.dist_unweighted > row.eps
+        assert not runner.run_succeeded(row)
+
     def test_unknown_solver_rejected(self):
         from saddleslide.bench import run_single
 
@@ -506,6 +515,16 @@ class TestCli:
         assert main(["bench", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
         assert main(["report", "--out", str(tmp_path / "o")]) == 0
         assert (tmp_path / "o" / "aggregate.csv").exists()
+
+    def test_uncertified_solve_exit_code(self, tmp_path, capsys):
+        # The linear-bilinear reduction below its float64 floor ends its
+        # planned budget at about 2.0e5 eps from the reference.
+        manifest = gen_linear_bilinear(8, seed=4).save(tmp_path / "lb8")
+        assert main([
+            "solve", "--manifest", str(manifest), "--solver", "sliding",
+            "--eps", "1e-6",
+        ]) == 2
+        assert "termination=budget-exhausted" in capsys.readouterr().out
 
     def test_error_exit_code(self, tmp_path):
         assert main(["solve", "--manifest", str(tmp_path / "missing.json")]) == 1

@@ -11,6 +11,7 @@ from saddleslide import (
     CouplingOperator,
     InnerConfig,
     PointPair,
+    SolveConfig,
     eliminate_y,
     estimate_spectral_bounds,
     initial_potential,
@@ -25,6 +26,7 @@ from saddleslide import (
 )
 from saddleslide.bilinear import _cg_iterates
 from saddleslide.errors import (
+    DimensionMismatch,
     DivergenceDetected,
     InconsistentConstants,
     InfeasibleTarget,
@@ -218,7 +220,7 @@ class TestSolveBilinear:
             coupling=CouplingOperator.from_dense(B),
         )
         start = PointPair(rng.standard_normal(3), rng.standard_normal(4))
-        report = solve_bilinear(bp, start, 1e-10, psi_0=100.0)
+        report = solve_bilinear(bp, start, SolveConfig(eps=1e-10, psi_0=100.0))
         origin = PointPair(np.zeros(3), np.zeros(4))
         t = report.tuning
         assert weighted_distance_sq(report.final_pair, origin, t.eta_x, t.eta_y) <= 1e-10
@@ -229,7 +231,8 @@ class TestSolveBilinear:
             L_p=1.0, mu_p=1.0, L_q=1.0, mu_q=1.0,
             coupling=CouplingOperator.from_dense(np.array([[1.0]])),
         )
-        report = solve_bilinear(bp, PointPair([0.0], [0.0]), 1e-12, psi_0=10.0)
+        report = solve_bilinear(bp, PointPair([0.0], [0.0]),
+                                SolveConfig(eps=1e-12, psi_0=10.0))
         assert report.final_pair.x[0] == pytest.approx(-0.5, abs=1e-6)
         assert report.final_pair.y[0] == pytest.approx(-0.5, abs=1e-6)
 
@@ -238,14 +241,14 @@ class TestSolveBilinear:
         start = PointPair(np.zeros(10), np.zeros(10))
         composite, spec = split_bilinear(bp)
         psi0 = initial_potential(composite, spec, start, saddle)
-        report = solve_bilinear(bp, start, 1e-8, psi_0=psi0)
+        report = solve_bilinear(bp, start, SolveConfig(eps=1e-8, psi_0=psi0))
         t = report.tuning
         assert weighted_distance_sq(report.final_pair, saddle, t.eta_x, t.eta_y) <= 1e-8
 
     def test_counters_report_matvecs(self, rng):
         bp, _, saddle = _random_bilinear(rng, 4, 4)
-        report = solve_bilinear(bp, PointPair(np.zeros(4), np.zeros(4)), 1e-6,
-                                psi_0=50.0)
+        report = solve_bilinear(bp, PointPair(np.zeros(4), np.zeros(4)),
+                                SolveConfig(eps=1e-6, psi_0=50.0))
         c = report.counters
         assert c.calls_grad_p == c.outer_iterations
         assert c.calls_grad_q == c.outer_iterations
@@ -259,9 +262,10 @@ class TestSolveBilinear:
         # of one some outer step must be accepted by the stall rule.
         bp, _, _ = _random_bilinear(rng, 6, 5, sigma=20.0)
         report = solve_bilinear(
-            bp, PointPair(np.zeros(6), np.zeros(5)), 1e-6, psi_0=50.0,
-            inner=InnerConfig(stall_window=1, stall_rtol=1.0),
-            track_inner_details=True,
+            bp, PointPair(np.zeros(6), np.zeros(5)),
+            SolveConfig(eps=1e-6, psi_0=50.0,
+                        inner=InnerConfig(stall_window=1, stall_rtol=1.0),
+                        track_inner_details=True),
         )
         assert any(log["accepted_by"] == "stall" for log in report.inner_logs)
 
@@ -269,8 +273,8 @@ class TestSolveBilinear:
         bp, _, _ = _random_bilinear(rng, 6, 5, sigma=20.0)
         with pytest.raises(InnerBudgetExhausted):
             solve_bilinear(
-                bp, PointPair(np.ones(6), np.ones(5)), 1e-6, psi_0=50.0,
-                inner=InnerConfig(max_inner=0),
+                bp, PointPair(np.ones(6), np.ones(5)),
+                SolveConfig(eps=1e-6, psi_0=50.0, inner=InnerConfig(max_inner=0)),
             )
 
     def test_non_finite_composite_raises_divergence(self, rng):
@@ -286,16 +290,25 @@ class TestSolveBilinear:
         with pytest.raises(DivergenceDetected):
             solve_bilinear(
                 dataclasses.replace(bp, grad_p=grad_p),
-                PointPair(np.zeros(6), np.zeros(5)), 1e-6, psi_0=50.0,
-                inner=InnerConfig(max_inner=1000),
+                PointPair(np.zeros(6), np.zeros(5)),
+                SolveConfig(eps=1e-6, psi_0=50.0, inner=InnerConfig(max_inner=1000)),
             )
+
+    def test_composite_gradient_shape_checked(self, rng):
+        # A (1,)-shaped grad_p broadcasts against the split's modulus term
+        # and, unchecked, runs out its budget at a wrong point.
+        bp, _, _ = _random_bilinear(rng, 4, 3)
+        bp = dataclasses.replace(bp, grad_p=lambda x: np.array([x.sum() + 1.0]))
+        with pytest.raises(DimensionMismatch):
+            solve_bilinear(bp, PointPair(np.zeros(4), np.zeros(3)),
+                           SolveConfig(eps=1e-6, psi_0=50.0))
 
     def test_potential_tracking_leaves_tallies_unchanged(self, rng):
         bp, _, saddle = _random_bilinear(rng, 5, 4)
         start = PointPair(np.zeros(5), np.zeros(4))
-        plain = solve_bilinear(bp, start, 1e-6, psi_0=50.0)
-        tracked = solve_bilinear(bp, start, 1e-6, psi_0=50.0,
-                                 track_potential=True, known_solution=saddle)
+        plain = solve_bilinear(bp, start, SolveConfig(eps=1e-6, psi_0=50.0))
+        tracked = solve_bilinear(bp, start, SolveConfig(
+            eps=1e-6, psi_0=50.0, track_potential=True, known_solution=saddle))
         assert len(tracked.potentials) == tracked.counters.outer_iterations > 0
         assert tracked.counters.as_dict() == plain.counters.as_dict()
 
@@ -312,7 +325,7 @@ class TestSolveBilinear:
                 coupling=CouplingOperator.from_dense(scale * base_B),
             )
             start = PointPair(np.ones(6), np.ones(6))
-            report = solve_bilinear(bp, start, 1e-8, psi_0=1e4)
+            report = solve_bilinear(bp, start, SolveConfig(eps=1e-8, psi_0=1e4))
             counts[scale] = report.counters
         assert counts[1.0].calls_grad_p == counts[10.0].calls_grad_p
         assert counts[1.0].calls_grad_q == counts[10.0].calls_grad_q
@@ -367,8 +380,8 @@ class TestSolveAffineConstrained:
 
     def test_long_path_needs_no_spectral_floor(self):
         # The path Laplacian's smallest nonzero eigenvalue shrinks like
-        # 1/n^2; an inner solver whose rate depends on it exhausts 400
-        # steps here.
+        # 1/n^2; an inner solver whose rate depends on it needs more than
+        # 400 steps in some outer step here.
         from saddleslide.bench import gen_consensus, reference_solution
 
         eps = 1e-6
@@ -382,8 +395,8 @@ class TestSolveAffineConstrained:
             c=inst.arrays["c"],
             D_y=inst.constants["D_y"],
             eps=eps,
-            inner=InnerConfig(max_inner=400),
         )
+        assert max(report.inner_iterations) <= 400
         x_ref = reference_solution(inst).x
         assert np.sum((report.final_pair.x - x_ref) ** 2) <= eps
         assert report.constraint_residual <= math.sqrt(eps)

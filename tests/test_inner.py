@@ -129,6 +129,21 @@ class TestBuildAuxiliary:
             solve(problem, self.SPEC, start, SolveConfig(eps=1e-6, max_outer=3),
                   inner_solver=short_pair)
 
+    def test_coupling_gradient_shape_checked(self):
+        # A (1,)-shaped x-gradient broadcasts through the subproblem
+        # gradients: unchecked, this run certified x = arange(4) - 0.75
+        # against the saddle's arange(4) / 2.
+        problem = CompositeSaddleProblem(
+            d_x=4, d_y=4,
+            grad_p=lambda x: x - np.arange(4.0),
+            grad_q=lambda y: y,
+            grad_R=lambda x, y: (np.array([x.mean()]), -y),
+        )
+        start = PointPair(np.zeros(4), np.zeros(4))
+        config = SolveConfig(eps=1e-8, max_outer=100, use_residual_stop=True)
+        with pytest.raises(DimensionMismatch):
+            solve(problem, self.SPEC, start, config)
+
     def test_single_coupling_call_per_gradient(self):
         calls = {"n": 0}
 
@@ -534,12 +549,12 @@ class TestReferenceEquivalence:
         config = REFERENCE_CONFIGS[config_name]
         bp = gen_bilinear(30, 20, 4.0, 1.0, 0.04, 0.01, 2.0, 1).bilinear_problem()
         start = PointPair(np.zeros(30), np.zeros(20))
-        got = solve_bilinear(bp, start, 1e-8, max_outer=60, inner=config)
+        solve_config = SolveConfig(eps=1e-8, max_outer=60, inner=config)
+        got = solve_bilinear(bp, start, solve_config)
 
         wrapped, counters = wrap_counting_bilinear(bp)
         composite, spec = split_bilinear(bp)
-        want = solve(composite, spec, start,
-                     SolveConfig(eps=1e-8, max_outer=60, inner=config),
+        want = solve(composite, spec, start, solve_config,
                      inner_solver=_reference_bilinear_inner(wrapped), counters=counters)
         assert np.array_equal(got.final_pair.x, want.final_pair.x)
         assert np.array_equal(got.final_pair.y, want.final_pair.y)

@@ -430,7 +430,9 @@ class TestResidualCertificate:
         start = PointPair(np.zeros(d), np.zeros(d))
         reference = reference_solution(inst)
         psi_0 = initial_potential(composite, spec, start, reference)
-        report = solve_bilinear(bp, start, eps, psi_0=psi_0, use_residual_stop=True)
+        report = solve_bilinear(
+            bp, start, SolveConfig(eps=eps, psi_0=psi_0, use_residual_stop=True)
+        )
         _assert_certified(report, spec, psi_0, eps, reference)
 
 
