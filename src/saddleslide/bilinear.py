@@ -20,7 +20,8 @@ elimination-consistency tests).
 
 The two regularized reductions, affinely constrained minimization and
 fully linear composites, size their regularizers and accuracy targets by
-the plans of `regularization` and share one solve from the origin.
+the plans of `regularization` and share one regularized solve; the
+linear-composite reduction restarts it in stages around its last point.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .errors import (
 )
 from .inner import AuxiliaryProblem, InnerConfig, InnerResult, accept_first
 from .outer import (
+    TERMINATION_RESIDUAL,
     ConvergenceReport,
     SolveConfig,
     SolverTuning,
@@ -55,6 +57,10 @@ from .problems import (
     count_calls,
 )
 from .regularization import plan_cc, plan_scc
+
+# Each stage of `solve_bilinear_linear_composites` aims at this fraction
+# of the previous stage's target.
+STAGE_RATIO = 1e-2
 
 
 @dataclass(frozen=True)
@@ -425,20 +431,22 @@ def solve_bilinear(
 
 def _solve_regularized(
     bp: BilinearProblem,
+    start: PointPair,
     target: float,
     x_reach: float,
     y_reach: float,
     max_outer: int,
     use_residual_stop: bool,
 ) -> ConvergenceReport:
-    """Solve a regularized reduction's saddle from the origin.
+    """Solve a regularized reduction's saddle from ``start``.
 
     ``target`` is the plain squared distance to reach; the outer loop
     measures the step-weighted one, so it is scaled by
-    ``max(1, eta_x, eta_y)``.  ``x_reach`` and ``y_reach`` bound the norms
-    of the saddle's blocks and size the a priori potential bound, of which
-    only the logarithm matters.  ``use_residual_stop`` ends the run early
-    once the outer loop's certificate proves that scaled target.
+    ``max(1, eta_x, eta_y)``.  ``x_reach`` and ``y_reach`` bound the
+    distances of the saddle's blocks from ``start`` and size the a priori
+    potential bound, of which only the logarithm matters.
+    ``use_residual_stop`` ends the run early once the outer loop's
+    certificate proves that scaled target.
     """
     _, spec = split_bilinear(bp)
     tuning = tune_parameters(spec)
@@ -452,7 +460,7 @@ def _solve_regularized(
         psi_0=psi_0,
         use_residual_stop=use_residual_stop,
     )
-    return solve_bilinear(bp, PointPair(np.zeros(bp.d_x), np.zeros(bp.d_y)), config)
+    return solve_bilinear(bp, start, config)
 
 
 def solve_affine_constrained(
@@ -509,7 +517,10 @@ def solve_affine_constrained(
     gp0 = np.linalg.norm(grad_p(np.zeros(coupling.d_x)))
     x_reach = gp0 / mu_p + math.sqrt(coupling.lambda_max_BBt) * D_y / mu_p
     target = min(plan.inner_target, eps / (4.0 * max(1.0, coupling.lambda_max_BBt)))
-    report = _solve_regularized(bp, target, x_reach, D_y, max_outer, use_residual_stop)
+    origin = PointPair(np.zeros(coupling.d_x), np.zeros(coupling.d_y))
+    report = _solve_regularized(
+        bp, origin, target, x_reach, D_y, max_outer, use_residual_stop
+    )
     residual = float(np.linalg.norm(coupling.rmatvec(report.final_pair.x) - c))
     report.constraint_residual = residual
     if residual > math.sqrt(eps) * (1.0 + np.linalg.norm(c)):
@@ -532,40 +543,103 @@ def solve_bilinear_linear_composites(
     max_outer: int = 100_000,
     use_residual_stop: bool = False,
 ) -> ConvergenceReport:
-    """Solve ``min_x max_y x^T d + x^T B y - y^T c`` by double regularization.
+    """Solve ``min_x max_y x^T d + x^T B y - y^T c`` by restarted regularization.
 
     Requires full row rank coupling (lambda_min(B B^T) > 0) and norm
-    bounds ``||x*|| <= D_x``, ``||y*|| <= D_y`` on the solution.  Both
-    blocks get `plan_cc`'s ``(eps/16 D^2)||.||^2`` regularizers and the
-    regularized problem is solved to unweighted accuracy eps/2, which
-    certifies an eps-solution of the original.
+    bounds ``||x*|| <= D_x``, ``||y*|| <= D_y`` on the solution.  The
+    solve runs in stages, an inexact proximal-point scheme (Allen-Zhu &
+    Hazan 2016; Lin, Mairal & Harchaoui 2015).  With ``T_0 = D_x^2 + D_y^2``,
+    stage j aims at ``T_j = max(eps, STAGE_RATIO T_{j-1})`` and the stage
+    whose target is eps is the last.  It puts ``(mu/2)||.||^2``
+    regularizers on both blocks, centred on the point stage j - 1 returned
+    (the origin for the first), starts there, and solves the regularized
+    problem to unweighted squared distance ``T_j/2``.
 
-    Since both step sizes scale like ``D^2/eps``, recovering the dual from
-    ``B^T x`` loses roughly ``eps/(16 D^2)`` relative precision; in float64
-    the reduction is reliable down to ``eps/D^2`` around 1e-5 and degrades
-    below that.  ``use_residual_stop`` ends the solve once the outer loop
-    certifies the eps/2 target; the planned budget stays the cap.
+    The regularized saddle is ``mu (mu I + M)^-1`` of the centre's error,
+    ``M`` the skew coupling operator, so it is ``mu/sqrt(mu^2 +
+    lambda_min(B B^T))`` times as far from the saddle as the centre.  ``mu``
+    is `plan_cc`'s ``T_j/(8 T_{j-1})``, capped so that this factor is at
+    most ``(1 - 1/sqrt(2)) sqrt(T_j/T_{j-1})``; the stage's point, within
+    ``sqrt(T_j/2)`` of the regularized saddle, is then within ``sqrt(T_j)``
+    of the saddle, the next stage's radius.  Every
+    stage runs at a ratio ``T_j/T_{j-1}`` of at least ``STAGE_RATIO``, far
+    above the float64 floor of one regularization around the origin, and
+    the cost grows like ``log(1/eps)``.  The report sums the stages'
+    tallies and planned budgets, lists their inner iterations in order, and
+    holds the last stage's point and tuning.
+
+    ``max_outer`` caps the outer steps of all stages together, and the
+    last stage ends ``budget-exhausted`` when it runs out.
+    ``use_residual_stop`` ends each stage once the outer loop certifies
+    its target, with its planned budget as the cap; without it each stage
+    runs its planned budget, which certifies the target a priori.
+
+    Raises
+    ------
+    BudgetExhausted
+        When a stage before the last ends without its certificate, since
+        its point then proves no radius for the next stage: under
+        ``use_residual_stop`` when it ends uncertified, and in either mode
+        when ``max_outer`` runs out.
     """
-    plan = plan_cc(eps, D_x, D_y)
-    if coupling.lambda_min_BBt <= 0.0:
+    plan_cc(eps, D_x, D_y)  # rejects non-positive or non-finite inputs
+    lambda_min = coupling.lambda_min_BBt
+    if lambda_min <= 0.0:
         raise InconsistentConstants(
-            f"lambda_min(B B^T)={coupling.lambda_min_BBt} must be positive"
+            f"lambda_min(B B^T)={lambda_min} must be positive"
         )
     d = np.asarray(d, dtype=float)
     c = np.asarray(c, dtype=float)
-    mu_p = 2.0 * plan.coeff_x
-    mu_q = 2.0 * plan.coeff_y
+    center = PointPair(np.zeros(coupling.d_x), np.zeros(coupling.d_y))
+    previous = D_x**2 + D_y**2
+    budget = max_outer
+    stages = []
+    while True:
+        target = max(eps, STAGE_RATIO * previous)
+        radius = math.sqrt(previous)
+        plan = plan_cc(target, radius, radius)
+        mu = 2.0 * plan.coeff_x
+        shrink = (1.0 - math.sqrt(0.5)) * math.sqrt(target / previous)
+        if shrink < 1.0:
+            mu = min(mu, shrink * math.sqrt(lambda_min / (1.0 - shrink**2)))
+        x_c, y_c = center.x, center.y
+        # Re-centring the regularizers moves no data through B.
+        bp = BilinearProblem(
+            grad_p=lambda x: d + mu * (x - x_c),
+            grad_q=lambda y: c + mu * (y - y_c),
+            L_p=mu,
+            mu_p=mu,
+            L_q=mu,
+            mu_q=mu,
+            coupling=coupling,
+        )
+        reach = radius + math.sqrt(target)
+        report = _solve_regularized(
+            bp, center, plan.inner_target, reach, reach, budget, use_residual_stop
+        )
+        stages.append(report)
+        budget -= report.counters.outer_iterations
+        if target == eps:
+            break
+        if use_residual_stop and report.termination != TERMINATION_RESIDUAL:
+            raise BudgetExhausted(
+                f"stage {len(stages)} (target {target:.3e}) ended "
+                f"{report.termination} without its certificate"
+            )
+        if budget == 0:
+            raise BudgetExhausted(
+                f"max_outer={max_outer} ran out at stage {len(stages)} "
+                f"(target {target:.3e}), before the last"
+            )
+        center = report.final_pair
+        previous = target
 
-    bp = BilinearProblem(
-        grad_p=lambda x: d + mu_p * x,
-        grad_q=lambda y: c + mu_q * y,
-        L_p=mu_p,
-        mu_p=mu_p,
-        L_q=mu_q,
-        mu_q=mu_q,
-        coupling=coupling,
-    )
-    root = math.sqrt(eps)
-    return _solve_regularized(
-        bp, plan.inner_target, D_x + root, D_y + root, max_outer, use_residual_stop
+    totals = OracleCounters()
+    for name in totals.as_dict():
+        setattr(totals, name, sum(getattr(s.counters, name) for s in stages))
+    return dataclasses.replace(
+        report,
+        counters=totals,
+        planned_outer=sum(s.planned_outer for s in stages),
+        inner_iterations=[n for s in stages for n in s.inner_iterations],
     )

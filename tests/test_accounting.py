@@ -39,6 +39,7 @@ from saddleslide.bench.generators import (
     gen_quadratic_spp,
     reference_solution,
 )
+from saddleslide.bench.runner import run_single
 from saddleslide.problems import count_calls
 
 SETTINGS = settings(max_examples=20, deadline=None)
@@ -176,14 +177,41 @@ def test_affine_reduction_uncounted_calls(topology):
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_linear_reduction_counts_every_product(seed):
+    # At eps 1e-7 the reduction runs several restarted stages; the caller's
+    # counted coupling must see exactly the products summed over them.
     inst = gen_linear_bilinear(8, seed)
-    mine = OracleCounters()
-    report = solve_bilinear_linear_composites(
-        d=inst.arrays["d"],
-        c=inst.arrays["c"],
-        coupling=_counted_coupling(inst.coupling(), mine),
-        D_x=inst.constants["D_x"],
-        D_y=inst.constants["D_y"],
-        eps=1e-3,
-    )
-    assert mine.calls_grad_R == report.counters.calls_grad_R > 0
+    for eps in (1e-3, 1e-7):
+        mine = OracleCounters()
+        report = solve_bilinear_linear_composites(
+            d=inst.arrays["d"],
+            c=inst.arrays["c"],
+            coupling=_counted_coupling(inst.coupling(), mine),
+            D_x=inst.constants["D_x"],
+            D_y=inst.constants["D_y"],
+            eps=eps,
+            use_residual_stop=True,
+        )
+        assert mine.calls_grad_R == report.counters.calls_grad_R > 0
+    assert len(report.inner_iterations) == report.counters.outer_iterations
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(1, 40),
+    cond=st.floats(1.0, 100.0),
+    log_scale=st.floats(-3.0, 1.0),
+    seed=seeds,
+    log_eps=st.floats(-10.0, -2.0),
+)
+def test_restarted_linear_reduction_certifies(d, cond, log_scale, seed, log_eps):
+    # Every stage of the restarted regularization certifies its target, so
+    # the run ends residual-met within eps of the reference at any eps and
+    # any coupling scale, and the stages' summed tallies keep the bilinear
+    # identities.
+    eps = 10.0**log_eps
+    inst = gen_linear_bilinear(d, seed, scale=10.0**log_scale, cond=cond)
+    row = run_single(inst, "sliding", eps)
+    assert row.termination == "residual-met"
+    assert row.dist_unweighted <= eps
+    assert row.calls_grad_p == row.calls_grad_q == row.outer_iters
+    assert row.calls_grad_R == 4 * row.outer_iters + 3 * row.inner_iters

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from saddleslide import PointPair, unweighted_distance_sq
+from saddleslide import BilinearProblem, PointPair, plan_cc, unweighted_distance_sq
 from saddleslide.bench import (
     CSV_COLUMNS,
     Instance,
@@ -24,6 +24,7 @@ from saddleslide.bench import (
 from saddleslide.bench import matio, runner
 from saddleslide.bench.baselines import agd_joint_baseline
 from saddleslide.bench.cli import main
+from saddleslide.bilinear import _solve_regularized
 from saddleslide.errors import (
     BudgetExhausted,
     DivergenceDetected,
@@ -443,11 +444,25 @@ class TestRunSingle:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_run_stops_before_overflow(self):
-        # eps = 1e-8 is below the reduction's float64 floor and the run
-        # diverges; the inner criterion names it before a norm overflows.
+        # One regularization around the origin at eps = 1e-8, far below its
+        # float64 floor (eps/D^2 about 1e-5), diverges; the inner criterion
+        # names it before a norm overflows.  The reduction itself restarts
+        # its regularization and never runs such a stage.
         inst = gen_linear_bilinear(8, seed=3)
+        eps = 1e-8
+        D_x, D_y = inst.constants["D_x"], inst.constants["D_y"]
+        plan = plan_cc(eps, D_x, D_y)
+        mu_p, mu_q = 2.0 * plan.coeff_x, 2.0 * plan.coeff_y
+        d, c = inst.arrays["d"], inst.arrays["c"]
+        bp = BilinearProblem(
+            grad_p=lambda x: d + mu_p * x, grad_q=lambda y: c + mu_q * y,
+            L_p=mu_p, mu_p=mu_p, L_q=mu_q, mu_q=mu_q, coupling=inst.coupling(),
+        )
+        origin = PointPair(np.zeros(8), np.zeros(8))
+        root = math.sqrt(eps)
         with pytest.raises(DivergenceDetected):
-            run_single(inst, "sliding", 1e-8)
+            _solve_regularized(bp, origin, plan.inner_target, D_x + root, D_y + root,
+                               200_000, True)
 
     @pytest.mark.parametrize("make, eps, distance", [
         (lambda: gen_quadratic_spp(10, 10, 100.0, 1.0, 100.0, 1.0, 10.0, 0),
@@ -473,10 +488,19 @@ class TestRunSingle:
         assert row.calls_grad_p < planned.calls_grad_p
 
     def test_uncertified_budget_run_fails(self):
-        # eps = 1e-6 is below the linear-bilinear reduction's float64
-        # floor: the planned budget runs out at about 5.8e4 eps from the
-        # reference, and the row must not pass on its instance kind alone.
-        row = run_single(gen_linear_bilinear(8, 3), "sliding", 1e-6)
+        # One outer step cannot certify eps = 1e-8: the run ends its budget
+        # at about 4.4e8 eps from the reference, and the row must not pass.
+        row = run_single(gen_quadratic_spp(4, 4, 3.0, 1.0, 2.0, 1.0, 5.0, 2), "sliding",
+                         1e-8, max_outer=1)
+        assert row.termination == "budget-exhausted"
+        assert row.dist_weighted > row.eps
+        assert not runner.run_succeeded(row)
+
+    def test_uncertified_reduction_budget_run_fails(self):
+        # The reductions' rows are judged by the unweighted distance: one
+        # outer step leaves this consensus run about 900 eps away.
+        row = run_single(gen_consensus(8, "path", 1.0, 4.0, 0), "sliding", 1e-6,
+                         max_outer=1)
         assert row.termination == "budget-exhausted"
         assert row.dist_unweighted > row.eps
         assert not runner.run_succeeded(row)
@@ -517,12 +541,12 @@ class TestCli:
         assert (tmp_path / "o" / "aggregate.csv").exists()
 
     def test_uncertified_solve_exit_code(self, tmp_path, capsys):
-        # The linear-bilinear reduction below its float64 floor ends its
-        # planned budget at about 2.0e5 eps from the reference.
-        manifest = gen_linear_bilinear(8, seed=4).save(tmp_path / "lb8")
+        # One outer step leaves the run far from the reference (dist_w about
+        # 4.4 at eps 1e-8), with no certificate.
+        manifest = gen_quadratic_spp(4, 4, 3.0, 1.0, 2.0, 1.0, 5.0, 2).save(tmp_path / "q4")
         assert main([
             "solve", "--manifest", str(manifest), "--solver", "sliding",
-            "--eps", "1e-6",
+            "--eps", "1e-8", "--max-outer", "1",
         ]) == 2
         assert "termination=budget-exhausted" in capsys.readouterr().out
 

@@ -24,8 +24,10 @@ from saddleslide import (
     weighted_distance_sq,
     wrap_counting_bilinear,
 )
+from saddleslide.bench.generators import gen_linear_bilinear
 from saddleslide.bilinear import _cg_iterates
 from saddleslide.errors import (
+    BudgetExhausted,
     DimensionMismatch,
     DivergenceDetected,
     InconsistentConstants,
@@ -473,6 +475,53 @@ class TestSolveLinearComposites:
             norms[eps] = report.counters.calls_grad_R / math.log(1.0 / eps) ** 2
         ratios = list(norms.values())
         assert max(ratios) <= 3.0 * min(ratios)
+
+    def test_restarted_cost_grows_with_log_eps(self):
+        # Every restarted stage runs at the same eps/D^2, so seven more
+        # decades of accuracy cost at most 3x the products (193 against 103
+        # at 1e-10 and 1e-3).  One regularization around the origin spent
+        # 174x as much at 1e-7 as at 1e-3.
+        inst = gen_linear_bilinear(8, 4)
+        products = {}
+        for eps in (1e-3, 1e-10):
+            report = solve_bilinear_linear_composites(
+                d=inst.arrays["d"], c=inst.arrays["c"], coupling=inst.coupling(),
+                D_x=inst.constants["D_x"], D_y=inst.constants["D_y"],
+                eps=eps, use_residual_stop=True,
+            )
+            assert report.termination == "residual-met"
+            products[eps] = report.counters.calls_grad_R
+        assert products[1e-10] <= 3 * products[1e-3]
+
+    @pytest.mark.parametrize("use_residual_stop", [True, False])
+    def test_uncertified_stage_raises(self, use_residual_stop):
+        # One outer step for the whole run ends the first of the stages at
+        # eps 1e-7 short of its certificate, in either mode, and its point
+        # would prove no radius for the next stage.
+        inst = gen_linear_bilinear(8, 4)
+        with pytest.raises(BudgetExhausted, match="stage 1"):
+            solve_bilinear_linear_composites(
+                d=inst.arrays["d"], c=inst.arrays["c"], coupling=inst.coupling(),
+                D_x=inst.constants["D_x"], D_y=inst.constants["D_y"],
+                eps=1e-7, max_outer=1, use_residual_stop=use_residual_stop,
+            )
+
+    @pytest.mark.parametrize("use_residual_stop", [True, False])
+    def test_weak_coupling_stays_within_eps(self, use_residual_stop):
+        # With sigma(B) = 0.01, plan_cc's regularizer T_k/(8 T_{k-1}) =
+        # 1.25e-3 leaves each stage's saddle 0.12 times as far from the
+        # saddle as its centre, where the next radius allows 0.03: uncapped,
+        # the run ended residual-met at about 4 eps.  The cap on mu keeps
+        # every stage's point within its radius.
+        inst = gen_linear_bilinear(1, 0, scale=0.01)
+        reference = inst.saddle()
+        eps = 1e-8
+        report = solve_bilinear_linear_composites(
+            d=inst.arrays["d"], c=inst.arrays["c"], coupling=inst.coupling(),
+            D_x=inst.constants["D_x"], D_y=inst.constants["D_y"],
+            eps=eps, use_residual_stop=use_residual_stop,
+        )
+        assert unweighted_distance_sq(report.final_pair, reference) <= eps
 
     def test_rejects_singular_coupling(self):
         B = np.array([[1.0, 0.0], [0.0, 0.0]])
