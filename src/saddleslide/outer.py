@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -160,6 +160,34 @@ def check_inner_criterion(
     return lhs <= rhs or lhs <= floor_tol
 
 
+def _norm(v: np.ndarray) -> float:
+    # What np.linalg.norm computes for a real 1-D array, minus its dispatch.
+    return math.sqrt(v.dot(v))
+
+
+def residual_bounds(
+    rx: float, ry: float, sx: float, sy: float, spec: SmoothnessSpec
+) -> Tuple[float, float]:
+    """Squared bounds on ``||D^-1/2 F||`` at the accepted pair and at zg.
+
+    ``F = (grad_x f, -grad_y f)`` is the saddle operator and
+    ``D = diag(mu_x I, mu_y I)``.  ``rx``, ``ry`` are the norms of the
+    residual that pairs the composite gradients at the extrapolation point
+    ``zg = (xg, yg)`` with the coupling gradient at the accepted pair
+    ``z_hat = (x_hat, y_hat)``; ``sx``, ``sy`` are the norms of
+    ``x_hat - xg`` and ``y_hat - yg``.  At ``z_hat`` the composite
+    gradients are off by at most ``L_p sx`` and ``L_q sy``; at ``zg`` the
+    coupling gradient is off by at most ``L_R ||(sx, sy)||``.  Returns the
+    bounds at ``z_hat`` and at ``zg``, each at least ``||D^-1/2 F||^2``
+    there.
+    """
+    bx = rx + spec.L_p * sx
+    by = ry + spec.L_q * sy
+    gap = spec.L_R * math.sqrt(sx * sx + sy * sy) / math.sqrt(min(spec.mu_x, spec.mu_y))
+    b_g = math.sqrt(rx * rx / spec.mu_x + ry * ry / spec.mu_y) + gap
+    return bx * bx / spec.mu_x + by * by / spec.mu_y, b_g * b_g
+
+
 @dataclass
 class SolveConfig:
     """Knobs of a solve run.
@@ -173,8 +201,9 @@ class SolveConfig:
     ``known_solution`` and the value oracles of p and q.  Without either
     the budget is ``max_outer``.  ``use_residual_stop``
     stops the run, within that budget, once a computable bound certifies
-    the weighted squared distance ``eps`` at the accepted inner pair (see
-    `solve`); it costs no extra oracle calls.
+    the weighted squared distance ``eps`` at the accepted inner pair or at
+    the extrapolation point, and returns that point (see `solve`); it
+    costs no extra oracle calls.
     """
 
     eps: float
@@ -288,6 +317,22 @@ def solve(
     distance ``||dx||^2/eta_x + ||dy||^2/eta_y`` by
     ``max(1/(eta_x mu_x), 1/(eta_y mu_y)) (b_x^2/mu_x + b_y^2/mu_y)``; the
     run stops once that is at most ``eps``.
+
+    Failing that, the run ends ``residual-met`` at the extrapolation point
+    ``zg = (xg, yg)`` of the same step, where the composite gradients are
+    exact.  With ``(r_x, r_y)`` the residual pairing them with the
+    coupling gradient at ``z``, ``s = z - zg`` and
+    ``D = diag(mu_x I, mu_y I)``, ``F(zg) = (r_x, r_y) + B(zg) - B(z)``
+    for the ``L_R``-Lipschitz ``B = (grad_x R, -grad_y R)``, so
+
+        ||D^-1/2 F(zg)|| <= b_g = sqrt(||r_x||^2/mu_x + ||r_y||^2/mu_y)
+                                  + L_R ||s|| / sqrt(min(mu_x, mu_y)).
+
+    The same strong-monotonicity step gives
+    ``||D^1/2 (zg - z*)|| <= ||D^-1/2 F(zg)||``, so the run stops at
+    ``zg`` once ``max(1/(eta_x mu_x), 1/(eta_y mu_y)) b_g^2 <= eps``.
+    `residual_bounds` computes both bounds; the stop returns the point
+    it certified.
 
     ``problem`` is wrapped here for counting; potential tracking uses it
     unwrapped, so its oracle calls are never tallied.  The diagnostics
@@ -437,18 +482,22 @@ def solve(
             report.potentials.append(psi(x, y, xf, yf))
 
         if config.use_residual_stop:
-            # Upper bound on the joint residual at the accepted pair using
-            # only quantities already in hand: the subproblem gradients give
-            # the coupling part exactly, and L_p/L_q bound the gap between
-            # the frozen and the exact composite gradients.
+            # (rx, ry) is the residual with the composite gradients at zg
+            # and the coupling gradient at the accepted pair, both exact.
             rx = g_x - (x_hat - aux.x_k) / eta_x
             ry = -g_y - (y_hat - aux.y_k) / eta_y
-            bx = np.linalg.norm(rx) + spec.L_p * np.linalg.norm(x_hat - xg)
-            by = np.linalg.norm(ry) + spec.L_q * np.linalg.norm(y_hat - yg)
-            if weight * (bx * bx / spec.mu_x + by * by / spec.mu_y) <= config.eps:
+            sx, sy = x_hat - xg, y_hat - yg
+            at_hat, at_g = residual_bounds(
+                _norm(rx), _norm(ry), _norm(sx), _norm(sy), spec
+            )
+            if weight * at_hat <= config.eps:
                 report.final_pair = PointPair(x_hat, y_hat)
-                report.termination = TERMINATION_RESIDUAL
-                return report
+            elif weight * at_g <= config.eps:
+                report.final_pair = PointPair(xg, yg)
+            else:
+                continue
+            report.termination = TERMINATION_RESIDUAL
+            return report
 
     report.final_pair = PointPair(x, y)
     report.termination = TERMINATION_BUDGET

@@ -40,6 +40,7 @@ from saddleslide.outer import (
     Y_DOMINANT,
     SolverTuning,
     potential,
+    residual_bounds,
 )
 
 from conftest import random_quadratic_instance
@@ -388,7 +389,7 @@ _CERTIFICATE = settings(max_examples=25, deadline=None)
 
 def _assert_certified(report, spec, psi_0, eps, reference):
     # On 528 draws per route from these ranges, every corner among them,
-    # every run certified, at most 0.59 eps (quadratic) and 0.76 eps
+    # every run certified, at most 0.84 eps (quadratic) and 0.95 eps
     # (bilinear) from the reference, so a certificate that stops firing
     # fails here.
     assert report.termination == TERMINATION_RESIDUAL
@@ -434,6 +435,64 @@ class TestResidualCertificate:
             bp, start, SolveConfig(eps=eps, psi_0=psi_0, use_residual_stop=True)
         )
         _assert_certified(report, spec, psi_0, eps, reference)
+
+
+class TestExtrapolationStop:
+    """The residual stop may certify the step's extrapolation point zg."""
+
+    def test_stops_on_extrapolation_point(self):
+        inst = gen_quadratic_spp(10, 10, 100, 1, 100, 1, 10, 0)
+        problem, spec = inst.problem(), inst.spec()
+        start = PointPair(np.zeros(10), np.zeros(10))
+        reference = reference_solution(inst)
+        psi_0 = initial_potential(problem, spec, start, reference)
+        config = SolveConfig(eps=1e-8, psi_0=psi_0, use_residual_stop=True,
+                             track_inner_details=True)
+        report = solve(problem, spec, start, config)
+        assert report.termination == TERMINATION_RESIDUAL
+        t = report.tuning
+        assert weighted_distance_sq(report.final_pair, reference, t.eta_x, t.eta_y) <= 1e-8
+        # Returning a point other than the last accepted pair means zg.
+        assert not np.array_equal(report.final_pair.x, report.inner_logs[-1]["x_hat"])
+        c = report.counters
+        # 241 steps; the inner-pair bound alone needs 281.
+        assert c.outer_iterations <= 250
+        assert c.calls_grad_p == c.outer_iterations
+        assert c.calls_grad_R == 2 * c.inner_iterations + c.outer_iterations
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 6), ratio=_moduli_ratio, cond_p=_condition,
+           cond_q=_condition, gain=_gain, seed=st.integers(0, 2**31 - 1),
+           step=st.floats(-8.0, 1.0))
+    def test_bounds_dominate_exact_residual(self, d, ratio, cond_p, cond_q, gain,
+                                            seed, step):
+        mu_x, mu_y = 1.0, 1.0 / ratio
+        inst = gen_quadratic_spp(
+            d, d, cond_p * mu_x, mu_x, cond_q * mu_y, mu_y, gain * max(mu_x, mu_y), seed
+        )
+        problem, spec = inst.problem(), inst.spec()
+        rng = np.random.default_rng(seed)
+        x_hat, y_hat = rng.standard_normal(d), rng.standard_normal(d)
+        xg = x_hat + 10.0**step * rng.standard_normal(d)
+        yg = y_hat + 10.0**step * rng.standard_normal(d)
+
+        def scaled_sq(x, y):
+            # ||D^-1/2 F(x, y)||^2 from the exact, uncounted oracles.
+            r_x, r_y = problem.grad_R(x, y)
+            f_x = problem.grad_p(x) + r_x
+            f_y = problem.grad_q(y) - r_y
+            return float(f_x @ f_x) / spec.mu_x + float(f_y @ f_y) / spec.mu_y
+
+        r_x, r_y = problem.grad_R(x_hat, y_hat)
+        rx = problem.grad_p(xg) + r_x
+        ry = problem.grad_q(yg) - r_y
+        at_hat, at_g = residual_bounds(
+            np.linalg.norm(rx), np.linalg.norm(ry),
+            np.linalg.norm(x_hat - xg), np.linalg.norm(y_hat - yg), spec,
+        )
+        # The relative slack absorbs rounding in the declared constants.
+        assert scaled_sq(x_hat, y_hat) <= at_hat * (1.0 + 1e-9)
+        assert scaled_sq(xg, yg) <= at_g * (1.0 + 1e-9)
 
 
 class TestComputePotential:
