@@ -141,21 +141,26 @@ def accept_first(
     between iterates.  Accepts by `check_inner_criterion`, else as a stall
     after ``stall_window`` stalled steps or on the last iterate if they end
     early; raises InnerBudgetExhausted after checking iterate ``max_inner``.
+    Every returned iterate has passed the criterion's finiteness guard
+    (``dx``, ``dy`` finite, so ``x``, ``y`` are too), so its pair skips
+    `PointPair`'s scan.
     """
     stalled, previous = 0, None
     for t, (x, y, dx, dy, g_x, g_y, blocks) in enumerate(iterates):
+        if check_inner_criterion(g_x, g_y, dx, dy, tuning, config.floor_tol):
+            return InnerResult(PointPair._unscanned(x, y), t, g_x, g_y)
+        # The stall count only decides about rejected iterates, and every
+        # iterate before this one was rejected, so it is counted here.
         if previous is not None:
             stalled = stall_count(stalled, config, *zip(blocks, previous))
         previous = blocks
-        if check_inner_criterion(g_x, g_y, dx, dy, tuning, config.floor_tol):
-            return InnerResult(pair=PointPair(x, y), iterations=t, grad_x=g_x, grad_y=g_y)
         # An iterate pinned in place for many steps is the subproblem
         # solution to machine precision; nothing better is representable.
         if stalled >= config.stall_window:
             break
         if t >= config.max_inner:
             raise InnerBudgetExhausted(f"criterion unmet after {t} inner iterations")
-    return InnerResult(PointPair(x, y), t, g_x, g_y, accepted_by=ACCEPTED_STALL)
+    return InnerResult(PointPair._unscanned(x, y), t, g_x, g_y, accepted_by=ACCEPTED_STALL)
 
 
 def fbf_iterates(aux: AuxiliaryProblem, spec: SmoothnessSpec):
@@ -212,13 +217,17 @@ def fbf_iterates(aux: AuxiliaryProblem, spec: SmoothnessSpec):
         g_x = aux.grad_p_anchor + dx / eta_x + r_x
         g_y = r_y - aux.grad_q_anchor - dy / eta_y
         yield x, y, dx, dy, g_x, g_y, (x, y)
+        # c_y = dR/dy + mu_y y is the y part of B' negated, and the y steps
+        # flip their signs to match; IEEE negation is exact and rounding
+        # symmetric, so the iterates are the same bits (up to the sign of
+        # an exact zero).
         b_x = r_x - mu_x * x
-        b_y = -r_y - mu_y * y
+        c_y = r_y + mu_y * y
         x_h = (x - s * b_x - s_gp + s_xk) / div_x
-        y_h = (y - s * b_y - s_gq + s_yk) / div_y
+        y_h = (y + s * c_y - s_gq + s_yk) / div_y
         rh_x, rh_y = aux.grad_R(x_h, y_h)
         x = x_h - s * (rh_x - mu_x * x_h - b_x)
-        y = y_h - s * (-rh_y - mu_y * y_h - b_y)
+        y = y_h + s * (rh_y + mu_y * y_h - c_y)
         r_x, r_y = aux.grad_R(x, y)
 
 

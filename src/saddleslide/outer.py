@@ -424,6 +424,9 @@ def solve(
         result.pair.check_dims(problem.d_x, problem.d_y)
         x_hat, y_hat = result.pair.x, result.pair.y
         g_x, g_y = result.grad_x, result.grad_y
+        # Displacement from the outer iterate, shared by the extrapolation
+        # update and the residual stop.
+        dx, dy = x_hat - x, y_hat - y
 
         # Main update; identical to stepping along the frozen composite
         # gradient plus the coupling gradient at the accepted pair.
@@ -433,8 +436,8 @@ def solve(
             xf = x_hat.copy()
             yf = y_hat.copy()
         else:
-            xf = xg + alpha * (x_hat - x)
-            yf = yg + alpha * (y_hat - y)
+            xf = xg + alpha * dx
+            yf = yg + alpha * dy
 
         if config.track_inner_details:
             report.inner_logs.append(
@@ -461,7 +464,8 @@ def solve(
         # Guard against magnitudes whose squares overflow before the
         # growth rule below could catch them; a custom inner solver need
         # not pass its iterates through check_inner_criterion's guard.
-        if not ((np.abs(x) < 1e150).all() and (np.abs(y) < 1e150).all()):
+        # A NaN fails the test too.
+        if not (x.dot(x) < 1e300 and y.dot(y) < 1e300):
             raise DivergenceDetected(f"non-finite or huge iterate at outer step {k}")
 
         if sol is not None:
@@ -483,9 +487,10 @@ def solve(
 
         if config.use_residual_stop:
             # (rx, ry) is the residual with the composite gradients at zg
-            # and the coupling gradient at the accepted pair, both exact.
-            rx = g_x - (x_hat - aux.x_k) / eta_x
-            ry = -g_y - (y_hat - aux.y_k) / eta_y
+            # and the coupling gradient at the accepted pair, both exact;
+            # ry is formed negated, which leaves its norm unchanged.
+            rx = g_x - dx / eta_x
+            ry = g_y + dy / eta_y
             sx, sy = x_hat - xg, y_hat - yg
             at_hat, at_g = residual_bounds(
                 _norm(rx), _norm(ry), _norm(sx), _norm(sy), spec

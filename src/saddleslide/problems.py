@@ -63,6 +63,14 @@ class PointPair:
     def dims(self) -> Tuple[int, int]:
         return self.x.size, self.y.size
 
+    @classmethod
+    def _unscanned(cls, x: np.ndarray, y: np.ndarray) -> "PointPair":
+        """Pair of float 1-D arrays the caller has proved finite; no scan."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "x", x)
+        object.__setattr__(pair, "y", y)
+        return pair
+
     def copy(self) -> "PointPair":
         return PointPair(self.x.copy(), self.y.copy())
 
@@ -166,9 +174,11 @@ class OracleCounters:
 
 def count_calls(oracle: Callable, counters: OracleCounters, tally: str) -> Callable:
     """``oracle`` with every call added to the ``tally`` field of ``counters``."""
+    # The instance dict holds the field, so one item update bumps it.
+    fields = vars(counters)
 
     def counted(*args):
-        setattr(counters, tally, getattr(counters, tally) + 1)
+        fields[tally] += 1
         return oracle(*args)
 
     return counted

@@ -19,7 +19,9 @@ from saddleslide import (
     split_bilinear,
     tune_parameters,
     weighted_distance_sq,
+    wrap_counting,
 )
+from saddleslide.bilinear import make_bilinear_inner_solver, wrap_counting_bilinear
 from saddleslide.bench.generators import (
     gen_bilinear,
     gen_quadratic_spp,
@@ -33,6 +35,7 @@ from saddleslide.errors import (
     NonPositiveInput,
     NonPositiveModulus,
 )
+from saddleslide.inner import AuxiliaryProblem, InnerResult, solve_auxiliary
 from saddleslide.outer import (
     TERMINATION_BUDGET,
     TERMINATION_RESIDUAL,
@@ -314,6 +317,26 @@ class TestSolve:
         with pytest.raises(DivergenceDetected):
             solve(problem, lying_spec, start, config)
 
+    @pytest.mark.parametrize("block", ["x", "y"])
+    def test_huge_inner_pair_raises(self, block):
+        # An inner solver outside the library need not pass its pair through
+        # check_inner_criterion's guard, so solve's own guard must catch a
+        # finite entry whose square overflows.
+        problem = _decoupled_problem()
+        spec = SmoothnessSpec(L_p=0, L_q=0, L_R=1, mu_x=1, mu_y=1)
+
+        def huge_inner(aux, spec_, tuning, config):
+            x, y = np.zeros(3), np.zeros(2)
+            (x if block == "x" else y)[0] = 1e200
+            return InnerResult(PointPair(x, y), 0, np.zeros(3), np.zeros(2))
+
+        start = PointPair(np.zeros(3), np.zeros(2))
+        # The entry's square overflows to inf, which is what trips the guard.
+        with np.errstate(over="ignore"), pytest.raises(DivergenceDetected,
+                                                        match="outer step 0"):
+            solve(problem, spec, start, SolveConfig(eps=1e-8, max_outer=5),
+                  inner_solver=huge_inner)
+
     def test_residual_stop_certifies_distance(self, rng):
         problem, spec, saddle, _ = random_quadratic_instance(
             rng, 3, 3, 2.0, 1.0, 2.0, 1.0, 1.5
@@ -493,6 +516,110 @@ class TestExtrapolationStop:
         # The relative slack absorbs rounding in the declared constants.
         assert scaled_sq(x_hat, y_hat) <= at_hat * (1.0 + 1e-9)
         assert scaled_sq(xg, yg) <= at_g * (1.0 + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Reference copy of `solve`'s loop in its plain form: one extrapolation
+# formula for every alpha, the displacement recomputed where it is used, the
+# residual with its plain sign, norms by np.linalg.norm and no diagnostics.
+# The library's loop must produce the same floating-point results bit for bit.
+
+
+def _reference_solve(problem, spec, start, config, inner_solver=None, counters=None):
+    tuning = tune_parameters(spec)
+    alpha, eta_x, eta_y = tuning.alpha, tuning.eta_x, tuning.eta_y
+    inner_config = config.inner if config.inner is not None else InnerConfig()
+    inner_solver = inner_solver if inner_solver is not None else solve_auxiliary
+    counted, counters = wrap_counting(problem, counters)
+    planned = min(config.max_outer,
+                  required_outer_iterations(spec, config.psi_0, config.eps))
+    weight = max(1.0 / (eta_x * spec.mu_x), 1.0 / (eta_y * spec.mu_y))
+    x, y = start.x.copy(), start.y.copy()
+    xf, yf = x.copy(), y.copy()
+    inner_iterations = []
+    for _ in range(planned):
+        xg = alpha * x + (1.0 - alpha) * xf
+        yg = alpha * y + (1.0 - alpha) * yf
+        aux = AuxiliaryProblem(counted.grad_R, counted.grad_p(xg), counted.grad_q(yg),
+                               x, y, eta_x, eta_y)
+        result = inner_solver(aux, spec, tuning, inner_config)
+        x_hat, y_hat = result.pair.x, result.pair.y
+        counters.outer_iterations += 1
+        counters.inner_iterations += result.iterations
+        inner_iterations.append(result.iterations)
+        if config.use_residual_stop:
+            rx = result.grad_x - (x_hat - x) / eta_x
+            ry = -result.grad_y - (y_hat - y) / eta_y
+            at_hat, at_g = residual_bounds(
+                np.linalg.norm(rx), np.linalg.norm(ry),
+                np.linalg.norm(x_hat - xg), np.linalg.norm(y_hat - yg), spec,
+            )
+            if weight * at_hat <= config.eps:
+                return PointPair(x_hat, y_hat), counters, inner_iterations, TERMINATION_RESIDUAL
+            if weight * at_g <= config.eps:
+                return PointPair(xg, yg), counters, inner_iterations, TERMINATION_RESIDUAL
+        # With alpha = 1 the extrapolation sequence is the accepted pair
+        # itself, which xg + (x_hat - x) only approximates in floating point.
+        if alpha == 1.0:
+            xf, yf = x_hat, y_hat
+        else:
+            xf, yf = xg + alpha * (x_hat - x), yg + alpha * (y_hat - y)
+        x, y = x_hat - eta_x * result.grad_x, y_hat + eta_y * result.grad_y
+    return PointPair(x, y), counters, inner_iterations, TERMINATION_BUDGET
+
+
+def _assert_matches_reference(report, want):
+    pair, counters, inner_iterations, termination = want
+    assert np.array_equal(report.final_pair.x, pair.x)
+    assert np.array_equal(report.final_pair.y, pair.y)
+    assert report.counters.as_dict() == counters.as_dict()
+    assert report.inner_iterations == inner_iterations
+    assert report.termination == termination
+
+
+# (L_p, mu_x, L_q, mu_y, L_R): alpha < 1 with equal moduli, where the stop
+# certifies the extrapolation point; alpha < 1 with unequal moduli and
+# steps; alpha == 1.
+_LOOP_CASES = {
+    "alpha<1": (100.0, 1.0, 100.0, 1.0, 10.0),
+    "alpha<1-unequal": (4.0, 1.0, 0.04, 0.01, 1.0),
+    "alpha=1": (1.0, 1.0, 0.5, 1.0, 4.0),
+}
+
+
+class TestSolveReference:
+    """Bit-equal results against the reference copy of `solve`'s loop."""
+
+    @pytest.mark.parametrize("use_residual_stop", [True, False])
+    @pytest.mark.parametrize("case", sorted(_LOOP_CASES))
+    def test_quadratic_matches_reference(self, case, use_residual_stop):
+        L_p, mu_x, L_q, mu_y, L_R = _LOOP_CASES[case]
+        inst = gen_quadratic_spp(10, 8, L_p, mu_x, L_q, mu_y, L_R, 0)
+        problem, spec = inst.problem(), inst.spec()
+        assert (tune_parameters(spec).alpha == 1.0) == (case == "alpha=1")
+        start = PointPair(np.zeros(10), np.zeros(8))
+        psi_0 = initial_potential(problem, spec, start, reference_solution(inst))
+        config = SolveConfig(eps=1e-8, psi_0=psi_0, use_residual_stop=use_residual_stop)
+        report = solve(problem, spec, start, config)
+        want = _reference_solve(problem, spec, start, config)
+        _assert_matches_reference(report, want)
+        assert (report.termination == TERMINATION_RESIDUAL) == use_residual_stop
+
+    @pytest.mark.parametrize("use_residual_stop", [True, False])
+    def test_bilinear_matches_reference(self, use_residual_stop):
+        inst = gen_bilinear(30, 20, 4.0, 1.0, 0.04, 0.01, 2.0, 1)
+        bp = inst.bilinear_problem()
+        start = PointPair(np.zeros(30), np.zeros(20))
+        composite, spec = split_bilinear(bp)
+        psi_0 = initial_potential(composite, spec, start, reference_solution(inst))
+        config = SolveConfig(eps=1e-8, psi_0=psi_0, use_residual_stop=use_residual_stop)
+        report = solve_bilinear(bp, start, config)
+        wrapped, counters = wrap_counting_bilinear(bp)
+        want = _reference_solve(composite, spec, start, config,
+                                inner_solver=make_bilinear_inner_solver(wrapped),
+                                counters=counters)
+        _assert_matches_reference(report, want)
+        assert (report.termination == TERMINATION_RESIDUAL) == use_residual_stop
 
 
 class TestComputePotential:
