@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InnerBudgetExhausted, MissingValueOracle, NonPositiveInput
-from .outer import SolverTuning, check_inner_criterion
+from .outer import SolverTuning, _criterion_holds
 from .problems import PointPair, SmoothnessSpec, check_shape
 
 
@@ -41,6 +41,12 @@ class AuxiliaryProblem:
     where ``g_y`` is the gradient of the maximized objective.  The
     subproblem is (mu_x + 1/eta_x)-strongly convex in x and
     (mu_y + 1/eta_y)-strongly concave in y.
+
+    `outer.solve` also hands over its stacked iterate ``z_k = (x_k, y_k)``,
+    of which ``x_k`` and ``y_k`` are the block views, and the per-entry
+    vectors of `fbf_vectors`, built once per solve.  Without them
+    `fbf_iterates` builds both itself, so a subproblem built by hand from
+    its blocks runs the same code.
     """
 
     grad_R: Callable
@@ -51,6 +57,8 @@ class AuxiliaryProblem:
     eta_x: float
     eta_y: float
     value_R: Optional[Callable] = None
+    z_k: Optional[np.ndarray] = None
+    vectors: Optional["FBFVectors"] = None
 
     def gradients(self, x: np.ndarray, y: np.ndarray):
         """Both gradients at (x, y); makes exactly one coupling call."""
@@ -135,20 +143,24 @@ def accept_first(
 ) -> InnerResult:
     """Stop rule of every inner solver: accept the first good iterate.
 
-    ``iterates`` yields ``(x, y, dx, dy, g_x, g_y, blocks)``: an iterate,
-    its displacement ``(x - x_k, y - y_k)`` from the outer iterate, the
-    subproblem gradients there and the arrays the stall rule compares
-    between iterates.  Accepts by `check_inner_criterion`, else as a stall
-    after ``stall_window`` stalled steps or on the last iterate if they end
-    early; raises InnerBudgetExhausted after checking iterate ``max_inner``.
-    Every returned iterate has passed the criterion's finiteness guard
-    (``dx``, ``dy`` finite, so ``x``, ``y`` are too), so its pair skips
-    `PointPair`'s scan.
+    ``iterates`` yields ``(x, y, dx, dy, g_x, g_y, blocks, z)``: an
+    iterate, its displacement ``(x - x_k, y - y_k)`` from the outer
+    iterate, the subproblem gradients there, the arrays the stall rule
+    compares between iterates, and either a stacked array holding
+    ``(x, y)`` or None.  The generator builds ``dx``, ``g_x`` and ``dy``,
+    ``g_y`` as float 1-D arrays of matching shapes, so the criterion takes
+    them without re-validating.  Accepts by the test of
+    `check_inner_criterion`, else as a stall after ``stall_window``
+    stalled steps or on the last iterate if they end early; raises
+    InnerBudgetExhausted after checking iterate ``max_inner``.  Every
+    returned iterate has passed the criterion's finiteness guard (``dx``,
+    ``dy`` finite, so ``x``, ``y`` are too), so its pair skips
+    `PointPair`'s scan; the pair carries ``z`` back to `outer.solve`.
     """
     stalled, previous = 0, None
-    for t, (x, y, dx, dy, g_x, g_y, blocks) in enumerate(iterates):
-        if check_inner_criterion(g_x, g_y, dx, dy, tuning, config.floor_tol):
-            return InnerResult(PointPair._unscanned(x, y), t, g_x, g_y)
+    for t, (x, y, dx, dy, g_x, g_y, blocks, z) in enumerate(iterates):
+        if _criterion_holds(g_x, g_y, dx, dy, tuning, config.floor_tol):
+            return InnerResult(PointPair._unscanned(x, y, z), t, g_x, g_y)
         # The stall count only decides about rejected iterates, and every
         # iterate before this one was rejected, so it is counted here.
         if previous is not None:
@@ -160,7 +172,48 @@ def accept_first(
             break
         if t >= config.max_inner:
             raise InnerBudgetExhausted(f"criterion unmet after {t} inner iterations")
-    return InnerResult(PointPair._unscanned(x, y), t, g_x, g_y, accepted_by=ACCEPTED_STALL)
+    return InnerResult(
+        PointPair._unscanned(x, y, z), t, g_x, g_y, accepted_by=ACCEPTED_STALL
+    )
+
+
+@dataclass(frozen=True)
+class FBFVectors:
+    """Per-entry constants of `fbf_iterates` on a stacked ``z = (x, y)``.
+
+    ``step`` is ``S = (s, -s)`` and ``mu`` is ``M = (mu_x, -mu_y)``, the
+    y entries negated so that one formula steps both blocks; ``s_eta``
+    holds ``s/eta`` and ``divisor`` the resolvent's ``1 + s/eta + s mu``
+    per block, and ``eta`` the steps ``(eta_x, eta_y)``; ``s`` is the FBF
+    step.
+    """
+
+    s: float
+    step: np.ndarray
+    mu: np.ndarray
+    s_eta: np.ndarray
+    divisor: np.ndarray
+    eta: np.ndarray
+
+
+def fbf_vectors(
+    spec: SmoothnessSpec, eta_x: float, eta_y: float, d_x: int, d_y: int
+) -> FBFVectors:
+    """The `FBFVectors` of a solve; see `fbf_iterates` for the step ``s``."""
+    mu_x, mu_y = spec.mu_x, spec.mu_y
+    s = 0.9 / (spec.L_R + abs(mu_x - mu_y))
+
+    def blocks(v_x, v_y):
+        return np.concatenate((np.full(d_x, v_x), np.full(d_y, v_y)))
+
+    return FBFVectors(
+        s=s,
+        step=blocks(s, -s),
+        mu=blocks(mu_x, -mu_y),
+        s_eta=blocks(s / eta_x, s / eta_y),
+        divisor=blocks(1.0 + s / eta_x + s * mu_x, 1.0 + s / eta_y + s * mu_y),
+        eta=blocks(eta_x, eta_y),
+    )
 
 
 def fbf_iterates(aux: AuxiliaryProblem, spec: SmoothnessSpec):
@@ -192,43 +245,53 @@ def fbf_iterates(aux: AuxiliaryProblem, spec: SmoothnessSpec):
     does not bound ``B'`` when the moduli differ: ``B = [[0.5, 1], [-1, 1]]``
     with ``D = diag(0.5, 0)`` has ``||B|| = 1.5`` but ``||B - D|| = 1.618``.
 
-    Starts from the outer iterate (x_k, y_k) and yields, for
-    `accept_first`, each iterate with its displacement, its subproblem
-    gradients and the blocks ``(x, y)``.  The start costs one coupling
-    call, each step two: at ``z_h`` and at ``z+``, whose gradient serves
-    both the acceptance check and the next forward step.
-    """
-    mu_x, mu_y = spec.mu_x, spec.mu_y
-    eta_x, eta_y = aux.eta_x, aux.eta_y
-    x_k, y_k = aux.x_k, aux.y_k
-    s = 0.9 / (spec.L_R + abs(mu_x - mu_y))
-    # Resolvent terms that do not change between steps.
-    s_gp, s_xk, div_x = s * aux.grad_p_anchor, (s / eta_x) * x_k, 1.0 + s / eta_x + s * mu_x
-    s_gq, s_yk, div_y = s * aux.grad_q_anchor, (s / eta_y) * y_k, 1.0 + s / eta_y + s * mu_y
+    The iterate is one stacked array ``z``.  With the oracle's output
+    ``r = (dR/dx, dR/dy)`` packed alike, ``b = r - M z`` is ``B'(z)`` with
+    its y entries negated, and a step is
 
-    x, y = x_k, y_k
-    r_x, r_y = aux.grad_R(x, y)
+        h = (z - S b - s g + (s/eta) z_k) / DIV,    z+ = h - S (r(h) - M h - b)
+
+    in `FBFVectors`' notation, ``g`` the stacked anchors: per entry the
+    operations of the blockwise formulas, with the y signs flipped, which
+    IEEE arithmetic does exactly.  The oracle gets the block views of
+    ``h`` and ``z+``; the gradients ``g_x``, ``g_y`` stay two block sums,
+    since their terms associate differently in x and in y.
+
+    Starts from the outer iterate (x_k, y_k) and yields, for
+    `accept_first`, each iterate as its block views with their
+    displacement views, its subproblem gradients, the blocks again for the
+    stall rule and the stacked ``z``.  The start costs one coupling call,
+    each step two: at ``h`` and at ``z+``, whose gradient serves both the
+    acceptance check and the next forward step.
+    """
+    x_k, y_k = aux.x_k, aux.y_k
+    z_k = aux.z_k if aux.z_k is not None else np.concatenate((x_k, y_k))
+    v = aux.vectors
+    if v is None:
+        v = fbf_vectors(spec, aux.eta_x, aux.eta_y, len(x_k), len(y_k))
+    d_x, step, mu, divisor, eta = len(x_k), v.step, v.mu, v.divisor, v.eta
+    grad_R, gp, gq = aux.grad_R, aux.grad_p_anchor, aux.grad_q_anchor
+    # Resolvent terms that do not change between steps.
+    s_g = v.s * np.concatenate((gp, gq))
+    s_k = v.s_eta * z_k
+
+    x, y, z = x_k, y_k, z_k
+    r_x, r_y = grad_R(x, y)
     # The gradient sums below would broadcast a wrongly shaped output.
     check_shape(r_x, x, "dR/dx")
     check_shape(r_y, y, "dR/dy")
     while True:
-        dx = x - x_k
-        dy = y - y_k
-        g_x = aux.grad_p_anchor + dx / eta_x + r_x
-        g_y = r_y - aux.grad_q_anchor - dy / eta_y
-        yield x, y, dx, dy, g_x, g_y, (x, y)
-        # c_y = dR/dy + mu_y y is the y part of B' negated, and the y steps
-        # flip their signs to match; IEEE negation is exact and rounding
-        # symmetric, so the iterates are the same bits (up to the sign of
-        # an exact zero).
-        b_x = r_x - mu_x * x
-        c_y = r_y + mu_y * y
-        x_h = (x - s * b_x - s_gp + s_xk) / div_x
-        y_h = (y + s * c_y - s_gq + s_yk) / div_y
-        rh_x, rh_y = aux.grad_R(x_h, y_h)
-        x = x_h - s * (rh_x - mu_x * x_h - b_x)
-        y = y_h + s * (rh_y + mu_y * y_h - c_y)
-        r_x, r_y = aux.grad_R(x, y)
+        d = z - z_k
+        q = d / eta
+        g_x = gp + q[:d_x] + r_x
+        g_y = r_y - gq - q[d_x:]
+        yield x, y, d[:d_x], d[d_x:], g_x, g_y, (x, y), z
+        b = np.concatenate((r_x, r_y)) - mu * z
+        h = (z - step * b - s_g + s_k) / divisor
+        rh_x, rh_y = grad_R(h[:d_x], h[d_x:])
+        z = h - step * (np.concatenate((rh_x, rh_y)) - mu * h - b)
+        x, y = z[:d_x], z[d_x:]
+        r_x, r_y = grad_R(x, y)
 
 
 def solve_auxiliary(

@@ -150,6 +150,12 @@ def check_inner_criterion(
             f"gradient shapes {g_x.shape}/{g_y.shape} vs displacement "
             f"{dx.shape}/{dy.shape}"
         )
+    return _criterion_holds(g_x, g_y, dx, dy, tuning, floor_tol)
+
+
+def _criterion_holds(g_x, g_y, dx, dy, tuning: SolverTuning, floor_tol: float) -> bool:
+    # `check_inner_criterion` past its validation: the inner solvers' own
+    # iterates are float 1-D arrays of matching shapes by construction.
     # ndarray.dot: the BLAS dot that @ calls on 1-D arrays, minus dispatch.
     gx2, gy2 = float(g_x.dot(g_x)), float(g_y.dot(g_y))
     dx2, dy2 = float(dx.dot(dx)), float(dy.dot(dy))
@@ -350,7 +356,7 @@ def solve(
         itself (the bilinear path counts B/B^T products in its inner
         solver).  Fresh counters by default.
     """
-    from .inner import AuxiliaryProblem, InnerConfig, solve_auxiliary
+    from .inner import AuxiliaryProblem, InnerConfig, fbf_vectors, solve_auxiliary
 
     validate_spec(spec)
     if not 0.0 < config.eps < math.inf or config.max_outer < 1:
@@ -373,11 +379,6 @@ def solve(
     if config.track_potential and sol is not None:
         psi = potential(problem, tuning, sol)
         psi_initial = psi(start.x, start.y, start.x, start.y)
-
-    x = start.x.copy()
-    y = start.y.copy()
-    xf = x.copy()
-    yf = y.copy()
 
     psi_bound = config.psi_0
     if psi_bound is None:
@@ -402,107 +403,115 @@ def solve(
     alpha = tuning.alpha
     eta_x, eta_y = tuning.eta_x, tuning.eta_y
     weight = max(1.0 / (eta_x * spec.mu_x), 1.0 / (eta_y * spec.mu_y))
+    d_x, d_y = problem.d_x, problem.d_y
+    # One stacked state z = (x, y); x and y are its block views.  With
+    # E = (eta_x, -eta_y) per entry, the main update is z_hat - E g and the
+    # residual g - (z_hat - z)/E, entry by entry the blockwise formulas with
+    # the y signs flipped, which IEEE arithmetic does exactly.
+    signed_eta = np.concatenate((np.full(d_x, eta_x), np.full(d_y, -eta_y)))
+    vectors = fbf_vectors(spec, eta_x, eta_y, d_x, d_y)
+    z = np.concatenate((start.x, start.y))
+    x, y = z[:d_x], z[d_x:]
+    zf = z
 
-    for k in range(planned):
-        if alpha == 1.0:
-            xg, yg = x.copy(), y.copy()
-        else:
-            xg = alpha * x + (1.0 - alpha) * xf
-            yg = alpha * y + (1.0 - alpha) * yf
-        gp = counted.grad_p(xg)
-        gq = counted.grad_q(yg)
-        if gp.shape != (problem.d_x,) or gq.shape != (problem.d_y,):
-            raise DimensionMismatch(
-                f"composite gradients have shapes {gp.shape}/{gq.shape}, "
-                f"expected ({problem.d_x},)/({problem.d_y},)"
+    # The guards below catch squares that overflow, here or in an oracle;
+    # they raise DivergenceDetected without numpy's warning first.
+    with np.errstate(over="ignore"):
+        for k in range(planned):
+            zg = z if alpha == 1.0 else alpha * z + (1.0 - alpha) * zf
+            xg, yg = zg[:d_x], zg[d_x:]
+            gp = counted.grad_p(xg)
+            gq = counted.grad_q(yg)
+            if gp.shape != (d_x,) or gq.shape != (d_y,):
+                raise DimensionMismatch(
+                    f"composite gradients have shapes {gp.shape}/{gq.shape}, "
+                    f"expected ({d_x},)/({d_y},)"
+                )
+
+            aux = AuxiliaryProblem(
+                counted.grad_R, gp, gq, x, y, eta_x, eta_y, counted.value_R, z, vectors
             )
+            result = inner_solver(aux, spec, tuning, inner_cfg)
+            pair = result.pair
+            pair.check_dims(d_x, d_y)
+            x_hat, y_hat = pair.x, pair.y
+            # The library's inner solvers hand their stacked iterate back;
+            # a custom one's blocks are stacked here, once.
+            z_hat = pair._stacked
+            if z_hat is None:
+                z_hat = np.concatenate((x_hat, y_hat))
+            g = np.concatenate((result.grad_x, result.grad_y))
+            # Displacement from the outer iterate, shared by the
+            # extrapolation update and the residual stop.
+            d = z_hat - z
 
-        aux = AuxiliaryProblem(
-            counted.grad_R, gp, gq, x, y, eta_x, eta_y, counted.value_R
-        )
-        result = inner_solver(aux, spec, tuning, inner_cfg)
-        result.pair.check_dims(problem.d_x, problem.d_y)
-        x_hat, y_hat = result.pair.x, result.pair.y
-        g_x, g_y = result.grad_x, result.grad_y
-        # Displacement from the outer iterate, shared by the extrapolation
-        # update and the residual stop.
-        dx, dy = x_hat - x, y_hat - y
+            if config.track_inner_details:
+                report.inner_logs.append(
+                    {
+                        "k": k,
+                        "grad_p_g": gp.copy(),
+                        "grad_q_g": gq.copy(),
+                        "x_k": x.copy(),
+                        "y_k": y.copy(),
+                        "x_hat": x_hat.copy(),
+                        "y_hat": y_hat.copy(),
+                        "g_x": result.grad_x.copy(),
+                        "g_y": result.grad_y.copy(),
+                        "inner_iterations": result.iterations,
+                        "accepted_by": result.accepted_by,
+                    }
+                )
 
-        # Main update; identical to stepping along the frozen composite
-        # gradient plus the coupling gradient at the accepted pair.
-        x_next = x_hat - eta_x * g_x
-        y_next = y_hat + eta_y * g_y
-        if alpha == 1.0:
-            xf = x_hat.copy()
-            yf = y_hat.copy()
-        else:
-            xf = xg + alpha * dx
-            yf = yg + alpha * dy
+            # Main update; identical to stepping along the frozen composite
+            # gradient plus the coupling gradient at the accepted pair.
+            z = z_hat - signed_eta * g
+            zf = z_hat if alpha == 1.0 else zg + alpha * d
+            x, y = z[:d_x], z[d_x:]
+            counters.outer_iterations += 1
+            counters.inner_iterations += result.iterations
+            report.inner_iterations.append(result.iterations)
 
-        if config.track_inner_details:
-            report.inner_logs.append(
-                {
-                    "k": k,
-                    "grad_p_g": gp.copy(),
-                    "grad_q_g": gq.copy(),
-                    "x_k": x.copy(),
-                    "y_k": y.copy(),
-                    "x_hat": x_hat.copy(),
-                    "y_hat": y_hat.copy(),
-                    "g_x": g_x.copy(),
-                    "g_y": g_y.copy(),
-                    "inner_iterations": result.iterations,
-                    "accepted_by": result.accepted_by,
-                }
-            )
+            # Guard against magnitudes whose squares overflow before the
+            # growth rule below could catch them; a custom inner solver need
+            # not pass its iterates through check_inner_criterion's guard.
+            # A NaN fails the test too.
+            if not (x.dot(x) < 1e300 and y.dot(y) < 1e300):
+                raise DivergenceDetected(f"non-finite or huge iterate at outer step {k}")
 
-        x, y = x_next, y_next
-        counters.outer_iterations += 1
-        counters.inner_iterations += result.iterations
-        report.inner_iterations.append(result.iterations)
+            if sol is not None:
+                current = PointPair(x, y)
+                wd = weighted_distance_sq(current, sol, eta_x, eta_y)
+                report.weighted_dist_sq.append(wd)
+                report.unweighted_dist_sq.append(unweighted_distance_sq(current, sol))
+                n = len(report.weighted_dist_sq)
+                if n > 10:
+                    old = report.weighted_dist_sq[n - 11]
+                    # Growth below the target scale is floating-point
+                    # jitter, not divergence.
+                    if old > 0.0 and wd >= 10.0 * old and wd > config.eps:
+                        raise DivergenceDetected(
+                            f"weighted distance grew {wd / old:.1f}x over 10 steps"
+                        )
+            if psi is not None:
+                report.potentials.append(psi(x, y, zf[:d_x], zf[d_x:]))
 
-        # Guard against magnitudes whose squares overflow before the
-        # growth rule below could catch them; a custom inner solver need
-        # not pass its iterates through check_inner_criterion's guard.
-        # A NaN fails the test too.
-        if not (x.dot(x) < 1e300 and y.dot(y) < 1e300):
-            raise DivergenceDetected(f"non-finite or huge iterate at outer step {k}")
-
-        if sol is not None:
-            current = PointPair(x, y)
-            wd = weighted_distance_sq(current, sol, eta_x, eta_y)
-            report.weighted_dist_sq.append(wd)
-            report.unweighted_dist_sq.append(unweighted_distance_sq(current, sol))
-            n = len(report.weighted_dist_sq)
-            if n > 10:
-                old = report.weighted_dist_sq[n - 11]
-                # Growth below the target scale is floating-point jitter,
-                # not divergence.
-                if old > 0.0 and wd >= 10.0 * old and wd > config.eps:
-                    raise DivergenceDetected(
-                        f"weighted distance grew {wd / old:.1f}x over 10 steps"
-                    )
-        if psi is not None:
-            report.potentials.append(psi(x, y, xf, yf))
-
-        if config.use_residual_stop:
-            # (rx, ry) is the residual with the composite gradients at zg
-            # and the coupling gradient at the accepted pair, both exact;
-            # ry is formed negated, which leaves its norm unchanged.
-            rx = g_x - dx / eta_x
-            ry = g_y + dy / eta_y
-            sx, sy = x_hat - xg, y_hat - yg
-            at_hat, at_g = residual_bounds(
-                _norm(rx), _norm(ry), _norm(sx), _norm(sy), spec
-            )
-            if weight * at_hat <= config.eps:
-                report.final_pair = PointPair(x_hat, y_hat)
-            elif weight * at_g <= config.eps:
-                report.final_pair = PointPair(xg, yg)
-            else:
-                continue
-            report.termination = TERMINATION_RESIDUAL
-            return report
+            if config.use_residual_stop:
+                # The residual pairs the composite gradients at zg with the
+                # coupling gradient at the accepted pair, both exact; its y
+                # block is formed negated, which leaves its norm unchanged.
+                r = g - d / signed_eta
+                s = z_hat - zg
+                at_hat, at_g = residual_bounds(
+                    _norm(r[:d_x]), _norm(r[d_x:]), _norm(s[:d_x]), _norm(s[d_x:]), spec
+                )
+                if weight * at_hat <= config.eps:
+                    report.final_pair = PointPair(x_hat, y_hat)
+                elif weight * at_g <= config.eps:
+                    report.final_pair = PointPair(xg, yg)
+                else:
+                    continue
+                report.termination = TERMINATION_RESIDUAL
+                return report
 
     report.final_pair = PointPair(x, y)
     report.termination = TERMINATION_BUDGET

@@ -53,6 +53,10 @@ class PointPair:
     x: np.ndarray
     y: np.ndarray
 
+    # A stacked array holding ``(x, y)``, when the library built the pair
+    # from one (see `_unscanned`); not a field.
+    _stacked = None
+
     def __post_init__(self):
         object.__setattr__(self, "x", _as_vector(self.x))
         object.__setattr__(self, "y", _as_vector(self.y))
@@ -64,11 +68,19 @@ class PointPair:
         return self.x.size, self.y.size
 
     @classmethod
-    def _unscanned(cls, x: np.ndarray, y: np.ndarray) -> "PointPair":
-        """Pair of float 1-D arrays the caller has proved finite; no scan."""
+    def _unscanned(
+        cls, x: np.ndarray, y: np.ndarray, stacked: Optional[np.ndarray] = None
+    ) -> "PointPair":
+        """Pair of float 1-D arrays the caller has proved finite; no scan.
+
+        ``stacked``, when given, is an array holding ``(x, y)``, usually
+        the one whose block views they are; `outer.solve` reads it back
+        instead of stacking the pair again.
+        """
         pair = object.__new__(cls)
         object.__setattr__(pair, "x", x)
         object.__setattr__(pair, "y", y)
+        object.__setattr__(pair, "_stacked", stacked)
         return pair
 
     def copy(self) -> "PointPair":

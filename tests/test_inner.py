@@ -522,13 +522,19 @@ class TestReferenceEquivalence:
     """Bit-equal results against the reference loops over whole solves."""
 
     # Unequal moduli give unequal steps eta_x != eta_y and a step s that
-    # pays |mu_x - mu_y|.
-    @pytest.mark.parametrize("mu_x, mu_y", [(1.0, 1.0), (1.0, 0.01), (0.01, 1.0)])
+    # pays |mu_x - mu_y|.  Odd dimensions put the y block of the stacked
+    # iterate 56 bytes in, off the 16-byte alignment of a fresh array.
+    @pytest.mark.parametrize("d_x, d_y, mu_x, mu_y", [
+        pytest.param(10, 8, 1.0, 1.0, id="1.0-1.0"),
+        pytest.param(10, 8, 1.0, 0.01, id="1.0-0.01"),
+        pytest.param(10, 8, 0.01, 1.0, id="0.01-1.0"),
+        pytest.param(7, 9, 1.0, 1.0, id="odd-dims"),
+    ])
     @pytest.mark.parametrize("config_name", sorted(REFERENCE_CONFIGS))
-    def test_fbf_matches_reference(self, mu_x, mu_y, config_name):
+    def test_fbf_matches_reference(self, d_x, d_y, mu_x, mu_y, config_name):
         config = REFERENCE_CONFIGS[config_name]
         inst = gen_quadratic_spp(
-            10, 8, 4.0 * mu_x, mu_x, 4.0 * mu_y, mu_y, 10.0 * math.sqrt(mu_x * mu_y), 1
+            d_x, d_y, 4.0 * mu_x, mu_x, 4.0 * mu_y, mu_y, 10.0 * math.sqrt(mu_x * mu_y), 1
         )
         problem, spec = inst.problem(), inst.spec()
         exits = set()
@@ -539,7 +545,7 @@ class TestReferenceEquivalence:
             exits.add(got.accepted_by)
             return got
 
-        start = PointPair(np.zeros(10), np.zeros(8))
+        start = PointPair(np.zeros(d_x), np.zeros(d_y))
         solve(problem, spec, start, SolveConfig(eps=1e-8, max_outer=40, inner=config),
               inner_solver=checked_inner)
         assert ("stall" if config_name == "stall-heavy" else "criterion") in exits

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -317,6 +318,7 @@ class TestSolve:
         with pytest.raises(DivergenceDetected):
             solve(problem, lying_spec, start, config)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("block", ["x", "y"])
     def test_huge_inner_pair_raises(self, block):
         # An inner solver outside the library need not pass its pair through
@@ -331,11 +333,31 @@ class TestSolve:
             return InnerResult(PointPair(x, y), 0, np.zeros(3), np.zeros(2))
 
         start = PointPair(np.zeros(3), np.zeros(2))
-        # The entry's square overflows to inf, which is what trips the guard.
-        with np.errstate(over="ignore"), pytest.raises(DivergenceDetected,
-                                                        match="outer step 0"):
+        # The entry's square overflows to inf, which is what trips the guard;
+        # the overflow raises no warning first.
+        with pytest.raises(DivergenceDetected, match="outer step 0"):
             solve(problem, spec, start, SolveConfig(eps=1e-8, max_outer=5),
                   inner_solver=huge_inner)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_coupling_output_raises(self):
+        # The coupling oracle's second output has an entry of 1e200: the
+        # inner criterion's guard raises, with no overflow warning first.
+        problem = _decoupled_problem()
+        calls = []
+
+        def grad_R(x, y):
+            calls.append(None)
+            r_x, r_y = problem.grad_R(x, y)
+            if len(calls) > 1:
+                r_x = r_x + 1e200
+            return r_x, r_y
+
+        spec = SmoothnessSpec(L_p=0, L_q=0, L_R=1, mu_x=1, mu_y=1)
+        start = PointPair(np.ones(3), np.ones(2))
+        with pytest.raises(DivergenceDetected, match="inner iterate"):
+            solve(dataclasses.replace(problem, grad_R=grad_R), spec, start,
+                  SolveConfig(eps=1e-8, max_outer=5))
 
     def test_residual_stop_certifies_distance(self, rng):
         problem, spec, saddle, _ = random_quadratic_instance(
@@ -577,13 +599,15 @@ def _assert_matches_reference(report, want):
     assert report.termination == termination
 
 
-# (L_p, mu_x, L_q, mu_y, L_R): alpha < 1 with equal moduli, where the stop
-# certifies the extrapolation point; alpha < 1 with unequal moduli and
-# steps; alpha == 1.
+# (d_x, d_y, L_p, mu_x, L_q, mu_y, L_R): alpha < 1 with equal moduli, where
+# the stop certifies the extrapolation point; alpha < 1 with unequal moduli
+# and steps; alpha == 1; odd dimensions, where the y block of the stacked
+# iterate starts 56 bytes in, off the 16-byte alignment of a fresh array.
 _LOOP_CASES = {
-    "alpha<1": (100.0, 1.0, 100.0, 1.0, 10.0),
-    "alpha<1-unequal": (4.0, 1.0, 0.04, 0.01, 1.0),
-    "alpha=1": (1.0, 1.0, 0.5, 1.0, 4.0),
+    "alpha<1": (10, 8, 100.0, 1.0, 100.0, 1.0, 10.0),
+    "alpha<1-unequal": (10, 8, 4.0, 1.0, 0.04, 0.01, 1.0),
+    "alpha=1": (10, 8, 1.0, 1.0, 0.5, 1.0, 4.0),
+    "odd-dims": (7, 9, 100.0, 1.0, 100.0, 1.0, 10.0),
 }
 
 
@@ -593,11 +617,11 @@ class TestSolveReference:
     @pytest.mark.parametrize("use_residual_stop", [True, False])
     @pytest.mark.parametrize("case", sorted(_LOOP_CASES))
     def test_quadratic_matches_reference(self, case, use_residual_stop):
-        L_p, mu_x, L_q, mu_y, L_R = _LOOP_CASES[case]
-        inst = gen_quadratic_spp(10, 8, L_p, mu_x, L_q, mu_y, L_R, 0)
+        d_x, d_y, L_p, mu_x, L_q, mu_y, L_R = _LOOP_CASES[case]
+        inst = gen_quadratic_spp(d_x, d_y, L_p, mu_x, L_q, mu_y, L_R, 0)
         problem, spec = inst.problem(), inst.spec()
         assert (tune_parameters(spec).alpha == 1.0) == (case == "alpha=1")
-        start = PointPair(np.zeros(10), np.zeros(8))
+        start = PointPair(np.zeros(d_x), np.zeros(d_y))
         psi_0 = initial_potential(problem, spec, start, reference_solution(inst))
         config = SolveConfig(eps=1e-8, psi_0=psi_0, use_residual_stop=use_residual_stop)
         report = solve(problem, spec, start, config)
