@@ -401,7 +401,7 @@ def make_bilinear_inner_solver(bp: BilinearProblem):
                 g_x = (aux.grad_p_anchor + dx / tuning.eta_x
                        + bp.mu_p * x + bp.coupling.matvec(y))
                 g_y = bt_x - bp.mu_q * y - dy / tuning.eta_y - aux.grad_q_anchor
-                yield x, y, dx, dy, g_x, g_y, (x,), None
+                yield x, y, dx, dy, g_x, g_y, (x,), None, None
 
         return accept_first(iterates(), aux, tuning, config)
 

@@ -8,9 +8,11 @@ Tseng's forward-backward-forward splitting, his modified extragradient
 method (Tseng 2000, SIAM J. Control Optim. 38(2)): the prox quadratics and
 R's declared moduli are taken by their exact resolvent, a per-coordinate
 division, and only the monotone remainder of the coupling gradient takes
-forward steps.  Acceptance is decided by the outer criterion at every
-iterate.  That stop rule, `accept_first`, is shared with the bilinear
-conjugate-gradient solver.
+forward steps.  Each solve but a run's first starts from the previous
+accepted pair's remainder, as gradient sliding starts each inner phase
+from the last one's output (Lan 2016, Math. Program. 159).  Acceptance is
+decided by the outer criterion at every iterate.  That stop rule,
+`accept_first`, is shared with the bilinear conjugate-gradient solver.
 """
 
 from __future__ import annotations
@@ -46,7 +48,11 @@ class AuxiliaryProblem:
     of which ``x_k`` and ``y_k`` are the block views, and the per-entry
     vectors of `fbf_vectors`, built once per solve.  Without them
     `fbf_iterates` builds both itself, so a subproblem built by hand from
-    its blocks runs the same code.
+    its blocks runs the same code.  ``remainder`` is the `InnerResult`
+    remainder of the previous outer step, ``b = r - M z`` at its accepted
+    pair in `FBFVectors`' notation; `fbf_iterates` starts from it, and
+    without it (a run's first step, a custom inner solver's result, a
+    subproblem built by hand) at ``z_k``.
     """
 
     grad_R: Callable
@@ -59,6 +65,7 @@ class AuxiliaryProblem:
     value_R: Optional[Callable] = None
     z_k: Optional[np.ndarray] = None
     vectors: Optional["FBFVectors"] = None
+    remainder: Optional[np.ndarray] = None
 
     def gradients(self, x: np.ndarray, y: np.ndarray):
         """Both gradients at (x, y); makes exactly one coupling call."""
@@ -129,13 +136,19 @@ ACCEPTED_STALL = "stall"
 
 @dataclass
 class InnerResult:
-    """Accepted subproblem pair with its gradients and iteration count."""
+    """Accepted subproblem pair with its gradients and iteration count.
+
+    ``remainder``, from FBF only, is its ``b = r - M z`` at the accepted
+    pair (see `fbf_iterates`); `outer.solve` hands it to the next step's
+    `AuxiliaryProblem`.
+    """
 
     pair: PointPair
     iterations: int
     grad_x: np.ndarray
     grad_y: np.ndarray
     accepted_by: str = ACCEPTED_CRITERION
+    remainder: Optional[np.ndarray] = None
 
 
 def accept_first(
@@ -143,13 +156,14 @@ def accept_first(
 ) -> InnerResult:
     """Stop rule of every inner solver: accept the first good iterate.
 
-    ``iterates`` yields ``(x, y, dx, dy, g_x, g_y, blocks, z)``: an
+    ``iterates`` yields ``(x, y, dx, dy, g_x, g_y, blocks, z, b)``: an
     iterate, its displacement ``(x - x_k, y - y_k)`` from the outer
     iterate, the subproblem gradients there, the arrays the stall rule
-    compares between iterates, and either a stacked array holding
-    ``(x, y)`` or None.  The generator builds ``dx``, ``g_x`` and ``dy``,
-    ``g_y`` as float 1-D arrays of matching shapes, so the criterion takes
-    them without re-validating.  Accepts by the test of
+    compares between iterates, either a stacked array holding ``(x, y)``
+    or None, and the iterate's `InnerResult` ``remainder`` or None.  The
+    generator builds ``dx``, ``g_x`` and ``dy``, ``g_y`` as float 1-D
+    arrays of matching shapes, so the criterion takes them without
+    re-validating.  Accepts by the test of
     `check_inner_criterion`, else as a stall after ``stall_window``
     stalled steps or on the last iterate if they end early; raises
     InnerBudgetExhausted after checking iterate ``max_inner``.  Every
@@ -158,9 +172,9 @@ def accept_first(
     `PointPair`'s scan; the pair carries ``z`` back to `outer.solve`.
     """
     stalled, previous = 0, None
-    for t, (x, y, dx, dy, g_x, g_y, blocks, z) in enumerate(iterates):
+    for t, (x, y, dx, dy, g_x, g_y, blocks, z, b) in enumerate(iterates):
         if _criterion_holds(g_x, g_y, dx, dy, tuning, config.floor_tol):
-            return InnerResult(PointPair._unscanned(x, y, z), t, g_x, g_y)
+            return InnerResult(PointPair._unscanned(x, y, z), t, g_x, g_y, remainder=b)
         # The stall count only decides about rejected iterates, and every
         # iterate before this one was rejected, so it is counted here.
         if previous is not None:
@@ -173,7 +187,7 @@ def accept_first(
         if t >= config.max_inner:
             raise InnerBudgetExhausted(f"criterion unmet after {t} inner iterations")
     return InnerResult(
-        PointPair._unscanned(x, y, z), t, g_x, g_y, accepted_by=ACCEPTED_STALL
+        PointPair._unscanned(x, y, z), t, g_x, g_y, ACCEPTED_STALL, remainder=b
     )
 
 
@@ -184,8 +198,8 @@ class FBFVectors:
     ``step`` is ``S = (s, -s)`` and ``mu`` is ``M = (mu_x, -mu_y)``, the
     y entries negated so that one formula steps both blocks; ``s_eta``
     holds ``s/eta`` and ``divisor`` the resolvent's ``1 + s/eta + s mu``
-    per block, and ``eta`` the steps ``(eta_x, eta_y)``; ``s`` is the FBF
-    step.
+    per block, ``s_modulus`` the warm start's ``s/eta + s mu``, and ``eta``
+    the steps ``(eta_x, eta_y)``; ``s`` is the FBF step.
     """
 
     s: float
@@ -193,6 +207,7 @@ class FBFVectors:
     mu: np.ndarray
     s_eta: np.ndarray
     divisor: np.ndarray
+    s_modulus: np.ndarray
     eta: np.ndarray
 
 
@@ -212,6 +227,7 @@ def fbf_vectors(
         mu=blocks(mu_x, -mu_y),
         s_eta=blocks(s / eta_x, s / eta_y),
         divisor=blocks(1.0 + s / eta_x + s * mu_x, 1.0 + s / eta_y + s * mu_y),
+        s_modulus=blocks(s / eta_x + s * mu_x, s / eta_y + s * mu_y),
         eta=blocks(eta_x, eta_y),
     )
 
@@ -257,12 +273,24 @@ def fbf_iterates(aux: AuxiliaryProblem, spec: SmoothnessSpec):
     ``h`` and ``z+``; the gradients ``g_x``, ``g_y`` stay two block sums,
     since their terms associate differently in x and in y.
 
-    Starts from the outer iterate (x_k, y_k) and yields, for
-    `accept_first`, each iterate as its block views with their
+    FBF converges from any start.  With the previous outer step's
+    remainder ``b_prev`` (``aux.remainder``) it starts at
+
+        w = (s_k - s g - S b_prev) / (s/eta + s mu),
+
+    the exact resolvent of ``A`` with ``B'`` held at the previous accepted
+    pair, ``A(w) = -B'(z_prev)``: per entry, ``h`` with the step taken to
+    infinity, which drops its ``z`` and its ``1``.  Consecutive
+    subproblems differ only in their anchors and ``z_k``, so ``w`` lands
+    near the new solution and is often accepted at once.  Without a
+    remainder it starts from the outer iterate (x_k, y_k).
+
+    Yields, for `accept_first`, each iterate as its block views with their
     displacement views, its subproblem gradients, the blocks again for the
-    stall rule and the stacked ``z``.  The start costs one coupling call,
-    each step two: at ``h`` and at ``z+``, whose gradient serves both the
-    acceptance check and the next forward step.
+    stall rule, the stacked ``z`` and its ``b``, which is also the next
+    step's.  The start costs one coupling call, each step two: at ``h``
+    and at ``z+``, whose gradient serves both the acceptance check and the
+    next forward step.
     """
     x_k, y_k = aux.x_k, aux.y_k
     z_k = aux.z_k if aux.z_k is not None else np.concatenate((x_k, y_k))
@@ -275,7 +303,10 @@ def fbf_iterates(aux: AuxiliaryProblem, spec: SmoothnessSpec):
     s_g = v.s * np.concatenate((gp, gq))
     s_k = v.s_eta * z_k
 
-    x, y, z = x_k, y_k, z_k
+    z = z_k
+    if aux.remainder is not None:
+        z = (s_k - s_g - step * aux.remainder) / v.s_modulus
+    x, y = z[:d_x], z[d_x:]
     r_x, r_y = grad_R(x, y)
     # The gradient sums below would broadcast a wrongly shaped output.
     check_shape(r_x, x, "dR/dx")
@@ -285,8 +316,8 @@ def fbf_iterates(aux: AuxiliaryProblem, spec: SmoothnessSpec):
         q = d / eta
         g_x = gp + q[:d_x] + r_x
         g_y = r_y - gq - q[d_x:]
-        yield x, y, d[:d_x], d[d_x:], g_x, g_y, (x, y), z
         b = np.concatenate((r_x, r_y)) - mu * z
+        yield x, y, d[:d_x], d[d_x:], g_x, g_y, (x, y), z, b
         h = (z - step * b - s_g + s_k) / divisor
         rh_x, rh_y = grad_R(h[:d_x], h[d_x:])
         z = h - step * (np.concatenate((rh_x, rh_y)) - mu * h - b)
@@ -302,9 +333,12 @@ def solve_auxiliary(
 ) -> InnerResult:
     """Forward-backward-forward on the subproblem until acceptance.
 
-    `fbf_iterates` under the stop rule of `accept_first`.  The acceptance
-    check reuses the gradient already computed at the current iterate, so
-    a run accepted after t iterations costs exactly 2t + 1 coupling calls.
+    `fbf_iterates` under the stop rule of `accept_first`, warm-started
+    from ``aux.remainder`` when it is set; the result carries the remainder
+    at its pair for the next step's subproblem.  The acceptance check
+    reuses the gradient already computed at the current iterate, so a run
+    accepted after t iterations costs exactly 2t + 1 coupling calls, warm
+    or cold.
     ``spec`` must pass `validate_spec`, as `outer.solve` checks.
     """
     return accept_first(fbf_iterates(aux, spec), aux, tuning, config)

@@ -305,9 +305,12 @@ def solve(
     composite gradients there exactly once each, build the step's
     `AuxiliaryProblem` (those gradients as anchors, the current iterate,
     ``eta_x``, ``eta_y``), solve it to the acceptance criterion, then
-    update the main and extrapolation sequences.  The coupling oracle is
-    called only inside the inner solver; its final evaluation doubles as
-    the one the main update needs.  Composite gradients and inner results
+    update the main and extrapolation sequences.  Each subproblem but the
+    first also carries the previous `InnerResult`'s ``remainder``, from
+    which FBF starts warm; a custom inner solver's result without one
+    leaves the next subproblem cold.  The coupling oracle is called only
+    inside the inner solver; its final evaluation doubles as the one the
+    main update needs.  Composite gradients and inner results
     of the wrong shape raise DimensionMismatch.
 
     With ``config.use_residual_stop`` the run ends ``residual-met`` at the
@@ -413,6 +416,7 @@ def solve(
     z = np.concatenate((start.x, start.y))
     x, y = z[:d_x], z[d_x:]
     zf = z
+    remainder = None
 
     # The guards below catch squares that overflow, here or in an oracle;
     # they raise DivergenceDetected without numpy's warning first.
@@ -429,9 +433,12 @@ def solve(
                 )
 
             aux = AuxiliaryProblem(
-                counted.grad_R, gp, gq, x, y, eta_x, eta_y, counted.value_R, z, vectors
+                counted.grad_R, gp, gq, x, y, eta_x, eta_y, counted.value_R, z, vectors,
+                remainder,
             )
             result = inner_solver(aux, spec, tuning, inner_cfg)
+            # FBF's remainder at the accepted pair warm-starts the next step.
+            remainder = result.remainder
             pair = result.pair
             pair.check_dims(d_x, d_y)
             x_hat, y_hat = pair.x, pair.y

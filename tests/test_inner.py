@@ -431,13 +431,13 @@ class TestInnerExits:
 # ---------------------------------------------------------------------------
 # Reference copies of the inner loops in their plain form: the stall rule by
 # np.linalg.norm, the displacement recomputed for the criterion and the FBF
-# resolvent written out as a function.  The library's loops must produce the
-# same floating-point results bit for bit.
+# resolvent and warm start written out blockwise as functions.  The
+# library's loops must produce the same floating-point results bit for bit.
 
 
 def _reference_accept_first(iterates, aux, tuning, config):
     stalled, previous = 0, None
-    for t, (x, y, g_x, g_y, blocks) in enumerate(iterates):
+    for t, (x, y, g_x, g_y, blocks, b) in enumerate(iterates):
         if previous is not None:
             moved = [
                 float(np.linalg.norm(new - old)) / max(float(np.linalg.norm(old)), 1.0)
@@ -448,12 +448,12 @@ def _reference_accept_first(iterates, aux, tuning, config):
         if check_inner_criterion(
             g_x, g_y, x - aux.x_k, y - aux.y_k, tuning, config.floor_tol
         ):
-            return InnerResult(PointPair(x, y), t, g_x, g_y)
+            return InnerResult(PointPair(x, y), t, g_x, g_y, remainder=b)
         if stalled >= config.stall_window:
             break
         if t >= config.max_inner:
             raise InnerBudgetExhausted(f"criterion unmet after {t} inner iterations")
-    return InnerResult(PointPair(x, y), t, g_x, g_y, accepted_by="stall")
+    return InnerResult(PointPair(x, y), t, g_x, g_y, accepted_by="stall", remainder=b)
 
 
 def _reference_fbf(aux, spec, tuning, config):
@@ -462,14 +462,24 @@ def _reference_fbf(aux, spec, tuning, config):
     def resolvent(w, grad_anchor, z_k, eta, mu):
         return (w - s * grad_anchor + (s / eta) * z_k) / (1.0 + s / eta + s * mu)
 
+    def warm_start(b, grad_anchor, z_k, eta, mu):
+        # The resolvent with B' frozen at b and the step taken to infinity.
+        return ((s / eta) * z_k - s * grad_anchor - s * b) / (s / eta + s * mu)
+
     def iterates():
         x, y = aux.x_k, aux.y_k
+        if aux.remainder is not None:
+            # The previous step's remainder, its y block signed as the library's.
+            d_x = len(aux.x_k)
+            b_x, b_y = aux.remainder[:d_x], -aux.remainder[d_x:]
+            x = warm_start(b_x, aux.grad_p_anchor, aux.x_k, aux.eta_x, spec.mu_x)
+            y = warm_start(b_y, aux.grad_q_anchor, aux.y_k, aux.eta_y, spec.mu_y)
         r_x, r_y = aux.grad_R(x, y)
         while True:
             g_x = aux.grad_p_anchor + (x - aux.x_k) / aux.eta_x + r_x
             g_y = r_y - aux.grad_q_anchor - (y - aux.y_k) / aux.eta_y
-            yield x, y, g_x, g_y, (x, y)
             b_x, b_y = r_x - spec.mu_x * x, -r_y - spec.mu_y * y
+            yield x, y, g_x, g_y, (x, y), np.concatenate([b_x, -b_y])
             x_h = resolvent(x - s * b_x, aux.grad_p_anchor, aux.x_k, aux.eta_x, spec.mu_x)
             y_h = resolvent(y - s * b_y, aux.grad_q_anchor, aux.y_k, aux.eta_y, spec.mu_y)
             rh_x, rh_y = aux.grad_R(x_h, y_h)
@@ -491,7 +501,7 @@ def _reference_bilinear_inner(bp):
                        + bp.mu_p * x + bp.coupling.matvec(y))
                 g_y = (bt_x - bp.mu_q * y - (y - aux.y_k) / tuning.eta_y
                        - aux.grad_q_anchor)
-                yield x, y, g_x, g_y, (x,)
+                yield x, y, g_x, g_y, (x,), None
 
         return _reference_accept_first(iterates(), aux, tuning, config)
 
@@ -507,6 +517,7 @@ def _same_result(got, want):
             for g, w in [
                 (got.pair.x, want.pair.x), (got.pair.y, want.pair.y),
                 (got.grad_x, want.grad_x), (got.grad_y, want.grad_y),
+                (got.remainder, want.remainder),
             ]
         )
     )
@@ -524,6 +535,9 @@ class TestReferenceEquivalence:
     # Unequal moduli give unequal steps eta_x != eta_y and a step s that
     # pays |mu_x - mu_y|.  Odd dimensions put the y block of the stacked
     # iterate 56 bytes in, off the 16-byte alignment of a fresh array.
+    # L_R = 10 max(mu) couples the blocks at unequal moduli too: at
+    # L_R = max(mu) the generator builds B = 0, whose subproblems the warm
+    # start solves exactly, so no step there is ever rejected or stalls.
     @pytest.mark.parametrize("d_x, d_y, mu_x, mu_y", [
         pytest.param(10, 8, 1.0, 1.0, id="1.0-1.0"),
         pytest.param(10, 8, 1.0, 0.01, id="1.0-0.01"),
@@ -534,21 +548,25 @@ class TestReferenceEquivalence:
     def test_fbf_matches_reference(self, d_x, d_y, mu_x, mu_y, config_name):
         config = REFERENCE_CONFIGS[config_name]
         inst = gen_quadratic_spp(
-            d_x, d_y, 4.0 * mu_x, mu_x, 4.0 * mu_y, mu_y, 10.0 * math.sqrt(mu_x * mu_y), 1
+            d_x, d_y, 4.0 * mu_x, mu_x, 4.0 * mu_y, mu_y, 10.0 * max(mu_x, mu_y), 1
         )
         problem, spec = inst.problem(), inst.spec()
         exits = set()
+        starts = []
 
         def checked_inner(aux, spec_, tuning, config_):
             got = solve_auxiliary(aux, spec_, tuning, config_)
             assert _same_result(got, _reference_fbf(aux, spec_, tuning, config_))
             exits.add(got.accepted_by)
+            starts.append(aux.remainder is not None)
             return got
 
         start = PointPair(np.zeros(d_x), np.zeros(d_y))
         solve(problem, spec, start, SolveConfig(eps=1e-8, max_outer=40, inner=config),
               inner_solver=checked_inner)
         assert ("stall" if config_name == "stall-heavy" else "criterion") in exits
+        # Cold at the first step only: every later one starts warm.
+        assert starts == [False] + [True] * (len(starts) - 1)
 
     @pytest.mark.parametrize("config_name", sorted(REFERENCE_CONFIGS))
     def test_bilinear_matches_reference(self, config_name):

@@ -543,7 +543,8 @@ class TestExtrapolationStop:
 # ---------------------------------------------------------------------------
 # Reference copy of `solve`'s loop in its plain form: one extrapolation
 # formula for every alpha, the displacement recomputed where it is used, the
-# residual with its plain sign, norms by np.linalg.norm and no diagnostics.
+# residual with its plain sign, norms by np.linalg.norm and no diagnostics;
+# each step hands the accepted pair's FBF remainder to the next subproblem.
 # The library's loop must produce the same floating-point results bit for bit.
 
 
@@ -558,13 +559,15 @@ def _reference_solve(problem, spec, start, config, inner_solver=None, counters=N
     weight = max(1.0 / (eta_x * spec.mu_x), 1.0 / (eta_y * spec.mu_y))
     x, y = start.x.copy(), start.y.copy()
     xf, yf = x.copy(), y.copy()
+    remainder = None
     inner_iterations = []
     for _ in range(planned):
         xg = alpha * x + (1.0 - alpha) * xf
         yg = alpha * y + (1.0 - alpha) * yf
         aux = AuxiliaryProblem(counted.grad_R, counted.grad_p(xg), counted.grad_q(yg),
-                               x, y, eta_x, eta_y)
+                               x, y, eta_x, eta_y, remainder=remainder)
         result = inner_solver(aux, spec, tuning, inner_config)
+        remainder = result.remainder
         x_hat, y_hat = result.pair.x, result.pair.y
         counters.outer_iterations += 1
         counters.inner_iterations += result.iterations
@@ -644,6 +647,84 @@ class TestSolveReference:
                                 counters=counters)
         _assert_matches_reference(report, want)
         assert (report.termination == TERMINATION_RESIDUAL) == use_residual_stop
+
+
+def _certified_run(inst, eps, inner_solver=None):
+    # A certified solve from the origin, as `run_single` makes it; returns
+    # the report and `_assert_certified`'s and `_reference_solve`'s inputs.
+    problem, spec = inst.problem(), inst.spec()
+    start = PointPair(np.zeros(problem.d_x), np.zeros(problem.d_y))
+    reference = reference_solution(inst)
+    psi_0 = initial_potential(problem, spec, start, reference)
+    config = SolveConfig(eps=eps, psi_0=psi_0, use_residual_stop=True)
+    report = solve(problem, spec, start, config, inner_solver=inner_solver)
+    return report, (spec, psi_0, eps, reference), (problem, spec, start, config)
+
+
+def _assert_tally_identity(report):
+    c = report.counters
+    assert c.calls_grad_p == c.calls_grad_q == c.outer_iterations
+    assert c.calls_grad_R == 2 * c.inner_iterations + c.outer_iterations
+
+
+class TestWarmStart:
+    """Each FBF solve after a run's first starts from the previous remainder."""
+
+    def test_engages_after_first_step(self):
+        # The warm start lands on the subproblem's solution closely enough
+        # that every step after the cold first one accepts its start (241
+        # steps, 243 coupling calls; 723 starting cold).
+        report, certified, _ = _certified_run(
+            gen_quadratic_spp(10, 10, 100, 1, 100, 1, 10, 0), 1e-8)
+        _assert_certified(report, *certified)
+        assert report.inner_iterations[0] >= 1
+        assert report.inner_iterations[1:] == [0] * (len(report.inner_iterations) - 1)
+        _assert_tally_identity(report)
+
+    def test_custom_solver_without_remainder_starts_cold(self):
+        # A custom inner solver whose results carry no remainder gets cold
+        # subproblems at every step, so the run is the cold-start one, bit
+        # for bit: its tallies, and the reference loop's results.
+        remainders = []
+
+        def without_remainder(aux, spec, tuning, config):
+            remainders.append(aux.remainder)
+            result = solve_auxiliary(aux, spec, tuning, config)
+            return dataclasses.replace(result, remainder=None)
+
+        report, _, args = _certified_run(
+            gen_quadratic_spp(10, 10, 100, 1, 100, 1, 10, 0), 1e-8, without_remainder)
+        assert remainders == [None] * report.counters.outer_iterations
+        c = report.counters
+        assert (c.calls_grad_p, c.calls_grad_R, c.inner_iterations) == (241, 723, 241)
+        _assert_matches_reference(
+            report, _reference_solve(*args, inner_solver=without_remainder))
+
+    def test_lopsided_moduli_certify_cheaply(self):
+        # mu_y/mu_x = 1000 with no composite curvature: one scalar FBF step
+        # for both blocks made 34,335 coupling calls from cold starts.
+        report, certified, _ = _certified_run(
+            gen_quadratic_spp(10, 10, 0, 1, 0, 1000, 1001, 0), 1e-8)
+        _assert_certified(report, *certified)
+        assert report.counters.calls_grad_R < 1000
+        _assert_tally_identity(report)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 5), log_ratio=st.floats(-3.0, 3.0),
+           cond_p=st.sampled_from([0.0, 1.0, 4.0, 100.0]),
+           cond_q=st.sampled_from([0.0, 1.0, 4.0, 100.0]),
+           gain=st.floats(1.0, 10.0), eps=_target, seed=st.integers(0, 2**31 - 1))
+    def test_warm_runs_certify(self, d, log_ratio, cond_p, cond_q, gain, eps, seed):
+        # mu_x/mu_y up to 1000 either way, composites from none to L/mu = 100.
+        # On 400 draws from these ranges every run certified, at most
+        # 0.95 eps from the reference.
+        mu_x, mu_y = 1.0, 10.0**-log_ratio
+        inst = gen_quadratic_spp(
+            d, d, cond_p * mu_x, mu_x, cond_q * mu_y, mu_y, gain * max(mu_x, mu_y), seed
+        )
+        report, certified, _ = _certified_run(inst, eps)
+        _assert_tally_identity(report)
+        _assert_certified(report, *certified)
 
 
 class TestComputePotential:
