@@ -4,7 +4,8 @@ For ``min_x max_y p(x) + x^T B y - q(y)`` with strongly convex composites,
 the strong convexity is moved into the coupling term and the prox
 subproblem of each outer step collapses, after maximizing out y in closed
 form, to an unconstrained quadratic in x solved by conjugate gradients,
-which needs no spectral bounds.  Every B or B^T product is counted
+which needs no spectral bounds.  Each CG run after a solve's first starts
+from the x block of FBF's warm start.  Every B or B^T product is counted
 individually, so coupling cost is measured in matrix-vector products.
 
 The reduced quadratic is ``x^T A x + b^T x`` (up to a constant) with
@@ -20,8 +21,10 @@ elimination-consistency tests).
 
 The two regularized reductions, affinely constrained minimization and
 fully linear composites, size their regularizers and accuracy targets by
-the plans of `regularization` and share one regularized solve; the
-linear-composite reduction restarts it in stages around its last point.
+the plans of `regularization` and share one regularized solve, which
+certifies the primal block alone for the first and both blocks for the
+second; the linear-composite reduction restarts it in stages around its
+last point.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .errors import (
     InfeasibleTarget,
     NonPositiveModulus,
 )
-from .inner import AuxiliaryProblem, InnerConfig, InnerResult, accept_first
+from .inner import AuxiliaryProblem, InnerConfig, InnerResult, accept_first, fbf_start
 from .outer import (
     TERMINATION_RESIDUAL,
     ConvergenceReport,
@@ -378,6 +381,13 @@ def make_bilinear_inner_solver(bp: BilinearProblem):
     costs one B product and every checked iterate three B/B^T products, so
     a run of t steps makes 3t + 4.  ``bp`` should be the counting-wrapped
     problem so the products land in ``calls_grad_R``.
+
+    On the split problem FBF's remainder ``b = r - M z`` is
+    ``(B y, B^T x)``, both products every iterate has at hand; the result
+    carries it at its pair.  With ``aux.remainder`` set, CG starts at the
+    x block of FBF's warm start (`inner.fbf_start`), the subproblem's exact
+    minimizer in x with ``B y`` held at the previous accepted pair, and
+    otherwise at ``x_k``; the start costs the same two products either way.
     """
 
     def inner(
@@ -389,8 +399,11 @@ def make_bilinear_inner_solver(bp: BilinearProblem):
         qf = eliminate_y(bp, aux)
 
         def iterates():
+            x_0 = aux.x_k
+            if aux.remainder is not None:
+                x_0 = fbf_start(aux, spec)[0][: len(aux.x_k)]
             # The reduced gradient is (kappa I + B B^T) x + b.
-            cg = _cg_iterates(qf.matvec, qf.rmatvec, qf.kappa, -qf.b, aux.x_k)
+            cg = _cg_iterates(qf.matvec, qf.rmatvec, qf.kappa, -qf.b, x_0)
             for x, bt_x, _ in cg:
                 y = qf.recover_y(x, bt_x)
                 dx = x - aux.x_k
@@ -398,10 +411,10 @@ def make_bilinear_inner_solver(bp: BilinearProblem):
                 # Evaluate the subproblem gradients from their definition
                 # (one extra B product) rather than unscaling the reduced
                 # gradient, which would amplify its rounding noise by 1/shift.
-                g_x = (aux.grad_p_anchor + dx / tuning.eta_x
-                       + bp.mu_p * x + bp.coupling.matvec(y))
+                b_y = bp.coupling.matvec(y)
+                g_x = aux.grad_p_anchor + dx / tuning.eta_x + bp.mu_p * x + b_y
                 g_y = bt_x - bp.mu_q * y - dy / tuning.eta_y - aux.grad_q_anchor
-                yield x, y, dx, dy, g_x, g_y, (x,), None, None
+                yield x, y, dx, dy, g_x, g_y, (x,), None, np.concatenate((b_y, bt_x))
 
         return accept_first(iterates(), aux, tuning, config)
 
@@ -437,16 +450,23 @@ def _solve_regularized(
     y_reach: float,
     max_outer: int,
     use_residual_stop: bool,
+    primal_only: bool = False,
 ) -> ConvergenceReport:
     """Solve a regularized reduction's saddle from ``start``.
 
-    ``target`` is the plain squared distance to reach; the outer loop
-    measures the step-weighted one, so it is scaled by
-    ``max(1, eta_x, eta_y)``.  ``x_reach`` and ``y_reach`` bound the
-    distances of the saddle's blocks from ``start`` and size the a priori
-    potential bound, of which only the logarithm matters.
-    ``use_residual_stop`` ends the run early once the outer loop's
-    certificate proves that scaled target.
+    ``target`` is the plain squared distance to reach.  The outer loop
+    bounds the step-weighted ``W = ||x - x_r||^2/eta_x + ||y - y_r||^2/eta_y``
+    to the regularized saddle ``(x_r, y_r)``, both by its planned budget
+    and by its residual certificate, so ``target`` is scaled to a bound on
+    ``W``.  By default it is divided by ``max(1, eta_x, eta_y)``, which
+    certifies the joint distance, both blocks together, to ``target``.
+    With ``primal_only`` it is divided by ``max(1, eta_x)`` only: since
+    ``W >= ||x - x_r||^2/eta_x``, that certifies the x block alone, and
+    says nothing about y.  ``x_reach`` and ``y_reach`` bound the distances
+    of the saddle's blocks from ``start`` and size the a priori potential
+    bound, of which only the logarithm matters.  ``use_residual_stop``
+    ends the run early once the outer loop's certificate proves that
+    scaled target.
     """
     _, spec = split_bilinear(bp)
     tuning = tune_parameters(spec)
@@ -454,8 +474,10 @@ def _solve_regularized(
         (1.0 / tuning.eta_x + spec.L_p / tuning.alpha) * (x_reach + 1.0) ** 2
         + (1.0 / tuning.eta_y) * (y_reach + 1.0) ** 2
     )
+    # The y block's step enters the scale only when y is certified too.
+    eta_y = 0.0 if primal_only else tuning.eta_y
     config = SolveConfig(
-        eps=target / max(1.0, tuning.eta_x, tuning.eta_y),
+        eps=target / max(1.0, tuning.eta_x, eta_y),
         max_outer=max_outer,
         psi_0=psi_0,
         use_residual_stop=use_residual_stop,
@@ -478,12 +500,16 @@ def solve_affine_constrained(
     """Minimize p subject to ``B^T x = c`` through the regularized saddle.
 
     The equivalent saddle ``min_x max_y p(x) + x^T B y - y^T c`` gets
-    `plan_scc`'s dual regularizer ``(eps/(12 D_y^2)) ||y||^2``; solving it
-    to accuracy 2 eps / 3 certifies an eps-solution of the constrained
-    problem.  The solve target is additionally tightened to
-    ``eps / (4 lambda_max(BB^T))`` so the constraint residual of the final
-    primal lands below ``sqrt(eps) (1 + ||c||)``.  ``D_y`` must bound the
-    norm of some dual solution.
+    `plan_scc`'s dual regularizer ``(eps/(12 D_y^2)) ||y||^2``; an x within
+    squared distance 2 eps / 3 of the regularized saddle's x is an
+    eps-solution of the constrained problem, whatever y goes with it.  The
+    target is additionally tightened to ``eps / (4 lambda_max(BB^T))`` so
+    the constraint residual of the final primal lands below
+    ``sqrt(eps) (1 + ||c||)``.  Both bounds read x alone, so the solve
+    certifies the primal block only (`_solve_regularized`'s
+    ``primal_only``): the report's y is the regularized dual iterate and
+    carries no accuracy guarantee.  ``D_y`` must bound the norm of some
+    dual solution.
 
     ``use_residual_stop`` ends the solve once the outer loop certifies its
     target; the planned budget stays the cap.
@@ -519,7 +545,7 @@ def solve_affine_constrained(
     target = min(plan.inner_target, eps / (4.0 * max(1.0, coupling.lambda_max_BBt)))
     origin = PointPair(np.zeros(coupling.d_x), np.zeros(coupling.d_y))
     report = _solve_regularized(
-        bp, origin, target, x_reach, D_y, max_outer, use_residual_stop
+        bp, origin, target, x_reach, D_y, max_outer, use_residual_stop, primal_only=True
     )
     residual = float(np.linalg.norm(coupling.rmatvec(report.final_pair.x) - c))
     report.constraint_residual = residual

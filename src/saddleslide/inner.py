@@ -50,8 +50,9 @@ class AuxiliaryProblem:
     `fbf_iterates` builds both itself, so a subproblem built by hand from
     its blocks runs the same code.  ``remainder`` is the `InnerResult`
     remainder of the previous outer step, ``b = r - M z`` at its accepted
-    pair in `FBFVectors`' notation; `fbf_iterates` starts from it, and
-    without it (a run's first step, a custom inner solver's result, a
+    pair in `FBFVectors`' notation; `fbf_iterates` starts from it (and the
+    bilinear conjugate-gradient solver from the x block of that start),
+    and without it (a run's first step, a custom inner solver's result, a
     subproblem built by hand) at ``z_k``.
     """
 
@@ -138,9 +139,9 @@ ACCEPTED_STALL = "stall"
 class InnerResult:
     """Accepted subproblem pair with its gradients and iteration count.
 
-    ``remainder``, from FBF only, is its ``b = r - M z`` at the accepted
-    pair (see `fbf_iterates`); `outer.solve` hands it to the next step's
-    `AuxiliaryProblem`.
+    ``remainder``, from the library's two inner solvers, is FBF's
+    ``b = r - M z`` at the accepted pair (see `fbf_iterates`); `outer.solve`
+    hands it to the next step's `AuxiliaryProblem`.
     """
 
     pair: PointPair
@@ -232,6 +233,27 @@ def fbf_vectors(
     )
 
 
+def fbf_start(aux: AuxiliaryProblem, spec: SmoothnessSpec):
+    """Start of an FBF run on ``aux`` and the terms its steps share.
+
+    Returns the stacked start ``z``, the stacked outer iterate ``z_k``,
+    the `FBFVectors` and the resolvent terms ``s g`` and ``(s/eta) z_k``,
+    which do not change between steps.  ``z`` is the warm start of
+    `fbf_iterates` when ``aux.remainder`` is set, else ``z_k`` itself;
+    the bilinear conjugate-gradient solver starts from its x block.
+    """
+    z_k = aux.z_k if aux.z_k is not None else np.concatenate((aux.x_k, aux.y_k))
+    v = aux.vectors
+    if v is None:
+        v = fbf_vectors(spec, aux.eta_x, aux.eta_y, len(aux.x_k), len(aux.y_k))
+    s_g = v.s * np.concatenate((aux.grad_p_anchor, aux.grad_q_anchor))
+    s_k = v.s_eta * z_k
+    z = z_k
+    if aux.remainder is not None:
+        z = (s_k - s_g - v.step * aux.remainder) / v.s_modulus
+    return z, z_k, v, s_g, s_k
+
+
 def fbf_iterates(aux: AuxiliaryProblem, spec: SmoothnessSpec):
     """Tseng's forward-backward-forward iterates on the subproblem.
 
@@ -292,20 +314,9 @@ def fbf_iterates(aux: AuxiliaryProblem, spec: SmoothnessSpec):
     and at ``z+``, whose gradient serves both the acceptance check and the
     next forward step.
     """
-    x_k, y_k = aux.x_k, aux.y_k
-    z_k = aux.z_k if aux.z_k is not None else np.concatenate((x_k, y_k))
-    v = aux.vectors
-    if v is None:
-        v = fbf_vectors(spec, aux.eta_x, aux.eta_y, len(x_k), len(y_k))
-    d_x, step, mu, divisor, eta = len(x_k), v.step, v.mu, v.divisor, v.eta
+    z, z_k, v, s_g, s_k = fbf_start(aux, spec)
+    d_x, step, mu, divisor, eta = len(aux.x_k), v.step, v.mu, v.divisor, v.eta
     grad_R, gp, gq = aux.grad_R, aux.grad_p_anchor, aux.grad_q_anchor
-    # Resolvent terms that do not change between steps.
-    s_g = v.s * np.concatenate((gp, gq))
-    s_k = v.s_eta * z_k
-
-    z = z_k
-    if aux.remainder is not None:
-        z = (s_k - s_g - step * aux.remainder) / v.s_modulus
     x, y = z[:d_x], z[d_x:]
     r_x, r_y = grad_R(x, y)
     # The gradient sums below would broadcast a wrongly shaped output.

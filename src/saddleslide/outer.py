@@ -307,11 +307,11 @@ def solve(
     ``eta_x``, ``eta_y``), solve it to the acceptance criterion, then
     update the main and extrapolation sequences.  Each subproblem but the
     first also carries the previous `InnerResult`'s ``remainder``, from
-    which FBF starts warm; a custom inner solver's result without one
-    leaves the next subproblem cold.  The coupling oracle is called only
-    inside the inner solver; its final evaluation doubles as the one the
-    main update needs.  Composite gradients and inner results
-    of the wrong shape raise DimensionMismatch.
+    which FBF and the bilinear conjugate gradients start warm; a custom
+    inner solver's result without one leaves the next subproblem cold.
+    The coupling oracle is called only inside the inner solver; its final
+    evaluation doubles as the one the main update needs.  Composite
+    gradients and inner results of the wrong shape raise DimensionMismatch.
 
     With ``config.use_residual_stop`` the run ends ``residual-met`` at the
     accepted pair ``z = (x_hat, y_hat)`` once bounds ``b_x >= ||F_x(z)||``,
@@ -437,7 +437,7 @@ def solve(
                 remainder,
             )
             result = inner_solver(aux, spec, tuning, inner_cfg)
-            # FBF's remainder at the accepted pair warm-starts the next step.
+            # The remainder at the accepted pair warm-starts the next step.
             remainder = result.remainder
             pair = result.pair
             pair.check_dims(d_x, d_y)

@@ -29,7 +29,8 @@ class RegularizationPlan:
     ``coeff_x ||x||^2`` is added and ``coeff_y ||y||^2`` subtracted from
     the objective; a point within ``inner_target`` squared distance of the
     wrapped saddle is an ``eps``-solution of the original problem, given
-    ``||x*|| <= D_x`` and ``||y*|| <= D_y``.
+    ``||x*|| <= D_x`` and ``||y*|| <= D_y``.  The distance is the joint one
+    for ``CASE_CC`` and the x block's alone for ``CASE_SCC``.
     """
 
     case: str
@@ -45,10 +46,13 @@ def plan_scc(eps: float, D_y: float) -> RegularizationPlan:
     """Plan for strongly-convex-concave problems (mu_x > 0, mu_y = 0).
 
     Only the dual gets a regularizer, ``eps/(12 D_y^2) ||y||^2``, and the
-    wrapped problem must be solved to accuracy ``2 eps / 3``.  Raises
-    NonPositiveInput unless ``eps`` and ``D_y`` are positive and finite.
-    `bilinear.solve_affine_constrained` takes its dual regularizer, its
-    accuracy target and this input check from here.
+    wrapped problem must be solved to accuracy ``2 eps / 3`` in its primal
+    block: the eps-solution is a statement about x, and a point's y plays
+    no part in it (the original problem's dual solutions need not form a
+    single point).  Raises NonPositiveInput unless ``eps`` and
+    ``D_y`` are positive and finite.  `bilinear.solve_affine_constrained`
+    takes its dual regularizer, its accuracy target and this input check
+    from here, and certifies the primal block only.
     """
     if not (0.0 < eps < math.inf and 0.0 < D_y < math.inf):
         raise NonPositiveInput(f"eps={eps}, D_y={D_y} must be positive and finite")
@@ -67,7 +71,8 @@ def plan_cc(eps: float, D_x: float, D_y: float) -> RegularizationPlan:
     """Plan for convex-concave problems (mu_x = mu_y = 0).
 
     Both blocks get ``eps/(16 D^2) ||.||^2`` regularizers and the wrapped
-    problem must be solved to accuracy ``eps / 2``.  Raises
+    problem must be solved to accuracy ``eps / 2`` in both blocks together,
+    the joint squared distance.  Raises
     NonPositiveInput unless ``eps``, ``D_x`` and ``D_y`` are positive and
     finite.  `bilinear.solve_bilinear_linear_composites` runs on this plan.
     """

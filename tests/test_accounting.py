@@ -155,6 +155,35 @@ def test_affine_reduction_runs_on_the_scc_plan():
     assert report.tuning == tune_parameters(split_bilinear(bp)[1])
 
 
+def test_reductions_certify_the_blocks_they_promise():
+    # The outer loop bounds W = ||dx||^2/eta_x + ||dy||^2/eta_y.  The affine
+    # route promises x only, and W >= ||dx||^2/eta_x; the linear-composite
+    # route's stages need both blocks, so its last stage divides by eta_y too.
+    eps = 1e-6
+    inst = gen_consensus(10, "ring", 1.0, 4.0, seed=0)
+    grad, _ = inst.local_objective()
+    consts, coupling = inst.constants, inst.coupling()
+    report = solve_affine_constrained(
+        grad_p=grad, L_p=consts["local_L"], mu_p=consts["local_mu"],
+        coupling=coupling, c=inst.arrays["c"], D_y=consts["D_y"], eps=eps,
+    )
+    target = min(
+        plan_scc(eps, consts["D_y"]).inner_target,
+        eps / (4.0 * max(1.0, coupling.lambda_max_BBt)),
+    )
+    tuning = report.tuning
+    assert tuning.eta_y > 1e5 * max(1.0, tuning.eta_x)
+    assert report.eps == target / max(1.0, tuning.eta_x)
+
+    lb = gen_linear_bilinear(6, 0)
+    report = solve_bilinear_linear_composites(
+        lb.arrays["d"], lb.arrays["c"], lb.coupling(),
+        lb.constants["D_x"], lb.constants["D_y"], eps,
+    )
+    tuning = report.tuning
+    assert report.eps == (eps / 2.0) / max(1.0, tuning.eta_x, tuning.eta_y)
+
+
 @pytest.mark.parametrize("topology", ["ring", "path"])
 def test_affine_reduction_uncounted_calls(topology):
     # One grad_p(0) sizes the potential bound and one B^T product checks

@@ -403,6 +403,32 @@ class TestSolveAffineConstrained:
         assert np.sum((report.final_pair.x - x_ref) ** 2) <= eps
         assert report.constraint_residual <= math.sqrt(eps)
 
+    @pytest.mark.parametrize("use_residual_stop", [False, True])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize("topology", ["path", "ring", "star"])
+    def test_certifies_primal_and_residual(self, topology, eps, use_residual_stop):
+        # The route certifies the primal block alone; the constraint
+        # residual is bounded through x too.
+        from saddleslide.bench import gen_consensus, reference_solution
+
+        inst = gen_consensus(8, topology, 1.0, 4.0, seed=0)
+        grad, _ = inst.local_objective()
+        report = solve_affine_constrained(
+            grad_p=grad,
+            L_p=inst.constants["local_L"],
+            mu_p=inst.constants["local_mu"],
+            coupling=inst.coupling(),
+            c=inst.arrays["c"],
+            D_y=inst.constants["D_y"],
+            eps=eps,
+            use_residual_stop=use_residual_stop,
+        )
+        x_ref = reference_solution(inst).x
+        assert np.sum((report.final_pair.x - x_ref) ** 2) <= eps
+        assert report.constraint_residual <= math.sqrt(eps)
+        if use_residual_stop:
+            assert report.termination == "residual-met"
+
     def test_infeasible_rhs_raises(self):
         # Constraint row space misses the second coordinate of c.
         B = np.array([[1.0, 0.0]])

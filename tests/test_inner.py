@@ -493,15 +493,26 @@ def _reference_fbf(aux, spec, tuning, config):
 def _reference_bilinear_inner(bp):
     def inner(aux, spec, tuning, config):
         qf = eliminate_y(bp, aux)
+        s = 0.9 / (spec.L_R + abs(spec.mu_x - spec.mu_y))
 
         def iterates():
-            for x, bt_x, _ in _cg_iterates(qf.matvec, qf.rmatvec, qf.kappa, -qf.b, aux.x_k):
+            x_0 = aux.x_k
+            if aux.remainder is not None:
+                # FBF's warm start in x: its resolvent with B y frozen at the
+                # previous remainder's x block and the step taken to infinity.
+                b_x = aux.remainder[: len(aux.x_k)]
+                x_0 = ((s / aux.eta_x) * aux.x_k - s * aux.grad_p_anchor - s * b_x) / (
+                    s / aux.eta_x + s * spec.mu_x
+                )
+            for x, bt_x, _ in _cg_iterates(qf.matvec, qf.rmatvec, qf.kappa, -qf.b, x_0):
                 y = qf.recover_y(x, bt_x)
+                b_y = bp.coupling.matvec(y)
                 g_x = (aux.grad_p_anchor + (x - aux.x_k) / tuning.eta_x
-                       + bp.mu_p * x + bp.coupling.matvec(y))
+                       + bp.mu_p * x + b_y)
                 g_y = (bt_x - bp.mu_q * y - (y - aux.y_k) / tuning.eta_y
                        - aux.grad_q_anchor)
-                yield x, y, g_x, g_y, (x,), None
+                # The remainder r - M z of the split coupling is (B y, B^T x).
+                yield x, y, g_x, g_y, (x,), np.concatenate([b_y, bt_x])
 
         return _reference_accept_first(iterates(), aux, tuning, config)
 
@@ -584,3 +595,76 @@ class TestReferenceEquivalence:
         assert np.array_equal(got.final_pair.y, want.final_pair.y)
         assert got.counters.as_dict() == want.counters.as_dict()
         assert got.inner_iterations == want.inner_iterations
+
+
+def _without_remainder(inner):
+    # A custom inner solver: the library's, with the remainder dropped.
+    def solver(aux, spec, tuning, config):
+        return dataclasses.replace(inner(aux, spec, tuning, config), remainder=None)
+
+    return solver
+
+
+class TestConjugateGradientWarmStart:
+    """Each CG solve after a run's first starts from FBF's warm start in x."""
+
+    def _run(self, inner_of):
+        inst = gen_bilinear(30, 20, 4.0, 1.0, 0.04, 0.01, 2.0, 1)
+        wrapped, counters = wrap_counting_bilinear(inst.bilinear_problem())
+        composite, spec = split_bilinear(inst.bilinear_problem())
+        start = PointPair(np.zeros(30), np.zeros(20))
+        config = SolveConfig(eps=1e-8, psi_0=100.0, use_residual_stop=True)
+        report = solve(composite, spec, start, config,
+                       inner_solver=inner_of(wrapped), counters=counters)
+        assert report.termination == "residual-met"
+        c = report.counters
+        assert c.calls_grad_R == 4 * c.outer_iterations + 3 * c.inner_iterations
+        return inst, report
+
+    def test_engages_after_first_step(self):
+        steps = []
+
+        def recording(wrapped):
+            inner = make_bilinear_inner_solver(wrapped)
+
+            def solver(aux, spec, tuning, config):
+                result = inner(aux, spec, tuning, config)
+                steps.append((aux.remainder, result))
+                return result
+
+            return solver
+
+        inst, report = self._run(recording)
+        assert [r is None for r, _ in steps] == [True] + [False] * (len(steps) - 1)
+        # Each step hands on FBF's remainder r - M z = (B y, B^T x) at its
+        # pair; B^T x is CG's running product, so it agrees to rounding.
+        B = inst.arrays["B"]
+        for (_, previous), (remainder, _) in zip(steps, steps[1:]):
+            assert remainder is previous.remainder
+            x, y = previous.pair.x, previous.pair.y
+            np.testing.assert_allclose(
+                remainder, np.concatenate([B @ y, B.T @ x]), rtol=1e-9, atol=1e-12
+            )
+        c = report.counters
+        # 566 products over 142 inner steps starting cold.
+        assert (c.outer_iterations, c.inner_iterations, c.calls_grad_R) == (35, 76, 368)
+
+    def test_custom_solver_without_remainder_stays_cold(self):
+        remainders = []
+
+        def cold(wrapped):
+            inner = _without_remainder(make_bilinear_inner_solver(wrapped))
+
+            def solver(aux, spec, tuning, config):
+                remainders.append(aux.remainder)
+                return inner(aux, spec, tuning, config)
+
+            return solver
+
+        _, got = self._run(cold)
+        assert remainders == [None] * got.counters.outer_iterations
+        c = got.counters
+        assert (c.outer_iterations, c.inner_iterations, c.calls_grad_R) == (35, 142, 566)
+        _, want = self._run(lambda w: _without_remainder(_reference_bilinear_inner(w)))
+        assert np.array_equal(got.final_pair.x, want.final_pair.x)
+        assert np.array_equal(got.final_pair.y, want.final_pair.y)

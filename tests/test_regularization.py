@@ -199,3 +199,34 @@ class TestLemmaOneEndToEnd:
                 if np.sum((candidate - z) ** 2) > eps:
                     failures += 1
         assert failures == 0
+
+
+class TestLemmaSccPrimal:
+    """`plan_scc` certifies the primal block: a point's y plays no part."""
+
+    @pytest.mark.parametrize("topology", ["path", "ring", "star"])
+    def test_x_near_regularized_saddle_is_eps_solution(self, rng, topology):
+        # Consensus min sum_i a_i (x_i - b_i)^2 / 2 s.t. W x = 0, wrapped with
+        # the plan's dual regularizer: any x within the plan's accuracy of the
+        # wrapped saddle's x is within eps of x*, whatever y goes with it.
+        # Besides random directions, the one away from x* is the worst.
+        from saddleslide.bench.generators import gen_consensus
+
+        failures = 0
+        for n in (4, 8, 12, 20):
+            for seed in range(3):
+                inst = gen_consensus(n, topology, 1.0, 4.0, seed)
+                a, b, W = (inst.arrays[k] for k in ("local_a", "local_b", "W"))
+                x_star = inst.arrays["x_star"]
+                for eps in (1e-4, 1e-6, 1e-8):
+                    plan = plan_scc(eps, inst.constants["D_y"])
+                    mu_q = 2.0 * plan.coeff_y
+                    reg = np.block([[np.diag(a), W], [W.T, -mu_q * np.eye(n)]])
+                    x_reg = np.linalg.solve(reg, np.concatenate([a * b, np.zeros(n)]))[:n]
+                    directions = [x_reg - x_star] + [rng.standard_normal(n) for _ in range(6)]
+                    for direction in directions:
+                        direction /= np.linalg.norm(direction)
+                        candidate = x_reg + np.sqrt(plan.inner_target) * direction
+                        if not np.sum((candidate - x_star) ** 2) <= eps:
+                            failures += 1
+        assert failures == 0
