@@ -174,24 +174,34 @@ def _norm(v: np.ndarray) -> float:
 def residual_bounds(
     rx: float, ry: float, sx: float, sy: float, spec: SmoothnessSpec
 ) -> Tuple[float, float]:
-    """Squared bounds on ``||D^-1/2 F||`` at the accepted pair and at zg.
+    """Squared bounds on ``||D^1/2 (z - z*)||`` at the accepted pair and at zg.
 
-    ``F = (grad_x f, -grad_y f)`` is the saddle operator and
-    ``D = diag(mu_x I, mu_y I)``.  ``rx``, ``ry`` are the norms of the
-    residual that pairs the composite gradients at the extrapolation point
-    ``zg = (xg, yg)`` with the coupling gradient at the accepted pair
-    ``z_hat = (x_hat, y_hat)``; ``sx``, ``sy`` are the norms of
-    ``x_hat - xg`` and ``y_hat - yg``.  At ``z_hat`` the composite
-    gradients are off by at most ``L_p sx`` and ``L_q sy``; at ``zg`` the
-    coupling gradient is off by at most ``L_R ||(sx, sy)||``.  Returns the
-    bounds at ``z_hat`` and at ``zg``, each at least ``||D^-1/2 F||^2``
-    there.
+    ``D = diag(mu_x I, mu_y I)`` and ``z*`` is the saddle.  ``rx``, ``ry``
+    are the norms of the residual that pairs the composite gradients at
+    the extrapolation point ``zg = (xg, yg)`` with the coupling gradient at
+    the accepted pair ``z_hat = (x_hat, y_hat)``; ``sx``, ``sy`` are the
+    norms of ``x_hat - xg`` and ``y_hat - yg``, and
+    ``rho = sqrt(rx^2/mu_x + ry^2/mu_y)``.  At ``z_hat`` the bound is the
+    smaller of two (`solve` proves both):
+
+    - ``b_x^2/mu_x + b_y^2/mu_y`` with ``b_x = rx + L_p sx`` and
+      ``b_y = ry + L_q sy``, which bound the saddle operator there;
+    - ``u^2`` with ``u = (rho + sqrt(rho^2 + 4c))/2`` and
+      ``c = (L_p sx^2 + L_q sy^2)/4``, from co-coercivity of the convex
+      composites.
+
+    At ``zg`` the coupling gradient is off by at most ``L_R ||(sx, sy)||``,
+    which gives ``b_g = rho + L_R ||(sx, sy)|| / sqrt(min(mu_x, mu_y))``.
+    Returns ``(bound at z_hat, b_g^2)``.
     """
     bx = rx + spec.L_p * sx
     by = ry + spec.L_q * sy
+    rho = math.sqrt(rx * rx / spec.mu_x + ry * ry / spec.mu_y)
+    c = (spec.L_p * sx * sx + spec.L_q * sy * sy) / 4.0
+    u = (rho + math.sqrt(rho * rho + 4.0 * c)) / 2.0
     gap = spec.L_R * math.sqrt(sx * sx + sy * sy) / math.sqrt(min(spec.mu_x, spec.mu_y))
-    b_g = math.sqrt(rx * rx / spec.mu_x + ry * ry / spec.mu_y) + gap
-    return bx * bx / spec.mu_x + by * by / spec.mu_y, b_g * b_g
+    b_g = rho + gap
+    return min(bx * bx / spec.mu_x + by * by / spec.mu_y, u * u), b_g * b_g
 
 
 @dataclass
@@ -208,8 +218,10 @@ class SolveConfig:
     the budget is ``max_outer``.  ``use_residual_stop``
     stops the run, within that budget, once a computable bound certifies
     the weighted squared distance ``eps`` at the accepted inner pair or at
-    the extrapolation point, and returns that point (see `solve`); it
-    costs no extra oracle calls.
+    the extrapolation point, and returns that point; it costs no extra
+    oracle calls.  The pair's bound takes the smaller of a bound on the
+    saddle operator there and one from co-coercivity of the convex,
+    ``L_p``- and ``L_q``-smooth composites (both proofs are in `solve`).
     """
 
     eps: float
@@ -229,6 +241,10 @@ class ConvergenceReport:
     Per-iteration lists all have length ``counters.outer_iterations``;
     distance lists are empty when no known solution was given, and
     ``potentials`` is empty unless potential tracking ran.
+    ``certificate_ratio`` is the residual stop's certified bound over
+    ``eps`` at the step it fired, at most 1: ``weight * bound / eps`` with
+    the weight and bound of `solve`'s proof.  It is None unless the run
+    ended ``residual-met``.
     """
 
     final_pair: PointPair
@@ -244,6 +260,7 @@ class ConvergenceReport:
     constraint_residual: Optional[float] = None
     tuning: Optional[SolverTuning] = None
     eps: Optional[float] = None
+    certificate_ratio: Optional[float] = None
 
 
 def potential(
@@ -314,34 +331,55 @@ def solve(
     gradients and inner results of the wrong shape raise DimensionMismatch.
 
     With ``config.use_residual_stop`` the run ends ``residual-met`` at the
-    accepted pair ``z = (x_hat, y_hat)`` once bounds ``b_x >= ||F_x(z)||``,
-    ``b_y >= ||F_y(z)||`` on the saddle operator ``F = (grad_x f, -grad_y f)``
-    certify the weighted target.  Strong monotonicity with ``F(z*) = 0``
-    and Cauchy-Schwarz plus Young give
+    accepted pair ``z = (x_hat, y_hat)`` or at the step's extrapolation
+    point ``zg = (xg, yg)``, where the composite gradients are exact, once
+    a bound ``U >= mu_x ||dx||^2 + mu_y ||dy||^2 = ||D^1/2 (dx, dy)||^2``
+    at that point certifies the weighted target; ``(dx, dy)`` is the
+    point's offset from the saddle ``z*`` and ``D = diag(mu_x I, mu_y I)``.
+    Weighing block i by ``1/(eta_i mu_i)`` bounds the weighted squared
+    distance ``||dx||^2/eta_x + ||dy||^2/eta_y`` by
+    ``weight U = max(1/(eta_x mu_x), 1/(eta_y mu_y)) U``, and the run stops
+    once that is at most ``eps``, at the pair if its bound does it.
+    Write ``F = (grad_x f, -grad_y f) = H + B`` for the saddle operator,
+    with ``H = (grad p, grad q)`` monotone and ``B = (grad_x R, -grad_y R)``
+    strongly monotone with moduli ``(mu_x, mu_y)`` and ``L_R``-Lipschitz;
+    ``F(z*) = 0``.  ``r = (r_x, r_y) = H(zg) + B(z)`` is the residual
+    pairing the composite gradients at ``zg`` with the coupling gradient
+    at ``z``, ``s = (s_x, s_y) = z - zg`` and
+    ``rho = ||D^-1/2 r|| = sqrt(||r_x||^2/mu_x + ||r_y||^2/mu_y)``.
+
+    At ``z`` two bounds hold, and ``U`` is the smaller.  First, the
+    operator bound: ``F(z) = r + H(z) - H(zg)``, so ``b_x = ||r_x|| + L_p
+    ||s_x|| >= ||F_x(z)||`` and ``b_y = ||r_y|| + L_q ||s_y|| >= ||F_y(z)||``,
+    and strong monotonicity with Cauchy-Schwarz plus Young give
 
         mu_x ||dx||^2 + mu_y ||dy||^2 <= <F(z), z - z*>
-                                      <= b_x^2 / mu_x + b_y^2 / mu_y,
+                                      <= b_x^2 / mu_x + b_y^2 / mu_y.
 
-    and weighing block i by ``1/(eta_i mu_i)`` bounds the weighted squared
-    distance ``||dx||^2/eta_x + ||dy||^2/eta_y`` by
-    ``max(1/(eta_x mu_x), 1/(eta_y mu_y)) (b_x^2/mu_x + b_y^2/mu_y)``; the
-    run stops once that is at most ``eps``.
+    Second, co-coercivity of the convex ``L_p``-smooth p (Nesterov 2004,
+    Thm 2.1.5) gives ``<h, xg - x*> >= ||h||^2/L_p`` for
+    ``h = grad p(xg) - grad p(x*)``, so with ``a = ||h||``
 
-    Failing that, the run ends ``residual-met`` at the extrapolation point
-    ``zg = (xg, yg)`` of the same step, where the composite gradients are
-    exact.  With ``(r_x, r_y)`` the residual pairing them with the
-    coupling gradient at ``z``, ``s = z - zg`` and
-    ``D = diag(mu_x I, mu_y I)``, ``F(zg) = (r_x, r_y) + B(zg) - B(z)``
-    for the ``L_R``-Lipschitz ``B = (grad_x R, -grad_y R)``, so
+        <h, x_hat - x*> = <h, xg - x*> + <h, s_x> >= a^2/L_p - a ||s_x||
+                        >= -L_p ||s_x||^2 / 4,
 
-        ||D^-1/2 F(zg)|| <= b_g = sqrt(||r_x||^2/mu_x + ||r_y||^2/mu_y)
-                                  + L_R ||s|| / sqrt(min(mu_x, mu_y)).
+    and the same for q.  With ``c = (L_p ||s_x||^2 + L_q ||s_y||^2)/4``
+    and ``u = ||D^1/2 (z - z*)||``, strong monotonicity of B then gives
 
-    The same strong-monotonicity step gives
-    ``||D^1/2 (zg - z*)|| <= ||D^-1/2 F(zg)||``, so the run stops at
-    ``zg`` once ``max(1/(eta_x mu_x), 1/(eta_y mu_y)) b_g^2 <= eps``.
-    `residual_bounds` computes both bounds; the stop returns the point
-    it certified.
+        u^2 <= <B(z) - B(z*), z - z*> = <r, z - z*> - <H(zg) - H(z*), z - z*>
+            <= rho u + c,
+
+    so ``u <= (rho + sqrt(rho^2 + 4c))/2``.  Neither bound dominates: the
+    first is the smaller when, say, ``L_p < mu_x/4`` and ``rho`` is small.
+
+    At ``zg``, ``F(zg) = r + B(zg) - B(z)``, so
+
+        ||D^-1/2 F(zg)|| <= b_g = rho + L_R ||s|| / sqrt(min(mu_x, mu_y)),
+
+    and the strong-monotonicity step gives
+    ``||D^1/2 (zg - z*)|| <= ||D^-1/2 F(zg)|| <= b_g``.  `residual_bounds`
+    computes both values; the stop returns the point it certified and
+    records ``weight U / eps`` as the report's ``certificate_ratio``.
 
     ``problem`` is wrapped here for counting; potential tracking uses it
     unwrapped, so its oracle calls are never tallied.  The diagnostics
@@ -512,12 +550,13 @@ def solve(
                     _norm(r[:d_x]), _norm(r[d_x:]), _norm(s[:d_x]), _norm(s[d_x:]), spec
                 )
                 if weight * at_hat <= config.eps:
-                    report.final_pair = PointPair(x_hat, y_hat)
+                    report.final_pair, bound = PointPair(x_hat, y_hat), at_hat
                 elif weight * at_g <= config.eps:
-                    report.final_pair = PointPair(xg, yg)
+                    report.final_pair, bound = PointPair(xg, yg), at_g
                 else:
                     continue
                 report.termination = TERMINATION_RESIDUAL
+                report.certificate_ratio = weight * bound / config.eps
                 return report
 
     report.final_pair = PointPair(x, y)

@@ -646,8 +646,8 @@ class TestConjugateGradientWarmStart:
                 remainder, np.concatenate([B @ y, B.T @ x]), rtol=1e-9, atol=1e-12
             )
         c = report.counters
-        # 566 products over 142 inner steps starting cold.
-        assert (c.outer_iterations, c.inner_iterations, c.calls_grad_R) == (35, 76, 368)
+        # 534 products over 134 inner steps starting cold.
+        assert (c.outer_iterations, c.inner_iterations, c.calls_grad_R) == (33, 72, 348)
 
     def test_custom_solver_without_remainder_stays_cold(self):
         remainders = []
@@ -664,7 +664,7 @@ class TestConjugateGradientWarmStart:
         _, got = self._run(cold)
         assert remainders == [None] * got.counters.outer_iterations
         c = got.counters
-        assert (c.outer_iterations, c.inner_iterations, c.calls_grad_R) == (35, 142, 566)
+        assert (c.outer_iterations, c.inner_iterations, c.calls_grad_R) == (33, 134, 534)
         _, want = self._run(lambda w: _without_remainder(_reference_bilinear_inner(w)))
         assert np.array_equal(got.final_pair.x, want.final_pair.x)
         assert np.array_equal(got.final_pair.y, want.final_pair.y)

@@ -421,6 +421,7 @@ class TestSolve:
         expected = required_outer_iterations(spec, report.psi_initial, 1e-6)
         assert report.planned_outer == expected
         assert report.termination == TERMINATION_BUDGET
+        assert report.certificate_ratio is None
 
 
 # Log-uniform draws: mu_x/mu_y over [0.01, 100], condition numbers over
@@ -436,10 +437,14 @@ def _assert_certified(report, spec, psi_0, eps, reference):
     # On 528 draws per route from these ranges, every corner among them,
     # every run certified, at most 0.84 eps (quadratic) and 0.95 eps
     # (bilinear) from the reference, so a certificate that stops firing
-    # fails here.
+    # fails here.  The recorded ratio is the certified bound over eps, so
+    # the distance lies below it too, up to rounding in the reference.
     assert report.termination == TERMINATION_RESIDUAL
     t = report.tuning
-    assert weighted_distance_sq(report.final_pair, reference, t.eta_x, t.eta_y) <= eps
+    dist = weighted_distance_sq(report.final_pair, reference, t.eta_x, t.eta_y)
+    assert dist <= eps
+    assert report.certificate_ratio <= 1.0
+    assert dist <= report.certificate_ratio * eps * (1.0 + 1e-9)
     assert report.counters.outer_iterations <= required_outer_iterations(spec, psi_0, eps)
 
 
@@ -482,40 +487,64 @@ class TestResidualCertificate:
         _assert_certified(report, spec, psi_0, eps, reference)
 
 
+def _operator_bounds(rx, ry, sx, sy, spec):
+    # `residual_bounds` without co-coercivity: the pair's value bounds
+    # ||D^-1/2 F|| there through L_p sx and L_q sy alone.
+    bx = rx + spec.L_p * sx
+    by = ry + spec.L_q * sy
+    gap = spec.L_R * math.sqrt(sx * sx + sy * sy) / math.sqrt(min(spec.mu_x, spec.mu_y))
+    b_g = math.sqrt(rx * rx / spec.mu_x + ry * ry / spec.mu_y) + gap
+    return bx * bx / spec.mu_x + by * by / spec.mu_y, b_g * b_g
+
+
 class TestExtrapolationStop:
     """The residual stop may certify the step's extrapolation point zg."""
 
-    def test_stops_on_extrapolation_point(self):
-        inst = gen_quadratic_spp(10, 10, 100, 1, 100, 1, 10, 0)
+    @staticmethod
+    def _tracked_run(inst):
         problem, spec = inst.problem(), inst.spec()
-        start = PointPair(np.zeros(10), np.zeros(10))
+        start = PointPair(np.zeros(problem.d_x), np.zeros(problem.d_y))
         reference = reference_solution(inst)
         psi_0 = initial_potential(problem, spec, start, reference)
         config = SolveConfig(eps=1e-8, psi_0=psi_0, use_residual_stop=True,
                              track_inner_details=True)
         report = solve(problem, spec, start, config)
-        assert report.termination == TERMINATION_RESIDUAL
-        t = report.tuning
-        assert weighted_distance_sq(report.final_pair, reference, t.eta_x, t.eta_y) <= 1e-8
-        # Returning a point other than the last accepted pair means zg.
-        assert not np.array_equal(report.final_pair.x, report.inner_logs[-1]["x_hat"])
+        _assert_certified(report, spec, psi_0, 1e-8, reference)
         c = report.counters
-        # 241 steps; the inner-pair bound alone needs 281.
-        assert c.outer_iterations <= 250
         assert c.calls_grad_p == c.outer_iterations
         assert c.calls_grad_R == 2 * c.inner_iterations + c.outer_iterations
+        return report
+
+    def test_stops_on_extrapolation_point(self):
+        report = self._tracked_run(gen_quadratic_spp(10, 10, 100, 1, 100, 1, 2, 0))
+        # Returning a point other than the last accepted pair means zg.
+        assert not np.array_equal(report.final_pair.x, report.inner_logs[-1]["x_hat"])
+        # 318 steps; the inner-pair bound alone needs 329 (412 without
+        # co-coercivity).
+        assert report.counters.outer_iterations <= 325
+
+    def test_pair_certifies_before_extrapolation_point(self):
+        # Without co-coercivity this instance stopped on zg after 241
+        # steps, and the pair's bound alone needed 282.
+        report = self._tracked_run(gen_quadratic_spp(10, 10, 100, 1, 100, 1, 10, 0))
+        assert np.array_equal(report.final_pair.x, report.inner_logs[-1]["x_hat"])
+        assert report.counters.outer_iterations == 228
 
     @settings(max_examples=60, deadline=None)
-    @given(d=st.integers(1, 6), ratio=_moduli_ratio, cond_p=_condition,
-           cond_q=_condition, gain=_gain, seed=st.integers(0, 2**31 - 1),
-           step=st.floats(-8.0, 1.0))
+    @given(d=st.integers(1, 6), ratio=_moduli_ratio,
+           cond_p=st.sampled_from([0.0, 0.1, 0.3, 1.0, 10.0, 100.0]),
+           cond_q=st.sampled_from([0.0, 0.1, 0.3, 1.0, 10.0, 100.0]),
+           gain=_gain, seed=st.integers(0, 2**31 - 1), step=st.floats(-8.0, 1.0))
     def test_bounds_dominate_exact_residual(self, d, ratio, cond_p, cond_q, gain,
                                             seed, step):
+        # Condition numbers below 1/4 are where the operator bound can beat
+        # co-coercivity at the pair.
         mu_x, mu_y = 1.0, 1.0 / ratio
         inst = gen_quadratic_spp(
             d, d, cond_p * mu_x, mu_x, cond_q * mu_y, mu_y, gain * max(mu_x, mu_y), seed
         )
         problem, spec = inst.problem(), inst.spec()
+        reference = reference_solution(inst)
         rng = np.random.default_rng(seed)
         x_hat, y_hat = rng.standard_normal(d), rng.standard_normal(d)
         xg = x_hat + 10.0**step * rng.standard_normal(d)
@@ -531,13 +560,54 @@ class TestExtrapolationStop:
         r_x, r_y = problem.grad_R(x_hat, y_hat)
         rx = problem.grad_p(xg) + r_x
         ry = problem.grad_q(yg) - r_y
-        at_hat, at_g = residual_bounds(
-            np.linalg.norm(rx), np.linalg.norm(ry),
-            np.linalg.norm(x_hat - xg), np.linalg.norm(y_hat - yg), spec,
-        )
-        # The relative slack absorbs rounding in the declared constants.
-        assert scaled_sq(x_hat, y_hat) <= at_hat * (1.0 + 1e-9)
+        norms = (np.linalg.norm(rx), np.linalg.norm(ry),
+                 np.linalg.norm(x_hat - xg), np.linalg.norm(y_hat - yg))
+        at_hat, at_g = residual_bounds(*norms, spec)
+        # The pair's value bounds what it certifies against the KKT
+        # reference, zg's the scaled operator; the relative slack absorbs
+        # rounding in the declared constants and the reference.
+        dx, dy = x_hat - reference.x, y_hat - reference.y
+        assert mu_x * float(dx @ dx) + mu_y * float(dy @ dy) <= at_hat * (1.0 + 1e-9)
         assert scaled_sq(xg, yg) <= at_g * (1.0 + 1e-9)
+        # Co-coercivity only ever lowers the pair's value; zg's is unchanged.
+        without = _operator_bounds(*norms, spec)
+        assert at_hat <= without[0]
+        assert at_g == without[1]
+
+    @pytest.mark.parametrize("mu_x, mu_y, x_hat", [(1.0, 1.0, 1.0), (4.0, 0.25, -3.0)])
+    def test_pair_bound_tight_in_one_dimension(self, mu_x, mu_y, x_hat):
+        # p = (L_p/2) x^2 with L_p = mu_x/2, q = 0,
+        # R = (mu_x/2) x^2 - (mu_y/2) y^2: the saddle is 0.  At
+        # xg = -x_hat, y_hat = yg = 0 co-coercivity and Cauchy-Schwarz both
+        # hold with equality, so the bound is exactly mu_x x_hat^2 and any
+        # smaller constant in front of c breaks it.
+        L_p = mu_x / 2.0
+        spec = SmoothnessSpec(L_p=L_p, L_q=0.0, L_R=max(mu_x, mu_y), mu_x=mu_x, mu_y=mu_y)
+        xg = -x_hat
+        rx = abs(L_p * xg + mu_x * x_hat)
+        at_hat, _ = residual_bounds(rx, 0.0, abs(x_hat - xg), 0.0, spec)
+        assert at_hat == pytest.approx(mu_x * x_hat**2, rel=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 5), ratio=_moduli_ratio,
+           cond_p=st.sampled_from([0.0, 0.1, 1.0, 4.0, 100.0]),
+           cond_q=st.sampled_from([0.0, 0.1, 1.0, 4.0, 100.0]),
+           gain=_gain, eps=_target, seed=st.integers(0, 2**31 - 1))
+    def test_stops_no_later_than_operator_bound(self, d, ratio, cond_p, cond_q, gain,
+                                                eps, seed):
+        # The iterates do not depend on the stop, and the pair's value is
+        # never above the operator bound's, so the run stops at the same
+        # step or earlier, on the same trajectory.
+        mu_x, mu_y = 1.0, 1.0 / ratio
+        inst = gen_quadratic_spp(
+            d, d, cond_p * mu_x, mu_x, cond_q * mu_y, mu_y, gain * max(mu_x, mu_y), seed
+        )
+        report, certified, args = _certified_run(inst, eps)
+        _assert_certified(report, *certified)
+        _, counters, inner_iterations, _ = _reference_solve(*args, bounds=_operator_bounds)
+        steps = report.counters.outer_iterations
+        assert steps <= counters.outer_iterations
+        assert report.inner_iterations == inner_iterations[:steps]
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +616,11 @@ class TestExtrapolationStop:
 # residual with its plain sign, norms by np.linalg.norm and no diagnostics;
 # each step hands the accepted pair's FBF remainder to the next subproblem.
 # The library's loop must produce the same floating-point results bit for bit.
+# ``bounds`` stands in for `residual_bounds` to replay another stop rule.
 
 
-def _reference_solve(problem, spec, start, config, inner_solver=None, counters=None):
+def _reference_solve(problem, spec, start, config, inner_solver=None, counters=None,
+                     bounds=residual_bounds):
     tuning = tune_parameters(spec)
     alpha, eta_x, eta_y = tuning.alpha, tuning.eta_x, tuning.eta_y
     inner_config = config.inner if config.inner is not None else InnerConfig()
@@ -575,7 +647,7 @@ def _reference_solve(problem, spec, start, config, inner_solver=None, counters=N
         if config.use_residual_stop:
             rx = result.grad_x - (x_hat - x) / eta_x
             ry = -result.grad_y - (y_hat - y) / eta_y
-            at_hat, at_g = residual_bounds(
+            at_hat, at_g = bounds(
                 np.linalg.norm(rx), np.linalg.norm(ry),
                 np.linalg.norm(x_hat - xg), np.linalg.norm(y_hat - yg), spec,
             )
@@ -672,8 +744,8 @@ class TestWarmStart:
 
     def test_engages_after_first_step(self):
         # The warm start lands on the subproblem's solution closely enough
-        # that every step after the cold first one accepts its start (241
-        # steps, 243 coupling calls; 723 starting cold).
+        # that every step after the cold first one accepts its start (228
+        # steps, 230 coupling calls; 684 starting cold).
         report, certified, _ = _certified_run(
             gen_quadratic_spp(10, 10, 100, 1, 100, 1, 10, 0), 1e-8)
         _assert_certified(report, *certified)
@@ -696,7 +768,7 @@ class TestWarmStart:
             gen_quadratic_spp(10, 10, 100, 1, 100, 1, 10, 0), 1e-8, without_remainder)
         assert remainders == [None] * report.counters.outer_iterations
         c = report.counters
-        assert (c.calls_grad_p, c.calls_grad_R, c.inner_iterations) == (241, 723, 241)
+        assert (c.calls_grad_p, c.calls_grad_R, c.inner_iterations) == (228, 684, 228)
         _assert_matches_reference(
             report, _reference_solve(*args, inner_solver=without_remainder))
 
