@@ -13,6 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
+import math
 import threading
 import time
 from collections import Counter
@@ -71,12 +72,18 @@ CSV_COLUMNS = [
     "dist_unweighted",
     "wall_ms",
     "termination",
+    "dist_primal",
 ]
 
 
 @dataclass
 class RunReport:
-    """One row of the aggregate CSV."""
+    """One row of the aggregate CSV.
+
+    ``dist_primal`` is ``||x - x*||^2``, the x block's share of
+    ``dist_unweighted``; run files written before it was recorded load
+    with NaN there.
+    """
 
     instance: str
     solver: str
@@ -90,6 +97,7 @@ class RunReport:
     dist_unweighted: float
     wall_ms: float
     termination: str
+    dist_primal: float = math.nan
 
     def to_row(self) -> List[str]:
         return [
@@ -105,6 +113,7 @@ class RunReport:
             repr(float(self.dist_unweighted)),
             repr(float(self.wall_ms)),
             self.termination,
+            repr(float(self.dist_primal)),
         ]
 
 
@@ -232,6 +241,7 @@ def run_single(
         dist_unweighted=unweighted_distance_sq(report.final_pair, reference),
         wall_ms=wall_ms,
         termination=report.termination,
+        dist_primal=float(np.sum((report.final_pair.x - reference.x) ** 2)),
     )
 
 
@@ -240,16 +250,18 @@ def run_succeeded(row: RunReport) -> bool:
 
     A ``residual-met`` run carries its certificate.  A run that used up its
     planned budget passes only when the reference shows its route's
-    guarantee: ``dist_weighted <= eps`` on the SCSC routes and
-    ``dist_unweighted <= eps`` on the reductions.  For consensus, which
-    certifies the primal distance, the joint one bounds it from above, so
-    the check is strict.
+    guarantee: ``dist_weighted <= eps`` on the SCSC routes,
+    ``dist_primal <= eps`` on consensus, which promises the primal block
+    alone, and ``dist_unweighted <= eps`` on the linear-composite
+    reduction.
     """
     if row.termination == TERMINATION_RESIDUAL:
         return True
     if row.termination != TERMINATION_BUDGET:
         return False
-    if row.instance.startswith((KIND_CONSENSUS, KIND_LINEAR_BILINEAR)):
+    if row.instance.startswith(KIND_CONSENSUS):
+        return row.dist_primal <= row.eps
+    if row.instance.startswith(KIND_LINEAR_BILINEAR):
         return row.dist_unweighted <= row.eps
     return row.dist_weighted <= row.eps
 

@@ -23,8 +23,10 @@ The two regularized reductions, affinely constrained minimization and
 fully linear composites, size their regularizers and accuracy targets by
 the plans of `regularization` and share one regularized solve, which
 certifies the primal block alone for the first and both blocks for the
-second; the linear-composite reduction restarts it in stages around its
-last point.
+second.  The affine reduction measures its constraint residual and resumes
+the solve at a tightened target only when the residual misses its bound;
+the linear-composite reduction restarts it in stages around its last
+point.  Both report the tallies of all their runs summed.
 """
 
 from __future__ import annotations
@@ -485,6 +487,24 @@ def _solve_regularized(
     return solve_bilinear(bp, start, config)
 
 
+def _summed(reports) -> ConvergenceReport:
+    """The last of consecutive runs, with the tallies of all of them.
+
+    The tallies and planned budgets are summed and the inner iterations
+    listed in order; point, termination, tuning and target are the last
+    run's.
+    """
+    totals = OracleCounters()
+    for name in totals.as_dict():
+        setattr(totals, name, sum(getattr(r.counters, name) for r in reports))
+    return dataclasses.replace(
+        reports[-1],
+        counters=totals,
+        planned_outer=sum(r.planned_outer for r in reports),
+        inner_iterations=[n for r in reports for n in r.inner_iterations],
+    )
+
+
 def solve_affine_constrained(
     grad_p: Callable,
     L_p: float,
@@ -500,26 +520,48 @@ def solve_affine_constrained(
     """Minimize p subject to ``B^T x = c`` through the regularized saddle.
 
     The equivalent saddle ``min_x max_y p(x) + x^T B y - y^T c`` gets
-    `plan_scc`'s dual regularizer ``(eps/(12 D_y^2)) ||y||^2``; an x within
-    squared distance 2 eps / 3 of the regularized saddle's x is an
-    eps-solution of the constrained problem, whatever y goes with it.  The
-    target is additionally tightened to ``eps / (4 lambda_max(BB^T))`` so
-    the constraint residual of the final primal lands below
-    ``sqrt(eps) (1 + ||c||)``.  Both bounds read x alone, so the solve
-    certifies the primal block only (`_solve_regularized`'s
-    ``primal_only``): the report's y is the regularized dual iterate and
-    carries no accuracy guarantee.  ``D_y`` must bound the norm of some
-    dual solution.
+    `plan_scc`'s dual regularizer ``(eps/(12 D^2)) ||y||^2`` with
+    ``D = max(D_y, sqrt(eps)/3)``; an x within squared distance 2 eps / 3
+    of the regularized saddle's x is an eps-solution of the constrained
+    problem, whatever y goes with it.  ``D_y`` must bound the norm of some
+    dual solution ``y+``, and so does any larger D.  The solve certifies
+    the primal block only (`_solve_regularized`'s ``primal_only``): the
+    report's y is the regularized dual iterate and carries no accuracy
+    guarantee.
 
-    ``use_residual_stop`` ends the solve once the outer loop certifies its
+    The constraint residual ``||B^T x - c||`` of the returned x is then
+    measured, with one B^T product outside the tallies, and the solve
+    returns once it is within ``sqrt(eps) (1 + ||c||)``.  Otherwise it
+    resumes from the returned pair at the tightened target
+    ``min(2 eps/3, eps/(4 max(1, lambda_max(BB^T))))``, with what is left
+    of ``max_outer`` and reach bounds taken from the new start by the
+    triangle inequality, and measures the residual again, one more B^T
+    product outside the tallies.  The report is the resumed run's, with
+    both runs' tallies summed and their inner iterations listed in order.
+    A first run that used up ``max_outer`` is not resumed.
+
+    The tightened target provably meets the residual bound.  The
+    regularized saddle ``(x_r, y_r)`` has ``B^T x_r - c = 2 coeff_y y_r``
+    and, as the maximizer of the dual function minus the regularizer,
+    ``||y_r|| <= ||y+|| <= D``, so its residual is at most
+    ``eps/(6 D) <= sqrt(eps)/2``.  A point within ``eps/(4 max(1,
+    lambda_max))`` of ``x_r`` adds at most ``sqrt(lambda_max) sqrt(eps/(4
+    max(1, lambda_max))) <= sqrt(eps)/2``.  Without the floor on D the
+    first term is unbounded as D_y shrinks.
+
+    ``use_residual_stop`` ends each run once the outer loop certifies its
     target; the planned budget stays the cap.
 
     Raises
     ------
     InfeasibleTarget
-        If the final constraint residual exceeds ``sqrt(eps)(1 + ||c||)``,
-        signalling c outside range(B^T) or an underestimated D_y.
+        If the residual still exceeds ``sqrt(eps)(1 + ||c||)`` after the
+        tightened run, or after a first run that used up ``max_outer``:
+        c lies outside range(B^T), D_y underestimates the dual norm, or
+        the budget ran out.
     """
+    plan_scc(eps, D_y)  # rejects non-positive or non-finite inputs
+    D_y = max(D_y, math.sqrt(eps) / 3.0)
     plan = plan_scc(eps, D_y)
     if mu_p <= 0.0:
         raise NonPositiveModulus(f"mu_p={mu_p}")
@@ -542,19 +584,34 @@ def solve_affine_constrained(
     # + sqrt(lambda_max) D_y / mu_p of the origin, its y-block within D_y.
     gp0 = np.linalg.norm(grad_p(np.zeros(coupling.d_x)))
     x_reach = gp0 / mu_p + math.sqrt(coupling.lambda_max_BBt) * D_y / mu_p
-    target = min(plan.inner_target, eps / (4.0 * max(1.0, coupling.lambda_max_BBt)))
+    bound = math.sqrt(eps) * (1.0 + np.linalg.norm(c))
     origin = PointPair(np.zeros(coupling.d_x), np.zeros(coupling.d_y))
-    report = _solve_regularized(
-        bp, origin, target, x_reach, D_y, max_outer, use_residual_stop, primal_only=True
-    )
-    residual = float(np.linalg.norm(coupling.rmatvec(report.final_pair.x) - c))
-    report.constraint_residual = residual
-    if residual > math.sqrt(eps) * (1.0 + np.linalg.norm(c)):
+    runs = [
+        _solve_regularized(
+            bp, origin, plan.inner_target, x_reach, D_y, max_outer,
+            use_residual_stop, primal_only=True,
+        )
+    ]
+    residual = float(np.linalg.norm(coupling.rmatvec(runs[0].final_pair.x) - c))
+    budget = max_outer - runs[0].counters.outer_iterations
+    if residual > bound and budget > 0:
+        start = runs[0].final_pair
+        target = min(plan.inner_target, eps / (4.0 * max(1.0, coupling.lambda_max_BBt)))
+        runs.append(
+            _solve_regularized(
+                bp, start, target, x_reach + np.linalg.norm(start.x),
+                D_y + np.linalg.norm(start.y), budget, use_residual_stop,
+                primal_only=True,
+            )
+        )
+        residual = float(np.linalg.norm(coupling.rmatvec(runs[1].final_pair.x) - c))
+    if residual > bound:
         raise InfeasibleTarget(
-            f"constraint residual {residual:.3e} did not reach "
-            f"{math.sqrt(eps) * (1.0 + np.linalg.norm(c)):.3e}; "
+            f"constraint residual {residual:.3e} did not reach {bound:.3e}; "
             "is c in range(B^T) and D_y large enough?"
         )
+    report = _summed(runs)
+    report.constraint_residual = residual
     return report
 
 
@@ -660,12 +717,4 @@ def solve_bilinear_linear_composites(
         center = report.final_pair
         previous = target
 
-    totals = OracleCounters()
-    for name in totals.as_dict():
-        setattr(totals, name, sum(getattr(s.counters, name) for s in stages))
-    return dataclasses.replace(
-        report,
-        counters=totals,
-        planned_outer=sum(s.planned_outer for s in stages),
-        inner_iterations=[n for s in stages for n in s.inner_iterations],
-    )
+    return _summed(stages)

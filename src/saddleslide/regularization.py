@@ -51,8 +51,9 @@ def plan_scc(eps: float, D_y: float) -> RegularizationPlan:
     no part in it (the original problem's dual solutions need not form a
     single point).  Raises NonPositiveInput unless ``eps`` and
     ``D_y`` are positive and finite.  `bilinear.solve_affine_constrained`
-    takes its dual regularizer, its accuracy target and this input check
-    from here, and certifies the primal block only.
+    takes its dual regularizer, planned on a ``D_y`` of at least
+    ``sqrt(eps)/3``, its accuracy target and this input check from here,
+    and certifies the primal block only.
     """
     if not (0.0 < eps < math.inf and 0.0 < D_y < math.inf):
         raise NonPositiveInput(f"eps={eps}, D_y={D_y} must be positive and finite")

@@ -497,13 +497,24 @@ class TestRunSingle:
         assert not runner.run_succeeded(row)
 
     def test_uncertified_reduction_budget_run_fails(self):
-        # The reductions' rows are judged by the unweighted distance: one
-        # outer step leaves this consensus run about 900 eps away.
+        # Consensus rows are judged by the primal distance: one outer step
+        # leaves this run far from the reference.
         row = run_single(gen_consensus(8, "path", 1.0, 4.0, 0), "sliding", 1e-6,
                          max_outer=1)
         assert row.termination == "budget-exhausted"
-        assert row.dist_unweighted > row.eps
+        assert row.dist_primal > row.eps
         assert not runner.run_succeeded(row)
+
+    def test_consensus_budget_run_judged_on_primal(self):
+        # The affine route promises ||x - x*||^2 <= eps alone.  This planned
+        # run ends with x about 3e-4 eps from the reference, while its
+        # uncertified y puts the joint distance above eps.
+        row = run_single(gen_consensus(20, "path", 1.0, 4.0, 2), "sliding", 1e-4,
+                         use_residual_stop=False)
+        assert row.termination == "budget-exhausted"
+        assert row.dist_primal <= 1e-3 * row.eps
+        assert row.dist_unweighted > row.eps
+        assert runner.run_succeeded(row)
 
     def test_unknown_solver_rejected(self):
         from saddleslide.bench import run_single
@@ -539,6 +550,20 @@ class TestCli:
         assert main(["bench", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
         assert main(["report", "--out", str(tmp_path / "o")]) == 0
         assert (tmp_path / "o" / "aggregate.csv").exists()
+
+    def test_report_loads_runs_without_primal_distance(self, tmp_path, capsys):
+        # Run files written before dist_primal was recorded still load; the
+        # column reads nan for them.
+        inst = gen_consensus(4, "ring", 1.0, 4.0, seed=0)
+        fields = asdict(run_single(inst, "sliding", 1e-4))
+        del fields["dist_primal"]
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "run_0000.json").write_text(json.dumps(fields))
+        assert main(["report", "--out", str(out)]) == 0
+        header, row = (out / "aggregate.csv").read_text().strip().splitlines()
+        assert header.endswith(",dist_primal")
+        assert row.endswith(",nan")
 
     def test_uncertified_solve_exit_code(self, tmp_path, capsys):
         # One outer step leaves the run far from the reference (dist_w about

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddleslide import (
     AuxiliaryProblem,
     BilinearProblem,
     CouplingOperator,
     InnerConfig,
+    OracleCounters,
     PointPair,
     SolveConfig,
     eliminate_y,
@@ -24,7 +27,8 @@ from saddleslide import (
     weighted_distance_sq,
     wrap_counting_bilinear,
 )
-from saddleslide.bench.generators import gen_linear_bilinear
+from saddleslide import bilinear
+from saddleslide.bench.generators import gen_consensus, gen_linear_bilinear, reference_solution
 from saddleslide.bilinear import _cg_iterates
 from saddleslide.errors import (
     BudgetExhausted,
@@ -37,6 +41,7 @@ from saddleslide.errors import (
     NonPositiveModulus,
 )
 from saddleslide.outer import SolverTuning, X_DOMINANT
+from saddleslide.problems import count_calls
 
 from conftest import random_sym_psd
 
@@ -60,6 +65,72 @@ def _random_bilinear(rng, d_x, d_y, L_p=4.0, mu_p=1.0, L_q=3.0, mu_q=0.8, sigma=
     rhs = np.concatenate([-d, c])
     z = np.linalg.solve(kkt, rhs)
     return bp, {"Hp": Hp, "Hq": Hq, "B": B, "d": d, "c": c}, PointPair(z[:d_x], z[d_x:])
+
+
+def _random_affine(rng, n, m, scale):
+    """``min ||x - b||^2/2`` subject to ``B^T x = c``, with ``c = B^T x0``.
+
+    Returns the arguments of `solve_affine_constrained` but ``eps``, with
+    ``D_y = 1.25 ||y+|| + 1e-6`` for the least-norm dual solution ``y+``,
+    and the constrained minimizer, both from the KKT system.
+    """
+    B = scale * rng.standard_normal((n, m))
+    b = rng.standard_normal(n)
+    x0 = 1e-3 * rng.standard_normal(n)
+    c = B.T @ x0
+    kkt = np.block([[np.eye(n), B], [B.T, np.zeros((m, m))]])
+    z = np.linalg.lstsq(kkt, np.concatenate([b, c]), rcond=None)[0]
+    args = dict(
+        grad_p=lambda x: x - b, L_p=1.0, mu_p=1.0,
+        coupling=CouplingOperator.from_dense(B), c=c,
+        D_y=1.25 * np.linalg.norm(z[n:]) + 1e-6,
+    )
+    return args, z[:n]
+
+
+def _recipe_trial(index):
+    # Forty trials share one generator: n = 6, m in [2, 6), coupling scale
+    # in [1, 1e3].
+    rng = np.random.default_rng(0)
+    for _ in range(index + 1):
+        m = int(rng.integers(2, 6))
+        scale = 10 ** rng.uniform(0, 3)
+        args, x_star = _random_affine(rng, 6, m, scale)
+    return args, x_star
+
+
+def _kick_first_run(monkeypatch, kick):
+    """Make the affine route's first regularized run return ``x + kick``.
+
+    Every call's start, positional arguments and report are recorded; the
+    report recorded for the first run is the kicked one the route sees.
+    """
+    runs = []
+    real = bilinear._solve_regularized
+
+    def double(bp, start, *args, **kwargs):
+        report = real(bp, start, *args, **kwargs)
+        if not runs:
+            x = report.final_pair.x
+            report = dataclasses.replace(
+                report, final_pair=PointPair(x + kick, report.final_pair.y)
+            )
+        runs.append((start, args, report))
+        return report
+
+    monkeypatch.setattr(bilinear, "_solve_regularized", double)
+    return runs
+
+
+def _off_constraint(coupling, residual):
+    """A vector in range(B) whose B^T image has norm ``residual``."""
+    w = coupling.matvec(np.random.default_rng(1).standard_normal(coupling.d_y))
+    return w * (residual / np.linalg.norm(coupling.rmatvec(w)))
+
+
+def _assert_affine_promises(report, x_star, c, eps):
+    assert np.sum((report.final_pair.x - x_star) ** 2) <= eps
+    assert report.constraint_residual <= math.sqrt(eps) * (1.0 + np.linalg.norm(c))
 
 
 def _aux_saddle_direct(data, bp, gp, gq, x_k, y_k, tuning):
@@ -439,6 +510,128 @@ class TestSolveAffineConstrained:
                 c=np.array([0.0, 1.0]), D_y=2.0, eps=1e-4,
                 max_outer=300,
             )
+
+    @pytest.mark.parametrize("trial", [14, 22])
+    @pytest.mark.parametrize("resume", [False, True], ids=["measured", "resumed"])
+    def test_small_dual_bound_meets_residual(self, monkeypatch, trial, resume):
+        # D_y is about 3e-4 here.  Under a regularizer planned on D_y the
+        # tightened run ended with residuals of 3.5e-2 and 4.2e-2 against
+        # bounds of 2.4e-2 and 1.4e-2 at eps 1e-4: the regularized saddle's
+        # own residual, 2 coeff_y ||y_r|| <= eps/(6 D_y), is not small.  The
+        # floor sqrt(eps)/3 on the planned bound caps it at sqrt(eps)/2, so
+        # even the tightened run, forced here, meets the bound.
+        eps = 1e-4
+        args, x_star = _recipe_trial(trial)
+        assert args["D_y"] < math.sqrt(eps) / 3.0
+        if resume:
+            B = args["coupling"]
+            runs = _kick_first_run(monkeypatch, B.matvec(np.ones(B.d_y)))
+        report = solve_affine_constrained(**args, eps=eps)
+        _assert_affine_promises(report, x_star, args["c"], eps)
+        if resume:
+            assert len(runs) == 2
+
+    @pytest.mark.parametrize("use_residual_stop", [False, True])
+    def test_missed_residual_resumes_at_tightened_target(
+        self, monkeypatch, use_residual_stop
+    ):
+        # The first run's point is moved off the constraint by a vector
+        # whose residual is ten times the bound; the route resumes from it
+        # at the tightened target on what is left of max_outer.
+        eps, max_outer = 1e-6, 100_000
+        inst = gen_consensus(8, "path", 1.0, 4.0, seed=0)
+        grad, _ = inst.local_objective()
+        coupling, c = inst.coupling(), inst.arrays["c"]
+        bound = math.sqrt(eps) * (1.0 + np.linalg.norm(c))
+        runs = _kick_first_run(monkeypatch, _off_constraint(coupling, 10.0 * bound))
+        mine = OracleCounters()
+        counted = dataclasses.replace(
+            coupling,
+            matvec=count_calls(coupling.matvec, mine, "calls_grad_R"),
+            rmatvec=count_calls(coupling.rmatvec, mine, "calls_grad_R"),
+        )
+        report = solve_affine_constrained(
+            grad_p=count_calls(grad, mine, "calls_grad_p"),
+            L_p=inst.constants["local_L"],
+            mu_p=inst.constants["local_mu"],
+            coupling=counted,
+            c=c,
+            D_y=inst.constants["D_y"],
+            eps=eps,
+            max_outer=max_outer,
+            use_residual_stop=use_residual_stop,
+        )
+        assert len(runs) == 2
+        (_, first_args, first), (start, second_args, second) = runs
+        assert start is first.final_pair
+        lam = coupling.lambda_max_BBt
+        assert lam > 1.0
+        assert first_args[0] == 2.0 * eps / 3.0
+        assert second_args[0] == eps / (4.0 * lam)
+        assert second_args[3] == max_outer - first.counters.outer_iterations
+        _assert_affine_promises(report, reference_solution(inst).x, c, eps)
+        assert report.final_pair is second.final_pair
+
+        counters = report.counters
+        for name, total in counters.as_dict().items():
+            assert total == getattr(first.counters, name) + getattr(second.counters, name)
+        assert counters.calls_grad_p == counters.outer_iterations
+        assert counters.calls_grad_R == 4 * counters.outer_iterations + 3 * counters.inner_iterations
+        assert report.inner_iterations == first.inner_iterations + second.inner_iterations
+        assert report.planned_outer == first.planned_outer + second.planned_outer
+        # Outside the tallies: one grad_p(0) and a B^T check product per run.
+        assert mine.calls_grad_p == counters.calls_grad_p + 1
+        assert mine.calls_grad_R == counters.calls_grad_R + 2
+
+    def test_runs_share_max_outer(self, monkeypatch):
+        # One outer step is left after the first run, whose point is moved
+        # to a residual of 100 times the bound; the resumed run is capped by
+        # that step, which here brings the residual back within the bound.
+        # A first run that used up max_outer is checked and never resumed.
+        eps = 1e-6
+        inst = gen_consensus(8, "path", 1.0, 4.0, seed=0)
+        grad, _ = inst.local_objective()
+        args = dict(
+            grad_p=grad, L_p=inst.constants["local_L"], mu_p=inst.constants["local_mu"],
+            coupling=inst.coupling(), c=inst.arrays["c"], D_y=inst.constants["D_y"],
+            eps=eps, use_residual_stop=True,
+        )
+        outer = solve_affine_constrained(**args).counters.outer_iterations
+        bound = math.sqrt(eps) * (1.0 + np.linalg.norm(args["c"]))
+        runs = _kick_first_run(monkeypatch, _off_constraint(args["coupling"], 100.0 * bound))
+        report = solve_affine_constrained(**args, max_outer=outer + 1)
+        assert len(runs) == 2
+        assert runs[1][1][3] == 1
+        assert report.counters.outer_iterations == outer + 1
+        assert report.termination == "budget-exhausted"
+        runs.clear()
+        with pytest.raises(InfeasibleTarget):
+            solve_affine_constrained(**args, max_outer=outer)
+        assert len(runs) == 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        m_share=st.floats(0.0, 1.0),
+        log_scale=st.floats(0.0, 3.0),
+        eps=st.sampled_from([1e-4, 1e-6]),
+        use_residual_stop=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_random_rhs_meets_both_promises(
+        self, n, m_share, log_scale, eps, use_residual_stop, seed
+    ):
+        # Dense couplings of up to n columns, scale up to 1e3 and c != 0 in
+        # range(B^T), against the KKT reference; InfeasibleTarget would fail
+        # the test.
+        m = 1 + int(m_share * (n - 1))
+        args, x_star = _random_affine(np.random.default_rng(seed), n, m, 10**log_scale)
+        report = solve_affine_constrained(
+            **args, eps=eps, use_residual_stop=use_residual_stop
+        )
+        _assert_affine_promises(report, x_star, args["c"], eps)
+        counters = report.counters
+        assert counters.calls_grad_R == 4 * counters.outer_iterations + 3 * counters.inner_iterations
 
     def test_validates_inputs(self):
         B = np.eye(2)
