@@ -374,6 +374,11 @@ def eliminate_y(bp: BilinearProblem, aux: AuxiliaryProblem) -> QuadraticForm:
     )
 
 
+def _next_iterate(run, _):
+    # `accept_first`'s advance over a generator of iterates.
+    return next(run, None)
+
+
 def make_bilinear_inner_solver(bp: BilinearProblem):
     """Inner solver closure: eliminate y, run CG until the outer criterion.
 
@@ -416,9 +421,10 @@ def make_bilinear_inner_solver(bp: BilinearProblem):
                 b_y = bp.coupling.matvec(y)
                 g_x = aux.grad_p_anchor + dx / tuning.eta_x + bp.mu_p * x + b_y
                 g_y = bt_x - bp.mu_q * y - dy / tuning.eta_y - aux.grad_q_anchor
-                yield x, y, dx, dy, g_x, g_y, (x,), None, np.concatenate((b_y, bt_x))
+                yield x, y, dx, dy, g_x, g_y, (x,), np.concatenate((b_y, bt_x)), None
 
-        return accept_first(iterates(), aux, tuning, config)
+        run = iterates()
+        return accept_first(next(run), _next_iterate, run, tuning, config)
 
     return inner
 

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InnerBudgetExhausted, MissingValueOracle, NonPositiveInput
-from .outer import SolverTuning, _criterion_holds
+from .outer import SolverTuning, _criterion_holds, _is_count
 from .problems import PointPair, SmoothnessSpec, check_shape
 
 
@@ -98,8 +98,9 @@ class InnerConfig:
     ``stall_window``/``stall_rtol`` accept an iterate that has not moved
     by more than ``stall_rtol`` (relative) for that many consecutive
     steps: it is then the subproblem solution to machine precision and no
-    further progress is representable in float64.  ``stall_window < 1``
-    and ``max_inner < 0`` raise NonPositiveInput.
+    further progress is representable in float64.  ``stall_window`` and
+    ``max_inner`` are integers: a float, ``stall_window < 1`` or
+    ``max_inner < 0`` raises NonPositiveInput.
     """
 
     max_inner: int = 200_000
@@ -108,7 +109,7 @@ class InnerConfig:
     stall_rtol: float = 1e-15
 
     def __post_init__(self):
-        if self.stall_window < 1 or self.max_inner < 0:
+        if not (_is_count(self.stall_window, 1) and _is_count(self.max_inner, 0)):
             raise NonPositiveInput(
                 f"stall_window={self.stall_window}, max_inner={self.max_inner}"
             )
@@ -151,31 +152,45 @@ class InnerResult:
     accepted_by: str = ACCEPTED_CRITERION
     remainder: Optional[np.ndarray] = None
 
+    # From FBF, the terms `outer.solve` needs at the pair, stacked as
+    # ``(z, g, d, q)``: ``z = (x, y)``, whose block views the pair holds,
+    # ``g = (grad_x, grad_y)``, the displacement ``d = z - z_k`` and
+    # ``q = d / (eta_x, -eta_y)``.  `solve` forms them itself for any other
+    # result.  Not a field, so neither __init__ nor dataclasses.replace
+    # carries it over.
+    _terms = None
+
 
 def accept_first(
-    iterates, aux: AuxiliaryProblem, tuning: SolverTuning, config: InnerConfig
+    first, advance: Callable, run, tuning: SolverTuning, config: InnerConfig
 ) -> InnerResult:
     """Stop rule of every inner solver: accept the first good iterate.
 
-    ``iterates`` yields ``(x, y, dx, dy, g_x, g_y, blocks, z, b)``: an
-    iterate, its displacement ``(x - x_k, y - y_k)`` from the outer
-    iterate, the subproblem gradients there, the arrays the stall rule
-    compares between iterates, either a stacked array holding ``(x, y)``
-    or None, and the iterate's `InnerResult` ``remainder`` or None.  The
-    generator builds ``dx``, ``g_x`` and ``dy``, ``g_y`` as float 1-D
-    arrays of matching shapes, so the criterion takes them without
-    re-validating.  Accepts by the test of
+    ``first`` is a solver's first iterate and ``advance(run, it)`` the one
+    after ``it``, or None once there is none; ``run`` is whatever the
+    solver steps from.  ``advance`` is called only on a rejected iterate,
+    so a run accepted at its start takes no step.  An iterate is a tuple
+    ``(x, y, dx, dy, g_x, g_y, blocks, b, terms)``: the pair, its
+    displacement ``(x - x_k, y - y_k)`` from the outer iterate, the
+    subproblem gradients there, the arrays the stall rule compares between
+    iterates, and the pair's `InnerResult` ``remainder`` and ``_terms``,
+    each None if the solver has none.  The solver builds ``dx``, ``g_x``
+    and ``dy``, ``g_y`` as float 1-D arrays of matching shapes, so the
+    criterion takes them without re-validating.  Accepts by the test of
     `check_inner_criterion`, else as a stall after ``stall_window``
     stalled steps or on the last iterate if they end early; raises
     InnerBudgetExhausted after checking iterate ``max_inner``.  Every
     returned iterate has passed the criterion's finiteness guard (``dx``,
     ``dy`` finite, so ``x``, ``y`` are too), so its pair skips
-    `PointPair`'s scan; the pair carries ``z`` back to `outer.solve`.
+    `PointPair`'s scan.
     """
-    stalled, previous = 0, None
-    for t, (x, y, dx, dy, g_x, g_y, blocks, z, b) in enumerate(iterates):
+    stalled, previous, t, it = 0, None, 0, first
+    while True:
+        x, y, dx, dy, g_x, g_y, blocks, b, terms = it
         if _criterion_holds(g_x, g_y, dx, dy, tuning, config.floor_tol):
-            return InnerResult(PointPair._unscanned(x, y, z), t, g_x, g_y, remainder=b)
+            accepted_by = ACCEPTED_CRITERION
+            break
+        accepted_by = ACCEPTED_STALL
         # The stall count only decides about rejected iterates, and every
         # iterate before this one was rejected, so it is counted here.
         if previous is not None:
@@ -187,9 +202,15 @@ def accept_first(
             break
         if t >= config.max_inner:
             raise InnerBudgetExhausted(f"criterion unmet after {t} inner iterations")
-    return InnerResult(
-        PointPair._unscanned(x, y, z), t, g_x, g_y, ACCEPTED_STALL, remainder=b
-    )
+        it = advance(run, it)
+        if it is None:
+            break
+        t += 1
+    # Positional arguments: keywords slow the dataclass's __init__, which
+    # runs once per outer step, by a third or more.
+    result = InnerResult(PointPair._unscanned(x, y), t, g_x, g_y, accepted_by, b)
+    result._terms = terms
+    return result
 
 
 @dataclass(frozen=True)
@@ -199,17 +220,19 @@ class FBFVectors:
     ``step`` is ``S = (s, -s)`` and ``mu`` is ``M = (mu_x, -mu_y)``, the
     y entries negated so that one formula steps both blocks; ``s_eta``
     holds ``s/eta`` and ``divisor`` the resolvent's ``1 + s/eta + s mu``
-    per block, ``s_modulus`` the warm start's ``s/eta + s mu``, and ``eta``
-    the steps ``(eta_x, eta_y)``; ``s`` is the FBF step.
+    per block, ``s_modulus`` the warm start's ``s/eta + s mu``, and
+    ``signed_eta`` the steps ``E = (eta_x, -eta_y)``; ``s`` is the FBF
+    step, in every entry.  Multiplying by a vector gives the products of
+    multiplying by its scalar, and numpy takes a vector faster.
     """
 
-    s: float
+    s: np.ndarray
     step: np.ndarray
     mu: np.ndarray
     s_eta: np.ndarray
     divisor: np.ndarray
     s_modulus: np.ndarray
-    eta: np.ndarray
+    signed_eta: np.ndarray
 
 
 def fbf_vectors(
@@ -223,23 +246,24 @@ def fbf_vectors(
         return np.concatenate((np.full(d_x, v_x), np.full(d_y, v_y)))
 
     return FBFVectors(
-        s=s,
+        s=blocks(s, s),
         step=blocks(s, -s),
         mu=blocks(mu_x, -mu_y),
         s_eta=blocks(s / eta_x, s / eta_y),
         divisor=blocks(1.0 + s / eta_x + s * mu_x, 1.0 + s / eta_y + s * mu_y),
         s_modulus=blocks(s / eta_x + s * mu_x, s / eta_y + s * mu_y),
-        eta=blocks(eta_x, eta_y),
+        signed_eta=blocks(eta_x, -eta_y),
     )
 
 
 def fbf_start(aux: AuxiliaryProblem, spec: SmoothnessSpec):
-    """Start of an FBF run on ``aux`` and the terms its steps share.
+    """Start of an FBF run on ``aux`` and the constants its steps share.
 
-    Returns the stacked start ``z``, the stacked outer iterate ``z_k``,
-    the `FBFVectors` and the resolvent terms ``s g`` and ``(s/eta) z_k``,
-    which do not change between steps.  ``z`` is the warm start of
-    `fbf_iterates` when ``aux.remainder`` is set, else ``z_k`` itself;
+    Returns the stacked start ``z`` and the run ``(aux, v, z_k, s_g, s_k,
+    d_x)``: the stacked outer iterate ``z_k``, the `FBFVectors`, the
+    resolvent terms ``s g`` and ``(s/eta) z_k``, which do not change
+    between steps, and the length of the x block.  ``z`` is the warm start
+    of `fbf_iterates` when ``aux.remainder`` is set, else ``z_k`` itself;
     the bilinear conjugate-gradient solver starts from its x block.
     """
     z_k = aux.z_k if aux.z_k is not None else np.concatenate((aux.x_k, aux.y_k))
@@ -251,7 +275,7 @@ def fbf_start(aux: AuxiliaryProblem, spec: SmoothnessSpec):
     z = z_k
     if aux.remainder is not None:
         z = (s_k - s_g - v.step * aux.remainder) / v.s_modulus
-    return z, z_k, v, s_g, s_k
+    return z, (aux, v, z_k, s_g, s_k, len(aux.x_k))
 
 
 def fbf_iterates(aux: AuxiliaryProblem, spec: SmoothnessSpec):
@@ -292,8 +316,13 @@ def fbf_iterates(aux: AuxiliaryProblem, spec: SmoothnessSpec):
     in `FBFVectors`' notation, ``g`` the stacked anchors: per entry the
     operations of the blockwise formulas, with the y signs flipped, which
     IEEE arithmetic does exactly.  The oracle gets the block views of
-    ``h`` and ``z+``; the gradients ``g_x``, ``g_y`` stay two block sums,
-    since their terms associate differently in x and in y.
+    ``h`` and ``z+``.  At each iterate ``d = z - z_k`` and ``q = d / E``
+    are stacked too, ``q``'s y block ``-(y - y_k)/eta_y``; the gradients
+    stay two block sums, ``g_x = (grad_p_anchor + q_x) + r_x`` and
+    ``g_y = (r_y - grad_q_anchor) + q_y``, since their terms associate
+    differently in x and in y, written into one stacked array.  Adding
+    ``q_y`` is subtracting ``(y - y_k)/eta_y``: IEEE defines ``a - b`` as
+    ``a + (-b)``.
 
     FBF converges from any start.  With the previous outer step's
     remainder ``b_prev`` (``aux.remainder``) it starts at
@@ -307,33 +336,51 @@ def fbf_iterates(aux: AuxiliaryProblem, spec: SmoothnessSpec):
     near the new solution and is often accepted at once.  Without a
     remainder it starts from the outer iterate (x_k, y_k).
 
-    Yields, for `accept_first`, each iterate as its block views with their
-    displacement views, its subproblem gradients, the blocks again for the
-    stall rule, the stacked ``z`` and its ``b``, which is also the next
-    step's.  The start costs one coupling call, each step two: at ``h``
-    and at ``z+``, whose gradient serves both the acceptance check and the
-    next forward step.
+    Returns, for `accept_first`, the first iterate and the run of
+    `fbf_start`, from which `fbf_step` takes an iterate one step on.  An
+    iterate holds its block views with their displacement views, its
+    subproblem gradients, the blocks again for the stall rule, its ``b``,
+    which is also the next step's, and its stacked ``(z, g, d, q)``.  The
+    start costs one coupling call, each step two: at ``h`` and at ``z+``,
+    whose gradient serves both the acceptance check and the next forward
+    step.  No generator or closure is made per run: on the warm path most
+    runs end at their start, where one would cost more than a vector
+    operation.
     """
-    z, z_k, v, s_g, s_k = fbf_start(aux, spec)
-    d_x, step, mu, divisor, eta = len(aux.x_k), v.step, v.mu, v.divisor, v.eta
-    grad_R, gp, gq = aux.grad_R, aux.grad_p_anchor, aux.grad_q_anchor
+    z, run = fbf_start(aux, spec)
+    return _fbf_iterate(run, z), run
+
+
+def _fbf_iterate(run, z):
+    # The iterate at z; one coupling call.
+    aux, v, z_k, _, _, d_x = run
     x, y = z[:d_x], z[d_x:]
-    r_x, r_y = grad_R(x, y)
-    # The gradient sums below would broadcast a wrongly shaped output.
-    check_shape(r_x, x, "dR/dx")
-    check_shape(r_y, y, "dR/dy")
-    while True:
-        d = z - z_k
-        q = d / eta
-        g_x = gp + q[:d_x] + r_x
-        g_y = r_y - gq - q[d_x:]
-        b = np.concatenate((r_x, r_y)) - mu * z
-        yield x, y, d[:d_x], d[d_x:], g_x, g_y, (x, y), z, b
-        h = (z - step * b - s_g + s_k) / divisor
-        rh_x, rh_y = grad_R(h[:d_x], h[d_x:])
-        z = h - step * (np.concatenate((rh_x, rh_y)) - mu * h - b)
-        x, y = z[:d_x], z[d_x:]
-        r_x, r_y = grad_R(x, y)
+    r_x, r_y = aux.grad_R(x, y)
+    # The gradient sums would broadcast a wrongly shaped output.  Arrays
+    # of the right shapes, the usual output, pass without a call.
+    if not (type(r_x) is type(r_y) is np.ndarray
+            and r_x.shape == x.shape and r_y.shape == y.shape):
+        check_shape(r_x, x, "dR/dx")
+        check_shape(r_y, y, "dR/dy")
+    d = z - z_k
+    q = d / v.signed_eta
+    g = np.empty(len(z))
+    g_x, g_y = g[:d_x], g[d_x:]
+    np.add(aux.grad_p_anchor, q[:d_x], g_x)
+    g_x += r_x
+    np.subtract(r_y, aux.grad_q_anchor, g_y)
+    g_y += q[d_x:]
+    b = np.concatenate((r_x, r_y)) - v.mu * z
+    return x, y, d[:d_x], d[d_x:], g_x, g_y, (x, y), b, (z, g, d, q)
+
+
+def fbf_step(run, it):
+    """The iterate one FBF step after ``it`` in the run of `fbf_start`."""
+    aux, v, _, s_g, s_k, d_x = run
+    z, b = it[8][0], it[7]
+    h = (z - v.step * b - s_g + s_k) / v.divisor
+    rh_x, rh_y = aux.grad_R(h[:d_x], h[d_x:])
+    return _fbf_iterate(run, h - v.step * (np.concatenate((rh_x, rh_y)) - v.mu * h - b))
 
 
 def solve_auxiliary(
@@ -352,4 +399,5 @@ def solve_auxiliary(
     or cold.
     ``spec`` must pass `validate_spec`, as `outer.solve` checks.
     """
-    return accept_first(fbf_iterates(aux, spec), aux, tuning, config)
+    first, run = fbf_iterates(aux, spec)
+    return accept_first(first, fbf_step, run, tuning, config)

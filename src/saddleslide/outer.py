@@ -10,6 +10,7 @@ while coupling-oracle work is confined to the inner solver.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
@@ -166,6 +167,18 @@ def _criterion_holds(g_x, g_y, dx, dy, tuning: SolverTuning, floor_tol: float) -
     return lhs <= rhs or lhs <= floor_tol
 
 
+def _is_count(value, least: int) -> bool:
+    """Whether ``value`` is an integer of at least ``least``.
+
+    Floats are refused, not rounded: a budget of nan compares false with
+    every count, so it would switch the budget off.
+    """
+    try:
+        return operator.index(value) >= least
+    except TypeError:
+        return False
+
+
 def _norm(v: np.ndarray) -> float:
     # What np.linalg.norm computes for a real 1-D array, minus its dispatch.
     return math.sqrt(v.dot(v))
@@ -209,8 +222,9 @@ class SolveConfig:
     """Knobs of a solve run.
 
     ``eps`` is the target for the weighted squared distance to the saddle;
-    `solve` rejects it unless positive and finite, and a supplied ``psi_0``
-    unless finite and non-negative.  The outer budget is
+    `solve` rejects it unless positive and finite, ``max_outer`` unless a
+    positive integer, and a supplied ``psi_0`` unless finite and
+    non-negative.  The outer budget is
     ``required_outer_iterations`` from a positive potential bound, capped
     by ``max_outer``: ``psi_0`` when supplied, else the initial potential
     when it is computed, which takes ``track_potential=True``, a
@@ -327,8 +341,10 @@ def solve(
     which FBF and the bilinear conjugate gradients start warm; a custom
     inner solver's result without one leaves the next subproblem cold.
     The coupling oracle is called only inside the inner solver; its final
-    evaluation doubles as the one the main update needs.  Composite
-    gradients and inner results of the wrong shape raise DimensionMismatch.
+    evaluation doubles as the one the main update needs.  FBF's results
+    bring their stacked terms (`InnerResult._terms`); any other result is
+    checked and stacked here.  Composite gradients and inner results of
+    the wrong shape raise DimensionMismatch.
 
     With ``config.use_residual_stop`` the run ends ``residual-met`` at the
     accepted pair ``z = (x_hat, y_hat)`` or at the step's extrapolation
@@ -400,9 +416,10 @@ def solve(
     from .inner import AuxiliaryProblem, InnerConfig, fbf_vectors, solve_auxiliary
 
     validate_spec(spec)
-    if not 0.0 < config.eps < math.inf or config.max_outer < 1:
+    if not (0.0 < config.eps < math.inf and _is_count(config.max_outer, 1)):
         raise NonPositiveInput(
-            f"need finite eps > 0 and max_outer >= 1, got {config.eps}, {config.max_outer}"
+            f"need finite eps > 0 and an integer max_outer >= 1, "
+            f"got {config.eps}, {config.max_outer}"
         )
     if config.psi_0 is not None and not 0.0 <= config.psi_0 < math.inf:
         raise NonPositiveInput(f"need a finite psi_0 >= 0, got {config.psi_0}")
@@ -449,8 +466,12 @@ def solve(
     # E = (eta_x, -eta_y) per entry, the main update is z_hat - E g and the
     # residual g - (z_hat - z)/E, entry by entry the blockwise formulas with
     # the y signs flipped, which IEEE arithmetic does exactly.
-    signed_eta = np.concatenate((np.full(d_x, eta_x), np.full(d_y, -eta_y)))
     vectors = fbf_vectors(spec, eta_x, eta_y, d_x, d_y)
+    signed_eta = vectors.signed_eta
+    # alpha and 1 - alpha in every entry: the same products as the
+    # scalars', which numpy takes more slowly.
+    a_alpha = np.full(d_x + d_y, alpha)
+    a_beta = np.full(d_x + d_y, 1.0 - alpha)
     z = np.concatenate((start.x, start.y))
     x, y = z[:d_x], z[d_x:]
     zf = z
@@ -460,7 +481,7 @@ def solve(
     # they raise DivergenceDetected without numpy's warning first.
     with np.errstate(over="ignore"):
         for k in range(planned):
-            zg = z if alpha == 1.0 else alpha * z + (1.0 - alpha) * zf
+            zg = z if alpha == 1.0 else a_alpha * z + a_beta * zf
             xg, yg = zg[:d_x], zg[d_x:]
             gp = counted.grad_p(xg)
             gq = counted.grad_q(yg)
@@ -477,18 +498,18 @@ def solve(
             result = inner_solver(aux, spec, tuning, inner_cfg)
             # The remainder at the accepted pair warm-starts the next step.
             remainder = result.remainder
-            pair = result.pair
-            pair.check_dims(d_x, d_y)
-            x_hat, y_hat = pair.x, pair.y
-            # The library's inner solvers hand their stacked iterate back;
-            # a custom one's blocks are stacked here, once.
-            z_hat = pair._stacked
-            if z_hat is None:
-                z_hat = np.concatenate((x_hat, y_hat))
-            g = np.concatenate((result.grad_x, result.grad_y))
-            # Displacement from the outer iterate, shared by the
-            # extrapolation update and the residual stop.
-            d = z_hat - z
+            # FBF hands back the stacked pair, gradients, displacement from
+            # z and displacement over E; they are formed here for any other
+            # result, in the same operations.
+            terms = result._terms
+            if terms is None:
+                pair = result.pair
+                pair.check_dims(d_x, d_y)
+                z_hat = np.concatenate((pair.x, pair.y))
+                g = np.concatenate((result.grad_x, result.grad_y))
+                d = z_hat - z
+                terms = z_hat, g, d, d / signed_eta
+            z_hat, g, d, q = terms
 
             if config.track_inner_details:
                 report.inner_logs.append(
@@ -498,8 +519,8 @@ def solve(
                         "grad_q_g": gq.copy(),
                         "x_k": x.copy(),
                         "y_k": y.copy(),
-                        "x_hat": x_hat.copy(),
-                        "y_hat": y_hat.copy(),
+                        "x_hat": result.pair.x.copy(),
+                        "y_hat": result.pair.y.copy(),
                         "g_x": result.grad_x.copy(),
                         "g_y": result.grad_y.copy(),
                         "inner_iterations": result.iterations,
@@ -510,7 +531,7 @@ def solve(
             # Main update; identical to stepping along the frozen composite
             # gradient plus the coupling gradient at the accepted pair.
             z = z_hat - signed_eta * g
-            zf = z_hat if alpha == 1.0 else zg + alpha * d
+            zf = z_hat if alpha == 1.0 else zg + a_alpha * d
             x, y = z[:d_x], z[d_x:]
             counters.outer_iterations += 1
             counters.inner_iterations += result.iterations
@@ -544,13 +565,14 @@ def solve(
                 # The residual pairs the composite gradients at zg with the
                 # coupling gradient at the accepted pair, both exact; its y
                 # block is formed negated, which leaves its norm unchanged.
-                r = g - d / signed_eta
+                r = g - q
                 s = z_hat - zg
                 at_hat, at_g = residual_bounds(
                     _norm(r[:d_x]), _norm(r[d_x:]), _norm(s[:d_x]), _norm(s[d_x:]), spec
                 )
                 if weight * at_hat <= config.eps:
-                    report.final_pair, bound = PointPair(x_hat, y_hat), at_hat
+                    pair = result.pair
+                    report.final_pair, bound = PointPair(pair.x, pair.y), at_hat
                 elif weight * at_g <= config.eps:
                     report.final_pair, bound = PointPair(xg, yg), at_g
                 else:

@@ -434,7 +434,7 @@ def test_criterion_11_unequal_moduli():
     # L_p/mu_p = L_q/mu_q = 4 and sigma_max = sqrt(mu_p mu_q); measured,
     # sliding grad_p 106-111, B/B' products at most 1.0x, eg 31-34x.  eg
     # still stops on the reference solution here; a computable stop for it
-    # is a separate change (ROADMAP item 5).  The sliding runs spend their
+    # is a separate change (ROADMAP item 7).  The sliding runs spend their
     # whole planned budget, whose flat shape is the claim under test.
     eps = 1e-8
     ratios = (1.0, 10.0, 100.0)

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -35,7 +34,7 @@ from saddleslide.errors import (
     InnerBudgetExhausted,
     NonPositiveInput,
 )
-from saddleslide.inner import InnerResult, fbf_iterates
+from saddleslide.inner import InnerResult, fbf_iterates, fbf_step
 from saddleslide.outer import SolveConfig, SolverTuning, X_DOMINANT, solve
 
 from conftest import central_diff, random_quadratic_instance, random_sym_psd
@@ -160,6 +159,15 @@ class TestBuildAuxiliary:
         assert calls["n"] == 1
 
 
+def _fbf_walk(aux, spec, n):
+    # The first n iterates of FBF on aux.
+    it, run = fbf_iterates(aux, spec)
+    walk = [it]
+    while len(walk) < n:
+        walk.append(fbf_step(run, walk[-1]))
+    return walk
+
+
 def _identity_operator_aux():
     # Subproblem whose gradients are g_x = x and g_y = -y: from the anchor
     # (1, 1) with unit steps, a frozen x gradient of 1 and a frozen y
@@ -197,8 +205,7 @@ class TestSolveAuxiliary:
         # correction x+ = x_h - (9/10)(-x_h + 1) = 109/280.  The update is
         # linear, so every step multiplies by 109/280, in y alike.
         aux = _identity_operator_aux()
-        seen = [(x[0], y[0]) for x, y, *_ in
-                itertools.islice(fbf_iterates(aux, self.SPEC), 3)]
+        seen = [(x[0], y[0]) for x, y, *_ in _fbf_walk(aux, self.SPEC, 3)]
         assert seen[0] == (1.0, 1.0)
         for t, (x, y) in enumerate(seen):
             assert x == pytest.approx((109 / 280) ** t)
@@ -217,6 +224,25 @@ class TestSolveAuxiliary:
         tuning = SolverTuning(alpha=1.0, eta_x=1.0, eta_y=1.0, branch=X_DOMINANT)
         with pytest.raises(DivergenceDetected):
             solve_auxiliary(aux, self.SPEC, tuning, InnerConfig())
+
+    def test_later_coupling_output_shape_checked(self):
+        # The start and the first step's midpoint get outputs of the right
+        # shapes; the iterate after them gets a (1,)-shaped x block, which
+        # the gradient sum would broadcast.
+        calls = []
+
+        def grad_R(x, y):
+            calls.append(None)
+            return (np.zeros(1) if len(calls) == 3 else np.zeros(2)), np.zeros(2)
+
+        aux = AuxiliaryProblem(
+            grad_R=grad_R, grad_p_anchor=np.ones(2), grad_q_anchor=np.ones(2),
+            x_k=np.ones(2), y_k=np.ones(2), eta_x=1.0, eta_y=1.0,
+        )
+        tuning = SolverTuning(alpha=1.0, eta_x=1.0, eta_y=1.0, branch=X_DOMINANT)
+        with pytest.raises(DimensionMismatch):
+            solve_auxiliary(aux, self.SPEC, tuning, InnerConfig())
+        assert len(calls) == 3
 
     def test_random_quadratic_matches_subproblem_kkt(self, rng):
         problem, spec, _, data = random_quadratic_instance(
@@ -272,10 +298,9 @@ class TestSolveAuxiliary:
         exact = np.linalg.solve(mat, rhs)
         config = InnerConfig(floor_tol=0.0)
         result = solve_auxiliary(aux, spec, tuning, config)
-        iterates = fbf_iterates(aux, spec)
         dists = [
             np.linalg.norm(np.concatenate([x, y]) - exact)
-            for x, y, *_ in itertools.islice(iterates, result.iterations + 1)
+            for x, y, *_ in _fbf_walk(aux, spec, result.iterations + 1)
         ]
         assert len(dists) >= 2
         for before, after in zip(dists, dists[1:]):
@@ -311,6 +336,24 @@ def test_inner_config_rejects_empty_stall_window_and_negative_budget():
         InnerConfig(stall_window=0)
     with pytest.raises(NonPositiveInput):
         InnerConfig(max_inner=-1)
+    # A nan budget or window never compares true, so it would switch the
+    # budget exit or the stall exit off; a float is refused, not rounded.
+    for bad in (math.nan, math.inf, 50.0):
+        with pytest.raises(NonPositiveInput):
+            InnerConfig(max_inner=bad)
+        with pytest.raises(NonPositiveInput):
+            InnerConfig(stall_window=bad)
+    # numpy integers count.
+    assert InnerConfig(max_inner=np.int64(3), stall_window=np.int32(2)).max_inner == 3
+    problem = CompositeSaddleProblem(
+        d_x=1, d_y=1, grad_p=lambda x: x, grad_q=lambda y: y,
+        grad_R=lambda x, y: (x, -y),
+    )
+    spec = SmoothnessSpec(L_p=1, L_q=1, L_R=1, mu_x=1, mu_y=1)
+    start = PointPair(np.zeros(1), np.zeros(1))
+    for bad in (math.nan, 50.0):
+        with pytest.raises(NonPositiveInput):
+            solve(problem, spec, start, SolveConfig(eps=1e-6, max_outer=bad))
 
 
 @settings(max_examples=60, deadline=None)
@@ -519,7 +562,18 @@ def _reference_bilinear_inner(bp):
     return inner
 
 
-def _same_result(got, want):
+def _same_result(got, want, aux):
+    # Any stacked terms the library hands `solve` must equal their blockwise
+    # forms: the pair, the gradients, the displacement from (x_k, y_k) and
+    # that displacement over (eta_x, -eta_y), whose y block is negated.
+    blockwise = []
+    if got._terms is not None:
+        x, y, eta_x, eta_y = want.pair.x, want.pair.y, aux.eta_x, aux.eta_y
+        dx, dy = x - aux.x_k, y - aux.y_k
+        blockwise = zip(got._terms, [
+            np.concatenate([x, y]), np.concatenate([want.grad_x, want.grad_y]),
+            np.concatenate([dx, dy]), np.concatenate([dx / eta_x, -(dy / eta_y)]),
+        ])
     return (
         got.iterations == want.iterations
         and got.accepted_by == want.accepted_by
@@ -528,7 +582,7 @@ def _same_result(got, want):
             for g, w in [
                 (got.pair.x, want.pair.x), (got.pair.y, want.pair.y),
                 (got.grad_x, want.grad_x), (got.grad_y, want.grad_y),
-                (got.remainder, want.remainder),
+                (got.remainder, want.remainder), *blockwise,
             ]
         )
     )
@@ -567,7 +621,8 @@ class TestReferenceEquivalence:
 
         def checked_inner(aux, spec_, tuning, config_):
             got = solve_auxiliary(aux, spec_, tuning, config_)
-            assert _same_result(got, _reference_fbf(aux, spec_, tuning, config_))
+            assert got._terms is not None
+            assert _same_result(got, _reference_fbf(aux, spec_, tuning, config_), aux)
             exits.add(got.accepted_by)
             starts.append(aux.remainder is not None)
             return got

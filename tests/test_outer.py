@@ -721,6 +721,34 @@ class TestSolveReference:
         assert (report.termination == TERMINATION_RESIDUAL) == use_residual_stop
 
 
+def _rebuilt(aux, spec, tuning, config):
+    # A custom inner solver: FBF's result rebuilt from plain copies, so it
+    # carries no stacked terms and `solve` forms them from the blocks.
+    r = solve_auxiliary(aux, spec, tuning, config)
+    return InnerResult(PointPair(r.pair.x.copy(), r.pair.y.copy()), r.iterations,
+                       r.grad_x.copy(), r.grad_y.copy(), r.accepted_by, r.remainder.copy())
+
+
+@pytest.mark.parametrize("use_residual_stop", [True, False])
+@pytest.mark.parametrize("case", sorted(_LOOP_CASES))
+def test_rebuilt_custom_result_matches_default(case, use_residual_stop):
+    d_x, d_y, L_p, mu_x, L_q, mu_y, L_R = _LOOP_CASES[case]
+    inst = gen_quadratic_spp(d_x, d_y, L_p, mu_x, L_q, mu_y, L_R, 0)
+    problem, spec = inst.problem(), inst.spec()
+    start = PointPair(np.zeros(d_x), np.zeros(d_y))
+    psi_0 = initial_potential(problem, spec, start, reference_solution(inst))
+    config = SolveConfig(eps=1e-8, psi_0=psi_0, use_residual_stop=use_residual_stop)
+    want = solve(problem, spec, start, config)
+    got = solve(problem, spec, start, config, inner_solver=_rebuilt)
+    assert np.array_equal(got.final_pair.x, want.final_pair.x)
+    assert np.array_equal(got.final_pair.y, want.final_pair.y)
+    assert got.counters.as_dict() == want.counters.as_dict()
+    assert got.inner_iterations == want.inner_iterations
+    assert got.termination == want.termination
+    assert got.certificate_ratio == want.certificate_ratio
+    assert (got.certificate_ratio is None) != use_residual_stop
+
+
 def _certified_run(inst, eps, inner_solver=None):
     # A certified solve from the origin, as `run_single` makes it; returns
     # the report and `_assert_certified`'s and `_reference_solve`'s inputs.
