@@ -144,7 +144,12 @@ def _cg_iterates(matvec, rmatvec, shift, rhs, x):
     one B product, and so does each step; B^T x is advanced with the step
     length, not recomputed.  The iterates end on breakdown (zero residual
     or ``p^T M p <= 0``), where the last one solves the system to machine
-    precision, and otherwise never: the caller owns the budget.
+    precision, and otherwise never: the caller owns the budget.  With
+    ``shift > 0`` the matrix is positive definite, so ``p^T M p <= 0``
+    means the product underflowed; the step length, a ratio, is then taken
+    on ``r``, ``p`` and ``M p`` divided by p's largest entry, and only a
+    step that still fails there ends the iterates, with its two products
+    made.
     """
     x = np.array(x, dtype=float)
     bt_x = rmatvec(x)
@@ -159,8 +164,15 @@ def _cg_iterates(matvec, rmatvec, shift, rhs, x):
         m_p = shift * p + matvec(bt_p)
         p_m_p = float(p @ m_p)
         if p_m_p <= 0.0:
-            return
-        alpha = rr / p_m_p
+            scale = float(np.max(np.abs(p)))
+            if scale == 0.0:
+                return
+            p_m_p = float((p / scale) @ (m_p / scale))
+            if p_m_p <= 0.0:
+                return
+            alpha = float((r / scale) @ (r / scale)) / p_m_p
+        else:
+            alpha = rr / p_m_p
         x = x + alpha * p
         bt_x = bt_x + alpha * bt_p
         r = r - alpha * m_p

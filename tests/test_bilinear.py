@@ -800,6 +800,18 @@ class TestConjugateGradients:
             _cg_iterates(zero, zero, -1.0, np.ones(2), np.zeros(2)), 10))
         assert len(iterates) == 1
 
+    def test_underflowed_curvature_takes_scaled_step(self):
+        # 1e-10 x = rhs at scale 1e-158: r^T r is subnormal and p^T M p
+        # underflows to zero, yet the first step solves the system.
+        zero = lambda v: np.zeros_like(v)
+        rhs = 1e-158 * np.array([1.0, 2.0])
+        iterates = list(itertools.islice(
+            _cg_iterates(zero, zero, 1e-10, rhs, np.zeros(2)), 10))
+        assert len(iterates) >= 2
+        x, _, r = iterates[1]
+        assert np.allclose(1e-10 * x, rhs, rtol=1e-12, atol=0.0)
+        assert np.all(np.abs(r) <= 1e-12 * np.abs(rhs))
+
     def test_tracks_coupling_image_and_residual(self, rng):
         B = rng.standard_normal((6, 4))
         rhs = rng.standard_normal(6)
