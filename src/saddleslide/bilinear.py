@@ -44,7 +44,7 @@ from .errors import (
     InfeasibleTarget,
     NonPositiveModulus,
 )
-from .inner import AuxiliaryProblem, InnerConfig, InnerResult, accept_first, fbf_start
+from .inner import AuxiliaryProblem, InnerConfig, InnerResult, accept_first, fbf_vectors
 from .outer import (
     TERMINATION_RESIDUAL,
     ConvergenceReport,
@@ -136,49 +136,64 @@ def power_lambda_max(matvec, dim, seed=0, iters=100, tol=1e-6) -> float:
     return lam
 
 
+def _cg_start(matvec, rmatvec, shift, rhs, x):
+    """State of conjugate gradients on ``(shift I + B B^T) x = rhs`` at ``x``.
+
+    The state is ``(x, B^T x, r, p, r^T r)``, with residual
+    ``r = rhs - (shift I + B B^T) x`` and search direction ``p``, here
+    ``r``; it costs one B^T and one B product.
+    """
+    bt_x = rmatvec(x)
+    r = rhs - shift * x - matvec(bt_x)
+    return x, bt_x, r, r, float(r.dot(r))
+
+
+def _cg_step(matvec, rmatvec, shift, x, bt_x, r, p, rr):
+    """The CG state one step after the given one, or None on breakdown.
+
+    A step costs one B^T and one B product; B^T x is advanced with the
+    step length, not recomputed.  Breakdown is a zero residual or
+    ``p^T M p <= 0``, where the given state solves the system to machine
+    precision; a zero residual ends without a product.  With ``shift > 0``
+    the matrix is positive definite, so ``p^T M p <= 0`` means the product
+    underflowed; the step length, a ratio, is then taken on ``r``, ``p``
+    and ``M p`` divided by p's largest entry, and only a step that still
+    fails there is a breakdown, with its two products made.
+    """
+    if rr == 0.0:
+        return None
+    bt_p = rmatvec(p)
+    m_p = shift * p + matvec(bt_p)
+    p_m_p = float(p.dot(m_p))
+    if p_m_p <= 0.0:
+        scale = float(np.max(np.abs(p)))
+        if scale == 0.0:
+            return None
+        p_m_p = float((p / scale).dot(m_p / scale))
+        if p_m_p <= 0.0:
+            return None
+        r_s = r / scale
+        alpha = float(r_s.dot(r_s)) / p_m_p
+    else:
+        alpha = rr / p_m_p
+    x = x + alpha * p
+    bt_x = bt_x + alpha * bt_p
+    r = r - alpha * m_p
+    rr_next = float(r.dot(r))
+    return x, bt_x, r, r + (rr_next / rr) * p, rr_next
+
+
 def _cg_iterates(matvec, rmatvec, shift, rhs, x):
     """Conjugate gradients on ``(shift I + B B^T) x = rhs``.
 
-    Yields ``(x, B^T x, r)`` with residual ``r = rhs - (shift I + B B^T) x``
-    for the start and then after each step.  The start costs one B^T and
-    one B product, and so does each step; B^T x is advanced with the step
-    length, not recomputed.  The iterates end on breakdown (zero residual
-    or ``p^T M p <= 0``), where the last one solves the system to machine
-    precision, and otherwise never: the caller owns the budget.  With
-    ``shift > 0`` the matrix is positive definite, so ``p^T M p <= 0``
-    means the product underflowed; the step length, a ratio, is then taken
-    on ``r``, ``p`` and ``M p`` divided by p's largest entry, and only a
-    step that still fails there ends the iterates, with its two products
-    made.
+    Yields ``(x, B^T x, r)`` for the start and then after each
+    `_cg_step`, ending on breakdown and otherwise never: the caller owns
+    the budget.
     """
-    x = np.array(x, dtype=float)
-    bt_x = rmatvec(x)
-    r = rhs - shift * x - matvec(bt_x)
-    p = r
-    rr = float(r @ r)
-    while True:
-        yield x, bt_x, r
-        if rr == 0.0:
-            return
-        bt_p = rmatvec(p)
-        m_p = shift * p + matvec(bt_p)
-        p_m_p = float(p @ m_p)
-        if p_m_p <= 0.0:
-            scale = float(np.max(np.abs(p)))
-            if scale == 0.0:
-                return
-            p_m_p = float((p / scale) @ (m_p / scale))
-            if p_m_p <= 0.0:
-                return
-            alpha = float((r / scale) @ (r / scale)) / p_m_p
-        else:
-            alpha = rr / p_m_p
-        x = x + alpha * p
-        bt_x = bt_x + alpha * bt_p
-        r = r - alpha * m_p
-        rr_next = float(r @ r)
-        p = r + (rr_next / rr) * p
-        rr = rr_next
+    state = _cg_start(matvec, rmatvec, shift, rhs, np.array(x, dtype=float))
+    while state is not None:
+        yield state[:3]
+        state = _cg_step(matvec, rmatvec, shift, *state)
 
 
 def estimate_spectral_bounds(
@@ -343,7 +358,8 @@ class QuadraticForm:
 
     ``A = (kappa I + B B^T)/2``, applied through ``matvec`` and
     ``rmatvec``.  ``recover_y`` maps an x-candidate to the exact inner
-    maximizer of the underlying saddle.
+    maximizer of the underlying saddle, ``(B^T x + y_offset)/shift`` with
+    ``y_offset = y_k/eta_y - grad_q_anchor``.
     """
 
     matvec: Callable
@@ -351,14 +367,12 @@ class QuadraticForm:
     kappa: float
     shift: float  # 1/eta_y + mu_q
     b: np.ndarray
-    eta_y: float
-    y_anchor: np.ndarray
-    grad_q_anchor: np.ndarray
+    y_offset: np.ndarray
 
     def recover_y(self, x: np.ndarray, bt_x: Optional[np.ndarray] = None) -> np.ndarray:
         if bt_x is None:
             bt_x = self.rmatvec(x)
-        return (bt_x - self.grad_q_anchor + self.y_anchor / self.eta_y) / self.shift
+        return (bt_x + self.y_offset) / self.shift
 
 
 def eliminate_y(bp: BilinearProblem, aux: AuxiliaryProblem) -> QuadraticForm:
@@ -380,34 +394,58 @@ def eliminate_y(bp: BilinearProblem, aux: AuxiliaryProblem) -> QuadraticForm:
         kappa=kappa,
         shift=shift,
         b=b,
-        eta_y=eta_y,
-        y_anchor=y_k,
-        grad_q_anchor=gq,
+        y_offset=y_k / eta_y - gq,
     )
 
 
-def _next_iterate(run, _):
-    # `accept_first`'s advance over a generator of iterates.
-    return next(run, None)
+def _cg_iterate(run, x, bt_x, r, p, rr):
+    # The `accept_first` iterate at a CG state; one B product, for g_x.
+    # The remainder slot carries the state itself, from which the next
+    # step goes on and the accepted one's remainder is formed.
+    qf, mu_p, aux, zero_y = run
+    y = qf.recover_y(x, bt_x)
+    dx = x - aux.x_k
+    # g_x from its definition, rather than from the reduced gradient, whose
+    # rounding noise unscaling would amplify by 1/shift.
+    b_y = qf.matvec(y)
+    g_x = aux.grad_p_anchor + dx / aux.eta_x + mu_p * x + b_y
+    return x, y, dx, y - aux.y_k, g_x, zero_y, (x,), (b_y, bt_x, r, p, rr), None
+
+
+def _cg_advance(run, it):
+    # `accept_first`'s advance: the iterate one CG step after ``it``.
+    qf = run[0]
+    state = _cg_step(qf.matvec, qf.rmatvec, qf.kappa, it[0], *it[7][1:])
+    return None if state is None else _cg_iterate(run, *state)
 
 
 def make_bilinear_inner_solver(bp: BilinearProblem):
     """Inner solver closure: eliminate y, run CG until the outer criterion.
 
     The CG iterates, with their recovered y and subproblem gradients, go
-    through the stop rule of `inner.accept_first`; a CG breakdown ends them
-    and its last iterate is accepted as a stall.  Building the linear term
-    costs one B product and every checked iterate three B/B^T products, so
-    a run of t steps makes 3t + 4.  ``bp`` should be the counting-wrapped
-    problem so the products land in ``calls_grad_R``.
+    through the stop rule of `inner.accept_first`, stepped by `_cg_step`;
+    a CG breakdown ends them and its last iterate is accepted as a stall.
+    Building the linear term costs one B product and every checked iterate
+    three B/B^T products, so a run of t steps makes 3t + 4.  ``bp`` should
+    be the counting-wrapped problem so the products land in
+    ``calls_grad_R``.
+
+    Each iterate's y is the subproblem's exact maximizer given x, computed
+    from CG's running ``B^T x``, so its y-gradient, ``B^T x - mu_q y -
+    (y - y_k)/eta_y - grad_q_anchor`` on that same product, is zero but for
+    rounding; it is returned as an exact zero, a read-only array shared by
+    every run.
 
     On the split problem FBF's remainder ``b = r - M z`` is
     ``(B y, B^T x)``, both products every iterate has at hand; the result
-    carries it at its pair.  With ``aux.remainder`` set, CG starts at the
-    x block of FBF's warm start (`inner.fbf_start`), the subproblem's exact
-    minimizer in x with ``B y`` held at the previous accepted pair, and
-    otherwise at ``x_k``; the start costs the same two products either way.
+    carries it at its pair, stacked once the run ends.  With
+    ``aux.remainder`` set, CG starts at the x block of FBF's warm start
+    (`inner.fbf_start`), the subproblem's exact minimizer in x with
+    ``B y`` held at the previous accepted pair, and otherwise at ``x_k``;
+    the start costs the same two products either way.
     """
+    zero_y = np.zeros(bp.d_y)
+    zero_y.flags.writeable = False
 
     def inner(
         aux: AuxiliaryProblem,
@@ -416,27 +454,23 @@ def make_bilinear_inner_solver(bp: BilinearProblem):
         config: InnerConfig,
     ) -> InnerResult:
         qf = eliminate_y(bp, aux)
-
-        def iterates():
-            x_0 = aux.x_k
-            if aux.remainder is not None:
-                x_0 = fbf_start(aux, spec)[0][: len(aux.x_k)]
-            # The reduced gradient is (kappa I + B B^T) x + b.
-            cg = _cg_iterates(qf.matvec, qf.rmatvec, qf.kappa, -qf.b, x_0)
-            for x, bt_x, _ in cg:
-                y = qf.recover_y(x, bt_x)
-                dx = x - aux.x_k
-                dy = y - aux.y_k
-                # Evaluate the subproblem gradients from their definition
-                # (one extra B product) rather than unscaling the reduced
-                # gradient, which would amplify its rounding noise by 1/shift.
-                b_y = bp.coupling.matvec(y)
-                g_x = aux.grad_p_anchor + dx / tuning.eta_x + bp.mu_p * x + b_y
-                g_y = bt_x - bp.mu_q * y - dy / tuning.eta_y - aux.grad_q_anchor
-                yield x, y, dx, dy, g_x, g_y, (x,), np.concatenate((b_y, bt_x)), None
-
-        run = iterates()
-        return accept_first(next(run), _next_iterate, run, tuning, config)
+        x_0 = aux.x_k
+        if aux.remainder is not None:
+            # The x block of `inner.fbf_start`'s warm start, in its operations.
+            d_x = len(x_0)
+            v = aux.vectors
+            if v is None:
+                v = fbf_vectors(spec, aux.eta_x, aux.eta_y, d_x, len(aux.y_k))
+            x_0 = (
+                v.s_eta[:d_x] * x_0 - v.s[:d_x] * aux.grad_p_anchor
+                - v.step[:d_x] * aux.remainder[:d_x]
+            ) / v.s_modulus[:d_x]
+        # The reduced gradient is (kappa I + B B^T) x + b.
+        run = (qf, bp.mu_p, aux, zero_y)
+        first = _cg_iterate(run, *_cg_start(qf.matvec, qf.rmatvec, qf.kappa, -qf.b, x_0))
+        result = accept_first(first, _cg_advance, run, tuning, config)
+        result.remainder = np.concatenate(result.remainder[:2])
+        return result
 
     return inner
 

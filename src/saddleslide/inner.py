@@ -100,7 +100,9 @@ class InnerConfig:
     steps: it is then the subproblem solution to machine precision and no
     further progress is representable in float64.  ``stall_window`` and
     ``max_inner`` are integers: a float, ``stall_window < 1`` or
-    ``max_inner < 0`` raises NonPositiveInput.
+    ``max_inner < 0`` raises NonPositiveInput, as does a ``floor_tol`` or
+    ``stall_rtol`` that is negative or not finite: a nan one never compares
+    true, so it would switch its exit off.
     """
 
     max_inner: int = 200_000
@@ -112,6 +114,10 @@ class InnerConfig:
         if not (_is_count(self.stall_window, 1) and _is_count(self.max_inner, 0)):
             raise NonPositiveInput(
                 f"stall_window={self.stall_window}, max_inner={self.max_inner}"
+            )
+        if not (0.0 <= self.floor_tol < math.inf and 0.0 <= self.stall_rtol < math.inf):
+            raise NonPositiveInput(
+                f"floor_tol={self.floor_tol}, stall_rtol={self.stall_rtol}"
             )
 
 
@@ -174,15 +180,16 @@ def accept_first(
     displacement ``(x - x_k, y - y_k)`` from the outer iterate, the
     subproblem gradients there, the arrays the stall rule compares between
     iterates, and the pair's `InnerResult` ``remainder`` and ``_terms``,
-    each None if the solver has none.  The solver builds ``dx``, ``g_x``
-    and ``dy``, ``g_y`` as float 1-D arrays of matching shapes, so the
-    criterion takes them without re-validating.  Accepts by the test of
-    `check_inner_criterion`, else as a stall after ``stall_window``
-    stalled steps or on the last iterate if they end early; raises
-    InnerBudgetExhausted after checking iterate ``max_inner``.  Every
-    returned iterate has passed the criterion's finiteness guard (``dx``,
-    ``dy`` finite, so ``x``, ``y`` are too), so its pair skips
-    `PointPair`'s scan.
+    each None if the solver has none.  The remainder slot may instead hold
+    what the solver forms it from, once, at the iterate it gets back.  The
+    solver builds ``dx``, ``g_x`` and ``dy``, ``g_y`` as float 1-D arrays
+    of matching shapes, so the criterion takes them without re-validating.
+    Accepts by the test of `check_inner_criterion`, else as a stall after
+    ``stall_window`` stalled steps or on the last iterate if they end
+    early; raises InnerBudgetExhausted after checking iterate
+    ``max_inner``.  Every returned iterate has passed the criterion's
+    finiteness guard (``dx``, ``dy`` finite, so ``x``, ``y`` are too), so
+    its pair skips `PointPair`'s scan.
     """
     stalled, previous, t, it = 0, None, 0, first
     while True:
@@ -379,7 +386,13 @@ def fbf_step(run, it):
     aux, v, _, s_g, s_k, d_x = run
     z, b = it[8][0], it[7]
     h = (z - v.step * b - s_g + s_k) / v.divisor
-    rh_x, rh_y = aux.grad_R(h[:d_x], h[d_x:])
+    x_h, y_h = h[:d_x], h[d_x:]
+    rh_x, rh_y = aux.grad_R(x_h, y_h)
+    # Outputs of the wrong shapes could stack to the right length.
+    if not (type(rh_x) is type(rh_y) is np.ndarray
+            and rh_x.shape == x_h.shape and rh_y.shape == y_h.shape):
+        check_shape(rh_x, x_h, "dR/dx")
+        check_shape(rh_y, y_h, "dR/dy")
     return _fbf_iterate(run, h - v.step * (np.concatenate((rh_x, rh_y)) - v.mu * h - b))
 
 

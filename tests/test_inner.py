@@ -21,12 +21,20 @@ from saddleslide import (
     wrap_counting,
     wrap_counting_bilinear,
 )
-from saddleslide.bench.generators import gen_bilinear, gen_quadratic_spp
+from saddleslide import bilinear
+from saddleslide.bench.generators import (
+    gen_bilinear,
+    gen_consensus,
+    gen_linear_bilinear,
+    gen_quadratic_spp,
+)
 from saddleslide.bilinear import (
     _cg_iterates,
     eliminate_y,
     make_bilinear_inner_solver,
+    solve_affine_constrained,
     solve_bilinear,
+    solve_bilinear_linear_composites,
 )
 from saddleslide.errors import (
     DimensionMismatch,
@@ -34,7 +42,7 @@ from saddleslide.errors import (
     InnerBudgetExhausted,
     NonPositiveInput,
 )
-from saddleslide.inner import InnerResult, fbf_iterates, fbf_step
+from saddleslide.inner import InnerResult, fbf_iterates, fbf_start, fbf_step
 from saddleslide.outer import SolveConfig, SolverTuning, X_DOMINANT, solve
 
 from conftest import central_diff, random_quadratic_instance, random_sym_psd
@@ -244,6 +252,26 @@ class TestSolveAuxiliary:
             solve_auxiliary(aux, self.SPEC, tuning, InnerConfig())
         assert len(calls) == 3
 
+    def test_midpoint_coupling_output_shape_checked(self):
+        # The first step's midpoint gets outputs of the wrong shapes whose
+        # lengths still add up to d_x + d_y, so stacking them would pass.
+        calls = []
+
+        def grad_R(x, y):
+            calls.append(None)
+            if len(calls) == 2:
+                return np.zeros(1), np.zeros(3)
+            return np.zeros(2), np.zeros(2)
+
+        aux = AuxiliaryProblem(
+            grad_R=grad_R, grad_p_anchor=np.ones(2), grad_q_anchor=np.ones(2),
+            x_k=np.ones(2), y_k=np.ones(2), eta_x=1.0, eta_y=1.0,
+        )
+        tuning = SolverTuning(alpha=1.0, eta_x=1.0, eta_y=1.0, branch=X_DOMINANT)
+        with pytest.raises(DimensionMismatch):
+            solve_auxiliary(aux, self.SPEC, tuning, InnerConfig())
+        assert len(calls) == 2
+
     def test_random_quadratic_matches_subproblem_kkt(self, rng):
         problem, spec, _, data = random_quadratic_instance(
             rng, 4, 4, 2.0, 1.0, 2.0, 1.0, 1.8
@@ -354,6 +382,16 @@ def test_inner_config_rejects_empty_stall_window_and_negative_budget():
     for bad in (math.nan, 50.0):
         with pytest.raises(NonPositiveInput):
             solve(problem, spec, start, SolveConfig(eps=1e-6, max_outer=bad))
+
+
+@pytest.mark.parametrize("field", ["floor_tol", "stall_rtol"])
+def test_inner_config_rejects_bad_tolerances(field):
+    # A nan stall_rtol never compares true, so it would switch the stall
+    # exit off; a nan floor_tol, the floor of the acceptance test.
+    for bad in (math.nan, math.inf, -math.inf, -1e-30, -1.0):
+        with pytest.raises(NonPositiveInput):
+            InnerConfig(**{field: bad})
+    assert getattr(InnerConfig(**{field: 0.0}), field) == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -548,12 +586,12 @@ def _reference_bilinear_inner(bp):
                     s / aux.eta_x + s * spec.mu_x
                 )
             for x, bt_x, _ in _cg_iterates(qf.matvec, qf.rmatvec, qf.kappa, -qf.b, x_0):
-                y = qf.recover_y(x, bt_x)
+                y = (bt_x + (aux.y_k / aux.eta_y - aux.grad_q_anchor)) / qf.shift
                 b_y = bp.coupling.matvec(y)
                 g_x = (aux.grad_p_anchor + (x - aux.x_k) / tuning.eta_x
                        + bp.mu_p * x + b_y)
-                g_y = (bt_x - bp.mu_q * y - (y - aux.y_k) / tuning.eta_y
-                       - aux.grad_q_anchor)
+                # y maximizes given CG's running B^T x: its gradient is zero.
+                g_y = np.zeros(len(y))
                 # The remainder r - M z of the split coupling is (B y, B^T x).
                 yield x, y, g_x, g_y, (x,), np.concatenate([b_y, bt_x])
 
@@ -586,6 +624,31 @@ def _same_result(got, want, aux):
             ]
         )
     )
+
+
+def _regularized_run(inst, eps):
+    # run_single's sliding route for a consensus or linear-bilinear instance.
+    if inst.kind == "consensus":
+        grad, _ = inst.local_objective()
+        return solve_affine_constrained(
+            grad, inst.constants["local_L"], inst.constants["local_mu"],
+            inst.coupling(), inst.arrays["c"], inst.constants["D_y"], eps,
+            use_residual_stop=True,
+        )
+    return solve_bilinear_linear_composites(
+        inst.arrays["d"], inst.arrays["c"], inst.coupling(),
+        inst.constants["D_x"], inst.constants["D_y"], eps, use_residual_stop=True,
+    )
+
+
+# The affine-constrained reduction's y block has a tiny modulus and a
+# large step; the linear-composite one's stages restart their solves.
+REGULARIZED_CASES = [
+    pytest.param(lambda: gen_consensus(10, "ring", 1.0, 4.0, 0), 1e-6, id="ring10"),
+    pytest.param(lambda: gen_consensus(8, "path", 1.0, 4.0, 0), 1e-6, id="path8"),
+    pytest.param(lambda: gen_linear_bilinear(8, 4), 1e-3, id="lb8-1e-3"),
+    pytest.param(lambda: gen_linear_bilinear(8, 4), 1e-7, id="lb8-1e-7"),
+]
 
 
 REFERENCE_CONFIGS = {
@@ -650,6 +713,55 @@ class TestReferenceEquivalence:
         assert np.array_equal(got.final_pair.y, want.final_pair.y)
         assert got.counters.as_dict() == want.counters.as_dict()
         assert got.inner_iterations == want.inner_iterations
+
+    @pytest.mark.parametrize("make, eps", REGULARIZED_CASES)
+    def test_regularized_matches_reference(self, make, eps, monkeypatch):
+        inst = make()
+        got = _regularized_run(inst, eps)
+        monkeypatch.setattr(bilinear, "make_bilinear_inner_solver", _reference_bilinear_inner)
+        want = _regularized_run(inst, eps)
+        assert got.termination == want.termination == "residual-met"
+        assert np.array_equal(got.final_pair.x, want.final_pair.x)
+        assert np.array_equal(got.final_pair.y, want.final_pair.y)
+        assert got.counters.as_dict() == want.counters.as_dict()
+        assert got.inner_iterations == want.inner_iterations
+
+    @pytest.mark.parametrize("make, eps", [
+        *REGULARIZED_CASES,
+        *[pytest.param(lambda s=s: gen_consensus(10, "ring", 1.0, 4.0, s), 1e-6,
+                       id=f"ring10-seed{s}") for s in range(1, 10)],
+    ])
+    def test_y_gradient_from_definition_is_rounding(self, make, eps, monkeypatch):
+        # The returned g_y is an exact zero.  From its definition, with a
+        # dense B^T x in place of CG's running product, it is rounding and
+        # CG's drift, relative to the two terms that cancel in it:
+        # B^T x and y_k/eta_y - grad_q_anchor.  Worst measured over these
+        # cases: 1.9e-10 (ring 10, seed 7).
+        inst = make()
+        B = inst.arrays["B"] if "B" in inst.arrays else inst.arrays["W"]
+        seen = []
+
+        def recording(bp):
+            inner = make_bilinear_inner_solver(bp)
+
+            def solver(aux, spec, tuning, config):
+                result = inner(aux, spec, tuning, config)
+                seen.append((bp.mu_q, aux, result))
+                return result
+
+            return solver
+
+        monkeypatch.setattr(bilinear, "make_bilinear_inner_solver", recording)
+        _regularized_run(inst, eps)
+        assert seen
+        for mu_q, aux, result in seen:
+            assert not np.any(result.grad_y) and not result.grad_y.flags.writeable
+            x, y = result.pair.x, result.pair.y
+            bt_x = B.T @ x
+            offset = aux.y_k / aux.eta_y - aux.grad_q_anchor
+            g_y = bt_x - mu_q * y - (y - aux.y_k) / aux.eta_y - aux.grad_q_anchor
+            scale = np.linalg.norm(bt_x) + np.linalg.norm(offset)
+            assert np.linalg.norm(g_y) <= 1e-9 * scale
 
 
 def _without_remainder(inner):
@@ -723,3 +835,42 @@ class TestConjugateGradientWarmStart:
         _, want = self._run(lambda w: _without_remainder(_reference_bilinear_inner(w)))
         assert np.array_equal(got.final_pair.x, want.final_pair.x)
         assert np.array_equal(got.final_pair.y, want.final_pair.y)
+
+    @pytest.mark.parametrize("by_hand", [False, True], ids=["from-solve", "by-hand"])
+    def test_start_is_fbf_start_x_block(self, by_hand):
+        # CG's start, the first B^T argument, is the x block of FBF's warm
+        # start bit for bit, also on a subproblem built by hand from its
+        # blocks, without the stacked iterate or the per-entry vectors.
+        inst = gen_bilinear(30, 20, 4.0, 1.0, 0.04, 0.01, 2.0, 1)
+        bp = inst.bilinear_problem()
+        subproblems = []
+
+        def recording(wrapped):
+            inner = make_bilinear_inner_solver(wrapped)
+
+            def solver(aux, spec, tuning, config):
+                subproblems.append((aux, spec, tuning, config))
+                return inner(aux, spec, tuning, config)
+
+            return solver
+
+        self._run(recording)
+        aux, spec, tuning, config = subproblems[5]
+        assert aux.remainder is not None and aux.vectors is not None
+        if by_hand:
+            aux = AuxiliaryProblem(
+                aux.grad_R, aux.grad_p_anchor, aux.grad_q_anchor, aux.x_k.copy(),
+                aux.y_k.copy(), aux.eta_x, aux.eta_y, remainder=aux.remainder,
+            )
+        starts = []
+
+        def rmatvec(x):
+            starts.append(x.copy())
+            return bp.coupling.rmatvec(x)
+
+        coupling = dataclasses.replace(bp.coupling, rmatvec=rmatvec)
+        inner = make_bilinear_inner_solver(dataclasses.replace(bp, coupling=coupling))
+        got = inner(aux, spec, tuning, config)
+        assert np.array_equal(starts[0], fbf_start(aux, spec)[0][:30])
+        want = _reference_bilinear_inner(bp)(aux, spec, tuning, config)
+        assert _same_result(got, want, aux)
