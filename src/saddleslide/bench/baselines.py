@@ -140,17 +140,9 @@ def agd_joint_baseline(
     Per gradient evaluation the tallies grow by one composite call each
     and two coupling products, mirroring what the reduction consumes.
     """
-    if inst.kind == KIND_QUADRATIC:
-        c = inst.constants
-        Hp = inst.arrays["P"] + c["mu_x"] * np.eye(inst.arrays["P"].shape[0])
-        Hq = inst.arrays["Q"] + c["mu_y"] * np.eye(inst.arrays["Q"].shape[0])
-        a, e = inst.arrays["a"], inst.arrays["e"]
-    elif inst.kind == KIND_BILINEAR:
-        Hp, Hq = inst.arrays["Hp"], inst.arrays["Hq"]
-        a, e = inst.arrays["d"], inst.arrays["c"]
-    else:
+    if inst.kind not in (KIND_QUADRATIC, KIND_BILINEAR):
         raise ManifestError(f"agd-joint baseline does not support {inst.kind!r}")
-    B = inst.arrays["B"]
+    Hp, Hq, B, a, e = inst.saddle_blocks()
     d_x = Hp.shape[0]
 
     hq_inv = np.linalg.inv(Hq)

@@ -31,6 +31,19 @@ SPECTRAL_CHECK_RTOL = 0.05
 # vector and raveled on load.
 _MATRIX_NAMES = frozenset({"P", "Q", "B", "W", "Hp", "Hq"})
 
+# Per kind, the constants and arrays its oracles, checks and reference read.
+_KIND_READS = {
+    KIND_QUADRATIC: (("L_p", "mu_x", "L_q", "mu_y", "L_R"), ("P", "Q", "B", "a", "e")),
+    KIND_BILINEAR: (("L_p", "mu_p", "L_q", "mu_q", "lambda_max_BBt"),
+                    ("Hp", "Hq", "B", "d", "c")),
+    KIND_CONSENSUS: (
+        ("local_mu", "local_L", "lambda_max_BBt", "lambda_min_plus_BBt", "D_y"),
+        ("W", "local_a", "local_b", "c"),
+    ),
+    KIND_LINEAR_BILINEAR: (("lambda_max_BBt", "lambda_min_BBt", "D_x", "D_y"),
+                           ("B", "d", "c")),
+}
+
 
 @dataclass
 class Instance:
@@ -72,6 +85,26 @@ class Instance:
         return SmoothnessSpec(
             L_p=c["L_p"], L_q=c["L_q"], L_R=c["L_R"], mu_x=c["mu_x"], mu_y=c["mu_y"]
         )
+
+    def saddle_blocks(self):
+        """Dense ``(Hp, Hq, B, d, c)`` of the saddle's stationarity system.
+
+        ``Hp x + B y + d = 0`` and ``B'x - Hq y - c = 0`` at the saddle, for
+        quadratic-spp (``Hp = P + mu_x I``, ``Hq = Q + mu_y I``), bilinear
+        and linear-bilinear (zero Hessians) instances.
+        """
+        a = self.arrays
+        if self.kind == KIND_QUADRATIC:
+            c = self.constants
+            return (a["P"] + c["mu_x"] * np.eye(a["P"].shape[0]),
+                    a["Q"] + c["mu_y"] * np.eye(a["Q"].shape[0]),
+                    a["B"], a["a"], a["e"])
+        if self.kind == KIND_BILINEAR:
+            return a["Hp"], a["Hq"], a["B"], a["d"], a["c"]
+        if self.kind == KIND_LINEAR_BILINEAR:
+            d_x, d_y = a["B"].shape
+            return np.zeros((d_x, d_x)), np.zeros((d_y, d_y)), a["B"], a["d"], a["c"]
+        raise ManifestError(f"saddle_blocks() does not apply to {self.kind}")
 
     def problem(self) -> CompositeSaddleProblem:
         """Composite oracle form (quadratic-spp instances)."""
@@ -139,11 +172,22 @@ class Instance:
     def load(cls, manifest_path, verify: bool = True) -> "Instance":
         """Read a saved instance; its arrays come back read-only.
 
-        Grid cells share one loaded instance across threads, so an in-place
-        write raises ValueError instead of corrupting another cell.
+        A manifest of unknown kind, or one lacking a constant or a file its
+        kind reads, raises ManifestError naming it.  Grid cells share one
+        loaded instance across threads, so an in-place write raises
+        ValueError instead of corrupting another cell.
         """
         manifest_path = Path(manifest_path)
         manifest = matio.load_manifest(manifest_path)
+        kind = manifest["kind"]
+        if kind not in _KIND_READS:
+            raise ManifestError(f"{manifest_path}: unknown instance kind {kind!r}")
+        for section, names in zip(("constants", "files"), _KIND_READS[kind]):
+            for name in names:
+                if name not in manifest[section]:
+                    raise ManifestError(
+                        f"{manifest_path}: {kind} manifest lacks {section} entry {name!r}"
+                    )
         arrays = {}
         for name, rel in manifest["files"].items():
             arr = matio.read_matrix(manifest_path.parent / rel)
@@ -160,9 +204,10 @@ class Instance:
 def verify_instance(inst: Instance) -> None:
     """Check declared spectral constants against the stored matrices.
 
-    Tops of spectra are estimated by power iteration, bottoms are exact
-    (``eigvalsh`` of the dense matrix).  Raises ManifestError when a value
-    deviates by more than 5%.
+    Where a bottom is checked, ``eigvalsh`` of the dense matrix gives it and
+    the top exactly; the other tops (quadratic-spp's, and bilinear's
+    ``lambda_max_BBt``) are estimated by power iteration.  Raises
+    ManifestError when a value deviates by more than 5%.
     """
     c = inst.constants
 
@@ -191,25 +236,25 @@ def verify_instance(inst: Instance) -> None:
         check("L_R", c["L_R"], power_lambda_max(
             lambda z: coupled(coupled(z)), d_x + d_y) ** 0.5)
     elif inst.kind == KIND_BILINEAR:
-        Hp, Hq, B = inst.arrays["Hp"], inst.arrays["Hq"], inst.arrays["B"]
-        check("L_p", c["L_p"], power_lambda_max(lambda v: Hp @ v, Hp.shape[0]))
-        check("L_q", c["L_q"], power_lambda_max(lambda v: Hq @ v, Hq.shape[0]))
-        check("mu_p", c["mu_p"], np.linalg.eigvalsh(Hp)[0])
-        check("mu_q", c["mu_q"], np.linalg.eigvalsh(Hq)[0])
+        B = inst.arrays["B"]
+        eig_p = np.linalg.eigvalsh(inst.arrays["Hp"])
+        eig_q = np.linalg.eigvalsh(inst.arrays["Hq"])
+        check("L_p", c["L_p"], eig_p[-1])
+        check("L_q", c["L_q"], eig_q[-1])
+        check("mu_p", c["mu_p"], eig_p[0])
+        check("mu_q", c["mu_q"], eig_q[0])
         check("lambda_max_BBt", c["lambda_max_BBt"],
               power_lambda_max(lambda v: B @ (B.T @ v), B.shape[0]))
     elif inst.kind == KIND_CONSENSUS:
         W = inst.arrays["W"]
-        check("lambda_max_BBt", c["lambda_max_BBt"],
-              power_lambda_max(lambda v: W @ (W.T @ v), W.shape[0]))
+        eigs = np.linalg.eigvalsh(W @ W.T)
+        check("lambda_max_BBt", c["lambda_max_BBt"], eigs[-1])
         # Generated graphs are connected: the kernel is the ones vector alone.
-        check("lambda_min_plus_BBt", c["lambda_min_plus_BBt"],
-              np.linalg.eigvalsh(W @ W.T)[1])
+        check("lambda_min_plus_BBt", c["lambda_min_plus_BBt"], eigs[1])
     elif inst.kind == KIND_LINEAR_BILINEAR:
-        B = inst.arrays["B"]
-        check("lambda_max_BBt", c["lambda_max_BBt"],
-              power_lambda_max(lambda v: B @ (B.T @ v), B.shape[0]))
-        check("lambda_min_BBt", c["lambda_min_BBt"], np.linalg.eigvalsh(B @ B.T)[0])
+        eigs = np.linalg.eigvalsh(inst.arrays["B"] @ inst.arrays["B"].T)
+        check("lambda_max_BBt", c["lambda_max_BBt"], eigs[-1])
+        check("lambda_min_BBt", c["lambda_min_BBt"], eigs[0])
     else:
         raise ManifestError(f"unknown instance kind {inst.kind!r}")
 
@@ -228,6 +273,26 @@ def _random_sym_with_spectrum(rng, n, lo, hi):
     q = _random_orthogonal(rng, n)
     m = (q * eigs) @ q.T
     return 0.5 * (m + m.T), eigs
+
+
+def _unit(rng, n):
+    v = rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+def _instance(kind, label, seed, d_x, d_y, constants, arrays, **extra) -> Instance:
+    """An instance whose manifest stores each array ``name`` as ``name.bin``."""
+    manifest = {
+        "schema_version": matio.SCHEMA_VERSION,
+        "kind": kind,
+        "instance_id": f"{kind}-{label}-seed{seed}",
+        "seed": seed,
+        "dimensions": {"d_x": d_x, "d_y": d_y},
+        "constants": constants,
+        "files": {name: f"{name}.bin" for name in arrays},
+        **extra,
+    }
+    return Instance(manifest=manifest, arrays=arrays)
 
 
 def _scaled_gaussian_coupling(rng, d_x, d_y, sigma_max):
@@ -273,30 +338,15 @@ def gen_quadratic_spp(
     Q, _ = _random_sym_with_spectrum(rng, d_y, 0.0, L_q)
     B = _scaled_gaussian_coupling(rng, d_x, d_y, sigma_max)
 
-    x_star = rng.standard_normal(d_x)
-    x_star /= np.linalg.norm(x_star)
-    y_star = rng.standard_normal(d_y)
-    y_star /= np.linalg.norm(y_star)
+    x_star, y_star = _unit(rng, d_x), _unit(rng, d_y)
     a = -(P @ x_star + mu_x * x_star + B @ y_star)
     e = B.T @ x_star - mu_y * y_star - Q @ y_star
 
-    manifest = {
-        "schema_version": matio.SCHEMA_VERSION,
-        "kind": KIND_QUADRATIC,
-        "instance_id": f"{KIND_QUADRATIC}-d{d_x}x{d_y}-seed{seed}",
-        "seed": seed,
-        "dimensions": {"d_x": d_x, "d_y": d_y},
-        "constants": {
-            "L_p": L_p, "mu_x": mu_x, "L_q": L_q, "mu_y": mu_y, "L_R": L_R,
-        },
-        "files": {
-            "P": "P.bin", "Q": "Q.bin", "B": "B.bin", "a": "a.bin",
-            "e": "e.bin", "x_star": "x_star.bin", "y_star": "y_star.bin",
-        },
-    }
-    arrays = {"P": P, "Q": Q, "B": B, "a": a, "e": e,
-              "x_star": x_star, "y_star": y_star}
-    return Instance(manifest=manifest, arrays=arrays)
+    return _instance(
+        KIND_QUADRATIC, f"d{d_x}x{d_y}", seed, d_x, d_y,
+        {"L_p": L_p, "mu_x": mu_x, "L_q": L_q, "mu_y": mu_y, "L_R": L_R},
+        {"P": P, "Q": Q, "B": B, "a": a, "e": e, "x_star": x_star, "y_star": y_star},
+    )
 
 
 def gen_bilinear(
@@ -326,31 +376,17 @@ def gen_bilinear(
         min(float(s[-1] ** 2), sigma_max**2) if (d_x <= d_y and sigma_max > 0) else 0.0
     )
 
-    x_star = rng.standard_normal(d_x)
-    x_star /= np.linalg.norm(x_star)
-    y_star = rng.standard_normal(d_y)
-    y_star /= np.linalg.norm(y_star)
+    x_star, y_star = _unit(rng, d_x), _unit(rng, d_y)
     d_vec = -(Hp @ x_star + B @ y_star)
     c_vec = B.T @ x_star - Hq @ y_star
 
-    manifest = {
-        "schema_version": matio.SCHEMA_VERSION,
-        "kind": KIND_BILINEAR,
-        "instance_id": f"{KIND_BILINEAR}-d{d_x}x{d_y}-seed{seed}",
-        "seed": seed,
-        "dimensions": {"d_x": d_x, "d_y": d_y},
-        "constants": {
-            "L_p": L_p, "mu_p": mu_p, "L_q": L_q, "mu_q": mu_q,
-            "lambda_max_BBt": sigma_max**2, "lambda_min_BBt": lam_min,
-        },
-        "files": {
-            "Hp": "Hp.bin", "Hq": "Hq.bin", "B": "B.bin", "d": "d.bin",
-            "c": "c.bin", "x_star": "x_star.bin", "y_star": "y_star.bin",
-        },
-    }
-    arrays = {"Hp": Hp, "Hq": Hq, "B": B, "d": d_vec, "c": c_vec,
-              "x_star": x_star, "y_star": y_star}
-    return Instance(manifest=manifest, arrays=arrays)
+    return _instance(
+        KIND_BILINEAR, f"d{d_x}x{d_y}", seed, d_x, d_y,
+        {"L_p": L_p, "mu_p": mu_p, "L_q": L_q, "mu_q": mu_q,
+         "lambda_max_BBt": sigma_max**2, "lambda_min_BBt": lam_min},
+        {"Hp": Hp, "Hq": Hq, "B": B, "d": d_vec, "c": c_vec,
+         "x_star": x_star, "y_star": y_star},
+    )
 
 
 def graph_laplacian(topology: str, n_nodes: int) -> np.ndarray:
@@ -408,29 +444,20 @@ def gen_consensus(
     lam_max_w = float(eigs[-1])
     lam_min_plus_w = float(eigs[eigs > 1e-10 * max(lam_max_w, 1.0)][0])
 
-    manifest = {
-        "schema_version": matio.SCHEMA_VERSION,
-        "kind": KIND_CONSENSUS,
-        "instance_id": f"{KIND_CONSENSUS}-{topology}{n_nodes}-seed{seed}",
-        "seed": seed,
-        "dimensions": {"d_x": n_nodes, "d_y": n_nodes},
-        "constants": {
+    return _instance(
+        KIND_CONSENSUS, f"{topology}{n_nodes}", seed, n_nodes, n_nodes,
+        {
             "local_mu": float(a_loc.min()),
             "local_L": float(a_loc.max()),
             "lambda_max_BBt": lam_max_w**2,
             "lambda_min_plus_BBt": lam_min_plus_w**2,
             "D_y": 1.25 * float(np.linalg.norm(y_star)) + 1e-6,
         },
-        "topology": topology,
-        "kernel": "ones",
-        "files": {
-            "W": "W.bin", "local_a": "local_a.bin", "local_b": "local_b.bin",
-            "c": "c.bin", "x_star": "x_star.bin", "y_star": "y_star.bin",
-        },
-    }
-    arrays = {"W": W, "local_a": a_loc, "local_b": b_loc,
-              "c": np.zeros(n_nodes), "x_star": x_star, "y_star": y_star}
-    return Instance(manifest=manifest, arrays=arrays)
+        {"W": W, "local_a": a_loc, "local_b": b_loc,
+         "c": np.zeros(n_nodes), "x_star": x_star, "y_star": y_star},
+        topology=topology,
+        kernel="ones",
+    )
 
 
 def gen_linear_bilinear(
@@ -458,25 +485,16 @@ def gen_linear_bilinear(
     d_vec = -B @ y_star
     c_vec = B.T @ x_star
 
-    manifest = {
-        "schema_version": matio.SCHEMA_VERSION,
-        "kind": KIND_LINEAR_BILINEAR,
-        "instance_id": f"{KIND_LINEAR_BILINEAR}-d{d}-seed{seed}",
-        "seed": seed,
-        "dimensions": {"d_x": d, "d_y": d},
-        "constants": {
+    return _instance(
+        KIND_LINEAR_BILINEAR, f"d{d}", seed, d, d,
+        {
             "lambda_max_BBt": float(sigmas[0] ** 2),
             "lambda_min_BBt": float(sigmas[-1] ** 2),
             "D_x": 1.25 * float(np.linalg.norm(x_star)) + 1e-6,
             "D_y": 1.25 * float(np.linalg.norm(y_star)) + 1e-6,
         },
-        "files": {
-            "B": "B.bin", "d": "d.bin", "c": "c.bin",
-            "x_star": "x_star.bin", "y_star": "y_star.bin",
-        },
-    }
-    arrays = {"B": B, "d": d_vec, "c": c_vec, "x_star": x_star, "y_star": y_star}
-    return Instance(manifest=manifest, arrays=arrays)
+        {"B": B, "d": d_vec, "c": c_vec, "x_star": x_star, "y_star": y_star},
+    )
 
 
 def reference_solution(inst: Instance) -> PointPair:
@@ -485,28 +503,7 @@ def reference_solution(inst: Instance) -> PointPair:
     This is the independent oracle every benchmark distance is measured
     against.  The residual must come out below 1e-10 (1 + ||rhs||).
     """
-    if inst.kind == KIND_QUADRATIC:
-        P, Q, B = inst.arrays["P"], inst.arrays["Q"], inst.arrays["B"]
-        a, e = inst.arrays["a"], inst.arrays["e"]
-        mu_x, mu_y = inst.constants["mu_x"], inst.constants["mu_y"]
-        d_x = P.shape[0]
-        top = np.hstack([P + mu_x * np.eye(d_x), B])
-        bot = np.hstack([B.T, -(Q + mu_y * np.eye(Q.shape[0]))])
-        mat = np.vstack([top, bot])
-        rhs = np.concatenate([-a, e])
-    elif inst.kind == KIND_BILINEAR:
-        Hp, Hq, B = inst.arrays["Hp"], inst.arrays["Hq"], inst.arrays["B"]
-        mat = np.vstack([np.hstack([Hp, B]), np.hstack([B.T, -Hq])])
-        rhs = np.concatenate([-inst.arrays["d"], inst.arrays["c"]])
-        d_x = Hp.shape[0]
-    elif inst.kind == KIND_LINEAR_BILINEAR:
-        B = inst.arrays["B"]
-        d_x = B.shape[0]
-        zx = np.zeros((d_x, d_x))
-        zy = np.zeros((B.shape[1], B.shape[1]))
-        mat = np.vstack([np.hstack([zx, B]), np.hstack([B.T, zy])])
-        rhs = np.concatenate([-inst.arrays["d"], inst.arrays["c"]])
-    elif inst.kind == KIND_CONSENSUS:
+    if inst.kind == KIND_CONSENSUS:
         a_loc, b_loc, W = inst.arrays["local_a"], inst.arrays["local_b"], inst.arrays["W"]
         x_bar = float(a_loc @ b_loc) / float(a_loc.sum())
         x = np.full(W.shape[0], x_bar)
@@ -515,9 +512,11 @@ def reference_solution(inst: Instance) -> PointPair:
         if resid > 1e-8 * (1.0 + np.linalg.norm(a_loc * b_loc)):
             raise SingularSystem(f"consensus stationarity residual {resid:.3e}")
         return PointPair(x, y)
-    else:
-        raise ManifestError(f"no reference solver for kind {inst.kind!r}")
 
+    Hp, Hq, B, d, c = inst.saddle_blocks()
+    d_x = Hp.shape[0]
+    mat = np.block([[Hp, B], [B.T, -Hq]])
+    rhs = np.concatenate([-d, c])
     try:
         z = np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError as exc:

@@ -67,7 +67,7 @@ def load_manifest(path) -> dict:
         raise ManifestError(
             f"{path}: unsupported schema_version {manifest.get('schema_version')!r}"
         )
-    for key in ("kind", "files", "dimensions", "constants", "seed"):
+    for key in ("kind", "instance_id", "files", "dimensions", "constants", "seed"):
         if key not in manifest:
             raise ManifestError(f"{path}: missing manifest key {key!r}")
     return manifest

@@ -18,7 +18,7 @@ import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import List, Optional, Union
 
@@ -59,26 +59,10 @@ SOLVER_SLIDING = "sliding"
 SOLVER_EG = "eg"
 SOLVER_AGD_JOINT = "agd-joint"
 
-CSV_COLUMNS = [
-    "instance",
-    "solver",
-    "eps",
-    "calls_grad_p",
-    "calls_grad_q",
-    "calls_grad_R",
-    "outer_iters",
-    "inner_iters",
-    "dist_weighted",
-    "dist_unweighted",
-    "wall_ms",
-    "termination",
-    "dist_primal",
-]
-
 
 @dataclass
 class RunReport:
-    """One row of the aggregate CSV.
+    """One row of the aggregate CSV, its fields the columns in order.
 
     ``dist_primal`` is ``||x - x*||^2``, the x block's share of
     ``dist_unweighted``; run files written before it was recorded load
@@ -100,21 +84,25 @@ class RunReport:
     dist_primal: float = math.nan
 
     def to_row(self) -> List[str]:
+        # Floats print with repr, so the CSV carries every bit of the JSON.
         return [
-            self.instance,
-            self.solver,
-            repr(float(self.eps)),
-            str(self.calls_grad_p),
-            str(self.calls_grad_q),
-            str(self.calls_grad_R),
-            str(self.outer_iters),
-            str(self.inner_iters),
-            repr(float(self.dist_weighted)),
-            repr(float(self.dist_unweighted)),
-            repr(float(self.wall_ms)),
-            self.termination,
-            repr(float(self.dist_primal)),
+            repr(float(getattr(self, f.name))) if f.type == "float"
+            else str(getattr(self, f.name))
+            for f in fields(self)
         ]
+
+
+CSV_COLUMNS = [f.name for f in fields(RunReport)]
+
+
+def _scsc_problem(inst: Instance):
+    """An SCSC instance's ``(problem, spec, bilinear problem or None)``."""
+    if inst.kind == KIND_QUADRATIC:
+        return inst.problem(), inst.spec(), None
+    if inst.kind == KIND_BILINEAR:
+        bp = inst.bilinear_problem()
+        return (*split_bilinear(bp), bp)
+    raise ManifestError(f"no SCSC route for kind {inst.kind!r}")
 
 
 def _sliding_run(
@@ -124,23 +112,6 @@ def _sliding_run(
     reference: PointPair,
     use_residual_stop: bool,
 ) -> ConvergenceReport:
-    # The SCSC routes size their planned budget, the cap of a certified
-    # run, from the reference's initial potential.
-    if inst.kind in (KIND_QUADRATIC, KIND_BILINEAR):
-        if inst.kind == KIND_QUADRATIC:
-            problem, spec = inst.problem(), inst.spec()
-        else:
-            bp = inst.bilinear_problem()
-            problem, spec = split_bilinear(bp)
-        start = PointPair(np.zeros(problem.d_x), np.zeros(problem.d_y))
-        config = SolveConfig(
-            eps=eps, max_outer=max_outer,
-            psi_0=initial_potential(problem, spec, start, reference),
-            use_residual_stop=use_residual_stop,
-        )
-        if inst.kind == KIND_QUADRATIC:
-            return solve(problem, spec, start, config)
-        return solve_bilinear(bp, start, config)
     if inst.kind == KIND_CONSENSUS:
         grad, _ = inst.local_objective()
         return solve_affine_constrained(
@@ -165,19 +136,24 @@ def _sliding_run(
             max_outer=max_outer,
             use_residual_stop=use_residual_stop,
         )
-    raise ManifestError(f"no sliding route for kind {inst.kind!r}")
+    # The SCSC routes size their planned budget, the cap of a certified
+    # run, from the reference's initial potential.
+    problem, spec, bp = _scsc_problem(inst)
+    start = PointPair(np.zeros(problem.d_x), np.zeros(problem.d_y))
+    config = SolveConfig(
+        eps=eps, max_outer=max_outer,
+        psi_0=initial_potential(problem, spec, start, reference),
+        use_residual_stop=use_residual_stop,
+    )
+    if bp is None:
+        return solve(problem, spec, start, config)
+    return solve_bilinear(bp, start, config)
 
 
 def _eg_run(
     inst: Instance, eps: float, max_outer: int, reference: PointPair
 ) -> ConvergenceReport:
-    if inst.kind == KIND_QUADRATIC:
-        problem = inst.problem()
-        spec = inst.spec()
-    elif inst.kind == KIND_BILINEAR:
-        problem, spec = split_bilinear(inst.bilinear_problem())
-    else:
-        raise ManifestError(f"eg baseline needs an SCSC instance, got {inst.kind!r}")
+    problem, spec, _ = _scsc_problem(inst)
     tuning = tune_parameters(spec)
     start = PointPair(np.zeros(problem.d_x), np.zeros(problem.d_y))
     return baseline_extragradient(

@@ -42,7 +42,6 @@ Y_DOMINANT = "y-dominant"
 
 TERMINATION_BUDGET = "budget-exhausted"
 TERMINATION_RESIDUAL = "residual-met"
-TERMINATION_DIVERGED = "diverged"
 
 # Slack for checking eta*mu >= alpha/3, which holds with equality in exact
 # arithmetic and can be off by a few ulps in floating point.

@@ -288,7 +288,11 @@ class TestInstanceRoundTrip:
         (lambda: gen_bilinear(6, 5, 4.0, 1.0, 3.0, 0.5, 2.0, seed=2), "mu_p"),
         (lambda: gen_consensus(6, "path", 1.0, 4.0, seed=2), "lambda_min_plus_BBt"),
         (lambda: gen_linear_bilinear(6, seed=2, cond=100.0), "lambda_min_BBt"),
-    ], ids=["bilinear", "consensus", "linear-bilinear"])
+        (lambda: gen_bilinear(6, 5, 4.0, 1.0, 3.0, 0.5, 2.0, seed=2), "L_p"),
+        (lambda: gen_consensus(6, "path", 1.0, 4.0, seed=2), "lambda_max_BBt"),
+        (lambda: gen_linear_bilinear(6, seed=2, cond=100.0), "lambda_max_BBt"),
+    ], ids=["bilinear", "consensus", "linear-bilinear",
+            "bilinear-top", "consensus-top", "linear-bilinear-top"])
     def test_verification_catches_tampered_bottom(self, tmp_path, make, name):
         inst = make()
         inst.manifest["constants"][name] *= 2.0
@@ -308,6 +312,56 @@ class TestInstanceRoundTrip:
         # shifted power iteration stops far from the smallest one.
         inst = make()
         Instance.load(inst.save(tmp_path / "inst"), verify=True)
+
+    @pytest.mark.parametrize("make, constant, array", [
+        (lambda: gen_quadratic_spp(4, 3, 3.0, 1.0, 2.0, 1.0, 5.0, seed=11), "mu_y", "e"),
+        (lambda: gen_bilinear(3, 4, 3.0, 1.0, 2.0, 0.5, 2.0, seed=1), "mu_q", "d"),
+        (lambda: gen_consensus(5, "path", 1.0, 3.0, seed=1), "D_y", "local_b"),
+        (lambda: gen_linear_bilinear(3, seed=1), "D_x", "c"),
+    ], ids=["quadratic-spp", "bilinear", "consensus", "linear-bilinear"])
+    def test_manifest_missing_a_name_is_an_error(
+        self, tmp_path, capsys, make, constant, array
+    ):
+        inst = make()
+        for section, name in (("constants", constant), ("files", array)):
+            path = inst.save(tmp_path / name)
+            manifest = json.loads(path.read_text())
+            del manifest[section][name]
+            path.write_text(json.dumps(manifest))
+            for verify in (True, False):
+                with pytest.raises(ManifestError, match=repr(name)):
+                    Instance.load(path, verify=verify)
+            assert main(["solve", "--manifest", str(path)]) == 1
+            assert repr(name) in capsys.readouterr().err
+
+
+class TestSaddleBlocks:
+    @pytest.mark.parametrize("make", [
+        lambda: gen_quadratic_spp(6, 4, 3.0, 0.7, 2.0, 1.1, 6.0, seed=3),
+        lambda: gen_bilinear(5, 7, 4.0, 1.0, 3.0, 0.5, 2.0, seed=2),
+        lambda: gen_linear_bilinear(6, seed=2, cond=100.0),
+    ], ids=["quadratic-spp", "bilinear", "linear-bilinear"])
+    def test_blocks_match_solver_oracles(self, make, rng):
+        # One dense description, Hp x + B y + d and B'x - Hq y - c, against
+        # the gradients of the oracles the solvers are handed.
+        inst = make()
+        Hp, Hq, B, d, c = inst.saddle_blocks()
+        for _ in range(3):
+            x, y = rng.standard_normal(B.shape[0]), rng.standard_normal(B.shape[1])
+            if inst.kind == "quadratic-spp":
+                problem = inst.problem()
+                r_x, r_y = problem.grad_R(x, y)
+                g_x, g_y = problem.grad_p(x) + r_x, r_y - problem.grad_q(y)
+            elif inst.kind == "bilinear":
+                bp = inst.bilinear_problem()
+                g_x = bp.grad_p(x) + bp.coupling.matvec(y)
+                g_y = bp.coupling.rmatvec(x) - bp.grad_q(y)
+            else:
+                op = inst.coupling()
+                g_x = inst.arrays["d"] + op.matvec(y)
+                g_y = op.rmatvec(x) - inst.arrays["c"]
+            for block, oracle in ((Hp @ x + B @ y + d, g_x), (B.T @ x - Hq @ y - c, g_y)):
+                assert np.linalg.norm(block - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 class TestRunExperiment:
