@@ -221,10 +221,8 @@ def verify_instance(inst: Instance) -> None:
 
     if inst.kind == KIND_QUADRATIC:
         P, Q, B = inst.arrays["P"], inst.arrays["Q"], inst.arrays["B"]
-        if c["L_p"] > 0:
-            check("L_p", c["L_p"], power_lambda_max(lambda v: P @ v, P.shape[0]))
-        if c["L_q"] > 0:
-            check("L_q", c["L_q"], power_lambda_max(lambda v: Q @ v, Q.shape[0]))
+        check("L_p", c["L_p"], power_lambda_max(lambda v: P @ v, P.shape[0]))
+        check("L_q", c["L_q"], power_lambda_max(lambda v: Q @ v, Q.shape[0]))
         mu_x, mu_y = c["mu_x"], c["mu_y"]
         d_x, d_y = P.shape[0], Q.shape[0]
 
@@ -398,12 +396,9 @@ def graph_laplacian(topology: str, n_nodes: int) -> np.ndarray:
         for i in range(n_nodes - 1):
             adj[i, i + 1] = adj[i + 1, i] = 1.0
     elif topology == "ring":
-        if n_nodes == 2:
-            adj[0, 1] = adj[1, 0] = 1.0
-        else:
-            for i in range(n_nodes):
-                j = (i + 1) % n_nodes
-                adj[i, j] = adj[j, i] = 1.0
+        for i in range(n_nodes):
+            j = (i + 1) % n_nodes
+            adj[i, j] = adj[j, i] = 1.0
     elif topology == "star":
         for i in range(1, n_nodes):
             adj[0, i] = adj[i, 0] = 1.0

@@ -20,7 +20,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from ..outer import (
     TERMINATION_RESIDUAL,
     ConvergenceReport,
     SolveConfig,
+    _is_count,
     initial_potential,
     solve,
     tune_parameters,
@@ -58,6 +59,9 @@ from .generators import (
 SOLVER_SLIDING = "sliding"
 SOLVER_EG = "eg"
 SOLVER_AGD_JOINT = "agd-joint"
+
+# The keys of a grid config; `run_experiment` refuses any other.
+GRID_KEYS = ("instances", "solvers", "eps", "max_outer")
 
 
 @dataclass
@@ -242,13 +246,33 @@ def run_succeeded(row: RunReport) -> bool:
     return row.dist_weighted <= row.eps
 
 
-def _expand_grid(config: dict) -> List[dict]:
-    runs = []
-    for manifest in config.get("instances", []):
-        for solver in config.get("solvers", [SOLVER_SLIDING]):
-            for eps in config.get("eps", [1e-6]):
-                runs.append({"manifest": manifest, "solver": solver, "eps": eps})
-    return runs
+def _read_grid(config) -> Tuple[List[dict], int]:
+    """A grid config's cells, in grid order, and its ``max_outer``.
+
+    Raises ManifestError unless the config is an object of the keys
+    `GRID_KEYS` that names ``instances``, with ``instances``, ``solvers``
+    and ``eps`` lists and ``max_outer`` an integer of at least 1.
+    """
+    if not isinstance(config, dict):
+        raise ManifestError(f"a grid config is an object, got {config!r}")
+    unknown = sorted(set(config).difference(GRID_KEYS))
+    if unknown:
+        raise ManifestError(f"unknown grid config keys {unknown}; known: {list(GRID_KEYS)}")
+    if "instances" not in config:
+        raise ManifestError("grid config names no 'instances'")
+    axes = [config["instances"], config.get("solvers", [SOLVER_SLIDING]),
+            config.get("eps", [1e-6])]
+    for key, axis in zip(("instances", "solvers", "eps"), axes):
+        if not isinstance(axis, list):
+            raise ManifestError(f"grid config {key!r} must be a list, got {axis!r}")
+    max_outer = config.get("max_outer", 200_000)
+    if not _is_count(max_outer, 1):
+        raise ManifestError(f"grid config 'max_outer' must be an integer >= 1, got {max_outer!r}")
+    runs = [
+        {"manifest": manifest, "solver": solver, "eps": eps}
+        for manifest in axes[0] for solver in axes[1] for eps in axes[2]
+    ]
+    return runs, max_outer
 
 
 class _PreparedManifests:
@@ -295,15 +319,15 @@ def run_experiment(
     may execute concurrently up to ``parallel`` threads; all output is
     written serially afterwards in grid order, so the CSV byte stream is
     deterministic for a fixed config (apart from wall_ms).  ``run_*.json``
-    files in ``out_dir`` that this call did not write are removed.
+    files in ``out_dir`` that this call did not write are removed.  A
+    malformed config raises ManifestError before anything is written.
     """
     if not isinstance(config, dict):
         with open(config) as fh:
             config = json.load(fh)
+    runs, max_outer = _read_grid(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    runs = _expand_grid(config)
-    max_outer = int(config.get("max_outer", 200_000))
 
     prepared = _PreparedManifests(runs)
 

@@ -110,27 +110,33 @@ class CouplingOperator:
         )
 
 
-def power_lambda_max(matvec, dim, seed=0, iters=100, tol=1e-6) -> float:
+# Power iteration's step cap and the relative change in its Rayleigh
+# quotient at which it stops.
+POWER_ITERS = 100
+POWER_TOL = 1e-6
+
+
+def power_lambda_max(matvec, dim, seed=0) -> float:
     """Top eigenvalue of a symmetric positive semidefinite operator.
 
     Power iteration from a random unit vector drawn from
     ``np.random.default_rng(seed)`` (a Generator is drawn from in place),
-    stopped once successive Rayleigh quotients agree to relative ``tol``
-    or after ``iters`` products.  Returns 0 when the operator maps the
-    iterate to zero.
+    stopped once successive Rayleigh quotients agree to relative
+    ``POWER_TOL`` or after ``POWER_ITERS`` products.  Returns 0 when the
+    operator maps the iterate to zero.
     """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(POWER_ITERS):
         w = matvec(v)
         new = float(v @ w)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
-        if abs(new - lam) <= tol * max(abs(new), 1e-30):
+        if abs(new - lam) <= POWER_TOL * max(abs(new), 1e-30):
             return new
         lam = new
     return lam
@@ -183,73 +189,44 @@ def _cg_step(matvec, rmatvec, shift, x, bt_x, r, p, rr):
     return x, bt_x, r, r + (rr_next / rr) * p, rr_next
 
 
-def _cg_iterates(matvec, rmatvec, shift, rhs, x):
-    """Conjugate gradients on ``(shift I + B B^T) x = rhs``.
-
-    Yields ``(x, B^T x, r)`` for the start and then after each
-    `_cg_step`, ending on breakdown and otherwise never: the caller owns
-    the budget.
-    """
-    state = _cg_start(matvec, rmatvec, shift, rhs, np.array(x, dtype=float))
-    while state is not None:
-        yield state[:3]
-        state = _cg_step(matvec, rmatvec, shift, *state)
-
-
 def estimate_spectral_bounds(
-    matvec: Callable,
-    rmatvec: Callable,
-    d_x: int,
-    d_y: int,
-    iters: int = 100,
-    tol: float = 1e-6,
-    seed: int = 0,
+    matvec: Callable, rmatvec: Callable, d_x: int, *, seed: int = 0
 ) -> Tuple[float, float, int]:
     """Estimate (lambda_max, lambda_min) of B B^T without forming it.
 
-    lambda_max comes from power iteration on B B^T; lambda_min from inverse
-    power iteration on the slightly shifted B B^T + delta I, each inverse
-    application computed by conjugate gradients to relative residual 1e-9
-    (BudgetExhausted if one takes more than 50,000 steps).  Returns the
-    estimates and the number of B/B^T products spent, which callers
-    should log separately from solver oracle counts.
+    Both come from `power_lambda_max`, on one ``rng`` stream: lambda_max
+    on B B^T, and lambda_min as ``1/top - delta`` for the top eigenvalue
+    ``top`` of ``(B B^T + delta I)^-1``, ``delta = 1e-6 lambda_max``,
+    floored at 0.  Each inverse application runs `_cg_step` from
+    ``u/(lambda_max + delta)`` to relative residual 1e-9, keeping its last
+    state on a breakdown (BudgetExhausted if it takes more than 50,000
+    steps).  Returns the estimates and the number of B/B^T products spent,
+    which callers should log separately from solver oracle counts.
     """
     rng = np.random.default_rng(seed)
     used = OracleCounters()
     matvec = count_calls(matvec, used, "calls_grad_R")
     rmatvec = count_calls(rmatvec, used, "calls_grad_R")
-
-    def bbt(v):
-        return matvec(rmatvec(v))
-
-    lam_max = power_lambda_max(bbt, d_x, seed=rng, iters=iters, tol=tol)
+    lam_max = power_lambda_max(lambda v: matvec(rmatvec(v)), d_x, seed=rng)
     if lam_max <= 0.0:
         return 0.0, 0.0, used.calls_grad_R
-
     delta = 1e-6 * lam_max
-    u = rng.standard_normal(d_x)
-    u /= np.linalg.norm(u)
-    lam_min = lam_max
-    for _ in range(iters):
-        # z = (B B^T + delta I)^{-1} u
+
+    def inverse(u):
         stop = 1e-9 * np.linalg.norm(u)
-        for t, (z, _, r) in enumerate(
-            _cg_iterates(matvec, rmatvec, delta, u, u / (lam_max + delta))
-        ):
-            if np.linalg.norm(r) <= stop:
-                break
-            if t >= 50_000:
+        state = _cg_start(matvec, rmatvec, delta, u, u / (lam_max + delta))
+        steps = 0
+        while np.linalg.norm(state[2]) > stop:
+            if steps == 50_000:
                 raise BudgetExhausted("inverse power step unsolved after 50000 CG steps")
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            break
-        u = z / nz
-        lam = float(u @ bbt(u))
-        if abs(lam - lam_min) <= tol * max(abs(lam), 1e-30):
-            lam_min = lam
-            break
-        lam_min = lam
-    return lam_max, max(lam_min, 0.0), used.calls_grad_R
+            following = _cg_step(matvec, rmatvec, delta, *state)
+            if following is None:
+                break
+            state, steps = following, steps + 1
+        return state[0]
+
+    top = power_lambda_max(inverse, d_x, seed=rng)
+    return lam_max, max(1.0 / top - delta, 0.0), used.calls_grad_R
 
 
 @dataclass(frozen=True)

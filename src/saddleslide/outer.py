@@ -58,6 +58,13 @@ class SolverTuning:
     branch: str
 
 
+def _tune_dominant(L: float, mu: float, mu_other: float):
+    """``(alpha, eta, eta_other)`` for the dominant block's ``(L, mu)``."""
+    alpha = 1.0 if L <= mu else math.sqrt(mu / L)
+    eta = 1.0 / (3.0 * mu) if L * alpha <= mu else 1.0 / (3.0 * L * alpha)
+    return alpha, eta, (mu / mu_other) * eta
+
+
 def tune_parameters(spec: SmoothnessSpec) -> SolverTuning:
     """Derive (alpha, eta_x, eta_y) from the smoothness constants.
 
@@ -69,16 +76,10 @@ def tune_parameters(spec: SmoothnessSpec) -> SolverTuning:
     """
     validate_spec(spec)
     if spec.L_p / spec.mu_x >= spec.L_q / spec.mu_y:
-        alpha = 1.0 if spec.L_p <= spec.mu_x else math.sqrt(spec.mu_x / spec.L_p)
-        cap = 1.0 / (3.0 * spec.mu_x)
-        eta_x = cap if spec.L_p * alpha <= spec.mu_x else 1.0 / (3.0 * spec.L_p * alpha)
-        eta_y = (spec.mu_x / spec.mu_y) * eta_x
+        alpha, eta_x, eta_y = _tune_dominant(spec.L_p, spec.mu_x, spec.mu_y)
         branch = X_DOMINANT
     else:
-        alpha = 1.0 if spec.L_q <= spec.mu_y else math.sqrt(spec.mu_y / spec.L_q)
-        cap = 1.0 / (3.0 * spec.mu_y)
-        eta_y = cap if spec.L_q * alpha <= spec.mu_y else 1.0 / (3.0 * spec.L_q * alpha)
-        eta_x = (spec.mu_y / spec.mu_x) * eta_y
+        alpha, eta_y, eta_x = _tune_dominant(spec.L_q, spec.mu_y, spec.mu_x)
         branch = Y_DOMINANT
     floor = alpha / 3.0 * (1.0 - _TUNING_SLACK)
     # Constants whose ratios under- or overflow float64 can break the

@@ -300,6 +300,22 @@ class TestInstanceRoundTrip:
         with pytest.raises(ManifestError, match=name):
             Instance.load(manifest_path)
 
+    @pytest.mark.parametrize("name", ["L_p", "L_q"])
+    def test_verification_catches_declared_zero(self, tmp_path, name):
+        # A declared 0 is checked like any other value; doubling it, as the
+        # tampering above does, would leave it unchanged.
+        inst = gen_quadratic_spp(10, 10, 100.0, 1.0, 100.0, 1.0, 10.0, seed=0)
+        inst.manifest["constants"][name] = 0.0
+        with pytest.raises(ManifestError, match=name):
+            Instance.load(inst.save(tmp_path / "inst"))
+
+    def test_verification_accepts_zero_composites(self, tmp_path):
+        # With L_p = L_q = 0 the stored P and Q are exactly zero, and power
+        # iteration reads them as 0 after one product.
+        inst = gen_quadratic_spp(10, 10, 0.0, 1.0, 0.0, 1000.0, 1001.0, seed=0)
+        assert not inst.arrays["P"].any() and not inst.arrays["Q"].any()
+        Instance.load(inst.save(tmp_path / "inst"), verify=True)
+
     @pytest.mark.parametrize("make", [
         lambda: gen_consensus(4, "path", 1.0, 4.0, seed=0),
         lambda: gen_consensus(8, "path", 1.0, 4.0, seed=0),
@@ -370,6 +386,27 @@ class TestRunExperiment:
         assert reports == []
         csv_text = (tmp_path / "out" / "aggregate.csv").read_text()
         assert csv_text.strip() == ",".join(CSV_COLUMNS)
+
+    @pytest.mark.parametrize("config, message", [
+        ({"instance": []}, "unknown grid config keys"),
+        ({"instances": [], "solver": ["sliding"]}, "unknown grid config keys"),
+        ({"solvers": ["sliding"]}, "names no 'instances'"),
+        ({"instances": "inst/manifest.json"}, "'instances' must be a list"),
+        ({"instances": [], "solvers": "sliding"}, "'solvers' must be a list"),
+        ({"instances": [], "eps": 1e-6}, "'eps' must be a list"),
+        ({"instances": [], "max_outer": "lots"}, "'max_outer'"),
+        ({"instances": [], "max_outer": 2.5}, "'max_outer'"),
+        ({"instances": [], "max_outer": 0}, "'max_outer'"),
+        (["inst/manifest.json"], "is an object"),
+    ], ids=["instance-typo", "solver-typo", "no-instances", "instances-string",
+            "solvers-string", "eps-number", "max-outer-string", "max-outer-float",
+            "max-outer-zero", "not-an-object"])
+    def test_malformed_config_raises(self, tmp_path, config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(ManifestError, match=message):
+            run_experiment(path, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_two_solvers_two_rows(self, tmp_path):
         inst = gen_quadratic_spp(4, 4, 3.0, 1.0, 2.0, 1.0, 5.0, seed=2)
@@ -631,6 +668,12 @@ class TestCli:
 
     def test_error_exit_code(self, tmp_path):
         assert main(["solve", "--manifest", str(tmp_path / "missing.json")]) == 1
+
+    def test_malformed_config_exit_code(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"instance": []}))
+        assert main(["bench", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert "unknown grid config keys ['instance']" in capsys.readouterr().err
 
     def test_budget_exit_code(self, tmp_path):
         inst = gen_quadratic_spp(4, 4, 3.0, 1.0, 2.0, 1.0, 5.0, seed=2)

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -29,7 +28,7 @@ from saddleslide import (
 )
 from saddleslide import bilinear
 from saddleslide.bench.generators import gen_consensus, gen_linear_bilinear, reference_solution
-from saddleslide.bilinear import _cg_iterates
+from saddleslide.bilinear import _cg_start, _cg_step
 from saddleslide.errors import (
     BudgetExhausted,
     DimensionMismatch,
@@ -752,71 +751,93 @@ class TestSolveLinearComposites:
             )
 
 
+def _estimate_counted(B, **kwargs):
+    # The estimator on dense B, with its reported product count checked
+    # against a tally of the products it made.
+    made = []
+    lmax, lmin, used = estimate_spectral_bounds(
+        lambda v: made.append("B") or B @ v,
+        lambda v: made.append("B^T") or B.T @ v,
+        B.shape[0],
+        **kwargs,
+    )
+    assert used == len(made)
+    return lmax, lmin, used
+
+
 class TestSpectralEstimation:
+    # Cost ceilings of 292, 36 and 778 products: what an inverse power loop
+    # that also pays two products per step for a Rayleigh quotient on
+    # B B^T spends on these three matrices.
     def test_estimates_match_exact_eigenvalues(self, rng):
         B = rng.standard_normal((5, 7))
         lam = np.linalg.eigvalsh(B @ B.T)
-        lmax, lmin, used = estimate_spectral_bounds(
-            lambda v: B @ v, lambda v: B.T @ v, 5, 7, seed=4
-        )
+        lmax, lmin, used = _estimate_counted(B, seed=4)
         assert lmax == pytest.approx(lam[-1], rel=1e-3)
         assert lmin == pytest.approx(lam[0], rel=2e-2, abs=1e-8)
         assert used > 0
+        assert used <= 292
 
     def test_singular_coupling_floor(self, rng):
         B = np.zeros((3, 2))
         B[0, 0] = 2.0
-        lmax, lmin, _ = estimate_spectral_bounds(
-            lambda v: B @ v, lambda v: B.T @ v, 3, 2, seed=1
-        )
+        lmax, lmin, used = _estimate_counted(B, seed=1)
         assert lmax == pytest.approx(4.0, rel=1e-4)
         assert lmin <= 1e-6
-
+        assert used <= 36
 
     def test_rank_deficient_coupling_cost(self):
         B = np.random.default_rng(0).standard_normal((30, 20))
         lam = np.linalg.eigvalsh(B @ B.T)
-        lmax, lmin, used = estimate_spectral_bounds(
-            lambda v: B @ v, lambda v: B.T @ v, 30, 20
-        )
+        lmax, lmin, used = _estimate_counted(B)
         assert used <= 20_000
         assert lmax == pytest.approx(lam[-1], rel=1e-3)
         assert lmin <= 1e-6
+        assert used <= 778
+
+
+def _cg_states(matvec, rmatvec, shift, rhs, x, steps):
+    # The CG state at x and after each of up to ``steps`` further steps,
+    # ending on breakdown.
+    states = [_cg_start(matvec, rmatvec, shift, rhs, x)]
+    for _ in range(steps):
+        state = _cg_step(matvec, rmatvec, shift, *states[-1])
+        if state is None:
+            break
+        states.append(state)
+    return states
 
 
 class TestConjugateGradients:
     def test_zero_residual_ends_iteration(self):
         # (1 + 1) x = 4 is solved exactly by the first step.
         one = lambda v: v.copy()
-        iterates = list(itertools.islice(
-            _cg_iterates(one, one, 1.0, np.array([4.0]), np.zeros(1)), 10))
-        assert len(iterates) == 2
-        x, bt_x, r = iterates[-1]
+        states = _cg_states(one, one, 1.0, np.array([4.0]), np.zeros(1), 10)
+        assert len(states) == 2
+        x, bt_x, r = states[-1][:3]
         assert x[0] == 2.0 and bt_x[0] == 2.0 and r[0] == 0.0
 
     def test_nonpositive_curvature_ends_iteration(self):
         zero = lambda v: np.zeros_like(v)
-        iterates = list(itertools.islice(
-            _cg_iterates(zero, zero, -1.0, np.ones(2), np.zeros(2)), 10))
-        assert len(iterates) == 1
+        states = _cg_states(zero, zero, -1.0, np.ones(2), np.zeros(2), 10)
+        assert len(states) == 1
 
     def test_underflowed_curvature_takes_scaled_step(self):
         # 1e-10 x = rhs at scale 1e-158: r^T r is subnormal and p^T M p
         # underflows to zero, yet the first step solves the system.
         zero = lambda v: np.zeros_like(v)
         rhs = 1e-158 * np.array([1.0, 2.0])
-        iterates = list(itertools.islice(
-            _cg_iterates(zero, zero, 1e-10, rhs, np.zeros(2)), 10))
-        assert len(iterates) >= 2
-        x, _, r = iterates[1]
+        states = _cg_states(zero, zero, 1e-10, rhs, np.zeros(2), 10)
+        assert len(states) >= 2
+        x, _, r = states[1][:3]
         assert np.allclose(1e-10 * x, rhs, rtol=1e-12, atol=0.0)
         assert np.all(np.abs(r) <= 1e-12 * np.abs(rhs))
 
     def test_tracks_coupling_image_and_residual(self, rng):
         B = rng.standard_normal((6, 4))
         rhs = rng.standard_normal(6)
-        for x, bt_x, r in itertools.islice(
-            _cg_iterates(lambda v: B @ v, lambda v: B.T @ v, 0.5, rhs, np.ones(6)), 51
+        for x, bt_x, r, _, _ in _cg_states(
+            lambda v: B @ v, lambda v: B.T @ v, 0.5, rhs, np.ones(6), 50
         ):
             assert np.allclose(bt_x, B.T @ x)
             assert np.allclose(r, rhs - 0.5 * x - B @ (B.T @ x))

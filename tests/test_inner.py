@@ -29,7 +29,8 @@ from saddleslide.bench.generators import (
     gen_quadratic_spp,
 )
 from saddleslide.bilinear import (
-    _cg_iterates,
+    _cg_start,
+    _cg_step,
     eliminate_y,
     make_bilinear_inner_solver,
     solve_affine_constrained,
@@ -585,7 +586,9 @@ def _reference_bilinear_inner(bp):
                 x_0 = ((s / aux.eta_x) * aux.x_k - s * aux.grad_p_anchor - s * b_x) / (
                     s / aux.eta_x + s * spec.mu_x
                 )
-            for x, bt_x, _ in _cg_iterates(qf.matvec, qf.rmatvec, qf.kappa, -qf.b, x_0):
+            state = _cg_start(qf.matvec, qf.rmatvec, qf.kappa, -qf.b, x_0)
+            while state is not None:
+                x, bt_x = state[:2]
                 y = (bt_x + (aux.y_k / aux.eta_y - aux.grad_q_anchor)) / qf.shift
                 b_y = bp.coupling.matvec(y)
                 g_x = (aux.grad_p_anchor + (x - aux.x_k) / tuning.eta_x
@@ -594,6 +597,7 @@ def _reference_bilinear_inner(bp):
                 g_y = np.zeros(len(y))
                 # The remainder r - M z of the split coupling is (B y, B^T x).
                 yield x, y, g_x, g_y, (x,), np.concatenate([b_y, bt_x])
+                state = _cg_step(qf.matvec, qf.rmatvec, qf.kappa, *state)
 
         return _reference_accept_first(iterates(), aux, tuning, config)
 
