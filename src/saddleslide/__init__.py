@@ -18,12 +18,7 @@ from .bilinear import (
     split_bilinear,
     wrap_counting_bilinear,
 )
-from .inner import (
-    AuxiliaryProblem,
-    InnerConfig,
-    InnerResult,
-    solve_auxiliary,
-)
+from .inner import AuxiliaryProblem, InnerResult, solve_auxiliary
 from .outer import (
     ConvergenceReport,
     SolveConfig,
@@ -57,7 +52,6 @@ __all__ = [
     "CompositeSaddleProblem",
     "ConvergenceReport",
     "CouplingOperator",
-    "InnerConfig",
     "InnerResult",
     "OracleCounters",
     "PointPair",

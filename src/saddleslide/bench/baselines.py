@@ -87,17 +87,9 @@ def baseline_extragradient(
             exc.report = report
             raise exc
         report.final_pair = PointPair(x, y)
-        if reference is not None:
-            d = distance(report.final_pair)
-            report.weighted_dist_sq.append(
-                d if eta_x is not None else float("nan")
-            )
-            report.unweighted_dist_sq.append(
-                unweighted_distance_sq(report.final_pair, reference)
-            )
-            if d <= eps:
-                report.termination = TERMINATION_RESIDUAL
-                return report
+        if reference is not None and distance(report.final_pair) <= eps:
+            report.termination = TERMINATION_RESIDUAL
+            return report
     if reference is not None:
         exc = BudgetExhausted(
             f"extragradient did not reach eps={eps} in {max_iter} iterations"

@@ -55,9 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve_p = sub.add_parser("solve", help="run one solver on one instance")
     solve_p.add_argument("--manifest", required=True)
-    solve_p.add_argument("--solver", default=runner.SOLVER_SLIDING, choices=[
-        runner.SOLVER_SLIDING, runner.SOLVER_EG, runner.SOLVER_AGD_JOINT,
-    ])
+    solve_p.add_argument("--solver", default=runner.SOLVER_SLIDING,
+                         choices=runner.SOLVERS)
     solve_p.add_argument("--eps", type=float, default=1e-6)
     solve_p.add_argument("--max-outer", type=int, default=200_000)
     solve_p.add_argument("--out", default=None, help="directory for the JSON report")

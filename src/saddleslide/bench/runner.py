@@ -59,6 +59,7 @@ from .generators import (
 SOLVER_SLIDING = "sliding"
 SOLVER_EG = "eg"
 SOLVER_AGD_JOINT = "agd-joint"
+SOLVERS = (SOLVER_SLIDING, SOLVER_EG, SOLVER_AGD_JOINT)
 
 # The keys of a grid config; `run_experiment` refuses any other.
 GRID_KEYS = ("instances", "solvers", "eps", "max_outer")
@@ -114,7 +115,6 @@ def _sliding_run(
     eps: float,
     max_outer: int,
     reference: PointPair,
-    use_residual_stop: bool,
 ) -> ConvergenceReport:
     if inst.kind == KIND_CONSENSUS:
         grad, _ = inst.local_objective()
@@ -127,7 +127,6 @@ def _sliding_run(
             D_y=inst.constants["D_y"],
             eps=eps,
             max_outer=max_outer,
-            use_residual_stop=use_residual_stop,
         )
     if inst.kind == KIND_LINEAR_BILINEAR:
         return solve_bilinear_linear_composites(
@@ -138,7 +137,6 @@ def _sliding_run(
             D_y=inst.constants["D_y"],
             eps=eps,
             max_outer=max_outer,
-            use_residual_stop=use_residual_stop,
         )
     # The SCSC routes size their planned budget, the cap of a certified
     # run, from the reference's initial potential.
@@ -147,7 +145,7 @@ def _sliding_run(
     config = SolveConfig(
         eps=eps, max_outer=max_outer,
         psi_0=initial_potential(problem, spec, start, reference),
-        use_residual_stop=use_residual_stop,
+        use_residual_stop=True,
     )
     if bp is None:
         return solve(problem, spec, start, config)
@@ -178,21 +176,19 @@ def run_single(
     eps: float,
     max_outer: int = 200_000,
     reference: Optional[PointPair] = None,
-    use_residual_stop: bool = True,
 ) -> RunReport:
     """Execute one (instance, solver, eps) cell and measure it.
 
     ``reference`` is the instance's KKT reference when the caller has
     already solved it; otherwise it is solved here.  A sliding run stops
     ``residual-met`` once its certificate proves its route's target, with
-    the planned budget as its cap; ``use_residual_stop=False`` runs the
-    whole planned budget.  The baselines ignore it.
+    the planned budget as its cap.
     """
     if reference is None:
         reference = reference_solution(inst)
     started = time.perf_counter()
     if solver == SOLVER_SLIDING:
-        report = _sliding_run(inst, eps, max_outer, reference, use_residual_stop)
+        report = _sliding_run(inst, eps, max_outer, reference)
     elif solver == SOLVER_EG:
         report = _eg_run(inst, eps, max_outer, reference)
     elif solver == SOLVER_AGD_JOINT:
@@ -251,7 +247,10 @@ def _read_grid(config) -> Tuple[List[dict], int]:
 
     Raises ManifestError unless the config is an object of the keys
     `GRID_KEYS` that names ``instances``, with ``instances``, ``solvers``
-    and ``eps`` lists and ``max_outer`` an integer of at least 1.
+    and ``eps`` lists and ``max_outer`` an integer of at least 1.  Each
+    instance must be a manifest path string, each solver one of `SOLVERS`
+    and each eps a finite number above 0, not a bool, so that a bad entry
+    fails here rather than after manifests have been loaded and solved.
     """
     if not isinstance(config, dict):
         raise ManifestError(f"a grid config is an object, got {config!r}")
@@ -265,12 +264,23 @@ def _read_grid(config) -> Tuple[List[dict], int]:
     for key, axis in zip(("instances", "solvers", "eps"), axes):
         if not isinstance(axis, list):
             raise ManifestError(f"grid config {key!r} must be a list, got {axis!r}")
+    instances, solvers, eps_list = axes
+    for manifest in instances:
+        if not isinstance(manifest, str):
+            raise ManifestError(f"grid config instance {manifest!r} is not a path string")
+    for solver in solvers:
+        if solver not in SOLVERS:
+            raise ManifestError(f"unknown solver {solver!r}; known: {list(SOLVERS)}")
+    for eps in eps_list:
+        number = isinstance(eps, (int, float)) and not isinstance(eps, bool)
+        if not (number and 0 < eps < math.inf):
+            raise ManifestError(f"grid config eps {eps!r} is not a finite number > 0")
     max_outer = config.get("max_outer", 200_000)
     if not _is_count(max_outer, 1):
         raise ManifestError(f"grid config 'max_outer' must be an integer >= 1, got {max_outer!r}")
     runs = [
         {"manifest": manifest, "solver": solver, "eps": eps}
-        for manifest in axes[0] for solver in axes[1] for eps in axes[2]
+        for manifest in instances for solver in solvers for eps in eps_list
     ]
     return runs, max_outer
 

@@ -44,7 +44,7 @@ from .errors import (
     InfeasibleTarget,
     NonPositiveModulus,
 )
-from .inner import AuxiliaryProblem, InnerConfig, InnerResult, accept_first, fbf_vectors
+from .inner import AuxiliaryProblem, InnerResult, accept_first, fbf_vectors
 from .outer import (
     TERMINATION_RESIDUAL,
     ConvergenceReport,
@@ -425,10 +425,7 @@ def make_bilinear_inner_solver(bp: BilinearProblem):
     zero_y.flags.writeable = False
 
     def inner(
-        aux: AuxiliaryProblem,
-        spec: SmoothnessSpec,
-        tuning: SolverTuning,
-        config: InnerConfig,
+        aux: AuxiliaryProblem, spec: SmoothnessSpec, tuning: SolverTuning
     ) -> InnerResult:
         qf = eliminate_y(bp, aux)
         x_0 = aux.x_k
@@ -445,7 +442,7 @@ def make_bilinear_inner_solver(bp: BilinearProblem):
         # The reduced gradient is (kappa I + B B^T) x + b.
         run = (qf, bp.mu_p, aux, zero_y)
         first = _cg_iterate(run, *_cg_start(qf.matvec, qf.rmatvec, qf.kappa, -qf.b, x_0))
-        result = accept_first(first, _cg_advance, run, tuning, config)
+        result = accept_first(first, _cg_advance, run, tuning)
         result.remainder = np.concatenate(result.remainder[:2])
         return result
 
@@ -480,7 +477,6 @@ def _solve_regularized(
     x_reach: float,
     y_reach: float,
     max_outer: int,
-    use_residual_stop: bool,
     primal_only: bool = False,
 ) -> ConvergenceReport:
     """Solve a regularized reduction's saddle from ``start``.
@@ -493,11 +489,11 @@ def _solve_regularized(
     certifies the joint distance, both blocks together, to ``target``.
     With ``primal_only`` it is divided by ``max(1, eta_x)`` only: since
     ``W >= ||x - x_r||^2/eta_x``, that certifies the x block alone, and
-    says nothing about y.  ``x_reach`` and ``y_reach`` bound the distances
-    of the saddle's blocks from ``start`` and size the a priori potential
-    bound, of which only the logarithm matters.  ``use_residual_stop``
-    ends the run early once the outer loop's certificate proves that
-    scaled target.
+    says nothing about y.  The run stops once the certificate proves the
+    scaled target, with the planned budget, capped by ``max_outer``, as
+    its cap.  ``x_reach`` and ``y_reach`` bound the distances of the
+    saddle's blocks from ``start`` and size the a priori potential bound,
+    of which only the logarithm matters.
     """
     _, spec = split_bilinear(bp)
     tuning = tune_parameters(spec)
@@ -511,7 +507,7 @@ def _solve_regularized(
         eps=target / max(1.0, tuning.eta_x, eta_y),
         max_outer=max_outer,
         psi_0=psi_0,
-        use_residual_stop=use_residual_stop,
+        use_residual_stop=True,
     )
     return solve_bilinear(bp, start, config)
 
@@ -544,7 +540,6 @@ def solve_affine_constrained(
     eps: float,
     *,
     max_outer: int = 100_000,
-    use_residual_stop: bool = False,
 ) -> ConvergenceReport:
     """Minimize p subject to ``B^T x = c`` through the regularized saddle.
 
@@ -578,8 +573,8 @@ def solve_affine_constrained(
     max(1, lambda_max))) <= sqrt(eps)/2``.  Without the floor on D the
     first term is unbounded as D_y shrinks.
 
-    ``use_residual_stop`` ends each run once the outer loop certifies its
-    target; the planned budget stays the cap.
+    Each run ends once the outer loop certifies its target; the planned
+    budget stays the cap.
 
     Raises
     ------
@@ -617,8 +612,7 @@ def solve_affine_constrained(
     origin = PointPair(np.zeros(coupling.d_x), np.zeros(coupling.d_y))
     runs = [
         _solve_regularized(
-            bp, origin, plan.inner_target, x_reach, D_y, max_outer,
-            use_residual_stop, primal_only=True,
+            bp, origin, plan.inner_target, x_reach, D_y, max_outer, primal_only=True
         )
     ]
     residual = float(np.linalg.norm(coupling.rmatvec(runs[0].final_pair.x) - c))
@@ -629,8 +623,7 @@ def solve_affine_constrained(
         runs.append(
             _solve_regularized(
                 bp, start, target, x_reach + np.linalg.norm(start.x),
-                D_y + np.linalg.norm(start.y), budget, use_residual_stop,
-                primal_only=True,
+                D_y + np.linalg.norm(start.y), budget, primal_only=True,
             )
         )
         residual = float(np.linalg.norm(coupling.rmatvec(runs[1].final_pair.x) - c))
@@ -653,7 +646,6 @@ def solve_bilinear_linear_composites(
     eps: float,
     *,
     max_outer: int = 100_000,
-    use_residual_stop: bool = False,
 ) -> ConvergenceReport:
     """Solve ``min_x max_y x^T d + x^T B y - y^T c`` by restarted regularization.
 
@@ -680,19 +672,17 @@ def solve_bilinear_linear_composites(
     tallies and planned budgets, lists their inner iterations in order, and
     holds the last stage's point and tuning.
 
-    ``max_outer`` caps the outer steps of all stages together, and the
-    last stage ends ``budget-exhausted`` when it runs out.
-    ``use_residual_stop`` ends each stage once the outer loop certifies
-    its target, with its planned budget as the cap; without it each stage
-    runs its planned budget, which certifies the target a priori.
+    Each stage ends once the outer loop certifies its target, with its
+    planned budget as the cap.  ``max_outer`` caps the outer steps of all
+    stages together, and the last stage ends ``budget-exhausted`` when it
+    runs out.
 
     Raises
     ------
     BudgetExhausted
         When a stage before the last ends without its certificate, since
-        its point then proves no radius for the next stage: under
-        ``use_residual_stop`` when it ends uncertified, and in either mode
-        when ``max_outer`` runs out.
+        its point then proves no radius for the next stage, or uses up
+        ``max_outer``, which leaves the next stage no step.
     """
     plan_cc(eps, D_x, D_y)  # rejects non-positive or non-finite inputs
     lambda_min = coupling.lambda_min_BBt
@@ -726,22 +716,16 @@ def solve_bilinear_linear_composites(
             coupling=coupling,
         )
         reach = radius + math.sqrt(target)
-        report = _solve_regularized(
-            bp, center, plan.inner_target, reach, reach, budget, use_residual_stop
-        )
+        report = _solve_regularized(bp, center, plan.inner_target, reach, reach, budget)
         stages.append(report)
         budget -= report.counters.outer_iterations
         if target == eps:
             break
-        if use_residual_stop and report.termination != TERMINATION_RESIDUAL:
+        if report.termination != TERMINATION_RESIDUAL or budget == 0:
             raise BudgetExhausted(
                 f"stage {len(stages)} (target {target:.3e}) ended "
-                f"{report.termination} without its certificate"
-            )
-        if budget == 0:
-            raise BudgetExhausted(
-                f"max_outer={max_outer} ran out at stage {len(stages)} "
-                f"(target {target:.3e}), before the last"
+                f"{report.termination} with {budget} of max_outer={max_outer} "
+                "left, before the last"
             )
         center = report.final_pair
         previous = target

@@ -23,8 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InnerBudgetExhausted, MissingValueOracle, NonPositiveInput
-from .outer import SolverTuning, _criterion_holds, _is_count
+from .errors import InnerBudgetExhausted, MissingValueOracle
+from .outer import SolverTuning, _criterion_holds
 from .problems import PointPair, SmoothnessSpec, check_shape
 
 
@@ -90,50 +90,31 @@ class AuxiliaryProblem:
         )
 
 
-@dataclass
-class InnerConfig:
-    """Inner-solver settings.
-
-    ``floor_tol`` is the absolute escape hatch of the acceptance test.
-    ``stall_window``/``stall_rtol`` accept an iterate that has not moved
-    by more than ``stall_rtol`` (relative) for that many consecutive
-    steps: it is then the subproblem solution to machine precision and no
-    further progress is representable in float64.  ``stall_window`` and
-    ``max_inner`` are integers: a float, ``stall_window < 1`` or
-    ``max_inner < 0`` raises NonPositiveInput, as does a ``floor_tol`` or
-    ``stall_rtol`` that is negative or not finite: a nan one never compares
-    true, so it would switch its exit off.
-    """
-
-    max_inner: int = 200_000
-    floor_tol: float = 1e-24
-    stall_window: int = 32
-    stall_rtol: float = 1e-15
-
-    def __post_init__(self):
-        if not (_is_count(self.stall_window, 1) and _is_count(self.max_inner, 0)):
-            raise NonPositiveInput(
-                f"stall_window={self.stall_window}, max_inner={self.max_inner}"
-            )
-        if not (0.0 <= self.floor_tol < math.inf and 0.0 <= self.stall_rtol < math.inf):
-            raise NonPositiveInput(
-                f"floor_tol={self.floor_tol}, stall_rtol={self.stall_rtol}"
-            )
+# Settings of `accept_first`, read at each call.  ``FLOOR_TOL`` is the
+# absolute escape hatch of the acceptance test.  An iterate that has not
+# moved by more than ``STALL_RTOL`` (relative) for ``STALL_WINDOW``
+# consecutive steps is accepted: it is then the subproblem solution to
+# machine precision and no further progress is representable in float64.
+# ``MAX_INNER`` is the iterate budget of one run.
+MAX_INNER = 200_000
+FLOOR_TOL = 1e-24
+STALL_WINDOW = 32
+STALL_RTOL = 1e-15
 
 
-def stall_count(stalled: int, config: InnerConfig, *steps) -> int:
+def stall_count(stalled: int, *steps) -> int:
     """Stall count after one step of an inner solver.
 
     ``steps`` holds the (new, old) iterate of each block.  The step stalls,
     extending the count of consecutive stalls, when no block moved by more
-    than ``config.stall_rtol`` relative to ``max(||old||, 1)``; any other
-    step resets the count to zero.
+    than ``STALL_RTOL`` relative to ``max(||old||, 1)``; any other step
+    resets the count to zero.
     """
     for new, old in steps:
         # Norms exactly as np.linalg.norm computes them, minus its dispatch.
         d = new - old
         moved = math.sqrt(float(d.dot(d))) / max(math.sqrt(float(old.dot(old))), 1.0)
-        if not moved <= config.stall_rtol:
+        if not moved <= STALL_RTOL:
             return 0
     return stalled + 1
 
@@ -167,9 +148,7 @@ class InnerResult:
     _terms = None
 
 
-def accept_first(
-    first, advance: Callable, run, tuning: SolverTuning, config: InnerConfig
-) -> InnerResult:
+def accept_first(first, advance: Callable, run, tuning: SolverTuning) -> InnerResult:
     """Stop rule of every inner solver: accept the first good iterate.
 
     ``first`` is a solver's first iterate and ``advance(run, it)`` the one
@@ -185,29 +164,29 @@ def accept_first(
     solver builds ``dx``, ``g_x`` and ``dy``, ``g_y`` as float 1-D arrays
     of matching shapes, so the criterion takes them without re-validating.
     Accepts by the test of `check_inner_criterion`, else as a stall after
-    ``stall_window`` stalled steps or on the last iterate if they end
+    ``STALL_WINDOW`` stalled steps or on the last iterate if they end
     early; raises InnerBudgetExhausted after checking iterate
-    ``max_inner``.  Every returned iterate has passed the criterion's
+    ``MAX_INNER``.  Every returned iterate has passed the criterion's
     finiteness guard (``dx``, ``dy`` finite, so ``x``, ``y`` are too), so
     its pair skips `PointPair`'s scan.
     """
     stalled, previous, t, it = 0, None, 0, first
     while True:
         x, y, dx, dy, g_x, g_y, blocks, b, terms = it
-        if _criterion_holds(g_x, g_y, dx, dy, tuning, config.floor_tol):
+        if _criterion_holds(g_x, g_y, dx, dy, tuning, FLOOR_TOL):
             accepted_by = ACCEPTED_CRITERION
             break
         accepted_by = ACCEPTED_STALL
         # The stall count only decides about rejected iterates, and every
         # iterate before this one was rejected, so it is counted here.
         if previous is not None:
-            stalled = stall_count(stalled, config, *zip(blocks, previous))
+            stalled = stall_count(stalled, *zip(blocks, previous))
         previous = blocks
         # An iterate pinned in place for many steps is the subproblem
         # solution to machine precision; nothing better is representable.
-        if stalled >= config.stall_window:
+        if stalled >= STALL_WINDOW:
             break
-        if t >= config.max_inner:
+        if t >= MAX_INNER:
             raise InnerBudgetExhausted(f"criterion unmet after {t} inner iterations")
         it = advance(run, it)
         if it is None:
@@ -397,10 +376,7 @@ def fbf_step(run, it):
 
 
 def solve_auxiliary(
-    aux: AuxiliaryProblem,
-    spec: SmoothnessSpec,
-    tuning: SolverTuning,
-    config: InnerConfig,
+    aux: AuxiliaryProblem, spec: SmoothnessSpec, tuning: SolverTuning
 ) -> InnerResult:
     """Forward-backward-forward on the subproblem until acceptance.
 
@@ -413,4 +389,4 @@ def solve_auxiliary(
     ``spec`` must pass `validate_spec`, as `outer.solve` checks.
     """
     first, run = fbf_iterates(aux, spec)
-    return accept_first(first, fbf_step, run, tuning, config)
+    return accept_first(first, fbf_step, run, tuning)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,9 +33,6 @@ from .problems import (
     weighted_distance_sq,
     wrap_counting,
 )
-
-if TYPE_CHECKING:
-    from .inner import InnerConfig
 
 X_DOMINANT = "x-dominant"
 Y_DOMINANT = "y-dominant"
@@ -171,8 +168,11 @@ def _is_count(value, least: int) -> bool:
     """Whether ``value`` is an integer of at least ``least``.
 
     Floats are refused, not rounded: a budget of nan compares false with
-    every count, so it would switch the budget off.
+    every count, so it would switch the budget off.  So are bools, which
+    `operator.index` would take as 0 and 1.
     """
+    if isinstance(value, bool):
+        return False
     try:
         return operator.index(value) >= least
     except TypeError:
@@ -240,7 +240,6 @@ class SolveConfig:
 
     eps: float
     max_outer: int = 10_000
-    inner: Optional["InnerConfig"] = None
     track_potential: bool = False
     known_solution: Optional[PointPair] = None
     psi_0: Optional[float] = None
@@ -405,7 +404,7 @@ def solve(
     Parameters
     ----------
     inner_solver : callable, optional
-        ``(aux, spec, tuning, inner_config) -> InnerResult``.  Defaults to
+        ``(aux, spec, tuning) -> InnerResult``.  Defaults to
         `inner.solve_auxiliary`, forward-backward-forward on the
         subproblem.
     counters : OracleCounters, optional
@@ -413,7 +412,7 @@ def solve(
         itself (the bilinear path counts B/B^T products in its inner
         solver).  Fresh counters by default.
     """
-    from .inner import AuxiliaryProblem, InnerConfig, fbf_vectors, solve_auxiliary
+    from .inner import AuxiliaryProblem, fbf_vectors, solve_auxiliary
 
     validate_spec(spec)
     if not (0.0 < config.eps < math.inf and _is_count(config.max_outer, 1)):
@@ -425,7 +424,6 @@ def solve(
         raise NonPositiveInput(f"need a finite psi_0 >= 0, got {config.psi_0}")
     start.check_dims(problem.d_x, problem.d_y)
     tuning = tune_parameters(spec)
-    inner_cfg = config.inner if config.inner is not None else InnerConfig()
     if inner_solver is None:
         inner_solver = solve_auxiliary
 
@@ -495,7 +493,7 @@ def solve(
                 counted.grad_R, gp, gq, x, y, eta_x, eta_y, counted.value_R, z, vectors,
                 remainder,
             )
-            result = inner_solver(aux, spec, tuning, inner_cfg)
+            result = inner_solver(aux, spec, tuning)
             # The remainder at the accepted pair warm-starts the next step.
             remainder = result.remainder
             # FBF hands back the stacked pair, gradients, displacement from

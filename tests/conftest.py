@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from saddleslide import CompositeSaddleProblem, PointPair, SmoothnessSpec
+from saddleslide import (
+    CompositeSaddleProblem,
+    PointPair,
+    SmoothnessSpec,
+    SolveConfig,
+    initial_potential,
+    solve,
+    solve_bilinear,
+)
+from saddleslide.bench.generators import reference_solution
+from saddleslide.bench.runner import _scsc_problem
 
 
 def central_diff(f, x, h=1e-6):
@@ -90,6 +100,26 @@ def random_quadratic_instance(rng, d_x, d_y, L_p, mu_x, L_q, mu_y, sigma_max):
     saddle = solve_saddle_kkt(P, a, Q, e, B, mu_x, mu_y)
     data = {"P": P, "Q": Q, "B": B, "a": a, "e": e}
     return problem, spec, saddle, data
+
+
+def planned_run(inst, eps):
+    """A quadratic-spp or bilinear instance's sliding run, planned budget whole.
+
+    `solve`, or `solve_bilinear` on a bilinear instance, from the origin
+    with the budget planned from the initial potential against the KKT
+    reference: the route `run_single` takes, without its certified stop.
+    Returns the report and the reference.
+    """
+    reference = reference_solution(inst)
+    problem, spec, bp = _scsc_problem(inst)
+    start = PointPair(np.zeros(problem.d_x), np.zeros(problem.d_y))
+    config = SolveConfig(
+        eps=eps, psi_0=initial_potential(problem, spec, start, reference),
+        use_residual_stop=False,
+    )
+    if bp is None:
+        return solve(problem, spec, start, config), reference
+    return solve_bilinear(bp, start, config), reference
 
 
 @pytest.fixture

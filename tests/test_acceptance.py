@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from saddleslide import (
-    InnerConfig,
     PointPair,
     SolveConfig,
     initial_potential,
@@ -33,10 +32,11 @@ from saddleslide.bench import (
     reference_solution,
     run_single,
 )
+from saddleslide import inner
 from saddleslide.bilinear import eliminate_y
 from saddleslide.inner import AuxiliaryProblem
 
-from conftest import central_diff, random_sym_psd
+from conftest import central_diff, planned_run, random_sym_psd
 
 
 def _report(n, text):
@@ -55,7 +55,8 @@ def _criterion_instances():
     return instances
 
 
-def test_criterion_01_potential_contraction():
+def test_criterion_01_potential_contraction(monkeypatch):
+    monkeypatch.setattr(inner, "FLOOR_TOL", 0.0)
     started = time.perf_counter()
     zeros = PointPair(np.zeros(10), np.zeros(10))
     for inst in _criterion_instances():
@@ -67,7 +68,6 @@ def test_criterion_01_potential_contraction():
             psi_0=psi0,
             known_solution=saddle,
             track_potential=True,
-            inner=InnerConfig(floor_tol=0.0),
         )
         report = solve(problem, spec, zeros, config)
         rate = 1.0 - report.tuning.alpha / 3.0
@@ -445,14 +445,18 @@ def test_criterion_11_unequal_moduli():
             rows = {}
             for ratio in ratios:
                 inst = make(1.0 / ratio, seed)
-                rows[ratio] = (run_single(inst, "sliding", eps, use_residual_stop=False),
-                               run_single(inst, "eg", eps))
-            base, base_eg = rows[1.0]
-            for ratio, (sliding, _) in rows.items():
+                rows[ratio] = (planned_run(inst, eps), run_single(inst, "eg", eps))
+            (base, _), base_eg = rows[1.0]
+            for ratio, ((sliding, reference), _) in rows.items():
                 where = f"{inst.kind} seed {seed} ratio {ratio}"
-                assert sliding.dist_weighted <= eps, where
-                assert abs(sliding.calls_grad_p - base.calls_grad_p) <= 0.1 * base.calls_grad_p
-                growth = sliding.calls_grad_R / base.calls_grad_R
+                eta_x, eta_y = sliding.tuning.eta_x, sliding.tuning.eta_y
+                dist = weighted_distance_sq(sliding.final_pair, reference, eta_x, eta_y)
+                assert dist <= eps, where
+                calls, base_calls = sliding.counters, base.counters
+                assert abs(calls.calls_grad_p - base_calls.calls_grad_p) <= (
+                    0.1 * base_calls.calls_grad_p
+                )
+                growth = calls.calls_grad_R / base_calls.calls_grad_R
                 assert growth <= coupling_band, f"{where}: {growth:.2f}"
                 worst_R = max(worst_R, growth)
             eg_growth = rows[ratios[-1]][1].calls_grad_R / base_eg.calls_grad_R

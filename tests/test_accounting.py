@@ -217,7 +217,6 @@ def test_linear_reduction_counts_every_product(seed):
             D_x=inst.constants["D_x"],
             D_y=inst.constants["D_y"],
             eps=eps,
-            use_residual_stop=True,
         )
         assert mine.calls_grad_R == report.counters.calls_grad_R > 0
     assert len(report.inner_iterations) == report.counters.outer_iterations

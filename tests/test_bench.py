@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -31,6 +31,8 @@ from saddleslide.errors import (
     InfeasibleConstants,
     ManifestError,
 )
+
+from conftest import planned_run
 
 
 class TestGenerators:
@@ -397,15 +399,47 @@ class TestRunExperiment:
         ({"instances": [], "max_outer": "lots"}, "'max_outer'"),
         ({"instances": [], "max_outer": 2.5}, "'max_outer'"),
         ({"instances": [], "max_outer": 0}, "'max_outer'"),
+        ({"instances": [], "max_outer": True}, "'max_outer'"),
         (["inst/manifest.json"], "is an object"),
     ], ids=["instance-typo", "solver-typo", "no-instances", "instances-string",
             "solvers-string", "eps-number", "max-outer-string", "max-outer-float",
-            "max-outer-zero", "not-an-object"])
+            "max-outer-zero", "max-outer-bool", "not-an-object"])
     def test_malformed_config_raises(self, tmp_path, config, message):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         with pytest.raises(ManifestError, match=message):
             run_experiment(path, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"instances": [1]}, "instance 1 is not a path string"),
+        ({"solvers": ["sliding", "newton"]}, "unknown solver 'newton'"),
+        ({"eps": ["lots"]}, "eps 'lots' is not a finite number"),
+        ({"eps": [True]}, "eps True is not a finite number"),
+        ({"eps": [1e-6, 0]}, "eps 0 is not a finite number"),
+        ({"eps": [math.inf]}, "eps inf is not a finite number"),
+    ], ids=["instance-number", "unknown-solver", "eps-string", "eps-bool", "eps-zero",
+            "eps-inf"])
+    def test_bad_grid_entry_raises_before_any_load(self, tmp_path, monkeypatch, entry,
+                                                   message):
+        # A bad entry used to surface only once a worker reached it: after
+        # its manifest had been loaded and KKT-solved (an unknown solver),
+        # as a raw ValueError (eps "lots"), or not at all (eps true ran at
+        # eps 1.0).
+        manifest = str(gen_quadratic_spp(4, 4, 3.0, 1.0, 2.0, 1.0, 5.0, seed=2)
+                       .save(tmp_path / "inst"))
+        loads = []
+        load = Instance.load
+
+        def counting_load(cls, path, verify=True):
+            loads.append(path)
+            return load(path, verify)
+
+        monkeypatch.setattr(Instance, "load", classmethod(counting_load))
+        config = {"instances": [manifest], "solvers": ["sliding"], "eps": [1e-6], **entry}
+        with pytest.raises(ManifestError, match=message):
+            run_experiment(config, tmp_path / "out")
+        assert loads == []
         assert not (tmp_path / "out").exists()
 
     def test_two_solvers_two_rows(self, tmp_path):
@@ -503,16 +537,16 @@ class TestRunExperiment:
 
     def test_coupling_sweep_separates_counts(self):
         reports = [
-            run_single(gen_quadratic_spp(6, 6, 4.0, 1.0, 4.0, 1.0, L_R, seed=13),
-                       "sliding", 1e-6, use_residual_stop=False)
+            planned_run(gen_quadratic_spp(6, 6, 4.0, 1.0, 4.0, 1.0, L_R, seed=13), 1e-6)[0]
             for L_R in [2.0, 20.0]
         ]
+        counts = [report.counters for report in reports]
         # Coupling calls grow with the coupling constant while composite
         # calls stay flat (up to the tiny budget change from the per-instance
         # potential bound) over the whole planned budget.
-        assert reports[1].calls_grad_R > reports[0].calls_grad_R
-        assert abs(reports[1].calls_grad_p - reports[0].calls_grad_p) <= max(
-            3, 0.1 * reports[0].calls_grad_p
+        assert counts[1].calls_grad_R > counts[0].calls_grad_R
+        assert abs(counts[1].calls_grad_p - counts[0].calls_grad_p) <= max(
+            3, 0.1 * counts[0].calls_grad_p
         )
 
 
@@ -553,7 +587,7 @@ class TestRunSingle:
         root = math.sqrt(eps)
         with pytest.raises(DivergenceDetected):
             _solve_regularized(bp, origin, plan.inner_target, D_x + root, D_y + root,
-                               200_000, True)
+                               200_000)
 
     @pytest.mark.parametrize("make, eps, distance", [
         (lambda: gen_quadratic_spp(10, 10, 100.0, 1.0, 100.0, 1.0, 10.0, 0),
@@ -562,21 +596,25 @@ class TestRunSingle:
         (lambda: gen_consensus(10, "ring", 1.0, 4.0, 0), 1e-6, "dist_unweighted"),
         (lambda: gen_linear_bilinear(8, 4), 1e-3, "dist_unweighted"),
     ], ids=["quadratic-spp", "bilinear", "consensus", "linear-bilinear"])
-    def test_sliding_stops_on_certificate(self, make, eps, distance):
+    def test_sliding_stops_on_certificate(self, monkeypatch, make, eps, distance):
         # Each route's guarantee: the step-weighted distance on the SCSC
         # routes, the plain one (which bounds the primal's) on the
-        # reductions.  The quadratic cell took 280 composite calls against
-        # the plan's 763.
-        inst = make()
-        reference = reference_solution(inst)
-        row = run_single(inst, "sliding", eps, reference=reference)
-        planned = run_single(inst, "sliding", eps, reference=reference,
-                             use_residual_stop=False)
+        # reductions.  The quadratic cell took 228 outer steps against the
+        # plan's 763.
+        reports = []
+        sliding_run = runner._sliding_run
+
+        def recording(*args):
+            reports.append(sliding_run(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(runner, "_sliding_run", recording)
+        row = run_single(make(), "sliding", eps)
+        (report,) = reports
         assert row.termination == "residual-met"
-        assert planned.termination == "budget-exhausted"
         assert getattr(row, distance) <= eps
         assert runner.run_succeeded(row)
-        assert row.calls_grad_p < planned.calls_grad_p
+        assert row.outer_iters == report.counters.outer_iterations < report.planned_outer
 
     def test_uncertified_budget_run_fails(self):
         # One outer step cannot certify eps = 1e-8: the run ends its budget
@@ -597,15 +635,18 @@ class TestRunSingle:
         assert not runner.run_succeeded(row)
 
     def test_consensus_budget_run_judged_on_primal(self):
-        # The affine route promises ||x - x*||^2 <= eps alone.  This planned
-        # run ends with x about 3e-4 eps from the reference, while its
-        # uncertified y puts the joint distance above eps.
-        row = run_single(gen_consensus(20, "path", 1.0, 4.0, 2), "sliding", 1e-4,
-                         use_residual_stop=False)
-        assert row.termination == "budget-exhausted"
-        assert row.dist_primal <= 1e-3 * row.eps
-        assert row.dist_unweighted > row.eps
+        # The affine route promises ||x - x*||^2 <= eps alone: a run that
+        # ends its budget with x within eps passes, while its uncertified y
+        # puts the joint distance above eps.
+        row = runner.RunReport(
+            instance=gen_consensus(20, "path", 1.0, 4.0, 2).instance_id,
+            solver="sliding", eps=1e-4, calls_grad_p=300, calls_grad_q=300,
+            calls_grad_R=3000, outer_iters=300, inner_iters=600,
+            dist_weighted=1.0, dist_unweighted=2e-4, wall_ms=0.0,
+            termination="budget-exhausted", dist_primal=3e-8,
+        )
         assert runner.run_succeeded(row)
+        assert not runner.run_succeeded(replace(row, dist_primal=2e-4))
 
     def test_unknown_solver_rejected(self):
         from saddleslide.bench import run_single
@@ -674,6 +715,15 @@ class TestCli:
         config.write_text(json.dumps({"instance": []}))
         assert main(["bench", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert "unknown grid config keys ['instance']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["lots", True])
+    def test_bad_eps_exit_code(self, tmp_path, capsys, eps):
+        manifest = gen_quadratic_spp(4, 4, 3.0, 1.0, 2.0, 1.0, 5.0, 2).save(tmp_path / "q4")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"instances": [str(manifest)], "eps": [eps]}))
+        assert main(["bench", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid config eps") and "Traceback" not in err
 
     def test_budget_exit_code(self, tmp_path):
         inst = gen_quadratic_spp(4, 4, 3.0, 1.0, 2.0, 1.0, 5.0, seed=2)

@@ -10,7 +10,6 @@ from saddleslide import (
     AuxiliaryProblem,
     BilinearProblem,
     CouplingOperator,
-    InnerConfig,
     OracleCounters,
     PointPair,
     SolveConfig,
@@ -26,7 +25,7 @@ from saddleslide import (
     weighted_distance_sq,
     wrap_counting_bilinear,
 )
-from saddleslide import bilinear
+from saddleslide import bilinear, inner
 from saddleslide.bench.generators import gen_consensus, gen_linear_bilinear, reference_solution
 from saddleslide.bilinear import _cg_start, _cg_step
 from saddleslide.errors import (
@@ -329,29 +328,30 @@ class TestSolveBilinear:
         # step, one for the acceptance check), one iterate beyond the steps.
         assert c.calls_grad_R == c.outer_iterations * 4 + 3 * c.inner_iterations
 
-    def test_stall_rule_follows_inner_config(self, rng):
-        # stall_rtol = 1 counts every CG step as a stall, so with a window
+    def test_stall_rule_follows_inner_config(self, rng, monkeypatch):
+        # STALL_RTOL = 1 counts every CG step as a stall, so with a window
         # of one some outer step must be accepted by the stall rule.
+        monkeypatch.setattr(inner, "STALL_WINDOW", 1)
+        monkeypatch.setattr(inner, "STALL_RTOL", 1.0)
         bp, _, _ = _random_bilinear(rng, 6, 5, sigma=20.0)
         report = solve_bilinear(
             bp, PointPair(np.zeros(6), np.zeros(5)),
-            SolveConfig(eps=1e-6, psi_0=50.0,
-                        inner=InnerConfig(stall_window=1, stall_rtol=1.0),
-                        track_inner_details=True),
+            SolveConfig(eps=1e-6, psi_0=50.0, track_inner_details=True),
         )
         assert any(log["accepted_by"] == "stall" for log in report.inner_logs)
 
-    def test_inner_budget_raises_named_error(self, rng):
+    def test_inner_budget_raises_named_error(self, rng, monkeypatch):
+        monkeypatch.setattr(inner, "MAX_INNER", 0)
         bp, _, _ = _random_bilinear(rng, 6, 5, sigma=20.0)
         with pytest.raises(InnerBudgetExhausted):
             solve_bilinear(
-                bp, PointPair(np.ones(6), np.ones(5)),
-                SolveConfig(eps=1e-6, psi_0=50.0, inner=InnerConfig(max_inner=0)),
+                bp, PointPair(np.ones(6), np.ones(5)), SolveConfig(eps=1e-6, psi_0=50.0)
             )
 
-    def test_non_finite_composite_raises_divergence(self, rng):
+    def test_non_finite_composite_raises_divergence(self, rng, monkeypatch):
         # A NaN composite gradient poisons the conjugate-gradient iterates;
         # the inner criterion must name it instead of exhausting the budget.
+        monkeypatch.setattr(inner, "MAX_INNER", 1000)
         bp, _, _ = _random_bilinear(rng, 6, 5)
         calls = []
 
@@ -363,7 +363,7 @@ class TestSolveBilinear:
             solve_bilinear(
                 dataclasses.replace(bp, grad_p=grad_p),
                 PointPair(np.zeros(6), np.zeros(5)),
-                SolveConfig(eps=1e-6, psi_0=50.0, inner=InnerConfig(max_inner=1000)),
+                SolveConfig(eps=1e-6, psi_0=50.0),
             )
 
     def test_composite_gradient_shape_checked(self, rng):
@@ -473,10 +473,9 @@ class TestSolveAffineConstrained:
         assert np.sum((report.final_pair.x - x_ref) ** 2) <= eps
         assert report.constraint_residual <= math.sqrt(eps)
 
-    @pytest.mark.parametrize("use_residual_stop", [False, True])
     @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
     @pytest.mark.parametrize("topology", ["path", "ring", "star"])
-    def test_certifies_primal_and_residual(self, topology, eps, use_residual_stop):
+    def test_certifies_primal_and_residual(self, topology, eps):
         # The route certifies the primal block alone; the constraint
         # residual is bounded through x too.
         from saddleslide.bench import gen_consensus, reference_solution
@@ -491,13 +490,11 @@ class TestSolveAffineConstrained:
             c=inst.arrays["c"],
             D_y=inst.constants["D_y"],
             eps=eps,
-            use_residual_stop=use_residual_stop,
         )
         x_ref = reference_solution(inst).x
         assert np.sum((report.final_pair.x - x_ref) ** 2) <= eps
         assert report.constraint_residual <= math.sqrt(eps)
-        if use_residual_stop:
-            assert report.termination == "residual-met"
+        assert report.termination == "residual-met"
 
     def test_infeasible_rhs_raises(self):
         # Constraint row space misses the second coordinate of c.
@@ -530,10 +527,7 @@ class TestSolveAffineConstrained:
         if resume:
             assert len(runs) == 2
 
-    @pytest.mark.parametrize("use_residual_stop", [False, True])
-    def test_missed_residual_resumes_at_tightened_target(
-        self, monkeypatch, use_residual_stop
-    ):
+    def test_missed_residual_resumes_at_tightened_target(self, monkeypatch):
         # The first run's point is moved off the constraint by a vector
         # whose residual is ten times the bound; the route resumes from it
         # at the tightened target on what is left of max_outer.
@@ -558,7 +552,6 @@ class TestSolveAffineConstrained:
             D_y=inst.constants["D_y"],
             eps=eps,
             max_outer=max_outer,
-            use_residual_stop=use_residual_stop,
         )
         assert len(runs) == 2
         (_, first_args, first), (start, second_args, second) = runs
@@ -593,7 +586,7 @@ class TestSolveAffineConstrained:
         args = dict(
             grad_p=grad, L_p=inst.constants["local_L"], mu_p=inst.constants["local_mu"],
             coupling=inst.coupling(), c=inst.arrays["c"], D_y=inst.constants["D_y"],
-            eps=eps, use_residual_stop=True,
+            eps=eps,
         )
         outer = solve_affine_constrained(**args).counters.outer_iterations
         bound = math.sqrt(eps) * (1.0 + np.linalg.norm(args["c"]))
@@ -614,20 +607,15 @@ class TestSolveAffineConstrained:
         m_share=st.floats(0.0, 1.0),
         log_scale=st.floats(0.0, 3.0),
         eps=st.sampled_from([1e-4, 1e-6]),
-        use_residual_stop=st.booleans(),
         seed=st.integers(0, 2**31 - 1),
     )
-    def test_random_rhs_meets_both_promises(
-        self, n, m_share, log_scale, eps, use_residual_stop, seed
-    ):
+    def test_random_rhs_meets_both_promises(self, n, m_share, log_scale, eps, seed):
         # Dense couplings of up to n columns, scale up to 1e3 and c != 0 in
         # range(B^T), against the KKT reference; InfeasibleTarget would fail
         # the test.
         m = 1 + int(m_share * (n - 1))
         args, x_star = _random_affine(np.random.default_rng(seed), n, m, 10**log_scale)
-        report = solve_affine_constrained(
-            **args, eps=eps, use_residual_stop=use_residual_stop
-        )
+        report = solve_affine_constrained(**args, eps=eps)
         _assert_affine_promises(report, x_star, args["c"], eps)
         counters = report.counters
         assert counters.calls_grad_R == 4 * counters.outer_iterations + 3 * counters.inner_iterations
@@ -705,27 +693,25 @@ class TestSolveLinearComposites:
             report = solve_bilinear_linear_composites(
                 d=inst.arrays["d"], c=inst.arrays["c"], coupling=inst.coupling(),
                 D_x=inst.constants["D_x"], D_y=inst.constants["D_y"],
-                eps=eps, use_residual_stop=True,
+                eps=eps,
             )
             assert report.termination == "residual-met"
             products[eps] = report.counters.calls_grad_R
         assert products[1e-10] <= 3 * products[1e-3]
 
-    @pytest.mark.parametrize("use_residual_stop", [True, False])
-    def test_uncertified_stage_raises(self, use_residual_stop):
+    def test_uncertified_stage_raises(self):
         # One outer step for the whole run ends the first of the stages at
-        # eps 1e-7 short of its certificate, in either mode, and its point
-        # would prove no radius for the next stage.
+        # eps 1e-7 short of its certificate, and its point would prove no
+        # radius for the next stage.
         inst = gen_linear_bilinear(8, 4)
         with pytest.raises(BudgetExhausted, match="stage 1"):
             solve_bilinear_linear_composites(
                 d=inst.arrays["d"], c=inst.arrays["c"], coupling=inst.coupling(),
                 D_x=inst.constants["D_x"], D_y=inst.constants["D_y"],
-                eps=1e-7, max_outer=1, use_residual_stop=use_residual_stop,
+                eps=1e-7, max_outer=1,
             )
 
-    @pytest.mark.parametrize("use_residual_stop", [True, False])
-    def test_weak_coupling_stays_within_eps(self, use_residual_stop):
+    def test_weak_coupling_stays_within_eps(self):
         # With sigma(B) = 0.01, plan_cc's regularizer T_k/(8 T_{k-1}) =
         # 1.25e-3 leaves each stage's saddle 0.12 times as far from the
         # saddle as its centre, where the next radius allows 0.03: uncapped,
@@ -737,7 +723,7 @@ class TestSolveLinearComposites:
         report = solve_bilinear_linear_composites(
             d=inst.arrays["d"], c=inst.arrays["c"], coupling=inst.coupling(),
             D_x=inst.constants["D_x"], D_y=inst.constants["D_y"],
-            eps=eps, use_residual_stop=use_residual_stop,
+            eps=eps,
         )
         assert unweighted_distance_sq(report.final_pair, reference) <= eps
 

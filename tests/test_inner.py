@@ -11,7 +11,6 @@ from saddleslide import (
     BilinearProblem,
     CompositeSaddleProblem,
     CouplingOperator,
-    InnerConfig,
     PointPair,
     SmoothnessSpec,
     check_inner_criterion,
@@ -22,6 +21,7 @@ from saddleslide import (
     wrap_counting_bilinear,
 )
 from saddleslide import bilinear
+from saddleslide import inner as inner_module
 from saddleslide.bench.generators import (
     gen_bilinear,
     gen_consensus,
@@ -41,7 +41,6 @@ from saddleslide.errors import (
     DimensionMismatch,
     DivergenceDetected,
     InnerBudgetExhausted,
-    NonPositiveInput,
 )
 from saddleslide.inner import InnerResult, fbf_iterates, fbf_start, fbf_step
 from saddleslide.outer import SolveConfig, SolverTuning, X_DOMINANT, solve
@@ -128,7 +127,7 @@ class TestBuildAuxiliary:
             grad_R=lambda x, y: (np.zeros(2), np.zeros(2)),
         )
 
-        def short_pair(aux, spec, tuning, config):
+        def short_pair(aux, spec, tuning):
             return InnerResult(PointPair(np.zeros(1), np.zeros(2)), 0,
                                np.zeros(1), np.zeros(2))
 
@@ -202,7 +201,7 @@ class TestSolveAuxiliary:
             x_k=np.zeros(2), y_k=np.zeros(2), eta_x=1.0, eta_y=1.0,
         )
         tuning = SolverTuning(alpha=1.0, eta_x=1.0, eta_y=1.0, branch=X_DOMINANT)
-        result = solve_auxiliary(aux, self.SPEC, tuning, InnerConfig())
+        result = solve_auxiliary(aux, self.SPEC, tuning)
         assert result.iterations == 0
         assert np.all(result.pair.x == 0.0)
 
@@ -232,7 +231,7 @@ class TestSolveAuxiliary:
         aux = dataclasses.replace(_identity_operator_aux(), grad_R=grad_R)
         tuning = SolverTuning(alpha=1.0, eta_x=1.0, eta_y=1.0, branch=X_DOMINANT)
         with pytest.raises(DivergenceDetected):
-            solve_auxiliary(aux, self.SPEC, tuning, InnerConfig())
+            solve_auxiliary(aux, self.SPEC, tuning)
 
     def test_later_coupling_output_shape_checked(self):
         # The start and the first step's midpoint get outputs of the right
@@ -250,7 +249,7 @@ class TestSolveAuxiliary:
         )
         tuning = SolverTuning(alpha=1.0, eta_x=1.0, eta_y=1.0, branch=X_DOMINANT)
         with pytest.raises(DimensionMismatch):
-            solve_auxiliary(aux, self.SPEC, tuning, InnerConfig())
+            solve_auxiliary(aux, self.SPEC, tuning)
         assert len(calls) == 3
 
     def test_midpoint_coupling_output_shape_checked(self):
@@ -270,10 +269,10 @@ class TestSolveAuxiliary:
         )
         tuning = SolverTuning(alpha=1.0, eta_x=1.0, eta_y=1.0, branch=X_DOMINANT)
         with pytest.raises(DimensionMismatch):
-            solve_auxiliary(aux, self.SPEC, tuning, InnerConfig())
+            solve_auxiliary(aux, self.SPEC, tuning)
         assert len(calls) == 2
 
-    def test_random_quadratic_matches_subproblem_kkt(self, rng):
+    def test_random_quadratic_matches_subproblem_kkt(self, rng, monkeypatch):
         problem, spec, _, data = random_quadratic_instance(
             rng, 4, 4, 2.0, 1.0, 2.0, 1.0, 1.8
         )
@@ -281,7 +280,8 @@ class TestSolveAuxiliary:
         x_k = rng.standard_normal(4)
         y_k = rng.standard_normal(4)
         aux = _aux(problem, x_k, y_k, tuning)
-        result = solve_auxiliary(aux, spec, tuning, InnerConfig(floor_tol=0.0))
+        monkeypatch.setattr(inner_module, "FLOOR_TOL", 0.0)
+        result = solve_auxiliary(aux, spec, tuning)
         # Re-assert the acceptance test at the returned point.
         assert check_inner_criterion(
             result.grad_x, result.grad_y,
@@ -304,7 +304,7 @@ class TestSolveAuxiliary:
         )
         assert end_dist <= start_dist
 
-    def test_monotone_contraction_toward_exact_solution(self, rng):
+    def test_monotone_contraction_toward_exact_solution(self, rng, monkeypatch):
         # FBF is Fejer monotone: the distance to the exact subproblem
         # solution never increases at a step below 1/Lip(B').
         problem, spec, _, data = random_quadratic_instance(
@@ -325,8 +325,8 @@ class TestSolveAuxiliary:
             aux.grad_q_anchor - y_k / tuning.eta_y,
         ])
         exact = np.linalg.solve(mat, rhs)
-        config = InnerConfig(floor_tol=0.0)
-        result = solve_auxiliary(aux, spec, tuning, config)
+        monkeypatch.setattr(inner_module, "FLOOR_TOL", 0.0)
+        result = solve_auxiliary(aux, spec, tuning)
         dists = [
             np.linalg.norm(np.concatenate([x, y]) - exact)
             for x, y, *_ in _fbf_walk(aux, spec, result.iterations + 1)
@@ -349,7 +349,7 @@ class TestSolveAuxiliary:
             x_k = rng.standard_normal(6)
             y_k = rng.standard_normal(6)
             aux = _aux(problem, x_k, y_k, tuning, coupled=wrapped)
-            result = solve_auxiliary(aux, spec, tuning, InnerConfig())
+            result = solve_auxiliary(aux, spec, tuning)
             assert counters.calls_grad_R == 2 * result.iterations + 1
             totals[sigma] = result.iterations
             geo_step = np.sqrt(tuning.eta_x * tuning.eta_y)
@@ -357,42 +357,6 @@ class TestSolveAuxiliary:
         measured = totals[50.0] / max(totals[5.0], 1)
         predicted = totals["pred50.0"] / totals["pred5.0"]
         assert measured <= 2.0 * predicted
-
-
-def test_inner_config_rejects_empty_stall_window_and_negative_budget():
-    # A window of 0 would accept the untouched start as a stall.
-    with pytest.raises(NonPositiveInput):
-        InnerConfig(stall_window=0)
-    with pytest.raises(NonPositiveInput):
-        InnerConfig(max_inner=-1)
-    # A nan budget or window never compares true, so it would switch the
-    # budget exit or the stall exit off; a float is refused, not rounded.
-    for bad in (math.nan, math.inf, 50.0):
-        with pytest.raises(NonPositiveInput):
-            InnerConfig(max_inner=bad)
-        with pytest.raises(NonPositiveInput):
-            InnerConfig(stall_window=bad)
-    # numpy integers count.
-    assert InnerConfig(max_inner=np.int64(3), stall_window=np.int32(2)).max_inner == 3
-    problem = CompositeSaddleProblem(
-        d_x=1, d_y=1, grad_p=lambda x: x, grad_q=lambda y: y,
-        grad_R=lambda x, y: (x, -y),
-    )
-    spec = SmoothnessSpec(L_p=1, L_q=1, L_R=1, mu_x=1, mu_y=1)
-    start = PointPair(np.zeros(1), np.zeros(1))
-    for bad in (math.nan, 50.0):
-        with pytest.raises(NonPositiveInput):
-            solve(problem, spec, start, SolveConfig(eps=1e-6, max_outer=bad))
-
-
-@pytest.mark.parametrize("field", ["floor_tol", "stall_rtol"])
-def test_inner_config_rejects_bad_tolerances(field):
-    # A nan stall_rtol never compares true, so it would switch the stall
-    # exit off; a nan floor_tol, the floor of the acceptance test.
-    for bad in (math.nan, math.inf, -math.inf, -1e-30, -1.0):
-        with pytest.raises(NonPositiveInput):
-            InnerConfig(**{field: bad})
-    assert getattr(InnerConfig(**{field: 0.0}), field) == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -437,7 +401,7 @@ def test_fbf_step_bound_accepts_by_criterion(
     x_k, y_k = rng.standard_normal(d_x), rng.standard_normal(d_y)
     aux = AuxiliaryProblem(grad_R, rng.standard_normal(d_x), rng.standard_normal(d_y),
                            x_k, y_k, tuning.eta_x, tuning.eta_y)
-    result = solve_auxiliary(aux, spec, tuning, InnerConfig())
+    result = solve_auxiliary(aux, spec, tuning)
     assert result.accepted_by == "criterion"
     assert len(calls) == 2 * result.iterations + 1
 
@@ -494,19 +458,21 @@ class TestInnerExits:
 
     def test_criterion(self, rng, case, budget_calls):
         solver, aux, spec, tuning, _ = case(rng)
-        assert solver(aux, spec, tuning, InnerConfig()).accepted_by == "criterion"
+        assert solver(aux, spec, tuning).accepted_by == "criterion"
 
-    def test_stall(self, rng, case, budget_calls):
+    def test_stall(self, rng, monkeypatch, case, budget_calls):
         solver, aux, spec, tuning, _ = case(rng)
-        config = InnerConfig(stall_window=1, stall_rtol=1.0)
-        assert solver(aux, spec, tuning, config).accepted_by == "stall"
+        monkeypatch.setattr(inner_module, "STALL_WINDOW", 1)
+        monkeypatch.setattr(inner_module, "STALL_RTOL", 1.0)
+        assert solver(aux, spec, tuning).accepted_by == "stall"
 
-    def test_budget(self, rng, case, budget_calls):
+    def test_budget(self, rng, monkeypatch, case, budget_calls):
         # Only the start is checked: one coupling call for FBF;
         # the linear term, B^T x, B B^T x and the check's B y for CG.
         solver, aux, spec, tuning, counters = case(rng)
+        monkeypatch.setattr(inner_module, "MAX_INNER", 0)
         with pytest.raises(InnerBudgetExhausted):
-            solver(aux, spec, tuning, InnerConfig(max_inner=0))
+            solver(aux, spec, tuning)
         assert counters.calls_grad_R == budget_calls
 
 
@@ -517,7 +483,7 @@ class TestInnerExits:
 # library's loops must produce the same floating-point results bit for bit.
 
 
-def _reference_accept_first(iterates, aux, tuning, config):
+def _reference_accept_first(iterates, aux, tuning):
     stalled, previous = 0, None
     for t, (x, y, g_x, g_y, blocks, b) in enumerate(iterates):
         if previous is not None:
@@ -525,20 +491,20 @@ def _reference_accept_first(iterates, aux, tuning, config):
                 float(np.linalg.norm(new - old)) / max(float(np.linalg.norm(old)), 1.0)
                 for new, old in zip(blocks, previous)
             ]
-            stalled = stalled + 1 if all(m <= config.stall_rtol for m in moved) else 0
+            stalled = stalled + 1 if all(m <= inner_module.STALL_RTOL for m in moved) else 0
         previous = blocks
         if check_inner_criterion(
-            g_x, g_y, x - aux.x_k, y - aux.y_k, tuning, config.floor_tol
+            g_x, g_y, x - aux.x_k, y - aux.y_k, tuning, inner_module.FLOOR_TOL
         ):
             return InnerResult(PointPair(x, y), t, g_x, g_y, remainder=b)
-        if stalled >= config.stall_window:
+        if stalled >= inner_module.STALL_WINDOW:
             break
-        if t >= config.max_inner:
+        if t >= inner_module.MAX_INNER:
             raise InnerBudgetExhausted(f"criterion unmet after {t} inner iterations")
     return InnerResult(PointPair(x, y), t, g_x, g_y, accepted_by="stall", remainder=b)
 
 
-def _reference_fbf(aux, spec, tuning, config):
+def _reference_fbf(aux, spec, tuning):
     s = 0.9 / (spec.L_R + abs(spec.mu_x - spec.mu_y))
 
     def resolvent(w, grad_anchor, z_k, eta, mu):
@@ -569,11 +535,11 @@ def _reference_fbf(aux, spec, tuning, config):
             y = y_h - s * ((-rh_y - spec.mu_y * y_h) - b_y)
             r_x, r_y = aux.grad_R(x, y)
 
-    return _reference_accept_first(iterates(), aux, tuning, config)
+    return _reference_accept_first(iterates(), aux, tuning)
 
 
 def _reference_bilinear_inner(bp):
-    def inner(aux, spec, tuning, config):
+    def inner(aux, spec, tuning):
         qf = eliminate_y(bp, aux)
         s = 0.9 / (spec.L_R + abs(spec.mu_x - spec.mu_y))
 
@@ -599,7 +565,7 @@ def _reference_bilinear_inner(bp):
                 yield x, y, g_x, g_y, (x,), np.concatenate([b_y, bt_x])
                 state = _cg_step(qf.matvec, qf.rmatvec, qf.kappa, *state)
 
-        return _reference_accept_first(iterates(), aux, tuning, config)
+        return _reference_accept_first(iterates(), aux, tuning)
 
     return inner
 
@@ -637,11 +603,10 @@ def _regularized_run(inst, eps):
         return solve_affine_constrained(
             grad, inst.constants["local_L"], inst.constants["local_mu"],
             inst.coupling(), inst.arrays["c"], inst.constants["D_y"], eps,
-            use_residual_stop=True,
         )
     return solve_bilinear_linear_composites(
         inst.arrays["d"], inst.arrays["c"], inst.coupling(),
-        inst.constants["D_x"], inst.constants["D_y"], eps, use_residual_stop=True,
+        inst.constants["D_x"], inst.constants["D_y"], eps,
     )
 
 
@@ -655,9 +620,11 @@ REGULARIZED_CASES = [
 ]
 
 
+# Inner settings the reference loops are checked under, as the values of
+# `inner`'s module constants that differ from the defaults.
 REFERENCE_CONFIGS = {
-    "default": InnerConfig(),
-    "stall-heavy": InnerConfig(stall_window=1, stall_rtol=1.0),
+    "default": {},
+    "stall-heavy": {"STALL_WINDOW": 1, "STALL_RTOL": 1.0},
 }
 
 
@@ -677,8 +644,9 @@ class TestReferenceEquivalence:
         pytest.param(7, 9, 1.0, 1.0, id="odd-dims"),
     ])
     @pytest.mark.parametrize("config_name", sorted(REFERENCE_CONFIGS))
-    def test_fbf_matches_reference(self, d_x, d_y, mu_x, mu_y, config_name):
-        config = REFERENCE_CONFIGS[config_name]
+    def test_fbf_matches_reference(self, d_x, d_y, mu_x, mu_y, config_name, monkeypatch):
+        for name, value in REFERENCE_CONFIGS[config_name].items():
+            monkeypatch.setattr(inner_module, name, value)
         inst = gen_quadratic_spp(
             d_x, d_y, 4.0 * mu_x, mu_x, 4.0 * mu_y, mu_y, 10.0 * max(mu_x, mu_y), 1
         )
@@ -686,27 +654,28 @@ class TestReferenceEquivalence:
         exits = set()
         starts = []
 
-        def checked_inner(aux, spec_, tuning, config_):
-            got = solve_auxiliary(aux, spec_, tuning, config_)
+        def checked_inner(aux, spec_, tuning):
+            got = solve_auxiliary(aux, spec_, tuning)
             assert got._terms is not None
-            assert _same_result(got, _reference_fbf(aux, spec_, tuning, config_), aux)
+            assert _same_result(got, _reference_fbf(aux, spec_, tuning), aux)
             exits.add(got.accepted_by)
             starts.append(aux.remainder is not None)
             return got
 
         start = PointPair(np.zeros(d_x), np.zeros(d_y))
-        solve(problem, spec, start, SolveConfig(eps=1e-8, max_outer=40, inner=config),
+        solve(problem, spec, start, SolveConfig(eps=1e-8, max_outer=40),
               inner_solver=checked_inner)
         assert ("stall" if config_name == "stall-heavy" else "criterion") in exits
         # Cold at the first step only: every later one starts warm.
         assert starts == [False] + [True] * (len(starts) - 1)
 
     @pytest.mark.parametrize("config_name", sorted(REFERENCE_CONFIGS))
-    def test_bilinear_matches_reference(self, config_name):
-        config = REFERENCE_CONFIGS[config_name]
+    def test_bilinear_matches_reference(self, config_name, monkeypatch):
+        for name, value in REFERENCE_CONFIGS[config_name].items():
+            monkeypatch.setattr(inner_module, name, value)
         bp = gen_bilinear(30, 20, 4.0, 1.0, 0.04, 0.01, 2.0, 1).bilinear_problem()
         start = PointPair(np.zeros(30), np.zeros(20))
-        solve_config = SolveConfig(eps=1e-8, max_outer=60, inner=config)
+        solve_config = SolveConfig(eps=1e-8, max_outer=60)
         got = solve_bilinear(bp, start, solve_config)
 
         wrapped, counters = wrap_counting_bilinear(bp)
@@ -748,8 +717,8 @@ class TestReferenceEquivalence:
         def recording(bp):
             inner = make_bilinear_inner_solver(bp)
 
-            def solver(aux, spec, tuning, config):
-                result = inner(aux, spec, tuning, config)
+            def solver(aux, spec, tuning):
+                result = inner(aux, spec, tuning)
                 seen.append((bp.mu_q, aux, result))
                 return result
 
@@ -770,8 +739,8 @@ class TestReferenceEquivalence:
 
 def _without_remainder(inner):
     # A custom inner solver: the library's, with the remainder dropped.
-    def solver(aux, spec, tuning, config):
-        return dataclasses.replace(inner(aux, spec, tuning, config), remainder=None)
+    def solver(aux, spec, tuning):
+        return dataclasses.replace(inner(aux, spec, tuning), remainder=None)
 
     return solver
 
@@ -798,8 +767,8 @@ class TestConjugateGradientWarmStart:
         def recording(wrapped):
             inner = make_bilinear_inner_solver(wrapped)
 
-            def solver(aux, spec, tuning, config):
-                result = inner(aux, spec, tuning, config)
+            def solver(aux, spec, tuning):
+                result = inner(aux, spec, tuning)
                 steps.append((aux.remainder, result))
                 return result
 
@@ -826,9 +795,9 @@ class TestConjugateGradientWarmStart:
         def cold(wrapped):
             inner = _without_remainder(make_bilinear_inner_solver(wrapped))
 
-            def solver(aux, spec, tuning, config):
+            def solver(aux, spec, tuning):
                 remainders.append(aux.remainder)
-                return inner(aux, spec, tuning, config)
+                return inner(aux, spec, tuning)
 
             return solver
 
@@ -852,14 +821,14 @@ class TestConjugateGradientWarmStart:
         def recording(wrapped):
             inner = make_bilinear_inner_solver(wrapped)
 
-            def solver(aux, spec, tuning, config):
-                subproblems.append((aux, spec, tuning, config))
-                return inner(aux, spec, tuning, config)
+            def solver(aux, spec, tuning):
+                subproblems.append((aux, spec, tuning))
+                return inner(aux, spec, tuning)
 
             return solver
 
         self._run(recording)
-        aux, spec, tuning, config = subproblems[5]
+        aux, spec, tuning = subproblems[5]
         assert aux.remainder is not None and aux.vectors is not None
         if by_hand:
             aux = AuxiliaryProblem(
@@ -874,7 +843,7 @@ class TestConjugateGradientWarmStart:
 
         coupling = dataclasses.replace(bp.coupling, rmatvec=rmatvec)
         inner = make_bilinear_inner_solver(dataclasses.replace(bp, coupling=coupling))
-        got = inner(aux, spec, tuning, config)
+        got = inner(aux, spec, tuning)
         assert np.array_equal(starts[0], fbf_start(aux, spec)[0][:30])
-        want = _reference_bilinear_inner(bp)(aux, spec, tuning, config)
+        want = _reference_bilinear_inner(bp)(aux, spec, tuning)
         assert _same_result(got, want, aux)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from saddleslide import (
     CompositeSaddleProblem,
-    InnerConfig,
     PointPair,
     SmoothnessSpec,
     SolveConfig,
@@ -36,7 +35,7 @@ from saddleslide.errors import (
     NonPositiveInput,
     NonPositiveModulus,
 )
-from saddleslide.inner import AuxiliaryProblem, InnerResult, solve_auxiliary
+from saddleslide.inner import FLOOR_TOL, AuxiliaryProblem, InnerResult, solve_auxiliary
 from saddleslide.outer import (
     TERMINATION_BUDGET,
     TERMINATION_RESIDUAL,
@@ -246,8 +245,8 @@ class TestSolve:
         seen = {}
         from saddleslide.inner import solve_auxiliary
 
-        def probing_inner(aux, spec_, tuning, config):
-            result = solve_auxiliary(aux, spec_, tuning, config)
+        def probing_inner(aux, spec_, tuning):
+            result = solve_auxiliary(aux, spec_, tuning)
             seen["x_hat"] = result.pair.x.copy()
             seen["anchor"] = aux.grad_p_anchor.copy()
             seen["x_k"] = aux.x_k.copy()
@@ -279,8 +278,7 @@ class TestSolve:
         )
         start = PointPair(np.zeros(3), np.zeros(4))
         psi0 = initial_potential(problem, spec, start, saddle)
-        config = SolveConfig(eps=1e-6, psi_0=psi0, track_inner_details=True,
-                             inner=InnerConfig(floor_tol=1e-24))
+        config = SolveConfig(eps=1e-6, psi_0=psi0, track_inner_details=True)
         report = solve(problem, spec, start, config)
         tuning = report.tuning
         assert len(report.inner_logs) == report.counters.outer_iterations
@@ -289,7 +287,7 @@ class TestSolve:
             assert check_inner_criterion(
                 log["g_x"], log["g_y"],
                 log["x_hat"] - log["x_k"], log["y_hat"] - log["y_k"],
-                tuning, 1e-24,
+                tuning, FLOOR_TOL,
             )
 
     def test_record_counts_match_iterations(self, rng):
@@ -327,7 +325,7 @@ class TestSolve:
         problem = _decoupled_problem()
         spec = SmoothnessSpec(L_p=0, L_q=0, L_R=1, mu_x=1, mu_y=1)
 
-        def huge_inner(aux, spec_, tuning, config):
+        def huge_inner(aux, spec_, tuning):
             x, y = np.zeros(3), np.zeros(2)
             (x if block == "x" else y)[0] = 1e200
             return InnerResult(PointPair(x, y), 0, np.zeros(3), np.zeros(2))
@@ -384,6 +382,14 @@ class TestSolve:
             solve(problem, spec, start, SolveConfig(eps=0.0))
         with pytest.raises(NonPositiveInput):
             solve(problem, spec, start, SolveConfig(eps=1e-6, max_outer=0))
+
+    @pytest.mark.parametrize("max_outer", [math.nan, 50.0, True])
+    def test_non_integer_max_outer_rejected(self, max_outer):
+        # A nan budget never compares true, so it would switch the budget
+        # off; a float is refused, not rounded, and a bool is no count.
+        problem, spec, start = self._small_instance()
+        with pytest.raises(NonPositiveInput):
+            solve(problem, spec, start, SolveConfig(eps=1e-6, max_outer=max_outer))
 
     @staticmethod
     def _small_instance():
@@ -623,7 +629,6 @@ def _reference_solve(problem, spec, start, config, inner_solver=None, counters=N
                      bounds=residual_bounds):
     tuning = tune_parameters(spec)
     alpha, eta_x, eta_y = tuning.alpha, tuning.eta_x, tuning.eta_y
-    inner_config = config.inner if config.inner is not None else InnerConfig()
     inner_solver = inner_solver if inner_solver is not None else solve_auxiliary
     counted, counters = wrap_counting(problem, counters)
     planned = min(config.max_outer,
@@ -638,7 +643,7 @@ def _reference_solve(problem, spec, start, config, inner_solver=None, counters=N
         yg = alpha * y + (1.0 - alpha) * yf
         aux = AuxiliaryProblem(counted.grad_R, counted.grad_p(xg), counted.grad_q(yg),
                                x, y, eta_x, eta_y, remainder=remainder)
-        result = inner_solver(aux, spec, tuning, inner_config)
+        result = inner_solver(aux, spec, tuning)
         remainder = result.remainder
         x_hat, y_hat = result.pair.x, result.pair.y
         counters.outer_iterations += 1
@@ -721,10 +726,10 @@ class TestSolveReference:
         assert (report.termination == TERMINATION_RESIDUAL) == use_residual_stop
 
 
-def _rebuilt(aux, spec, tuning, config):
+def _rebuilt(aux, spec, tuning):
     # A custom inner solver: FBF's result rebuilt from plain copies, so it
     # carries no stacked terms and `solve` forms them from the blocks.
-    r = solve_auxiliary(aux, spec, tuning, config)
+    r = solve_auxiliary(aux, spec, tuning)
     return InnerResult(PointPair(r.pair.x.copy(), r.pair.y.copy()), r.iterations,
                        r.grad_x.copy(), r.grad_y.copy(), r.accepted_by, r.remainder.copy())
 
@@ -787,9 +792,9 @@ class TestWarmStart:
         # for bit: its tallies, and the reference loop's results.
         remainders = []
 
-        def without_remainder(aux, spec, tuning, config):
+        def without_remainder(aux, spec, tuning):
             remainders.append(aux.remainder)
-            result = solve_auxiliary(aux, spec, tuning, config)
+            result = solve_auxiliary(aux, spec, tuning)
             return dataclasses.replace(result, remainder=None)
 
         report, _, args = _certified_run(
