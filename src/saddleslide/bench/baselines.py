@@ -43,18 +43,22 @@ def baseline_extragradient(
     eta_x: Optional[float] = None,
     eta_y: Optional[float] = None,
 ) -> ConvergenceReport:
-    """Plain extragradient on the joint operator, step 1/(2 L_total).
+    """Plain extragradient on the joint operator, step 1/(2 L_F).
 
-    ``L_total = L_p + L_q + L_R``.  All three oracles are called twice per
-    iteration.  With a reference solution the run stops once the distance
-    (weighted by the supplied eta's, plain otherwise) drops below ``eps``
-    and raises BudgetExhausted if that never happens; without a reference
-    it runs exactly ``max_iter`` iterations.
+    ``L_F = max(L_p, L_q) + L_R`` bounds the Lipschitz constant of the
+    joint operator ``F = (grad p + grad_x R, grad q - grad_y R)``: its
+    composite part is block-diagonal, so Lipschitz with ``max(L_p, L_q)``,
+    and its coupling part with ``L_R``.  Extragradient converges for any
+    step below ``1/Lip(F)`` (Korpelevich 1976).  All three oracles are
+    called twice per iteration.  With a reference solution the run stops
+    once the distance (weighted by the supplied eta's, plain otherwise)
+    drops below ``eps`` and raises BudgetExhausted if that never happens;
+    without a reference it runs exactly ``max_iter`` iterations.
     """
     validate_spec(spec)
     start.check_dims(problem.d_x, problem.d_y)
     wrapped, counters = wrap_counting(problem)
-    step = 1.0 / (2.0 * (spec.L_p + spec.L_q + spec.L_R))
+    step = 1.0 / (2.0 * (max(spec.L_p, spec.L_q) + spec.L_R))
 
     def operator(x, y):
         r_x, r_y = wrapped.grad_R(x, y)
@@ -86,7 +90,7 @@ def baseline_extragradient(
             exc = DivergenceDetected("non-finite extragradient iterate")
             exc.report = report
             raise exc
-        report.final_pair = PointPair(x, y)
+        report.final_pair = PointPair._unscanned(x, y)
         if reference is not None and distance(report.final_pair) <= eps:
             report.termination = TERMINATION_RESIDUAL
             return report

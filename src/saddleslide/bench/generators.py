@@ -96,8 +96,7 @@ class Instance:
         a = self.arrays
         if self.kind == KIND_QUADRATIC:
             c = self.constants
-            return (a["P"] + c["mu_x"] * np.eye(a["P"].shape[0]),
-                    a["Q"] + c["mu_y"] * np.eye(a["Q"].shape[0]),
+            return (_shifted(a["P"], c["mu_x"]), _shifted(a["Q"], c["mu_y"]),
                     a["B"], a["a"], a["e"])
         if self.kind == KIND_BILINEAR:
             return a["Hp"], a["Hq"], a["B"], a["d"], a["c"]
@@ -260,6 +259,17 @@ def verify_instance(inst: Instance) -> None:
 def _random_orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
+
+
+def _shifted(m, mu):
+    """``m + mu I``, shifting the diagonal of a copy.
+
+    No identity-sized temporaries: at n = 1000 each is 8 MB, and the
+    grid's worker threads keep the freed pages resident.
+    """
+    out = m.copy()
+    out.flat[:: m.shape[0] + 1] += mu
+    return out
 
 
 def _random_sym_with_spectrum(rng, n, lo, hi):

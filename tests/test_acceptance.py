@@ -429,10 +429,10 @@ def test_criterion_11_unequal_moduli():
     # The headline regime mu_x != mu_y, on both routes; the sliding bounds
     # stay put as mu_x/mu_y grows, while extragradient pays L_R/min(mu).
     # Quadratic route: L_p/mu_x = L_q/mu_y = 4 and L_R = 10 sqrt(mu_x mu_y);
-    # measured on seeds 0-2, sliding grad_p 124-130, grad_R at most 1.79x
-    # its ratio-1 count, eg grad_R 27-48x.  Bilinear route, 20x20:
+    # measured on seeds 0-2, sliding grad_p 124-130, grad_R at most 1.22x
+    # its ratio-1 count, eg grad_R 35-62x.  Bilinear route, 20x20:
     # L_p/mu_p = L_q/mu_q = 4 and sigma_max = sqrt(mu_p mu_q); measured,
-    # sliding grad_p 106-111, B/B' products at most 1.0x, eg 31-34x.  eg
+    # sliding grad_p 106-111, B/B' products at most 1.0x, eg 46-49x.  eg
     # still stops on the reference solution here; a computable stop for it
     # is a separate change (ROADMAP item 7).  The sliding runs spend their
     # whole planned budget, whose flat shape is the claim under test.

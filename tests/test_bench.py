@@ -4,6 +4,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from saddleslide import BilinearProblem, PointPair, plan_cc, unweighted_distance_sq
 from saddleslide.bench import (
@@ -24,7 +26,7 @@ from saddleslide.bench import (
 from saddleslide.bench import matio, runner
 from saddleslide.bench.baselines import agd_joint_baseline
 from saddleslide.bench.cli import main
-from saddleslide.bilinear import _solve_regularized
+from saddleslide.bilinear import _solve_regularized, split_bilinear
 from saddleslide.errors import (
     BudgetExhausted,
     DivergenceDetected,
@@ -149,6 +151,30 @@ class TestBaselineExtragradient:
         assert c.outer_iterations == 7
         assert (c.calls_grad_p, c.calls_grad_q, c.calls_grad_R) == (14, 14, 14)
 
+    def test_eg_update_by_hand(self):
+        # L_p = 3 != L_q = 1 and L_R = 5, so the step 1/(2 (max(3, 1) + 5))
+        # = 1/16 differs from one built on L_p + L_q or on L_q alone.
+        # One iteration: z_h = z - s F(z), z+ = z - s F(z_h), with
+        # F(x, y) = (P x + a + mu_x x + B y, Q y + e - (B'x - mu_y y)).
+        inst = gen_quadratic_spp(3, 2, 3.0, 1.0, 1.0, 1.0, 5.0, seed=4)
+        P, Q, B, a, e = (inst.arrays[k] for k in ("P", "Q", "B", "a", "e"))
+
+        def F(x, y):
+            r_x, r_y = 1.0 * x + B @ y, B.T @ x - 1.0 * y
+            return P @ x + a + r_x, Q @ y + e - r_y
+
+        x, y = np.array([1.0, -2.0, 0.5]), np.array([0.25, 3.0])
+        step = 1.0 / 16.0
+        f_x, f_y = F(x, y)
+        fh_x, fh_y = F(x - step * f_x, y - step * f_y)
+        report = baseline_extragradient(
+            inst.problem(), inst.spec(), PointPair(x, y), eps=1e-6, max_iter=1,
+        )
+        assert np.array_equal(report.final_pair.x, x - step * fh_x)
+        assert np.array_equal(report.final_pair.y, y - step * fh_y)
+        c = report.counters
+        assert (c.calls_grad_p, c.calls_grad_q, c.calls_grad_R) == (2, 2, 2)
+
     def test_converges_to_reference_on_mild_instance(self):
         inst = gen_quadratic_spp(5, 5, 2.0, 1.0, 2.0, 1.0, 3.0, seed=2)
         ref = reference_solution(inst)
@@ -188,6 +214,67 @@ class TestBaselineExtragradient:
         )
         assert np.all(np.isfinite(report.final_pair.x))
         assert np.linalg.norm(report.final_pair.x) <= 2.0
+
+
+# Moduli ratios mu_x/mu_y from 1e-3 to 1e3, at both ends among them.
+log_ratios = st.floats(-3.0, 3.0)
+
+
+def _joint_norm(Hp, Hq, B):
+    J = np.block([[Hp, B], [-B.T, Hq]])
+    return float(np.linalg.norm(J, 2))
+
+
+class TestExtragradientStepBound:
+    """``max(L_p, L_q) + L_R`` bounds the joint operator's Lipschitz constant.
+
+    ``F``'s Jacobian is ``diag(grad^2 p, grad^2 q)``, of norm at most
+    ``max(L_p, L_q)``, plus the coupling part, of norm at most ``L_R``;
+    ``baseline_extragradient``'s step rests on the sum.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d_x=st.integers(1, 6), d_y=st.integers(1, 6),
+        log_ratio=log_ratios,
+        L_p=st.floats(0.0, 50.0), L_q=st.floats(0.0, 50.0),
+        coupling_gain=st.floats(1.0, 20.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(d_x=3, d_y=4, log_ratio=3.0, L_p=10.0, L_q=1.0,
+             coupling_gain=1.0, seed=0)
+    @example(d_x=4, d_y=3, log_ratio=-3.0, L_p=0.0, L_q=30.0,
+             coupling_gain=2.0, seed=1)
+    def test_quadratic_spp(self, d_x, d_y, log_ratio, L_p, L_q, coupling_gain, seed):
+        if L_p == L_q:
+            L_q += 1.0
+        mu_x, mu_y = 10.0 ** (log_ratio / 2), 10.0 ** (-log_ratio / 2)
+        L_R = coupling_gain * max(mu_x, mu_y)
+        inst = gen_quadratic_spp(d_x, d_y, L_p, mu_x, L_q, mu_y, L_R, seed)
+        # saddle_blocks gives P + mu_x I and Q + mu_y I.
+        Hp, Hq, B, _, _ = inst.saddle_blocks()
+        assert _joint_norm(Hp, Hq, B) <= (max(L_p, L_q) + L_R) * (1 + 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d_x=st.integers(1, 6), d_y=st.integers(1, 6),
+        log_ratio=log_ratios,
+        cond_p=st.floats(1.0, 50.0), cond_q=st.floats(1.0, 50.0),
+        sigma_max=st.floats(0.0, 20.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(d_x=3, d_y=4, log_ratio=3.0, cond_p=1.0, cond_q=4.0,
+             sigma_max=5.0, seed=0)
+    def test_split_bilinear(self, d_x, d_y, log_ratio, cond_p, cond_q, sigma_max, seed):
+        mu_p, mu_q = 10.0 ** (log_ratio / 2), 10.0 ** (-log_ratio / 2)
+        L_p, L_q = cond_p * mu_p, cond_q * mu_q
+        if L_p == L_q:
+            L_q *= 2.0
+        inst = gen_bilinear(d_x, d_y, L_p, mu_p, L_q, mu_q, sigma_max, seed)
+        _, spec = split_bilinear(inst.bilinear_problem())
+        Hp, Hq, B, _, _ = inst.saddle_blocks()
+        bound = max(spec.L_p, spec.L_q) + spec.L_R
+        assert _joint_norm(Hp, Hq, B) <= bound * (1 + 1e-12)
 
 
 class TestAgdJointBaseline:
@@ -364,6 +451,12 @@ class TestSaddleBlocks:
         # the gradients of the oracles the solvers are handed.
         inst = make()
         Hp, Hq, B, d, c = inst.saddle_blocks()
+        if inst.kind == "quadratic-spp":
+            # The shifted diagonal keeps every bit of P + mu I, which the
+            # reference solution and the CSV digests rest on.
+            a, k = inst.arrays, inst.constants
+            assert np.array_equal(Hp, a["P"] + k["mu_x"] * np.eye(6))
+            assert np.array_equal(Hq, a["Q"] + k["mu_y"] * np.eye(4))
         for _ in range(3):
             x, y = rng.standard_normal(B.shape[0]), rng.standard_normal(B.shape[1])
             if inst.kind == "quadratic-spp":
