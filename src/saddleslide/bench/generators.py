@@ -14,7 +14,7 @@ from typing import Dict
 
 import numpy as np
 
-from ..bilinear import BilinearProblem, CouplingOperator, power_lambda_max
+from ..bilinear import BilinearProblem, CouplingOperator, lanczos_extremes
 from ..errors import InfeasibleConstants, ManifestError, SingularSystem
 from ..problems import CompositeSaddleProblem, PointPair, SmoothnessSpec
 from . import matio
@@ -24,8 +24,11 @@ KIND_BILINEAR = "bilinear"
 KIND_CONSENSUS = "consensus"
 KIND_LINEAR_BILINEAR = "linear-bilinear"
 
-# Relative tolerance of the load-time spectral consistency check.
+# The load-time check's relative tolerance, its Lanczos steps per top, and
+# the relative slack, 4 ulps per step, by which a Ritz top may round above.
 SPECTRAL_CHECK_RTOL = 0.05
+LANCZOS_ITERS = 100
+RITZ_SLACK = 4 * LANCZOS_ITERS * np.finfo(float).eps
 
 # File entries holding matrices; everything else is stored as a column
 # vector and raveled on load.
@@ -204,24 +207,30 @@ def verify_instance(inst: Instance) -> None:
     """Check declared spectral constants against the stored matrices.
 
     Where a bottom is checked, ``eigvalsh`` of the dense matrix gives it and
-    the top exactly; the other tops (quadratic-spp's, and bilinear's
-    ``lambda_max_BBt``) are estimated by power iteration.  Raises
-    ManifestError when a value deviates by more than 5%.
+    the top exactly, and the declared value must agree within 5%.  The
+    other tops (quadratic-spp's, and bilinear's ``lambda_max_BBt``) are
+    Ritz values after ``LANCZOS_ITERS`` steps, which never exceed the true
+    top: a declared top below one by more than ``RITZ_SLACK`` is refuted,
+    and one above it must lie within 5%, an estimate only.  A declared 0 is
+    checked on the scale 1e-12.  Raises ManifestError naming the constant.
     """
     c = inst.constants
 
-    def check(name, declared, estimate):
+    def check(name, declared, estimate, below=SPECTRAL_CHECK_RTOL):
         scale = max(abs(declared), 1e-12)
-        if abs(estimate - declared) > SPECTRAL_CHECK_RTOL * scale:
+        if not -below * scale <= declared - estimate <= SPECTRAL_CHECK_RTOL * scale:
             raise ManifestError(
                 f"{inst.instance_id}: declared {name}={declared:.6g} but "
                 f"estimated {estimate:.6g}"
             )
 
+    def ritz(matvec, dim):
+        return lanczos_extremes(matvec, dim, LANCZOS_ITERS)[:2]
+
     if inst.kind == KIND_QUADRATIC:
         P, Q, B = inst.arrays["P"], inst.arrays["Q"], inst.arrays["B"]
-        check("L_p", c["L_p"], power_lambda_max(lambda v: P @ v, P.shape[0]))
-        check("L_q", c["L_q"], power_lambda_max(lambda v: Q @ v, Q.shape[0]))
+        check("L_p", c["L_p"], ritz(lambda v: P @ v, P.shape[0])[1], RITZ_SLACK)
+        check("L_q", c["L_q"], ritz(lambda v: Q @ v, Q.shape[0])[1], RITZ_SLACK)
         mu_x, mu_y = c["mu_x"], c["mu_y"]
         d_x, d_y = P.shape[0], Q.shape[0]
 
@@ -230,8 +239,8 @@ def verify_instance(inst: Instance) -> None:
             return np.concatenate([mu_x * x + B @ y, B.T @ x - mu_y * y])
 
         # The R-gradient map is symmetric; its norm is the top |eigenvalue|.
-        check("L_R", c["L_R"], power_lambda_max(
-            lambda z: coupled(coupled(z)), d_x + d_y) ** 0.5)
+        lo, hi = ritz(coupled, d_x + d_y)
+        check("L_R", c["L_R"], max(-lo, hi), RITZ_SLACK)
     elif inst.kind == KIND_BILINEAR:
         B = inst.arrays["B"]
         eig_p = np.linalg.eigvalsh(inst.arrays["Hp"])
@@ -240,8 +249,8 @@ def verify_instance(inst: Instance) -> None:
         check("L_q", c["L_q"], eig_q[-1])
         check("mu_p", c["mu_p"], eig_p[0])
         check("mu_q", c["mu_q"], eig_q[0])
-        check("lambda_max_BBt", c["lambda_max_BBt"],
-              power_lambda_max(lambda v: B @ (B.T @ v), B.shape[0]))
+        lam = ritz(lambda v: B @ (B.T @ v), B.shape[0])[1]
+        check("lambda_max_BBt", c["lambda_max_BBt"], lam, RITZ_SLACK)
     elif inst.kind == KIND_CONSENSUS:
         W = inst.arrays["W"]
         eigs = np.linalg.eigvalsh(W @ W.T)
@@ -373,6 +382,8 @@ def gen_bilinear(
             f"need 0 < mu <= L and sigma_max >= 0, got "
             f"({L_p}, {mu_p}, {L_q}, {mu_q}, {sigma_max})"
         )
+    # A one-dimensional block has the one eigenvalue L, its modulus too.
+    mu_p, mu_q = (L_p if d_x == 1 else mu_p), (L_q if d_y == 1 else mu_q)
     rng = np.random.default_rng(seed)
     Hp, _ = _random_sym_with_spectrum(rng, d_x, mu_p, L_p)
     Hq, _ = _random_sym_with_spectrum(rng, d_y, mu_q, L_q)

@@ -110,36 +110,49 @@ class CouplingOperator:
         )
 
 
-# Power iteration's step cap and the relative change in its Rayleigh
-# quotient at which it stops.
-POWER_ITERS = 100
-POWER_TOL = 1e-6
+# Lanczos solves its tridiagonal eigenproblem every LANCZOS_CHECK steps, or once
+# beta proves its stop: both extreme Ritz residuals <= LANCZOS_TOL max |theta|.
+LANCZOS_CHECK = 10
+LANCZOS_TOL = 1e-6
 
 
-def power_lambda_max(matvec, dim, seed=0) -> float:
-    """Top eigenvalue of a symmetric positive semidefinite operator.
+def lanczos_extremes(matvec, dim, steps, *, seed=0):
+    """Extreme eigenvalues of a symmetric operator by Lanczos.
 
-    Power iteration from a random unit vector drawn from
-    ``np.random.default_rng(seed)`` (a Generator is drawn from in place),
-    stopped once successive Rayleigh quotients agree to relative
-    ``POWER_TOL`` or after ``POWER_ITERS`` products.  Returns 0 when the
-    operator maps the iterate to zero.
+    Starts from a random unit vector of ``np.random.default_rng(seed)`` (a
+    Generator is drawn from in place); each new vector is orthogonalized
+    twice against the whole basis, which grows as it goes.  Stops at an
+    invariant subspace, after ``min(steps, dim)`` steps, or on the residual
+    stop.  Returns ``(lo, hi, res_lo, res_hi, products)`` with residuals
+    ``beta_k |s_k|``.  By interlacing, ``[lo, hi]`` lies inside the
+    spectrum's range up to rounding; a residual bounds how far inside only
+    given a gap between that end and the rest of the spectrum.
     """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(POWER_ITERS):
-        w = matvec(v)
-        new = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(new - lam) <= POWER_TOL * max(abs(new), 1e-30):
-            return new
-        lam = new
-    return lam
+    n = min(steps, dim)
+    basis = np.empty((1, dim))
+    basis[0] = np.random.default_rng(seed).standard_normal(dim)
+    basis[0] /= np.linalg.norm(basis[0])
+    alpha, beta = np.zeros(n), np.zeros(n)
+    for k in range(1, n + 1):
+        known = basis[:k]
+        w = matvec(known[-1])
+        h = known @ w
+        alpha[k - 1] = h[-1]
+        w = w - known.T @ h
+        w = w - known.T @ (known @ w)
+        size = np.max(np.abs(w))  # scaled, so that tiny entries' squares do not underflow
+        beta[k - 1] = size * np.linalg.norm(w / size) if size > 0.0 else 0.0
+        # Each residual is at most beta, each |alpha| at most the largest |Ritz value|.
+        proven = beta[k - 1] <= LANCZOS_TOL * np.max(np.abs(alpha[:k]))
+        if proven or k % LANCZOS_CHECK == 0 or k == n:
+            off = np.diag(beta[: k - 1], 1)
+            theta, s = np.linalg.eigh(np.diag(alpha[:k]) + off + off.T)
+            res = beta[k - 1] * np.abs(s[-1, [0, -1]])
+            if k == n or res.max() <= LANCZOS_TOL * max(-theta[0], theta[-1]):
+                return float(theta[0]), float(theta[-1]), float(res[0]), float(res[1]), k
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty_like(basis)])
+        basis[k] = w / beta[k - 1]
 
 
 def _cg_start(matvec, rmatvec, shift, rhs, x):
@@ -194,39 +207,15 @@ def estimate_spectral_bounds(
 ) -> Tuple[float, float, int]:
     """Estimate (lambda_max, lambda_min) of B B^T without forming it.
 
-    Both come from `power_lambda_max`, on one ``rng`` stream: lambda_max
-    on B B^T, and lambda_min as ``1/top - delta`` for the top eigenvalue
-    ``top`` of ``(B B^T + delta I)^-1``, ``delta = 1e-6 lambda_max``,
-    floored at 0.  Each inverse application runs `_cg_step` from
-    ``u/(lambda_max + delta)`` to relative residual 1e-9, keeping its last
-    state on a breakdown (BudgetExhausted if it takes more than 50,000
-    steps).  Returns the estimates and the number of B/B^T products spent,
-    which callers should log separately from solver oracle counts.
+    Both ends come from one `lanczos_extremes` run on B B^T of up to
+    ``d_x`` steps, exact but for rounding when it takes them all; a
+    residual stop leaves each within about 1e-6 lambda_max, which may be
+    many times a small lambda_min.  lambda_min is floored at 0.  Returns the
+    estimates and the B/B^T products, to log apart from solver oracle counts.
     """
-    rng = np.random.default_rng(seed)
-    used = OracleCounters()
-    matvec = count_calls(matvec, used, "calls_grad_R")
-    rmatvec = count_calls(rmatvec, used, "calls_grad_R")
-    lam_max = power_lambda_max(lambda v: matvec(rmatvec(v)), d_x, seed=rng)
-    if lam_max <= 0.0:
-        return 0.0, 0.0, used.calls_grad_R
-    delta = 1e-6 * lam_max
-
-    def inverse(u):
-        stop = 1e-9 * np.linalg.norm(u)
-        state = _cg_start(matvec, rmatvec, delta, u, u / (lam_max + delta))
-        steps = 0
-        while np.linalg.norm(state[2]) > stop:
-            if steps == 50_000:
-                raise BudgetExhausted("inverse power step unsolved after 50000 CG steps")
-            following = _cg_step(matvec, rmatvec, delta, *state)
-            if following is None:
-                break
-            state, steps = following, steps + 1
-        return state[0]
-
-    top = power_lambda_max(inverse, d_x, seed=rng)
-    return lam_max, max(1.0 / top - delta, 0.0), used.calls_grad_R
+    lo, hi, _, _, steps = lanczos_extremes(
+        lambda v: matvec(rmatvec(v)), d_x, d_x, seed=seed)
+    return hi, max(lo, 0.0), 2 * steps
 
 
 @dataclass(frozen=True)

@@ -398,9 +398,59 @@ class TestInstanceRoundTrip:
         with pytest.raises(ManifestError, match=name):
             Instance.load(inst.save(tmp_path / "inst"))
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda: gen_quadratic_spp(20, 20, 4.0, 1.0, 4.0, 0.01, 10.0, seed=2), "L_p"),
+        (lambda: gen_quadratic_spp(20, 20, 4.0, 1.0, 4.0, 0.01, 10.0, seed=2), "L_q"),
+        (lambda: gen_quadratic_spp(20, 20, 4.0, 1.0, 4.0, 0.01, 10.0, seed=2), "L_R"),
+        (lambda: gen_bilinear(20, 20, 4.0, 1.0, 4.0, 1.0, 5.0, seed=2), "lambda_max_BBt"),
+    ], ids=["L_p", "L_q", "L_R", "lambda_max_BBt"])
+    def test_verification_refutes_a_top_below_its_ritz_value(self, tmp_path, make, name):
+        # 2% low lies inside the 5% band, but a Ritz value never exceeds
+        # the top it estimates, so a declared top below it is wrong.
+        inst = make()
+        inst.manifest["constants"][name] *= 0.98
+        with pytest.raises(ManifestError, match=name):
+            Instance.load(inst.save(tmp_path / "inst"))
+
+    def test_verification_refutes_a_nan_matrix(self, tmp_path):
+        # Every Ritz value of a P holding a NaN is NaN, which lies within no
+        # band of the declared L_p.
+        inst = gen_quadratic_spp(5, 5, 4.0, 1.0, 4.0, 1.0, 10.0, seed=0)
+        inst.arrays["P"] = inst.arrays["P"].copy()
+        inst.arrays["P"][0, 0] = np.nan
+        with pytest.raises(ManifestError, match="L_p"):
+            Instance.load(inst.save(tmp_path / "inst"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["quadratic-spp", "bilinear", "consensus", "linear-bilinear"]),
+        d_x=st.integers(1, 12), d_y=st.integers(1, 12),
+        L_p=st.floats(0.0, 1e3), L_q=st.floats(0.0, 1e3),
+        log_mu=st.floats(-3.0, 3.0), log_other=st.floats(-3.0, 3.0),
+        gain=st.floats(1.0, 100.0),
+        topology=st.sampled_from(["path", "ring", "star"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    # A one-dimensional Hessian has the single eigenvalue L_p.
+    @example(kind="bilinear", d_x=1, d_y=3, L_p=5.0, L_q=0.0, log_mu=0.0,
+             log_other=0.0, gain=4.0, topology="path", seed=0)
+    def test_verification_accepts_generated_instances(
+        self, kind, d_x, d_y, L_p, L_q, log_mu, log_other, gain, topology, seed
+    ):
+        mu, other = 10.0**log_mu, 10.0**log_other
+        make = {
+            "quadratic-spp": lambda: gen_quadratic_spp(
+                d_x, d_y, L_p, mu, L_q, other, gain * max(mu, other), seed),
+            "bilinear": lambda: gen_bilinear(
+                d_x, d_y, gain * mu, mu, gain * other, other, L_p, seed),
+            "consensus": lambda: gen_consensus(d_x + 1, topology, mu, gain * mu, seed),
+            "linear-bilinear": lambda: gen_linear_bilinear(d_x, seed, scale=mu, cond=gain),
+        }
+        verify_instance(make[kind]())
+
     def test_verification_accepts_zero_composites(self, tmp_path):
-        # With L_p = L_q = 0 the stored P and Q are exactly zero, and power
-        # iteration reads them as 0 after one product.
+        # With L_p = L_q = 0 the stored P and Q are exactly zero, and
+        # Lanczos reads them as 0 after one product.
         inst = gen_quadratic_spp(10, 10, 0.0, 1.0, 0.0, 1000.0, 1001.0, seed=0)
         assert not inst.arrays["P"].any() and not inst.arrays["Q"].any()
         Instance.load(inst.save(tmp_path / "inst"), verify=True)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from saddleslide import (
@@ -26,8 +26,14 @@ from saddleslide import (
     wrap_counting_bilinear,
 )
 from saddleslide import bilinear, inner
-from saddleslide.bench.generators import gen_consensus, gen_linear_bilinear, reference_solution
-from saddleslide.bilinear import _cg_start, _cg_step
+from saddleslide.bench.generators import (
+    RITZ_SLACK,
+    gen_bilinear,
+    gen_consensus,
+    gen_linear_bilinear,
+    reference_solution,
+)
+from saddleslide.bilinear import _cg_start, _cg_step, lanczos_extremes
 from saddleslide.errors import (
     BudgetExhausted,
     DimensionMismatch,
@@ -752,9 +758,9 @@ def _estimate_counted(B, **kwargs):
 
 
 class TestSpectralEstimation:
-    # Cost ceilings of 292, 36 and 778 products: what an inverse power loop
-    # that also pays two products per step for a Rayleigh quotient on
-    # B B^T spends on these three matrices.
+    # One Lanczos run of up to d_x steps, two products each: the 5 x 7
+    # coupling takes all 5 steps, and the rank-deficient ones stop at their
+    # invariant subspaces, after 2 and 21 steps.
     def test_estimates_match_exact_eigenvalues(self, rng):
         B = rng.standard_normal((5, 7))
         lam = np.linalg.eigvalsh(B @ B.T)
@@ -762,7 +768,7 @@ class TestSpectralEstimation:
         assert lmax == pytest.approx(lam[-1], rel=1e-3)
         assert lmin == pytest.approx(lam[0], rel=2e-2, abs=1e-8)
         assert used > 0
-        assert used <= 292
+        assert used <= 10
 
     def test_singular_coupling_floor(self, rng):
         B = np.zeros((3, 2))
@@ -770,7 +776,7 @@ class TestSpectralEstimation:
         lmax, lmin, used = _estimate_counted(B, seed=1)
         assert lmax == pytest.approx(4.0, rel=1e-4)
         assert lmin <= 1e-6
-        assert used <= 36
+        assert used <= 6
 
     def test_rank_deficient_coupling_cost(self):
         B = np.random.default_rng(0).standard_normal((30, 20))
@@ -779,7 +785,68 @@ class TestSpectralEstimation:
         assert used <= 20_000
         assert lmax == pytest.approx(lam[-1], rel=1e-3)
         assert lmin <= 1e-6
-        assert used <= 778
+        assert used <= 44
+
+    def test_near_singular_coupling_needs_every_step(self):
+        # lambda_min 1.2e-5 under a top of 100: a step cap below d_x = 200
+        # reads the bottom orders of magnitude too high.
+        B = gen_bilinear(200, 200, 100.0, 1.0, 100.0, 1.0, 10.0, seed=3).arrays["B"]
+        lam = np.linalg.eigvalsh(B @ B.T)
+        lmax, lmin, used = _estimate_counted(B)
+        assert lmax == pytest.approx(lam[-1], rel=1e-6)
+        assert lmin == pytest.approx(lam[0], rel=1e-3)
+        assert used <= 400
+
+
+def _symmetric_with_spectrum(seed, eigs):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(eigs), len(eigs))))
+    m = (q * np.asarray(eigs)) @ q.T
+    return 0.5 * (m + m.T)
+
+
+class TestLanczos:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        eigs=st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=30),
+        zeros=st.integers(0, 30),
+        steps=st.integers(1, 30),
+        seed=st.integers(0, 2**16),
+    )
+    # Squared entries of this scale underflow: an unscaled norm of the
+    # first residual reads 0 and stops at one step.
+    @example(eigs=[0.0, 6.782960170311107e-195], zeros=0, steps=2, seed=0)
+    def test_ritz_ends_lie_inside_the_spectrum(self, eigs, zeros, steps, seed):
+        # Indefinite, and rank-deficient once zeros replace some eigenvalues.
+        eigs = [0.0] * min(zeros, len(eigs)) + eigs[zeros:]
+        m = _symmetric_with_spectrum(seed, eigs)
+        exact = np.linalg.eigvalsh(m)
+        slack = RITZ_SLACK * max(np.max(np.abs(exact)), 1e-300)
+        lo, hi, _, _, used = lanczos_extremes(lambda v: m @ v, m.shape[0], steps, seed=seed)
+        assert 1 <= used <= min(steps, m.shape[0])
+        assert lo >= exact[0] - slack
+        assert hi <= exact[-1] + slack
+        lo, hi, _, _, _ = lanczos_extremes(lambda v: m @ v, m.shape[0], m.shape[0], seed=seed)
+        scale = np.max(np.abs(exact))
+        assert lo == pytest.approx(exact[0], abs=1e-5 * scale)
+        assert hi == pytest.approx(exact[-1], abs=1e-5 * scale)
+
+    def test_rank_one_stops_at_its_invariant_subspace(self):
+        rng = np.random.default_rng(1)
+        B = np.outer(rng.standard_normal(10), rng.standard_normal(8))
+        made = []
+        lo, hi, res_lo, res_hi, used = lanczos_extremes(
+            lambda v: made.append(v) or B @ (B.T @ v), 10, 10)
+        top = np.linalg.eigvalsh(B @ B.T)[-1]
+        assert used == len(made) == 2
+        assert hi == pytest.approx(top, rel=1e-12)
+        assert lo == pytest.approx(0.0, abs=1e-12 * top)
+        assert max(res_lo, res_hi) <= 1e-12 * top
+
+    def test_zero_operator_reads_zero_after_one_product(self):
+        made = []
+        ends = lanczos_extremes(lambda v: made.append(v) or np.zeros(7), 7, 100)
+        assert ends == (0.0, 0.0, 0.0, 0.0, 1)
+        assert len(made) == 1
 
 
 def _cg_states(matvec, rmatvec, shift, rhs, x, steps):
