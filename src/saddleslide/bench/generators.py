@@ -207,12 +207,11 @@ def verify_instance(inst: Instance) -> None:
     """Check declared spectral constants against the stored matrices.
 
     Where a bottom is checked, ``eigvalsh`` of the dense matrix gives it and
-    the top exactly, and the declared value must agree within 5%.  The
-    other tops (quadratic-spp's, and bilinear's ``lambda_max_BBt``) are
-    Ritz values after ``LANCZOS_ITERS`` steps, which never exceed the true
-    top: a declared top below one by more than ``RITZ_SLACK`` is refuted,
-    and one above it must lie within 5%, an estimate only.  A declared 0 is
-    checked on the scale 1e-12.  Raises ManifestError naming the constant.
+    the top exactly, to agree within 5%.  Other tops (quadratic-spp's,
+    bilinear's ``lambda_max_BBt``) are the largest |Ritz value| after
+    ``LANCZOS_ITERS`` steps, never above the norm: a declared one more than
+    ``RITZ_SLACK`` below it is refuted, one above within 5% passes.  A
+    declared 0 is checked on the scale 1e-12.  Raises ManifestError naming it.
     """
     c = inst.constants
 
@@ -224,13 +223,15 @@ def verify_instance(inst: Instance) -> None:
                 f"estimated {estimate:.6g}"
             )
 
-    def ritz(matvec, dim):
-        return lanczos_extremes(matvec, dim, LANCZOS_ITERS)[:2]
+    def check_norm(name, matvec, dim):
+        # The largest |Ritz value| of a symmetric map: its top if semidefinite.
+        lo, hi = lanczos_extremes(matvec, dim, LANCZOS_ITERS)[:2]
+        check(name, c[name], max(-lo, hi), RITZ_SLACK)
 
     if inst.kind == KIND_QUADRATIC:
         P, Q, B = inst.arrays["P"], inst.arrays["Q"], inst.arrays["B"]
-        check("L_p", c["L_p"], ritz(lambda v: P @ v, P.shape[0])[1], RITZ_SLACK)
-        check("L_q", c["L_q"], ritz(lambda v: Q @ v, Q.shape[0])[1], RITZ_SLACK)
+        check_norm("L_p", lambda v: P @ v, P.shape[0])
+        check_norm("L_q", lambda v: Q @ v, Q.shape[0])
         mu_x, mu_y = c["mu_x"], c["mu_y"]
         d_x, d_y = P.shape[0], Q.shape[0]
 
@@ -238,9 +239,7 @@ def verify_instance(inst: Instance) -> None:
             x, y = z[:d_x], z[d_x:]
             return np.concatenate([mu_x * x + B @ y, B.T @ x - mu_y * y])
 
-        # The R-gradient map is symmetric; its norm is the top |eigenvalue|.
-        lo, hi = ritz(coupled, d_x + d_y)
-        check("L_R", c["L_R"], max(-lo, hi), RITZ_SLACK)
+        check_norm("L_R", coupled, d_x + d_y)
     elif inst.kind == KIND_BILINEAR:
         B = inst.arrays["B"]
         eig_p = np.linalg.eigvalsh(inst.arrays["Hp"])
@@ -249,8 +248,7 @@ def verify_instance(inst: Instance) -> None:
         check("L_q", c["L_q"], eig_q[-1])
         check("mu_p", c["mu_p"], eig_p[0])
         check("mu_q", c["mu_q"], eig_q[0])
-        lam = ritz(lambda v: B @ (B.T @ v), B.shape[0])[1]
-        check("lambda_max_BBt", c["lambda_max_BBt"], lam, RITZ_SLACK)
+        check_norm("lambda_max_BBt", lambda v: B @ (B.T @ v), B.shape[0])
     elif inst.kind == KIND_CONSENSUS:
         W = inst.arrays["W"]
         eigs = np.linalg.eigvalsh(W @ W.T)

@@ -110,10 +110,11 @@ class CouplingOperator:
         )
 
 
-# Lanczos solves its tridiagonal eigenproblem every LANCZOS_CHECK steps, or once
-# beta proves its stop: both extreme Ritz residuals <= LANCZOS_TOL max |theta|.
+# The tridiagonal eigh runs after LANCZOS_CHECK steps, at each doubling of them,
+# and at an invariant subspace: beta <= LANCZOS_ZERO max|alpha|.
 LANCZOS_CHECK = 10
 LANCZOS_TOL = 1e-6
+LANCZOS_ZERO = 1e-10
 
 
 def lanczos_extremes(matvec, dim, steps, *, seed=0):
@@ -121,35 +122,37 @@ def lanczos_extremes(matvec, dim, steps, *, seed=0):
 
     Starts from a random unit vector of ``np.random.default_rng(seed)`` (a
     Generator is drawn from in place); each new vector is orthogonalized
-    twice against the whole basis, which grows as it goes.  Stops at an
-    invariant subspace, after ``min(steps, dim)`` steps, or on the residual
-    stop.  Returns ``(lo, hi, res_lo, res_hi, products)`` with residuals
-    ``beta_k |s_k|``.  By interlacing, ``[lo, hi]`` lies inside the
-    spectrum's range up to rounding; a residual bounds how far inside only
-    given a gap between that end and the rest of the spectrum.
+    against its two predecessors, then once against the whole basis, of up
+    to ``n = min(steps, dim)`` vectors.  Stops at an invariant subspace,
+    after n steps, or once each extreme Ritz residual ``beta_k |s_k|`` is at
+    most ``LANCZOS_TOL`` of its own Ritz value.  Returns ``(lo, hi, res_lo,
+    res_hi, products)``, all 0 if n is 0.  By interlacing, ``[lo, hi]`` lies
+    inside the spectrum's range up to rounding; a residual bounds how far
+    inside only given a gap to the rest.
     """
     n = min(steps, dim)
-    basis = np.empty((1, dim))
-    basis[0] = np.random.default_rng(seed).standard_normal(dim)
-    basis[0] /= np.linalg.norm(basis[0])
-    alpha, beta = np.zeros(n), np.zeros(n)
+    if n == 0:
+        return 0.0, 0.0, 0.0, 0.0, 0
+    start = np.random.default_rng(seed).standard_normal((1, dim))
+    basis = start / np.linalg.norm(start)
+    alpha, beta, check = np.zeros(n), np.zeros(n), LANCZOS_CHECK
     for k in range(1, n + 1):
         known = basis[:k]
         w = matvec(known[-1])
-        h = known @ w
+        h = known[-2:] @ w
         alpha[k - 1] = h[-1]
-        w = w - known.T @ h
+        w = w - known[-2:].T @ h
         w = w - known.T @ (known @ w)
         size = np.max(np.abs(w))  # scaled, so that tiny entries' squares do not underflow
         beta[k - 1] = size * np.linalg.norm(w / size) if size > 0.0 else 0.0
-        # Each residual is at most beta, each |alpha| at most the largest |Ritz value|.
-        proven = beta[k - 1] <= LANCZOS_TOL * np.max(np.abs(alpha[:k]))
-        if proven or k % LANCZOS_CHECK == 0 or k == n:
+        invariant = beta[k - 1] <= LANCZOS_ZERO * np.max(np.abs(alpha[:k]))
+        if invariant or k == check or k == n:
             off = np.diag(beta[: k - 1], 1)
             theta, s = np.linalg.eigh(np.diag(alpha[:k]) + off + off.T)
-            res = beta[k - 1] * np.abs(s[-1, [0, -1]])
-            if k == n or res.max() <= LANCZOS_TOL * max(-theta[0], theta[-1]):
-                return float(theta[0]), float(theta[-1]), float(res[0]), float(res[1]), k
+            ends, res = theta[[0, -1]], beta[k - 1] * np.abs(s[-1, [0, -1]])
+            if invariant or k == n or np.all(res <= LANCZOS_TOL * np.abs(ends)):
+                return float(ends[0]), float(ends[1]), float(res[0]), float(res[1]), k
+            check = 2 * k
         if k == len(basis):
             basis = np.concatenate([basis, np.empty_like(basis)])
         basis[k] = w / beta[k - 1]
@@ -208,14 +211,13 @@ def estimate_spectral_bounds(
     """Estimate (lambda_max, lambda_min) of B B^T without forming it.
 
     Both ends come from one `lanczos_extremes` run on B B^T of up to
-    ``d_x`` steps, exact but for rounding when it takes them all; a
-    residual stop leaves each within about 1e-6 lambda_max, which may be
-    many times a small lambda_min.  lambda_min is floored at 0.  Returns the
-    estimates and the B/B^T products, to log apart from solver oracle counts.
+    ``d_x`` steps, with a basis of up to ``d_x`` vectors of length ``d_x``:
+    exact but for rounding at ``d_x`` steps or an invariant subspace, else
+    within about 1e-6 of themselves given a gap; lambda_min is floored at 0.
+    Returns them and the B/B^T products, to log apart from oracle counts.
     """
-    lo, hi, _, _, steps = lanczos_extremes(
-        lambda v: matvec(rmatvec(v)), d_x, d_x, seed=seed)
-    return hi, max(lo, 0.0), 2 * steps
+    lo, hi, _, _, k = lanczos_extremes(lambda v: matvec(rmatvec(v)), d_x, d_x, seed=seed)
+    return hi, max(lo, 0.0), 2 * k
 
 
 @dataclass(frozen=True)

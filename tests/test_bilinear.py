@@ -797,6 +797,23 @@ class TestSpectralEstimation:
         assert lmin == pytest.approx(lam[0], rel=1e-3)
         assert used <= 400
 
+    def test_small_bottom_under_a_large_top(self):
+        # Half the spectrum of B B^T is 1e-4..1e-2, half 1..1e3: a residual
+        # stop judged on the top's scale, 1e-3 here, reads lambda_min as
+        # 1.5e-4 after 30 steps.
+        rng = np.random.default_rng(0)
+        lam = np.concatenate([np.geomspace(1e-4, 1e-2, 20), np.linspace(1.0, 1e3, 20)])
+        u, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        v, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        B = (u * np.sqrt(lam)) @ v.T
+        lmax, lmin, used = _estimate_counted(B)
+        assert lmax == pytest.approx(1e3, rel=1e-6)
+        assert lmin == pytest.approx(1e-4, rel=1e-3)
+        assert used <= 80
+
+    def test_empty_coupling_reads_zero(self):
+        assert _estimate_counted(np.zeros((0, 3))) == (0.0, 0.0, 0)
+
 
 def _symmetric_with_spectrum(seed, eigs):
     q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(eigs), len(eigs))))
@@ -847,6 +864,19 @@ class TestLanczos:
         ends = lanczos_extremes(lambda v: made.append(v) or np.zeros(7), 7, 100)
         assert ends == (0.0, 0.0, 0.0, 0.0, 1)
         assert len(made) == 1
+
+    def test_tridiagonal_solves_double_their_spacing(self, monkeypatch):
+        # A bottom of 1e-6 under a top of 1 keeps the run going to its cap.
+        sizes, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda t: sizes.append(len(t)) or eigh(t))
+        m = np.diag(np.geomspace(1e-6, 1.0, 300))
+        assert lanczos_extremes(lambda v: m @ v, 300, 300)[4] == 300
+        assert sizes == [10, 20, 40, 80, 160, 300]
+
+    def test_empty_operator_reads_zero_without_a_product(self):
+        made = []
+        assert lanczos_extremes(lambda v: made.append(v) or v, 0, 100) == (0.0, 0.0, 0.0, 0.0, 0)
+        assert made == []
 
 
 def _cg_states(matvec, rmatvec, shift, rhs, x, steps):
