@@ -1,4 +1,4 @@
-"""Synthetic instance generators and the direct KKT reference oracle.
+"""Synthetic instance generators and the direct reference oracle.
 
 Every generator records the exact saddle it planted, and every instance
 can be saved to a manifest plus binary matrix files and reloaded with a
@@ -211,8 +211,14 @@ def verify_instance(inst: Instance) -> None:
     bilinear's ``lambda_max_BBt``) are the largest |Ritz value| after
     ``LANCZOS_ITERS`` steps, never above the norm: a declared one more than
     ``RITZ_SLACK`` below it is refuted, one above within 5% passes.  A
-    declared 0 is checked on the scale 1e-12.  Raises ManifestError naming it.
+    declared 0 is checked on the scale 1e-12.  Raises ManifestError naming it,
+    or naming a stored array that holds an inf or a NaN.
     """
+    if inst.kind not in _KIND_READS:
+        raise ManifestError(f"unknown instance kind {inst.kind!r}")
+    for name in _KIND_READS[inst.kind][1]:
+        if not np.isfinite(inst.arrays[name]).all():
+            raise ManifestError(f"{inst.instance_id}: stored {name} holds inf or NaN")
     c = inst.constants
 
     def check(name, declared, estimate, below=SPECTRAL_CHECK_RTOL):
@@ -259,8 +265,6 @@ def verify_instance(inst: Instance) -> None:
         eigs = np.linalg.eigvalsh(inst.arrays["B"] @ inst.arrays["B"].T)
         check("lambda_max_BBt", c["lambda_max_BBt"], eigs[-1])
         check("lambda_min_BBt", c["lambda_min_BBt"], eigs[0])
-    else:
-        raise ManifestError(f"unknown instance kind {inst.kind!r}")
 
 
 def _random_orthogonal(rng, n):
@@ -344,7 +348,9 @@ def gen_quadratic_spp(
     # Norm of [[mu_x I, B], [B', -mu_y I]] is |gap|/2 + sqrt(sum^2/4 + s^2)
     # at the top singular value s of B; invert for s.
     inner = (L_R - half_gap) ** 2 - half_sum**2
-    if L_R < max(mu_x, mu_y) or inner < -1e-12:
+    # At L_R = max(mu_x, mu_y), inner is 0 up to rounding of squares of
+    # size L_R^2, so only L_R itself is compared.
+    if L_R < max(mu_x, mu_y):
         raise InfeasibleConstants(f"L_R={L_R} below max(mu_x, mu_y)={max(mu_x, mu_y)}")
     sigma_max = math.sqrt(max(inner, 0.0))
 
@@ -512,13 +518,22 @@ def gen_linear_bilinear(
 
 
 def reference_solution(inst: Instance) -> PointPair:
-    """Solve the instance's KKT system by dense factorization.
+    """Solve the instance's saddle system by dense block elimination.
 
     This is the independent oracle every benchmark distance is measured
-    against.  The residual must come out below 1e-10 (1 + ||rhs||).
+    against.  For quadratic-spp and bilinear instances ``Hq`` is SPD, so y
+    is eliminated through it: one LU solve ``X = Hq^-1 [B', c]``, then x
+    from the Schur complement ``(Hp + B X_B) x = B X_c - d`` and
+    ``y = X_B x - X_c``, then one step of iterative refinement on the full
+    system.  Linear-bilinear instances (``Hp = Hq = 0``, B square) take x
+    from ``B'x = c`` and y from ``By = -d``.  Only d x d blocks are
+    allocated, never the ``(d_x+d_y)^2`` joint matrix, which would be the
+    largest allocation of a grid run.  The full system's residual must come
+    out below 1e-10 (1 + ||(d, c)||), else SingularSystem.
     """
+    a = inst.arrays
     if inst.kind == KIND_CONSENSUS:
-        a_loc, b_loc, W = inst.arrays["local_a"], inst.arrays["local_b"], inst.arrays["W"]
+        a_loc, b_loc, W = a["local_a"], a["local_b"], a["W"]
         x_bar = float(a_loc @ b_loc) / float(a_loc.sum())
         x = np.full(W.shape[0], x_bar)
         y = -np.linalg.pinv(W) @ (a_loc * (x - b_loc))
@@ -527,15 +542,52 @@ def reference_solution(inst: Instance) -> PointPair:
             raise SingularSystem(f"consensus stationarity residual {resid:.3e}")
         return PointPair(x, y)
 
-    Hp, Hq, B, d, c = inst.saddle_blocks()
-    d_x = Hp.shape[0]
-    mat = np.block([[Hp, B], [B.T, -Hq]])
-    rhs = np.concatenate([-d, c])
-    try:
-        z = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    resid = np.linalg.norm(mat @ z - rhs)
-    if not np.all(np.isfinite(z)) or resid > 1e-10 * (1.0 + np.linalg.norm(rhs)):
+    def solve(m, rhs):
+        try:
+            return np.linalg.solve(m, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(str(exc)) from exc
+
+    B = a["B"]
+    if inst.kind == KIND_LINEAR_BILINEAR:
+        d, c = a["d"], a["c"]
+        x, y = solve(B.T, c), solve(B, -d)
+        r_x, r_y = B @ y + d, B.T @ x - c
+    else:
+        # Hp = P + mu_x I is never formed: Hq, X, and [B', c] or the Schur
+        # complement are the three blocks alive at once; it would be a fourth.
+        if inst.kind == KIND_QUADRATIC:
+            k = inst.constants
+            P, mu_x, Hq = a["P"], k["mu_x"], _shifted(a["Q"], k["mu_y"])
+            d, c = a["a"], a["e"]
+        elif inst.kind == KIND_BILINEAR:
+            P, mu_x, Hq, d, c = a["Hp"], 0.0, a["Hq"], a["d"], a["c"]
+        else:
+            raise ManifestError(f"reference_solution() does not apply to {inst.kind}")
+        X = solve(Hq, np.column_stack([B.T, c]))
+        X_B = X[:, :-1]
+        schur = B @ X_B
+        schur += P
+        schur.flat[:: schur.shape[0] + 1] += mu_x
+
+        def eliminate(f, h):
+            # Hp x + B y = f and B'x - Hq y = g, given h = Hq^-1 g.
+            x = solve(schur, f + B @ h)
+            return x, X_B @ x - h
+
+        def residual(x, y):
+            return P @ x + mu_x * x + B @ y + d, B.T @ x - Hq @ y - c
+
+        # Where B Hq^-1 B' swamps Hp, the Schur complement has lost Hp's
+        # low bits; one step of refinement on the full system makes up for
+        # them, and lands closer to the planted saddle than a joint LU.
+        x, y = eliminate(-d, X[:, -1])
+        r_x, r_y = residual(x, y)
+        dx, dy = eliminate(-r_x, -solve(Hq, r_y))
+        x, y = x + dx, y + dy
+        r_x, r_y = residual(x, y)
+    resid = math.hypot(np.linalg.norm(r_x), np.linalg.norm(r_y))
+    scale = 1.0 + math.hypot(np.linalg.norm(d), np.linalg.norm(c))
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))) or resid > 1e-10 * scale:
         raise SingularSystem(f"KKT residual {resid:.3e} too large")
-    return PointPair(z[:d_x], z[d_x:])
+    return PointPair(x, y)

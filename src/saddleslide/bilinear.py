@@ -99,7 +99,7 @@ class CouplingOperator:
         d_x, d_y = B.shape
         s = np.linalg.svd(B, compute_uv=False)
         lam_max = float(s[0] ** 2) if s.size else 0.0
-        lam_min = float(s[-1] ** 2) if d_x <= d_y else 0.0
+        lam_min = float(s[-1] ** 2) if s.size and d_x <= d_y else 0.0
         return cls(
             matvec=lambda v, _B=B: _B @ v,
             rmatvec=lambda v, _B=B: _B.T @ v,

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -32,6 +34,7 @@ from saddleslide.errors import (
     DivergenceDetected,
     InfeasibleConstants,
     ManifestError,
+    SingularSystem,
 )
 
 from conftest import planned_run
@@ -78,6 +81,13 @@ class TestGenerators:
     def test_infeasible_constants_rejected(self):
         with pytest.raises(InfeasibleConstants):
             gen_quadratic_spp(3, 3, 1.0, 2.0, 1.0, 2.0, 1.0, seed=0)
+
+    def test_coupling_norm_at_the_larger_modulus_builds(self):
+        # L_R = max(mu_x, mu_y) is feasible with B = 0; at moduli near 1e3
+        # the squares in the inversion for B's scale round below 0.
+        inst = gen_quadratic_spp(1, 3, 0.0, 1000.0, 0.0, 10.0**1.5, 1000.0, seed=0)
+        assert not inst.arrays["B"].any()
+        verify_instance(inst)
 
     def test_path_laplacian_matches_textbook(self):
         W = graph_laplacian("path", 3)
@@ -138,6 +148,67 @@ class TestReferenceSolution:
             res_y = B.T @ ref.x - mu_y * ref.y - (Q @ ref.y + inst.arrays["e"])
             rhs = np.linalg.norm(np.concatenate([inst.arrays["a"], inst.arrays["e"]]))
             assert np.linalg.norm(np.concatenate([res_x, res_y])) <= 1e-10 * (1 + rhs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["quadratic-spp", "bilinear", "linear-bilinear"]),
+        d_x=st.integers(1, 12), d_y=st.integers(1, 12),
+        L_p=st.floats(0.0, 1e3), L_q=st.floats(0.0, 1e3),
+        log_mu=st.floats(-3.0, 3.0), log_other=st.floats(-3.0, 3.0),
+        gain=st.floats(1.0, 100.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    # d_x = d_y = 1, whose blocks are scalars.
+    @example(kind="bilinear", d_x=1, d_y=1, L_p=1.0, L_q=0.0, log_mu=0.0,
+             log_other=0.0, gain=1.0, seed=0)
+    def test_reference_finds_the_planted_saddle(
+        self, kind, d_x, d_y, L_p, L_q, log_mu, log_other, gain, seed
+    ):
+        # The check perfbench's set-up makes on every instance it builds.
+        mu, other = 10.0**log_mu, 10.0**log_other
+        make = {
+            "quadratic-spp": lambda: gen_quadratic_spp(
+                d_x, d_y, L_p, mu, L_q, other, gain * max(mu, other), seed),
+            "bilinear": lambda: gen_bilinear(
+                d_x, d_y, gain * mu, mu, gain * other, other, L_p, seed),
+            "linear-bilinear": lambda: gen_linear_bilinear(d_x, seed, scale=mu, cond=gain),
+        }
+        inst = make[kind]()
+        ref, planted = reference_solution(inst), inst.saddle()
+        err = math.hypot(np.linalg.norm(ref.x - planted.x), np.linalg.norm(ref.y - planted.y))
+        assert err <= 1e-8 * (1.0 + math.hypot(np.linalg.norm(planted.x),
+                                               np.linalg.norm(planted.y)))
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_quadratic_spp(200, 200, 100.0, 1.0, 100.0, 1.0, 10.0, seed=0),
+        lambda: gen_bilinear(200, 200, 100.0, 1.0, 100.0, 1.0, 10.0, seed=3),
+        lambda: gen_linear_bilinear(200, seed=0),
+    ], ids=["quadratic-spp", "bilinear", "linear-bilinear"])
+    def test_no_joint_sized_array(self, make):
+        # The (d_x + d_y)^2 joint matrix is four d x d blocks; the
+        # elimination holds at most three at once.
+        inst = make()
+        tracemalloc.start()
+        try:
+            reference_solution(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400**2 * 8
+
+    def test_singular_hq_raises(self):
+        inst = gen_bilinear(4, 3, 2.0, 1.0, 2.0, 1.0, 1.0, seed=0)
+        inst.arrays["Hq"] = np.zeros((3, 3))
+        with pytest.raises(SingularSystem):
+            reference_solution(inst)
+
+    @pytest.mark.parametrize("B", [np.zeros((4, 4)), np.outer(np.arange(1.0, 5.0), np.ones(4))],
+                             ids=["zero", "rank-one"])
+    def test_singular_coupling_raises(self, B):
+        inst = gen_linear_bilinear(4, seed=0)
+        inst.arrays["B"] = B
+        with pytest.raises(SingularSystem):
+            reference_solution(inst)
 
 
 class TestBaselineExtragradient:
@@ -413,13 +484,33 @@ class TestInstanceRoundTrip:
             Instance.load(inst.save(tmp_path / "inst"))
 
     def test_verification_refutes_a_nan_matrix(self, tmp_path):
-        # Every Ritz value of a P holding a NaN is NaN, which lies within no
-        # band of the declared L_p.
+        # Refuted before any product: Lanczos on a NaN matrix would warn
+        # first, which under warnings as errors hides the ManifestError.
         inst = gen_quadratic_spp(5, 5, 4.0, 1.0, 4.0, 1.0, 10.0, seed=0)
         inst.arrays["P"] = inst.arrays["P"].copy()
         inst.arrays["P"][0, 0] = np.nan
-        with pytest.raises(ManifestError, match="L_p"):
-            Instance.load(inst.save(tmp_path / "inst"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ManifestError, match="stored P holds inf or NaN"):
+                Instance.load(inst.save(tmp_path / "inst"))
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: gen_quadratic_spp(5, 5, 4.0, 1.0, 4.0, 1.0, 10.0, seed=0), "P"),
+        (lambda: gen_quadratic_spp(5, 5, 4.0, 1.0, 4.0, 1.0, 10.0, seed=0), "B"),
+        (lambda: gen_bilinear(5, 4, 4.0, 1.0, 4.0, 1.0, 2.0, seed=0), "Hq"),
+        (lambda: gen_consensus(4, "path", 1.0, 4.0, seed=0), "W"),
+        (lambda: gen_linear_bilinear(4, seed=0), "B"),
+        (lambda: gen_linear_bilinear(4, seed=0), "c"),
+    ], ids=["quadratic-P", "quadratic-B", "bilinear-Hq", "consensus-W",
+            "linear-bilinear-B", "linear-bilinear-c"])
+    def test_verification_refutes_an_inf_array(self, make, name):
+        inst = make()
+        inst.arrays[name] = inst.arrays[name].copy()
+        inst.arrays[name].flat[1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ManifestError, match=f"stored {name} holds inf or NaN"):
+                verify_instance(inst)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -434,6 +525,9 @@ class TestInstanceRoundTrip:
     # A one-dimensional Hessian has the single eigenvalue L_p.
     @example(kind="bilinear", d_x=1, d_y=3, L_p=5.0, L_q=0.0, log_mu=0.0,
              log_other=0.0, gain=4.0, topology="path", seed=0)
+    # L_R = max(mu_x, mu_y) at moduli near 1e3, feasible with B = 0.
+    @example(kind="quadratic-spp", d_x=1, d_y=1, L_p=0.0, L_q=0.0, log_mu=3.0,
+             log_other=1.5, gain=1.0, topology="path", seed=0)
     def test_verification_accepts_generated_instances(
         self, kind, d_x, d_y, L_p, L_q, log_mu, log_other, gain, topology, seed
     ):
@@ -502,8 +596,8 @@ class TestSaddleBlocks:
         inst = make()
         Hp, Hq, B, d, c = inst.saddle_blocks()
         if inst.kind == "quadratic-spp":
-            # The shifted diagonal keeps every bit of P + mu I, which the
-            # reference solution and the CSV digests rest on.
+            # The shifted diagonal keeps every bit of P + mu I, which
+            # agd-joint's rows in the CSV digests rest on.
             a, k = inst.arrays, inst.constants
             assert np.array_equal(Hp, a["P"] + k["mu_x"] * np.eye(6))
             assert np.array_equal(Hq, a["Q"] + k["mu_y"] * np.eye(4))

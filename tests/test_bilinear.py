@@ -814,6 +814,12 @@ class TestSpectralEstimation:
     def test_empty_coupling_reads_zero(self):
         assert _estimate_counted(np.zeros((0, 3))) == (0.0, 0.0, 0)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (0, 0)])
+    def test_from_dense_accepts_an_empty_coupling(self, shape):
+        op = CouplingOperator.from_dense(np.zeros(shape))
+        assert (op.d_x, op.d_y) == shape
+        assert (op.lambda_max_BBt, op.lambda_min_BBt) == (0.0, 0.0)
+
 
 def _symmetric_with_spectrum(seed, eigs):
     q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(eigs), len(eigs))))
