@@ -18,12 +18,11 @@ from .bilinear import (
     split_bilinear,
     wrap_counting_bilinear,
 )
-from .inner import AuxiliaryProblem, InnerResult, solve_auxiliary
+from .inner import AuxiliaryProblem, InnerResult, check_inner_criterion, solve_auxiliary
 from .outer import (
     ConvergenceReport,
     SolveConfig,
     SolverTuning,
-    check_inner_criterion,
     initial_potential,
     required_outer_iterations,
     solve,

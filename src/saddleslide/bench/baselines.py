@@ -18,6 +18,7 @@ from ..outer import (
     TERMINATION_BUDGET,
     TERMINATION_RESIDUAL,
     ConvergenceReport,
+    tune_parameters,
 )
 from ..problems import (
     CompositeSaddleProblem,
@@ -25,8 +26,6 @@ from ..problems import (
     PointPair,
     SmoothnessSpec,
     count_calls,
-    unweighted_distance_sq,
-    validate_spec,
     weighted_distance_sq,
     wrap_counting,
 )
@@ -40,8 +39,6 @@ def baseline_extragradient(
     eps: float,
     max_iter: int,
     reference: Optional[PointPair] = None,
-    eta_x: Optional[float] = None,
-    eta_y: Optional[float] = None,
 ) -> ConvergenceReport:
     """Plain extragradient on the joint operator, step 1/(2 L_F).
 
@@ -51,11 +48,12 @@ def baseline_extragradient(
     and its coupling part with ``L_R``.  Extragradient converges for any
     step below ``1/Lip(F)`` (Korpelevich 1976).  All three oracles are
     called twice per iteration.  With a reference solution the run stops
-    once the distance (weighted by the supplied eta's, plain otherwise)
-    drops below ``eps`` and raises BudgetExhausted if that never happens;
-    without a reference it runs exactly ``max_iter`` iterations.
+    once the weighted squared distance to it, with the sliding solver's
+    steps from `tune_parameters` as weights, is at most ``eps``, and
+    raises BudgetExhausted if that never happens; without a reference it
+    runs exactly ``max_iter`` iterations.
     """
-    validate_spec(spec)
+    tuning = tune_parameters(spec)
     start.check_dims(problem.d_x, problem.d_y)
     wrapped, counters = wrap_counting(problem)
     step = 1.0 / (2.0 * (max(spec.L_p, spec.L_q) + spec.L_R))
@@ -63,11 +61,6 @@ def baseline_extragradient(
     def operator(x, y):
         r_x, r_y = wrapped.grad_R(x, y)
         return wrapped.grad_p(x) + r_x, wrapped.grad_q(y) - r_y
-
-    def distance(pair):
-        if eta_x is not None and eta_y is not None:
-            return weighted_distance_sq(pair, reference, eta_x, eta_y)
-        return unweighted_distance_sq(pair, reference)
 
     x = start.x.copy()
     y = start.y.copy()
@@ -91,7 +84,9 @@ def baseline_extragradient(
             exc.report = report
             raise exc
         report.final_pair = PointPair._unscanned(x, y)
-        if reference is not None and distance(report.final_pair) <= eps:
+        if reference is not None and weighted_distance_sq(
+            report.final_pair, reference, tuning.eta_x, tuning.eta_y
+        ) <= eps:
             report.termination = TERMINATION_RESIDUAL
             return report
     if reference is not None:

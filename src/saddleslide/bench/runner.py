@@ -39,7 +39,6 @@ from ..outer import (
     _is_count,
     initial_potential,
     solve,
-    tune_parameters,
 )
 from ..problems import (
     PointPair,
@@ -156,17 +155,9 @@ def _eg_run(
     inst: Instance, eps: float, max_outer: int, reference: PointPair
 ) -> ConvergenceReport:
     problem, spec, _ = _scsc_problem(inst)
-    tuning = tune_parameters(spec)
     start = PointPair(np.zeros(problem.d_x), np.zeros(problem.d_y))
     return baseline_extragradient(
-        problem,
-        spec,
-        start,
-        eps,
-        max_iter=max_outer,
-        reference=reference,
-        eta_x=tuning.eta_x,
-        eta_y=tuning.eta_y,
+        problem, spec, start, eps, max_iter=max_outer, reference=reference
     )
 
 

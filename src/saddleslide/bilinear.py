@@ -44,7 +44,7 @@ from .errors import (
     InfeasibleTarget,
     NonPositiveModulus,
 )
-from .inner import AuxiliaryProblem, InnerResult, accept_first, fbf_vectors
+from .inner import AuxiliaryProblem, InnerResult, accept_first, fbf_start
 from .outer import (
     TERMINATION_RESIDUAL,
     ConvergenceReport,
@@ -406,11 +406,11 @@ def make_bilinear_inner_solver(bp: BilinearProblem):
 
     On the split problem FBF's remainder ``b = r - M z`` is
     ``(B y, B^T x)``, both products every iterate has at hand; the result
-    carries it at its pair, stacked once the run ends.  With
-    ``aux.remainder`` set, CG starts at the x block of FBF's warm start
-    (`inner.fbf_start`), the subproblem's exact minimizer in x with
-    ``B y`` held at the previous accepted pair, and otherwise at ``x_k``;
-    the start costs the same two products either way.
+    carries it at its pair, stacked once the run ends.  CG starts at the
+    x block of FBF's start (`inner.fbf_start`): with ``aux.remainder`` set,
+    the subproblem's exact minimizer in x with ``B y`` held at the
+    previous accepted pair, and otherwise ``x_k``; the start costs the
+    same two products either way.
     """
     zero_y = np.zeros(bp.d_y)
     zero_y.flags.writeable = False
@@ -419,17 +419,7 @@ def make_bilinear_inner_solver(bp: BilinearProblem):
         aux: AuxiliaryProblem, spec: SmoothnessSpec, tuning: SolverTuning
     ) -> InnerResult:
         qf = eliminate_y(bp, aux)
-        x_0 = aux.x_k
-        if aux.remainder is not None:
-            # The x block of `inner.fbf_start`'s warm start, in its operations.
-            d_x = len(x_0)
-            v = aux.vectors
-            if v is None:
-                v = fbf_vectors(spec, aux.eta_x, aux.eta_y, d_x, len(aux.y_k))
-            x_0 = (
-                v.s_eta[:d_x] * x_0 - v.s[:d_x] * aux.grad_p_anchor
-                - v.step[:d_x] * aux.remainder[:d_x]
-            ) / v.s_modulus[:d_x]
+        x_0 = fbf_start(aux, spec)[0][: len(aux.x_k)]
         # The reduced gradient is (kappa I + B B^T) x + b.
         run = (qf, bp.mu_p, aux, zero_y)
         first = _cg_iterate(run, *_cg_start(qf.matvec, qf.rmatvec, qf.kappa, -qf.b, x_0))

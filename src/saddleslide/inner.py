@@ -11,21 +11,29 @@ division, and only the monotone remainder of the coupling gradient takes
 forward steps.  Each solve but a run's first starts from the previous
 accepted pair's remainder, as gradient sliding starts each inner phase
 from the last one's output (Lan 2016, Math. Program. 159).  Acceptance is
-decided by the outer criterion at every iterate.  That stop rule,
-`accept_first`, is shared with the bilinear conjugate-gradient solver.
+decided at every iterate by the outer loop's criterion,
+`check_inner_criterion`.  That stop rule, `accept_first`, and that warm
+start, `fbf_start`, are shared with the bilinear conjugate-gradient solver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .errors import InnerBudgetExhausted, MissingValueOracle
-from .outer import SolverTuning, _criterion_holds
+from .errors import (
+    DimensionMismatch,
+    DivergenceDetected,
+    InnerBudgetExhausted,
+    MissingValueOracle,
+)
 from .problems import PointPair, SmoothnessSpec, check_shape
+
+if TYPE_CHECKING:
+    from .outer import SolverTuning
 
 
 @dataclass
@@ -117,6 +125,55 @@ def stall_count(stalled: int, *steps) -> int:
         if not moved <= STALL_RTOL:
             return 0
     return stalled + 1
+
+
+def check_inner_criterion(
+    g_x: np.ndarray,
+    g_y: np.ndarray,
+    dx: np.ndarray,
+    dy: np.ndarray,
+    tuning: SolverTuning,
+    floor_tol: float = 0.0,
+) -> bool:
+    """Acceptance test for an inner candidate.
+
+    ``g_x, g_y`` are the subproblem gradients at the candidate and
+    ``dx, dy`` its displacement from the outer iterate.  Accepts iff
+
+        eta_x ||g_x||^2 + eta_y ||g_y||^2
+            <= ||dx||^2 / (6 eta_x) + ||dy||^2 / (6 eta_y)
+
+    or the left-hand side is already below ``floor_tol`` (absolute escape
+    hatch for the degenerate case dx = dy = 0, where the right-hand side
+    vanishes and exact satisfaction is impossible in floating point).
+
+    It is also the divergence guard of every inner solver: it raises
+    DivergenceDetected unless each of the four squared norms is below
+    ``1e300`` (a NaN fails that test too).
+    """
+    g_x = np.asarray(g_x, dtype=float)
+    g_y = np.asarray(g_y, dtype=float)
+    dx = np.asarray(dx, dtype=float)
+    dy = np.asarray(dy, dtype=float)
+    if g_x.shape != dx.shape or g_y.shape != dy.shape:
+        raise DimensionMismatch(
+            f"gradient shapes {g_x.shape}/{g_y.shape} vs displacement "
+            f"{dx.shape}/{dy.shape}"
+        )
+    return _criterion_holds(g_x, g_y, dx, dy, tuning, floor_tol)
+
+
+def _criterion_holds(g_x, g_y, dx, dy, tuning: SolverTuning, floor_tol: float) -> bool:
+    # `check_inner_criterion` past its validation: the inner solvers' own
+    # iterates are float 1-D arrays of matching shapes by construction.
+    # ndarray.dot: the BLAS dot that @ calls on 1-D arrays, minus dispatch.
+    gx2, gy2 = float(g_x.dot(g_x)), float(g_y.dot(g_y))
+    dx2, dy2 = float(dx.dot(dx)), float(dy.dot(dy))
+    if not (gx2 < 1e300 and gy2 < 1e300 and dx2 < 1e300 and dy2 < 1e300):
+        raise DivergenceDetected("non-finite or huge inner iterate or gradient")
+    lhs = tuning.eta_x * gx2 + tuning.eta_y * gy2
+    rhs = dx2 / (6.0 * tuning.eta_x) + dy2 / (6.0 * tuning.eta_y)
+    return lhs <= rhs or lhs <= floor_tol
 
 
 ACCEPTED_CRITERION = "criterion"

@@ -16,6 +16,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from . import inner
 from .errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -115,55 +116,6 @@ def required_outer_iterations(spec: SmoothnessSpec, psi_0: float, eps: float) ->
     return max(1, math.ceil(budget))
 
 
-def check_inner_criterion(
-    g_x: np.ndarray,
-    g_y: np.ndarray,
-    dx: np.ndarray,
-    dy: np.ndarray,
-    tuning: SolverTuning,
-    floor_tol: float = 0.0,
-) -> bool:
-    """Acceptance test for an inner candidate.
-
-    ``g_x, g_y`` are the subproblem gradients at the candidate and
-    ``dx, dy`` its displacement from the outer iterate.  Accepts iff
-
-        eta_x ||g_x||^2 + eta_y ||g_y||^2
-            <= ||dx||^2 / (6 eta_x) + ||dy||^2 / (6 eta_y)
-
-    or the left-hand side is already below ``floor_tol`` (absolute escape
-    hatch for the degenerate case dx = dy = 0, where the right-hand side
-    vanishes and exact satisfaction is impossible in floating point).
-
-    It is also the divergence guard of every inner solver: it raises
-    DivergenceDetected unless each of the four squared norms is below
-    ``1e300`` (a NaN fails that test too).
-    """
-    g_x = np.asarray(g_x, dtype=float)
-    g_y = np.asarray(g_y, dtype=float)
-    dx = np.asarray(dx, dtype=float)
-    dy = np.asarray(dy, dtype=float)
-    if g_x.shape != dx.shape or g_y.shape != dy.shape:
-        raise DimensionMismatch(
-            f"gradient shapes {g_x.shape}/{g_y.shape} vs displacement "
-            f"{dx.shape}/{dy.shape}"
-        )
-    return _criterion_holds(g_x, g_y, dx, dy, tuning, floor_tol)
-
-
-def _criterion_holds(g_x, g_y, dx, dy, tuning: SolverTuning, floor_tol: float) -> bool:
-    # `check_inner_criterion` past its validation: the inner solvers' own
-    # iterates are float 1-D arrays of matching shapes by construction.
-    # ndarray.dot: the BLAS dot that @ calls on 1-D arrays, minus dispatch.
-    gx2, gy2 = float(g_x.dot(g_x)), float(g_y.dot(g_y))
-    dx2, dy2 = float(dx.dot(dx)), float(dy.dot(dy))
-    if not (gx2 < 1e300 and gy2 < 1e300 and dx2 < 1e300 and dy2 < 1e300):
-        raise DivergenceDetected("non-finite or huge inner iterate or gradient")
-    lhs = tuning.eta_x * gx2 + tuning.eta_y * gy2
-    rhs = dx2 / (6.0 * tuning.eta_x) + dy2 / (6.0 * tuning.eta_y)
-    return lhs <= rhs or lhs <= floor_tol
-
-
 def _is_count(value, least: int) -> bool:
     """Whether ``value`` is an integer of at least ``least``.
 
@@ -224,16 +176,14 @@ class SolveConfig:
     ``eps`` is the target for the weighted squared distance to the saddle;
     `solve` rejects it unless positive and finite, ``max_outer`` unless a
     positive integer, and a supplied ``psi_0`` unless finite and
-    non-negative.  The outer budget is
-    ``required_outer_iterations`` from a positive potential bound, capped
-    by ``max_outer``: ``psi_0`` when supplied, else the initial potential
-    when it is computed, which takes ``track_potential=True``, a
-    ``known_solution`` and the value oracles of p and q.  Without either
-    the budget is ``max_outer``.  ``use_residual_stop``
-    stops the run, within that budget, once a computable bound certifies
-    the weighted squared distance ``eps`` at the accepted inner pair or at
-    the extrapolation point, and returns that point; it costs no extra
-    oracle calls.  The pair's bound takes the smaller of a bound on the
+    non-negative.  The outer budget is ``required_outer_iterations`` from
+    a positive ``psi_0``, capped by ``max_outer``, and ``max_outer``
+    without one; the diagnostics (``track_potential``, ``known_solution``,
+    ``track_inner_details``) never change it.  ``use_residual_stop`` stops
+    the run, within that budget, once a computable bound certifies the
+    weighted squared distance ``eps`` at the accepted inner pair or at the
+    extrapolation point, and returns that point; it costs no extra oracle
+    calls.  The pair's bound takes the smaller of a bound on the
     saddle operator there and one from co-coercivity of the convex,
     ``L_p``- and ``L_q``-smooth composites (both proofs are in `solve`).
     """
@@ -397,9 +347,8 @@ def solve(
     records ``weight U / eps`` as the report's ``certificate_ratio``.
 
     ``problem`` is wrapped here for counting; potential tracking uses it
-    unwrapped, so its oracle calls are never tallied.  The diagnostics
-    leave the tallies unchanged only when ``config.psi_0`` is given:
-    otherwise the tracked initial potential sizes the budget.
+    unwrapped, so its oracle calls are never tallied, and no diagnostic
+    sizes the budget: the tallies are the same with tracking on or off.
 
     Parameters
     ----------
@@ -412,8 +361,6 @@ def solve(
         itself (the bilinear path counts B/B^T products in its inner
         solver).  Fresh counters by default.
     """
-    from .inner import AuxiliaryProblem, fbf_vectors, solve_auxiliary
-
     validate_spec(spec)
     if not (0.0 < config.eps < math.inf and _is_count(config.max_outer, 1)):
         raise NonPositiveInput(
@@ -425,7 +372,9 @@ def solve(
     start.check_dims(problem.d_x, problem.d_y)
     tuning = tune_parameters(spec)
     if inner_solver is None:
-        inner_solver = solve_auxiliary
+        # Looked up per call, so that a patched `inner.solve_auxiliary`
+        # (a profiler's span, say) takes effect.
+        inner_solver = inner.solve_auxiliary
 
     counted, counters = wrap_counting(problem, counters)
 
@@ -436,12 +385,9 @@ def solve(
         psi = potential(problem, tuning, sol)
         psi_initial = psi(start.x, start.y, start.x, start.y)
 
-    psi_bound = config.psi_0
-    if psi_bound is None:
-        psi_bound = psi_initial
-    if psi_bound is not None and psi_bound > 0.0:
+    if config.psi_0 is not None and config.psi_0 > 0.0:
         planned = min(
-            config.max_outer, required_outer_iterations(spec, psi_bound, config.eps)
+            config.max_outer, required_outer_iterations(spec, config.psi_0, config.eps)
         )
     else:
         planned = config.max_outer
@@ -464,7 +410,7 @@ def solve(
     # E = (eta_x, -eta_y) per entry, the main update is z_hat - E g and the
     # residual g - (z_hat - z)/E, entry by entry the blockwise formulas with
     # the y signs flipped, which IEEE arithmetic does exactly.
-    vectors = fbf_vectors(spec, eta_x, eta_y, d_x, d_y)
+    vectors = inner.fbf_vectors(spec, eta_x, eta_y, d_x, d_y)
     signed_eta = vectors.signed_eta
     # alpha and 1 - alpha in every entry: the same products as the
     # scalars', which numpy takes more slowly.
@@ -489,7 +435,7 @@ def solve(
                     f"expected ({d_x},)/({d_y},)"
                 )
 
-            aux = AuxiliaryProblem(
+            aux = inner.AuxiliaryProblem(
                 counted.grad_R, gp, gq, x, y, eta_x, eta_y, counted.value_R, z, vectors,
                 remainder,
             )

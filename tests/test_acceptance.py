@@ -414,10 +414,8 @@ def test_criterion_10_baseline_contrast():
     sliding = solve(inst.problem(), inst.spec(), zeros,
                     SolveConfig(eps=1e-8, psi_0=psi0, known_solution=saddle))
     assert sliding.weighted_dist_sq[-1] <= 1e-8
-    tuning = sliding.tuning
     eg = baseline_extragradient(
-        inst.problem(), inst.spec(), zeros, 1e-8, max_iter=500_000,
-        reference=saddle, eta_x=tuning.eta_x, eta_y=tuning.eta_y,
+        inst.problem(), inst.spec(), zeros, 1e-8, max_iter=500_000, reference=saddle,
     )
     ratio = eg.counters.calls_grad_p / sliding.counters.calls_grad_p
     assert ratio >= 5.0

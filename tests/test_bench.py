@@ -9,7 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from saddleslide import BilinearProblem, PointPair, plan_cc, unweighted_distance_sq
+from saddleslide import (
+    BilinearProblem,
+    PointPair,
+    plan_cc,
+    tune_parameters,
+    unweighted_distance_sq,
+    weighted_distance_sq,
+)
 from saddleslide.bench import (
     CSV_COLUMNS,
     Instance,
@@ -247,6 +254,7 @@ class TestBaselineExtragradient:
         assert (c.calls_grad_p, c.calls_grad_q, c.calls_grad_R) == (2, 2, 2)
 
     def test_converges_to_reference_on_mild_instance(self):
+        # The stop weighs the distance by the sliding solver's steps.
         inst = gen_quadratic_spp(5, 5, 2.0, 1.0, 2.0, 1.0, 3.0, seed=2)
         ref = reference_solution(inst)
         report = baseline_extragradient(
@@ -254,7 +262,9 @@ class TestBaselineExtragradient:
             PointPair(np.zeros(5), np.zeros(5)), eps=1e-8, max_iter=100_000,
             reference=ref,
         )
-        assert unweighted_distance_sq(report.final_pair, ref) <= 1e-8
+        t = tune_parameters(inst.spec())
+        assert report.termination == "residual-met"
+        assert weighted_distance_sq(report.final_pair, ref, t.eta_x, t.eta_y) <= 1e-8
 
     def test_budget_exhaustion_raises_with_report(self):
         inst = gen_quadratic_spp(5, 5, 2.0, 1.0, 2.0, 1.0, 3.0, seed=2)
@@ -884,6 +894,22 @@ class TestRunSingle:
         )
         assert runner.run_succeeded(row)
         assert not runner.run_succeeded(replace(row, dist_primal=2e-4))
+
+    @pytest.mark.parametrize("make, eps, tallies", [
+        (lambda: gen_consensus(8, "path", 1.0, 4.0, 0), 1e-6, (8, 8, 203)),
+        (lambda: gen_consensus(10, "ring", 1.0, 4.0, 0), 1e-6, (10, 10, 193)),
+        (lambda: gen_bilinear(200, 200, 100.0, 1.0, 100.0, 1.0, 10.0, 3), 1e-6,
+         (131, 131, 527)),
+        (lambda: gen_linear_bilinear(8, 4), 1e-3, (4, 4, 103)),
+        (lambda: gen_linear_bilinear(8, 4), 1e-7, (6, 6, 156)),
+    ], ids=["path8", "ring10", "bilinear200", "lb8-1e-3", "lb8-1e-7"])
+    def test_conjugate_gradient_route_tallies(self, make, eps, tallies):
+        # The instances and tallies the CLI round trip pins on the
+        # conjugate-gradient routes, whose solves start warm after each
+        # stage's first, so a change to that start shows here too.
+        row = run_single(make(), "sliding", eps)
+        assert row.termination == "residual-met"
+        assert (row.calls_grad_p, row.calls_grad_q, row.calls_grad_R) == tallies
 
     def test_unknown_solver_rejected(self):
         from saddleslide.bench import run_single

@@ -21,6 +21,7 @@ from saddleslide import (
     weighted_distance_sq,
     wrap_counting,
 )
+from saddleslide import inner
 from saddleslide.bilinear import make_bilinear_inner_solver, wrap_counting_bilinear
 from saddleslide.bench.generators import (
     gen_bilinear,
@@ -417,17 +418,38 @@ class TestSolve:
         assert report.planned_outer == 7
         assert report.counters.outer_iterations == 7
 
-    def test_budget_from_computed_potential(self, rng):
+    def test_tracking_never_sizes_the_budget(self, rng):
+        # Without psi_0 the budget is max_outer, tracking on or off: the
+        # tracked initial potential is a diagnostic (it would plan 75 steps
+        # here).
         problem, spec, saddle, _ = random_quadratic_instance(
             rng, 3, 3, 2.0, 1.0, 2.0, 1.0, 1.5
         )
         start = PointPair(np.ones(3), np.ones(3))
-        config = SolveConfig(eps=1e-6, known_solution=saddle, track_potential=True)
-        report = solve(problem, spec, start, config)
-        expected = required_outer_iterations(spec, report.psi_initial, 1e-6)
-        assert report.planned_outer == expected
-        assert report.termination == TERMINATION_BUDGET
-        assert report.certificate_ratio is None
+        plain = solve(problem, spec, start, SolveConfig(eps=1e-6, max_outer=200))
+        tracked = solve(problem, spec, start, SolveConfig(
+            eps=1e-6, max_outer=200, known_solution=saddle, track_potential=True))
+        assert required_outer_iterations(spec, tracked.psi_initial, 1e-6) < 200
+        assert plain.planned_outer == tracked.planned_outer == 200
+        assert plain.counters.as_dict() == tracked.counters.as_dict()
+        assert len(tracked.potentials) == 200
+        assert tracked.termination == TERMINATION_BUDGET
+        assert tracked.certificate_ratio is None
+
+    def test_default_inner_solver_looked_up_per_call(self, monkeypatch):
+        # A profiler patches inner.solve_auxiliary from outside; `solve`
+        # must call the patched name once per outer step, not a binding
+        # taken at import.
+        calls = []
+
+        def traced(aux, spec, tuning):
+            calls.append(aux)
+            return solve_auxiliary(aux, spec, tuning)
+
+        monkeypatch.setattr(inner, "solve_auxiliary", traced)
+        problem, spec, start = self._small_instance()
+        report = solve(problem, spec, start, SolveConfig(eps=1e-6, max_outer=9))
+        assert len(calls) == report.counters.outer_iterations == 9
 
 
 # Log-uniform draws: mu_x/mu_y over [0.01, 100], condition numbers over
