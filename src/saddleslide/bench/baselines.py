@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import BudgetExhausted, DivergenceDetected, ManifestError
+from ..errors import BudgetExhausted, DivergenceDetected
 from ..outer import (
     TERMINATION_BUDGET,
     TERMINATION_RESIDUAL,
@@ -25,11 +25,10 @@ from ..problems import (
     OracleCounters,
     PointPair,
     SmoothnessSpec,
-    count_calls,
     weighted_distance_sq,
     wrap_counting,
 )
-from .generators import KIND_BILINEAR, KIND_QUADRATIC, Instance
+from .generators import Instance, _reduced_primal
 
 
 def baseline_extragradient(
@@ -69,6 +68,7 @@ def baseline_extragradient(
         counters=counters,
         termination=TERMINATION_BUDGET,
         planned_outer=max_iter,
+        tuning=tuning,
         eps=eps,
     )
     for _ in range(max_iter):
@@ -126,37 +126,33 @@ def agd_joint_baseline(
 ) -> ConvergenceReport:
     """Joint accelerated gradient descent on the exactly reduced primal.
 
-    Applies to quadratic-spp and bilinear instances, whose dual block can
-    be maximized out in closed form with a cached dense factorization.
-    Per gradient evaluation the tallies grow by one composite call each
-    and two coupling products, mirroring what the reduction consumes.
+    Applies to quadratic-spp and bilinear instances: minimizes the reduced
+    primal ``S x + d - B X_c`` of the reference's `_reduced_primal` and
+    returns ``y = X_B x - X_c``.  Per gradient evaluation the tallies grow
+    by one composite call each and two coupling products, mirroring what
+    the reduction consumes.
     """
-    if inst.kind not in (KIND_QUADRATIC, KIND_BILINEAR):
-        raise ManifestError(f"agd-joint baseline does not support {inst.kind!r}")
-    Hp, Hq, B, a, e = inst.saddle_blocks()
-    d_x = Hp.shape[0]
-
-    hq_inv = np.linalg.inv(Hq)
-    reduced_hessian = Hp + B @ hq_inv @ B.T
-    eigs = np.linalg.eigvalsh(reduced_hessian)
+    _, _, _, B, d, _, X, S = _reduced_primal(inst)
+    X_B, X_c = X[:, :-1], X[:, -1]
+    eigs = np.linalg.eigvalsh(S)
     mu_red, l_red = float(eigs[0]), float(eigs[-1])
+    shift = d - B @ X_c
 
     counters = OracleCounters()
-    grad_p = count_calls(lambda x: Hp @ x + a, counters, "calls_grad_p")
-    best_y = count_calls(lambda u: hq_inv @ (u - e), counters, "calls_grad_q")
-    matvec = count_calls(lambda v: B @ v, counters, "calls_grad_R")
-    rmatvec = count_calls(lambda v: B.T @ v, counters, "calls_grad_R")
 
     def gradient(x):
-        return grad_p(x) + matvec(best_y(rmatvec(x)))
+        counters.calls_grad_p += 1
+        counters.calls_grad_q += 1
+        counters.calls_grad_R += 2
+        return S @ x + shift
 
     # ||z - z*||^2 <= (1 + gain^2) ||x - x*||^2 with gain = |Hq^-1 B'|;
     # stop once the gradient certifies that much through strong convexity.
-    gain = float(np.linalg.norm(hq_inv @ B.T, 2))
+    gain = float(np.linalg.norm(X_B, 2))
     tol = mu_red * np.sqrt(eps / (1.0 + gain**2))
 
     report = ConvergenceReport(
-        final_pair=PointPair(np.zeros(d_x), hq_inv @ (-e)),
+        final_pair=PointPair(np.zeros(len(S)), -X_c),
         counters=counters,
         termination=TERMINATION_BUDGET,
         planned_outer=max_iter,
@@ -167,7 +163,7 @@ def agd_joint_baseline(
             gradient,
             mu_h=mu_red,
             l_h=l_red,
-            start=np.zeros(d_x),
+            start=np.zeros(len(S)),
             tol=tol,
             max_iter=max_iter,
         )
@@ -177,6 +173,6 @@ def agd_joint_baseline(
         failure.report = report
         raise failure from exc
     counters.outer_iterations = steps
-    report.final_pair = PointPair(x, hq_inv @ (B.T @ x - e))
+    report.final_pair = PointPair(x, X_B @ x - X_c)
     report.termination = TERMINATION_RESIDUAL
     return report

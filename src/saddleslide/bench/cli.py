@@ -38,11 +38,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--dy", type=int, default=10)
     gen.add_argument("--lp", type=float, default=4.0)
     gen.add_argument("--lq", type=float, default=4.0)
-    gen.add_argument("--mux", type=float, default=1.0)
-    gen.add_argument("--muy", type=float, default=1.0)
+    gen.add_argument("--mux", type=float, default=1.0, help="mu_x (bilinear: mu_p)")
+    gen.add_argument("--muy", type=float, default=1.0, help="mu_y (bilinear: mu_q)")
     gen.add_argument("--lr", type=float, default=10.0)
-    gen.add_argument("--mup", type=float, default=1.0)
-    gen.add_argument("--muq", type=float, default=1.0)
     gen.add_argument("--sigma", type=float, default=5.0,
                      help="top singular value of the coupling (bilinear)")
     gen.add_argument("--nodes", type=int, default=5)
@@ -81,7 +79,7 @@ def _cmd_gen(args) -> int:
         )
     elif args.kind == generators.KIND_BILINEAR:
         inst = generators.gen_bilinear(
-            args.dx, args.dy, args.lp, args.mup, args.lq, args.muq,
+            args.dx, args.dy, args.lp, args.mux, args.lq, args.muy,
             args.sigma, args.seed,
         )
     elif args.kind == generators.KIND_CONSENSUS:

@@ -89,25 +89,6 @@ class Instance:
             L_p=c["L_p"], L_q=c["L_q"], L_R=c["L_R"], mu_x=c["mu_x"], mu_y=c["mu_y"]
         )
 
-    def saddle_blocks(self):
-        """Dense ``(Hp, Hq, B, d, c)`` of the saddle's stationarity system.
-
-        ``Hp x + B y + d = 0`` and ``B'x - Hq y - c = 0`` at the saddle, for
-        quadratic-spp (``Hp = P + mu_x I``, ``Hq = Q + mu_y I``), bilinear
-        and linear-bilinear (zero Hessians) instances.
-        """
-        a = self.arrays
-        if self.kind == KIND_QUADRATIC:
-            c = self.constants
-            return (_shifted(a["P"], c["mu_x"]), _shifted(a["Q"], c["mu_y"]),
-                    a["B"], a["a"], a["e"])
-        if self.kind == KIND_BILINEAR:
-            return a["Hp"], a["Hq"], a["B"], a["d"], a["c"]
-        if self.kind == KIND_LINEAR_BILINEAR:
-            d_x, d_y = a["B"].shape
-            return np.zeros((d_x, d_x)), np.zeros((d_y, d_y)), a["B"], a["d"], a["c"]
-        raise ManifestError(f"saddle_blocks() does not apply to {self.kind}")
-
     def problem(self) -> CompositeSaddleProblem:
         """Composite oracle form (quadratic-spp instances)."""
         if self.kind != KIND_QUADRATIC:
@@ -517,19 +498,55 @@ def gen_linear_bilinear(
     )
 
 
+
+
+def _solve(m, rhs):
+    try:
+        return np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from exc
+
+
+def _reduced_primal(inst: Instance):
+    """A dense kind's blocks ``(P, mu_x, Hq, B, d, c)``, then ``X`` and ``S``.
+
+    The saddle solves ``P x + mu_x x + B y + d = 0`` and ``B'x - Hq y = c``:
+    quadratic-spp's blocks are ``(P, mu_x, Q + mu_y I, B, a, e)``, bilinear's
+    ``(Hp, 0, Hq, B, d, c)``.  With ``X = Hq^-1 [B', c]`` from one LU solve,
+    ``y = X_B x - X_c`` leaves the reduced primal ``S x + d - B X_c = 0``,
+    ``S = P + mu_x I + B X_B``.  ``P + mu_x I`` is never formed: Hq, X, and
+    [B', c] or S are the three d x d blocks alive at once.  A singular Hq
+    raises SingularSystem, any other kind ManifestError.
+    """
+    a = inst.arrays
+    if inst.kind == KIND_QUADRATIC:
+        k = inst.constants
+        P, mu_x, Hq = a["P"], k["mu_x"], _shifted(a["Q"], k["mu_y"])
+        d, c = a["a"], a["e"]
+    elif inst.kind == KIND_BILINEAR:
+        P, mu_x, Hq, d, c = a["Hp"], 0.0, a["Hq"], a["d"], a["c"]
+    else:
+        raise ManifestError(f"no dense elimination of y for {inst.kind!r}")
+    B = a["B"]
+    X = _solve(Hq, np.column_stack([B.T, c]))
+    S = B @ X[:, :-1]
+    S += P
+    S.flat[:: S.shape[0] + 1] += mu_x
+    return P, mu_x, Hq, B, d, c, X, S
+
+
 def reference_solution(inst: Instance) -> PointPair:
     """Solve the instance's saddle system by dense block elimination.
 
     This is the independent oracle every benchmark distance is measured
-    against.  For quadratic-spp and bilinear instances ``Hq`` is SPD, so y
-    is eliminated through it: one LU solve ``X = Hq^-1 [B', c]``, then x
-    from the Schur complement ``(Hp + B X_B) x = B X_c - d`` and
-    ``y = X_B x - X_c``, then one step of iterative refinement on the full
-    system.  Linear-bilinear instances (``Hp = Hq = 0``, B square) take x
-    from ``B'x = c`` and y from ``By = -d``.  Only d x d blocks are
-    allocated, never the ``(d_x+d_y)^2`` joint matrix, which would be the
-    largest allocation of a grid run.  The full system's residual must come
-    out below 1e-10 (1 + ||(d, c)||), else SingularSystem.
+    against.  Quadratic-spp and bilinear instances take x from
+    `_reduced_primal`'s ``S x = B X_c - d`` and ``y = X_B x - X_c``, then
+    one step of iterative refinement on the full system.  Linear-bilinear
+    instances (``Hp = Hq = 0``, B square) take x from ``B'x = c`` and y
+    from ``By = -d``.  Only d x d blocks are allocated, never the
+    ``(d_x+d_y)^2`` joint matrix, which would be the largest allocation of
+    a grid run.  The full system's residual must come out below
+    1e-10 (1 + ||(d, c)||), else SingularSystem.
     """
     a = inst.arrays
     if inst.kind == KIND_CONSENSUS:
@@ -542,37 +559,17 @@ def reference_solution(inst: Instance) -> PointPair:
             raise SingularSystem(f"consensus stationarity residual {resid:.3e}")
         return PointPair(x, y)
 
-    def solve(m, rhs):
-        try:
-            return np.linalg.solve(m, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(str(exc)) from exc
-
-    B = a["B"]
     if inst.kind == KIND_LINEAR_BILINEAR:
-        d, c = a["d"], a["c"]
-        x, y = solve(B.T, c), solve(B, -d)
+        B, d, c = a["B"], a["d"], a["c"]
+        x, y = _solve(B.T, c), _solve(B, -d)
         r_x, r_y = B @ y + d, B.T @ x - c
     else:
-        # Hp = P + mu_x I is never formed: Hq, X, and [B', c] or the Schur
-        # complement are the three blocks alive at once; it would be a fourth.
-        if inst.kind == KIND_QUADRATIC:
-            k = inst.constants
-            P, mu_x, Hq = a["P"], k["mu_x"], _shifted(a["Q"], k["mu_y"])
-            d, c = a["a"], a["e"]
-        elif inst.kind == KIND_BILINEAR:
-            P, mu_x, Hq, d, c = a["Hp"], 0.0, a["Hq"], a["d"], a["c"]
-        else:
-            raise ManifestError(f"reference_solution() does not apply to {inst.kind}")
-        X = solve(Hq, np.column_stack([B.T, c]))
+        P, mu_x, Hq, B, d, c, X, schur = _reduced_primal(inst)
         X_B = X[:, :-1]
-        schur = B @ X_B
-        schur += P
-        schur.flat[:: schur.shape[0] + 1] += mu_x
 
         def eliminate(f, h):
             # Hp x + B y = f and B'x - Hq y = g, given h = Hq^-1 g.
-            x = solve(schur, f + B @ h)
+            x = _solve(schur, f + B @ h)
             return x, X_B @ x - h
 
         def residual(x, y):
@@ -583,7 +580,7 @@ def reference_solution(inst: Instance) -> PointPair:
         # them, and lands closer to the planted saddle than a joint LU.
         x, y = eliminate(-d, X[:, -1])
         r_x, r_y = residual(x, y)
-        dx, dy = eliminate(-r_x, -solve(Hq, r_y))
+        dx, dy = eliminate(-r_x, -_solve(Hq, r_y))
         x, y = x + dx, y + dy
         r_x, r_y = residual(x, y)
     resid = math.hypot(np.linalg.norm(r_x), np.linalg.norm(r_y))

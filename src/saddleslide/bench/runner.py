@@ -68,6 +68,11 @@ GRID_KEYS = ("instances", "solvers", "eps", "max_outer")
 class RunReport:
     """One row of the aggregate CSV, its fields the columns in order.
 
+    ``dist_weighted`` weighs the squared distance to the reference by
+    ``1/eta_x`` and ``1/eta_y``, the steps of the run's tuning: sliding's
+    own (on the reductions, its last stage's), and for ``eg`` the steps
+    `tune_parameters` gives sliding, which eg stops on.  agd-joint has no
+    steps: its ``dist_weighted`` is the plain ``dist_unweighted``.
     ``dist_primal`` is ``||x - x*||^2``, the x block's share of
     ``dist_unweighted``; run files written before it was recorded load
     with NaN there.

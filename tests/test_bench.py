@@ -35,6 +35,7 @@ from saddleslide.bench import (
 from saddleslide.bench import matio, runner
 from saddleslide.bench.baselines import agd_joint_baseline
 from saddleslide.bench.cli import main
+from saddleslide.bench.generators import _reduced_primal
 from saddleslide.bilinear import _solve_regularized, split_bilinear
 from saddleslide.errors import (
     BudgetExhausted,
@@ -204,10 +205,14 @@ class TestReferenceSolution:
         assert peak < 400**2 * 8
 
     def test_singular_hq_raises(self):
+        # agd-joint eliminates y through the same Hq, and raises the same
+        # named error, not numpy's LinAlgError.
         inst = gen_bilinear(4, 3, 2.0, 1.0, 2.0, 1.0, 1.0, seed=0)
         inst.arrays["Hq"] = np.zeros((3, 3))
         with pytest.raises(SingularSystem):
             reference_solution(inst)
+        with pytest.raises(SingularSystem):
+            agd_joint_baseline(inst, eps=1e-6)
 
     @pytest.mark.parametrize("B", [np.zeros((4, 4)), np.outer(np.arange(1.0, 5.0), np.ones(4))],
                              ids=["zero", "rank-one"])
@@ -301,6 +306,21 @@ class TestBaselineExtragradient:
 log_ratios = st.floats(-3.0, 3.0)
 
 
+def _saddle_blocks(inst):
+    """Dense ``(Hp, Hq, B, d, c)`` of the saddle's stationarity system.
+
+    ``Hp x + B y + d = 0`` and ``B'x - Hq y - c = 0`` at the saddle.
+    quadratic-spp and bilinear take the blocks `_reduced_primal` states;
+    linear-bilinear instances have zero Hessians.
+    """
+    if inst.kind == "linear-bilinear":
+        B = inst.arrays["B"]
+        d_x, d_y = B.shape
+        return np.zeros((d_x, d_x)), np.zeros((d_y, d_y)), B, inst.arrays["d"], inst.arrays["c"]
+    P, mu_x, Hq, B, d, c, _, _ = _reduced_primal(inst)
+    return P + mu_x * np.eye(P.shape[0]), Hq, B, d, c
+
+
 def _joint_norm(Hp, Hq, B):
     J = np.block([[Hp, B], [-B.T, Hq]])
     return float(np.linalg.norm(J, 2))
@@ -332,8 +352,8 @@ class TestExtragradientStepBound:
         mu_x, mu_y = 10.0 ** (log_ratio / 2), 10.0 ** (-log_ratio / 2)
         L_R = coupling_gain * max(mu_x, mu_y)
         inst = gen_quadratic_spp(d_x, d_y, L_p, mu_x, L_q, mu_y, L_R, seed)
-        # saddle_blocks gives P + mu_x I and Q + mu_y I.
-        Hp, Hq, B, _, _ = inst.saddle_blocks()
+        # The blocks are P + mu_x I and Q + mu_y I.
+        Hp, Hq, B, _, _ = _saddle_blocks(inst)
         assert _joint_norm(Hp, Hq, B) <= (max(L_p, L_q) + L_R) * (1 + 1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -353,7 +373,7 @@ class TestExtragradientStepBound:
             L_q *= 2.0
         inst = gen_bilinear(d_x, d_y, L_p, mu_p, L_q, mu_q, sigma_max, seed)
         _, spec = split_bilinear(inst.bilinear_problem())
-        Hp, Hq, B, _, _ = inst.saddle_blocks()
+        Hp, Hq, B, _, _ = _saddle_blocks(inst)
         bound = max(spec.L_p, spec.L_q) + spec.L_R
         assert _joint_norm(Hp, Hq, B) <= bound * (1 + 1e-12)
 
@@ -366,9 +386,10 @@ class TestAgdJointBaseline:
         assert unweighted_distance_sq(report.final_pair, ref) <= 1e-8
 
     def test_rejects_unsupported_kind(self):
-        inst = gen_consensus(4, "path", 1.0, 2.0, seed=0)
-        with pytest.raises(ManifestError):
-            agd_joint_baseline(inst, eps=1e-6)
+        # Neither kind has an SPD Hq to eliminate y through.
+        for inst in (gen_consensus(4, "path", 1.0, 2.0, seed=0), gen_linear_bilinear(4, seed=0)):
+            with pytest.raises(ManifestError):
+                agd_joint_baseline(inst, eps=1e-6)
 
     def test_tallies_per_reduced_gradient(self):
         # Each reduced gradient costs one call of each composite oracle and
@@ -377,6 +398,21 @@ class TestAgdJointBaseline:
         c = agd_joint_baseline(inst, eps=1e-8).counters
         assert c.calls_grad_p == c.calls_grad_q > c.outer_iterations
         assert c.calls_grad_R == 2 * c.calls_grad_p
+
+    @pytest.mark.parametrize("make, eps, tallies", [
+        (lambda: gen_quadratic_spp(10, 10, 100.0, 1.0, 100.0, 1.0, 10.0, 0), 1e-8,
+         (71, 71, 142, 70)),
+        (lambda: gen_bilinear(50, 40, 4.0, 1.0, 4.0, 1.0, 5.0, 2), 1e-6, (22, 22, 44, 21)),
+        (lambda: gen_bilinear(200, 200, 100.0, 1.0, 100.0, 1.0, 10.0, 3), 1e-6,
+         (56, 56, 112, 55)),
+    ], ids=["q10", "bilinear50x40", "bilinear200"])
+    def test_run_single_tallies(self, make, eps, tallies):
+        # q10 is the CLI round trip's instance, the others grid-dense's.
+        row = run_single(make(), "agd-joint", eps)
+        assert row.termination == "residual-met"
+        assert (row.calls_grad_p, row.calls_grad_q, row.calls_grad_R,
+                row.outer_iters) == tallies
+        assert row.dist_weighted == row.dist_unweighted <= eps
 
     def test_budget_exhaustion_raises_with_report(self):
         # Two steps evaluate three reduced gradients, far from 1e-8.
@@ -604,12 +640,11 @@ class TestSaddleBlocks:
         # One dense description, Hp x + B y + d and B'x - Hq y - c, against
         # the gradients of the oracles the solvers are handed.
         inst = make()
-        Hp, Hq, B, d, c = inst.saddle_blocks()
+        Hp, Hq, B, d, c = _saddle_blocks(inst)
         if inst.kind == "quadratic-spp":
-            # The shifted diagonal keeps every bit of P + mu I, which
-            # agd-joint's rows in the CSV digests rest on.
+            # The shifted diagonal keeps every bit of Q + mu_y I, which the
+            # reference and agd-joint's rows in the CSV digests rest on.
             a, k = inst.arrays, inst.constants
-            assert np.array_equal(Hp, a["P"] + k["mu_x"] * np.eye(6))
             assert np.array_equal(Hq, a["Q"] + k["mu_y"] * np.eye(4))
         for _ in range(3):
             x, y = rng.standard_normal(B.shape[0]), rng.standard_normal(B.shape[1])
@@ -627,6 +662,25 @@ class TestSaddleBlocks:
                 g_y = op.rmatvec(x) - inst.arrays["c"]
             for block, oracle in ((Hp @ x + B @ y + d, g_x), (B.T @ x - Hq @ y - c, g_y)):
                 assert np.linalg.norm(block - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_quadratic_spp(6, 4, 3.0, 0.7, 2.0, 1.1, 6.0, seed=3),
+        lambda: gen_bilinear(5, 7, 4.0, 1.0, 3.0, 0.5, 2.0, seed=2),
+    ], ids=["quadratic-spp", "bilinear"])
+    def test_reduced_primal_eliminates_y(self, make, rng):
+        # y = X_B x - X_c solves the second block for any x, and the first
+        # block then reads S x + d - B X_c.
+        inst = make()
+        Hp, Hq, B, d, c = _saddle_blocks(inst)
+        X, S = _reduced_primal(inst)[-2:]
+        X_B, X_c = X[:, :-1], X[:, -1]
+        assert np.allclose(S, Hp + B @ np.linalg.solve(Hq, B.T), rtol=0, atol=1e-12)
+        for _ in range(3):
+            x = rng.standard_normal(B.shape[0])
+            y = X_B @ x - X_c
+            assert np.linalg.norm(B.T @ x - Hq @ y - c) <= 1e-12 * (1 + np.linalg.norm(c))
+            first = Hp @ x + B @ y + d
+            assert np.linalg.norm(first - (S @ x + d - B @ X_c)) <= 1e-12 * np.linalg.norm(first)
 
 
 class TestRunExperiment:
@@ -911,6 +965,21 @@ class TestRunSingle:
         assert row.termination == "residual-met"
         assert (row.calls_grad_p, row.calls_grad_q, row.calls_grad_R) == tallies
 
+    def test_eg_row_weighs_its_distance_by_its_steps(self):
+        # eg stops on the distance weighted by the steps tune_parameters
+        # gives sliding; its row reports that distance, not the plain one.
+        inst = gen_quadratic_spp(10, 10, 100.0, 1.0, 100.0, 1.0, 10.0, 0)
+        ref = reference_solution(inst)
+        row = run_single(inst, "eg", 1e-8, reference=ref)
+        t = tune_parameters(inst.spec())
+        report = baseline_extragradient(
+            inst.problem(), inst.spec(), PointPair(np.zeros(10), np.zeros(10)),
+            1e-8, max_iter=200_000, reference=ref,
+        )
+        assert row.dist_weighted == weighted_distance_sq(
+            report.final_pair, ref, t.eta_x, t.eta_y) <= 1e-8
+        assert row.dist_weighted > row.dist_unweighted
+
     def test_unknown_solver_rejected(self):
         from saddleslide.bench import run_single
 
@@ -932,6 +1001,16 @@ class TestCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "termination=" in out
+
+    def test_gen_bilinear_reads_the_moduli(self, tmp_path, capsys):
+        # Bilinear's mu_p and mu_q come from --mux and --muy, as for
+        # quadratic-spp.
+        assert main([
+            "gen", "--kind", "bilinear", "--out", str(tmp_path / "i"),
+            "--dx", "4", "--dy", "3", "--mux", "2", "--muy", "0.5",
+        ]) == 0
+        constants = Instance.load(tmp_path / "i" / "manifest.json").constants
+        assert (constants["mu_p"], constants["mu_q"]) == (2.0, 0.5)
 
     def test_bench_and_report(self, tmp_path, capsys):
         main(["gen", "--kind", "linear-bilinear", "--out", str(tmp_path / "i"),

@@ -838,6 +838,9 @@ class TestLanczos:
     # Squared entries of this scale underflow: an unscaled norm of the
     # first residual reads 0 and stops at one step.
     @example(eigs=[0.0, 6.782960170311107e-195], zeros=0, steps=2, seed=0)
+    # A top of one subnormal: the products themselves round at that scale,
+    # where 1e-5 of it underflows to 0.
+    @example(eigs=[0.0, 5e-324], zeros=0, steps=1, seed=0)
     def test_ritz_ends_lie_inside_the_spectrum(self, eigs, zeros, steps, seed):
         # Indefinite, and rank-deficient once zeros replace some eigenvalues.
         eigs = [0.0] * min(zeros, len(eigs)) + eigs[zeros:]
@@ -849,9 +852,9 @@ class TestLanczos:
         assert lo >= exact[0] - slack
         assert hi <= exact[-1] + slack
         lo, hi, _, _, _ = lanczos_extremes(lambda v: m @ v, m.shape[0], m.shape[0], seed=seed)
-        scale = np.max(np.abs(exact))
-        assert lo == pytest.approx(exact[0], abs=1e-5 * scale)
-        assert hi == pytest.approx(exact[-1], abs=1e-5 * scale)
+        tol = max(1e-5 * np.max(np.abs(exact)), 4 * np.finfo(float).smallest_subnormal)
+        assert lo == pytest.approx(exact[0], abs=tol)
+        assert hi == pytest.approx(exact[-1], abs=tol)
 
     def test_rank_one_stops_at_its_invariant_subspace(self):
         rng = np.random.default_rng(1)
