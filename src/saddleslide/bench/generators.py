@@ -295,6 +295,20 @@ def _instance(kind, label, seed, d_x, d_y, constants, arrays, **extra) -> Instan
     return Instance(manifest=manifest, arrays=arrays)
 
 
+def _check_inputs(sizes, constants):
+    """Refuse a block size below 1 or a constant that is not finite.
+
+    ``sizes`` and ``constants`` map names to values; either raises
+    InfeasibleConstants before anything is drawn.
+    """
+    for name, size in sizes.items():
+        if not size >= 1:
+            raise InfeasibleConstants(f"need {name} >= 1, got {size}")
+    for name, value in constants.items():
+        if not math.isfinite(value):
+            raise InfeasibleConstants(f"need a finite {name}, got {value}")
+
+
 def _scaled_gaussian_coupling(rng, d_x, d_y, sigma_max):
     if sigma_max <= 0.0:
         return np.zeros((d_x, d_y))
@@ -319,6 +333,8 @@ def gen_quadratic_spp(
     coupling scale is chosen so the R-gradient map has norm exactly L_R.
     Linear shifts place the saddle at a recorded nonzero point.
     """
+    constants = {"L_p": L_p, "mu_x": mu_x, "L_q": L_q, "mu_y": mu_y, "L_R": L_R}
+    _check_inputs({"d_x": d_x, "d_y": d_y}, constants)
     if mu_x <= 0 or mu_y <= 0 or L_p < 0 or L_q < 0:
         raise InfeasibleConstants(
             f"need mu_x, mu_y > 0 and L_p, L_q >= 0, got "
@@ -345,8 +361,7 @@ def gen_quadratic_spp(
     e = B.T @ x_star - mu_y * y_star - Q @ y_star
 
     return _instance(
-        KIND_QUADRATIC, f"d{d_x}x{d_y}", seed, d_x, d_y,
-        {"L_p": L_p, "mu_x": mu_x, "L_q": L_q, "mu_y": mu_y, "L_R": L_R},
+        KIND_QUADRATIC, f"d{d_x}x{d_y}", seed, d_x, d_y, constants,
         {"P": P, "Q": Q, "B": B, "a": a, "e": e, "x_star": x_star, "y_star": y_star},
     )
 
@@ -362,6 +377,10 @@ def gen_bilinear(
     seed: int,
 ) -> Instance:
     """Bilinear SCSC instance ``p(x) + x'By - q(y)`` with a planted saddle."""
+    _check_inputs(
+        {"d_x": d_x, "d_y": d_y},
+        {"L_p": L_p, "mu_p": mu_p, "L_q": L_q, "mu_q": mu_q, "sigma_max": sigma_max},
+    )
     if not (0 < mu_p <= L_p and 0 < mu_q <= L_q) or sigma_max < 0:
         raise InfeasibleConstants(
             f"need 0 < mu <= L and sigma_max >= 0, got "
@@ -427,6 +446,7 @@ def gen_consensus(
     with coupling W.  ``spread`` scales how far the local minimizers
     disagree; it directly controls the dual norm (and hence D_y).
     """
+    _check_inputs({}, {"local_mu": local_mu, "local_L": local_L, "spread": spread})
     if not (0 < local_mu <= local_L):
         raise InfeasibleConstants(f"need 0 < local_mu <= local_L")
     rng = np.random.default_rng(seed)
@@ -473,8 +493,9 @@ def gen_linear_bilinear(
     ``cond = 1`` gives a scaled orthogonal B.  ERM-style data matrices are
     drawn the same way with a spread spectrum.
     """
-    if d < 1 or scale <= 0 or cond < 1:
-        raise InfeasibleConstants(f"need d >= 1, scale > 0, cond >= 1")
+    _check_inputs({"d": d}, {"scale": scale, "cond": cond})
+    if scale <= 0 or cond < 1:
+        raise InfeasibleConstants(f"need scale > 0 and cond >= 1, got {scale}, {cond}")
     rng = np.random.default_rng(seed)
     u = _random_orthogonal(rng, d)
     v = _random_orthogonal(rng, d)

@@ -14,6 +14,7 @@ import concurrent.futures
 import hashlib
 import json
 import math
+import numbers
 import threading
 import time
 from collections import Counter
@@ -30,7 +31,7 @@ from ..bilinear import (
     solve_bilinear_linear_composites,
     split_bilinear,
 )
-from ..errors import ManifestError
+from ..errors import ManifestError, NonPositiveInput
 from ..outer import (
     TERMINATION_BUDGET,
     TERMINATION_RESIDUAL,
@@ -102,6 +103,12 @@ class RunReport:
 
 
 CSV_COLUMNS = [f.name for f in fields(RunReport)]
+
+
+def _is_target(eps) -> bool:
+    """Whether ``eps`` is a finite number above 0, not a bool."""
+    return (isinstance(eps, numbers.Real) and not isinstance(eps, bool)
+            and 0 < eps < math.inf)
 
 
 def _scsc_problem(inst: Instance):
@@ -178,8 +185,18 @@ def run_single(
     ``reference`` is the instance's KKT reference when the caller has
     already solved it; otherwise it is solved here.  A sliding run stops
     ``residual-met`` once its certificate proves its route's target, with
-    the planned budget as its cap.
+    the planned budget as its cap.  Before any solve, a solver not in
+    `SOLVERS` raises ManifestError, and an ``eps`` that is not a finite
+    number above 0 (or is a bool) or a ``max_outer`` that is not an
+    integer of at least 1 raises NonPositiveInput.
     """
+    if solver not in SOLVERS:
+        raise ManifestError(f"unknown solver {solver!r}; known: {list(SOLVERS)}")
+    if not (_is_target(eps) and _is_count(max_outer, 1)):
+        raise NonPositiveInput(
+            f"need a finite eps > 0 and an integer max_outer >= 1, "
+            f"got {eps!r}, {max_outer!r}"
+        )
     if reference is None:
         reference = reference_solution(inst)
     started = time.perf_counter()
@@ -187,10 +204,8 @@ def run_single(
         report = _sliding_run(inst, eps, max_outer, reference)
     elif solver == SOLVER_EG:
         report = _eg_run(inst, eps, max_outer, reference)
-    elif solver == SOLVER_AGD_JOINT:
-        report = agd_joint_baseline(inst, eps, max_iter=max_outer)
     else:
-        raise ManifestError(f"unknown solver {solver!r}")
+        report = agd_joint_baseline(inst, eps, max_iter=max_outer)
     wall_ms = (time.perf_counter() - started) * 1e3
 
     if report.tuning is not None:
@@ -268,8 +283,7 @@ def _read_grid(config) -> Tuple[List[dict], int]:
         if solver not in SOLVERS:
             raise ManifestError(f"unknown solver {solver!r}; known: {list(SOLVERS)}")
     for eps in eps_list:
-        number = isinstance(eps, (int, float)) and not isinstance(eps, bool)
-        if not (number and 0 < eps < math.inf):
+        if not _is_target(eps):
             raise ManifestError(f"grid config eps {eps!r} is not a finite number > 0")
     max_outer = config.get("max_outer", 200_000)
     if not _is_count(max_outer, 1):

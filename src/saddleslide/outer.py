@@ -29,7 +29,6 @@ from .problems import (
     OracleCounters,
     PointPair,
     SmoothnessSpec,
-    unweighted_distance_sq,
     validate_spec,
     weighted_distance_sq,
     wrap_counting,
@@ -178,14 +177,14 @@ class SolveConfig:
     positive integer, and a supplied ``psi_0`` unless finite and
     non-negative.  The outer budget is ``required_outer_iterations`` from
     a positive ``psi_0``, capped by ``max_outer``, and ``max_outer``
-    without one; the diagnostics (``track_potential``, ``known_solution``,
-    ``track_inner_details``) never change it.  ``use_residual_stop`` stops
-    the run, within that budget, once a computable bound certifies the
-    weighted squared distance ``eps`` at the accepted inner pair or at the
-    extrapolation point, and returns that point; it costs no extra oracle
-    calls.  The pair's bound takes the smaller of a bound on the
-    saddle operator there and one from co-coercivity of the convex,
-    ``L_p``- and ``L_q``-smooth composites (both proofs are in `solve`).
+    without one; the diagnostics (``track_potential``, ``known_solution``)
+    never change it.  ``use_residual_stop`` stops the run, within that
+    budget, once a computable bound certifies the weighted squared
+    distance ``eps`` at the accepted inner pair or at the extrapolation
+    point, and returns that point; it costs no extra oracle calls.  The
+    pair's bound takes the smaller of a bound on the saddle operator there
+    and one from co-coercivity of the convex, ``L_p``- and ``L_q``-smooth
+    composites (both proofs are in `solve`).
     """
 
     eps: float
@@ -194,7 +193,6 @@ class SolveConfig:
     known_solution: Optional[PointPair] = None
     psi_0: Optional[float] = None
     use_residual_stop: bool = False
-    track_inner_details: bool = False
 
 
 @dataclass
@@ -202,8 +200,10 @@ class ConvergenceReport:
     """Outcome of a solve run with per-iteration diagnostics.
 
     Per-iteration lists all have length ``counters.outer_iterations``;
-    distance lists are empty when no known solution was given, and
-    ``potentials`` is empty unless potential tracking ran.
+    ``weighted_dist_sq`` is empty when no known solution was given, and
+    ``potentials`` is empty unless potential tracking ran.  Each step's
+    subproblem and inner result are seen through `solve`'s
+    ``inner_solver`` hook, not here.
     ``certificate_ratio`` is the residual stop's certified bound over
     ``eps`` at the step it fired, at most 1: ``weight * bound / eps`` with
     the weight and bound of `solve`'s proof.  It is None unless the run
@@ -215,11 +215,8 @@ class ConvergenceReport:
     termination: str
     planned_outer: int
     weighted_dist_sq: List[float] = field(default_factory=list)
-    unweighted_dist_sq: List[float] = field(default_factory=list)
     potentials: List[float] = field(default_factory=list)
-    psi_initial: Optional[float] = None
     inner_iterations: List[int] = field(default_factory=list)
-    inner_logs: List[dict] = field(default_factory=list)
     constraint_residual: Optional[float] = None
     tuning: Optional[SolverTuning] = None
     eps: Optional[float] = None
@@ -353,7 +350,9 @@ def solve(
     Parameters
     ----------
     inner_solver : callable, optional
-        ``(aux, spec, tuning) -> InnerResult``.  Defaults to
+        ``(aux, spec, tuning) -> InnerResult``, called exactly once per
+        outer step, in order: wrapping it is the way to see each step's
+        subproblem and accepted result.  Defaults to
         `inner.solve_auxiliary`, forward-backward-forward on the
         subproblem.
     counters : OracleCounters, optional
@@ -380,10 +379,8 @@ def solve(
 
     sol = config.known_solution
     psi = None
-    psi_initial = None
     if config.track_potential and sol is not None:
         psi = potential(problem, tuning, sol)
-        psi_initial = psi(start.x, start.y, start.x, start.y)
 
     if config.psi_0 is not None and config.psi_0 > 0.0:
         planned = min(
@@ -397,7 +394,6 @@ def solve(
         counters=counters,
         termination=TERMINATION_BUDGET,
         planned_outer=planned,
-        psi_initial=psi_initial,
         tuning=tuning,
         eps=config.eps,
     )
@@ -455,23 +451,6 @@ def solve(
                 terms = z_hat, g, d, d / signed_eta
             z_hat, g, d, q = terms
 
-            if config.track_inner_details:
-                report.inner_logs.append(
-                    {
-                        "k": k,
-                        "grad_p_g": gp.copy(),
-                        "grad_q_g": gq.copy(),
-                        "x_k": x.copy(),
-                        "y_k": y.copy(),
-                        "x_hat": result.pair.x.copy(),
-                        "y_hat": result.pair.y.copy(),
-                        "g_x": result.grad_x.copy(),
-                        "g_y": result.grad_y.copy(),
-                        "inner_iterations": result.iterations,
-                        "accepted_by": result.accepted_by,
-                    }
-                )
-
             # Main update; identical to stepping along the frozen composite
             # gradient plus the coupling gradient at the accepted pair.
             z = z_hat - signed_eta * g
@@ -489,10 +468,8 @@ def solve(
                 raise DivergenceDetected(f"non-finite or huge iterate at outer step {k}")
 
             if sol is not None:
-                current = PointPair(x, y)
-                wd = weighted_distance_sq(current, sol, eta_x, eta_y)
+                wd = weighted_distance_sq(PointPair(x, y), sol, eta_x, eta_y)
                 report.weighted_dist_sq.append(wd)
-                report.unweighted_dist_sq.append(unweighted_distance_sq(current, sol))
                 n = len(report.weighted_dist_sq)
                 if n > 10:
                     old = report.weighted_dist_sq[n - 11]

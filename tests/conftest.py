@@ -1,5 +1,7 @@
 """Shared helpers: independent oracles the solver tests are checked against."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from saddleslide import (
     solve,
     solve_bilinear,
 )
+from saddleslide import bilinear
 from saddleslide.bench.generators import reference_solution
 from saddleslide.bench.runner import _scsc_problem
 
@@ -120,6 +123,69 @@ def planned_run(inst, eps):
     if bp is None:
         return solve(problem, spec, start, config), reference
     return solve_bilinear(bp, start, config), reference
+
+
+def recording(inner_solver):
+    """``(solver, steps)``: ``inner_solver`` wrapped to record each call.
+
+    Pass ``solver`` as `solve`'s ``inner_solver``; every call appends its
+    subproblem and the result it returned, ``(aux, result)``, to ``steps``.
+    """
+    steps = []
+
+    def solver(aux, spec, tuning):
+        result = inner_solver(aux, spec, tuning)
+        steps.append((aux, result))
+        return result
+
+    return solver, steps
+
+
+def recording_bilinear(monkeypatch):
+    """Record the steps of every bilinear inner solver made from now on.
+
+    Returns a list that gains one `recording` ``steps`` list per solver
+    `bilinear.make_bilinear_inner_solver` makes, one per `solve_bilinear`.
+    """
+    runs = []
+    make = bilinear.make_bilinear_inner_solver
+
+    def making(bp):
+        solver, steps = recording(make(bp))
+        runs.append(steps)
+        return solver
+
+    monkeypatch.setattr(bilinear, "make_bilinear_inner_solver", making)
+    return runs
+
+
+def kick_first_run(monkeypatch, kick):
+    """Make the affine route's first regularized run return ``x + kick``.
+
+    Every call's start, positional arguments and report are recorded; the
+    report recorded for the first run is the kicked one the route sees.
+    """
+    runs = []
+    real = bilinear._solve_regularized
+
+    def double(bp, start, *args, **kwargs):
+        report = real(bp, start, *args, **kwargs)
+        if not runs:
+            x = report.final_pair.x
+            report = dataclasses.replace(
+                report, final_pair=PointPair(x + kick, report.final_pair.y)
+            )
+        runs.append((start, args, report))
+        return report
+
+    monkeypatch.setattr(bilinear, "_solve_regularized", double)
+    return runs
+
+
+def off_constraint(coupling, residual):
+    """A vector in range(B) whose B^T image has norm ``residual``."""
+    w = coupling.matvec(np.random.default_rng(1).standard_normal(coupling.d_y))
+    return w * (residual / np.linalg.norm(coupling.rmatvec(w)))
 
 
 @pytest.fixture

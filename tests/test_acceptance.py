@@ -36,7 +36,7 @@ from saddleslide import inner
 from saddleslide.bilinear import eliminate_y
 from saddleslide.inner import AuxiliaryProblem
 
-from conftest import central_diff, planned_run, random_sym_psd
+from conftest import central_diff, planned_run, random_sym_psd, recording_bilinear
 
 
 def _report(n, text):
@@ -71,7 +71,7 @@ def test_criterion_01_potential_contraction(monkeypatch):
         )
         report = solve(problem, spec, zeros, config)
         rate = 1.0 - report.tuning.alpha / 3.0
-        psis = [report.psi_initial] + report.potentials
+        psis = [psi0] + report.potentials
         assert len(psis) >= 10
         for k in range(len(psis) - 1):
             assert psis[k + 1] <= rate * psis[k] + 1e-9 * psis[0], (
@@ -165,9 +165,10 @@ def test_criterion_04_composite_scaling():
                f"{[f'{s:.2f}' for s in slopes]}")
 
 
-def test_criterion_05_bilinear_correctness():
+def test_criterion_05_bilinear_correctness(monkeypatch):
     rng = np.random.default_rng(5)
     checked_subproblems = 0
+    runs = recording_bilinear(monkeypatch)
     for i in range(100):
         inst = gen_bilinear(
             d_x=int(rng.integers(2, 21)),
@@ -184,20 +185,15 @@ def test_criterion_05_bilinear_correctness():
         start = PointPair(np.zeros(bp.d_x), np.zeros(bp.d_y))
         composite, spec = split_bilinear(bp)
         psi0 = initial_potential(composite, spec, start, saddle)
-        track = i < 10
-        report = solve_bilinear(
-            bp, start, SolveConfig(eps=1e-8, psi_0=psi0, track_inner_details=track)
-        )
+        runs.clear()
+        report = solve_bilinear(bp, start, SolveConfig(eps=1e-8, psi_0=psi0))
         t = report.tuning
         assert weighted_distance_sq(report.final_pair, saddle, t.eta_x, t.eta_y) <= 1e-8
 
-        if track:
+        if i < 10:
             B = inst.arrays["B"]
-            for log in report.inner_logs:
-                aux = AuxiliaryProblem(
-                    composite.grad_R, log["grad_p_g"], log["grad_q_g"],
-                    log["x_k"], log["y_k"], t.eta_x, t.eta_y,
-                )
+            (steps,) = runs
+            for aux, _ in steps:
                 qf = eliminate_y(bp, aux)
                 x_hat = np.linalg.solve(qf.kappa * np.eye(bp.d_x) + B @ B.T, -qf.b)
                 y_hat = qf.recover_y(x_hat)
@@ -206,8 +202,8 @@ def test_criterion_05_bilinear_correctness():
                     [B.T, -(1 / t.eta_y + bp.mu_q) * np.eye(bp.d_y)],
                 ])
                 rhs = np.concatenate([
-                    log["x_k"] / t.eta_x - log["grad_p_g"],
-                    log["grad_q_g"] - log["y_k"] / t.eta_y,
+                    aux.x_k / t.eta_x - aux.grad_p_anchor,
+                    aux.grad_q_anchor - aux.y_k / t.eta_y,
                 ])
                 exact = np.linalg.solve(mat, rhs)
                 err = max(

@@ -42,6 +42,7 @@ from saddleslide.errors import (
     DivergenceDetected,
     InfeasibleConstants,
     ManifestError,
+    NonPositiveInput,
     SingularSystem,
 )
 
@@ -87,8 +88,28 @@ class TestGenerators:
         assert coupling.lambda_min_BBt <= coupling.lambda_max_BBt
 
     def test_infeasible_constants_rejected(self):
-        with pytest.raises(InfeasibleConstants):
-            gen_quadratic_spp(3, 3, 1.0, 2.0, 1.0, 2.0, 1.0, seed=0)
+        # Every kind refuses block sizes below 1 and constants that are not
+        # finite (the CLI's --dx 0, --lr nan, --sigma inf, --local-l inf,
+        # --cond inf) before drawing anything, as it refuses infeasible ones.
+        nan, inf = math.nan, math.inf
+        makers = [
+            lambda: gen_quadratic_spp(3, 3, 1.0, 2.0, 1.0, 2.0, 1.0, seed=0),
+            lambda: gen_quadratic_spp(3, 3, 4.0, 1.0, 4.0, 1.0, nan, seed=0),
+            lambda: gen_quadratic_spp(3, 3, inf, 1.0, 4.0, 1.0, 10.0, seed=0),
+            lambda: gen_quadratic_spp(0, 3, 4.0, 1.0, 4.0, 1.0, 10.0, seed=0),
+            lambda: gen_quadratic_spp(3, -1, 4.0, 1.0, 4.0, 1.0, 10.0, seed=0),
+            lambda: gen_bilinear(3, 3, 4.0, 1.0, 4.0, 1.0, inf, seed=0),
+            lambda: gen_bilinear(3, 3, 4.0, 1.0, nan, 1.0, 5.0, seed=0),
+            lambda: gen_bilinear(3, 0, 4.0, 1.0, 4.0, 1.0, 5.0, seed=0),
+            lambda: gen_consensus(5, "path", 1.0, inf, seed=0),
+            lambda: gen_consensus(5, "path", 1.0, 4.0, seed=0, spread=nan),
+            lambda: gen_linear_bilinear(4, seed=0, cond=inf),
+            lambda: gen_linear_bilinear(4, seed=0, scale=inf),
+            lambda: gen_linear_bilinear(0, seed=0),
+        ]
+        for make in makers:
+            with pytest.raises(InfeasibleConstants):
+                make()
 
     def test_coupling_norm_at_the_larger_modulus_builds(self):
         # L_R = max(mu_x, mu_y) is feasible with B = 0; at moduli near 1e3
@@ -851,6 +872,10 @@ class TestRunExperiment:
         )
 
 
+def _unwanted_reference(inst):
+    raise AssertionError("a rejected run solved its reference")
+
+
 class TestRunSingle:
     def test_consensus_dispatch(self, tmp_path):
         from saddleslide.bench import run_single
@@ -980,12 +1005,27 @@ class TestRunSingle:
             report.final_pair, ref, t.eta_x, t.eta_y) <= 1e-8
         assert row.dist_weighted > row.dist_unweighted
 
-    def test_unknown_solver_rejected(self):
+    def test_unknown_solver_rejected(self, monkeypatch):
         from saddleslide.bench import run_single
 
+        monkeypatch.setattr(runner, "reference_solution", _unwanted_reference)
         inst = gen_linear_bilinear(3, seed=4)
         with pytest.raises(ManifestError):
             run_single(inst, "mystery", 1e-3)
+
+    @pytest.mark.parametrize("eps, max_outer", [
+        (0.0, 10), (-1.0, 10), (math.nan, 10), (math.inf, 10), (True, 10),
+        (1e-3, 0), (1e-3, -5), (1e-3, 2.0),
+    ])
+    @pytest.mark.parametrize("solver", runner.SOLVERS)
+    def test_bad_eps_or_budget_rejected_before_reference(self, monkeypatch, solver, eps,
+                                                         max_outer):
+        # Every solver refuses them before the reference solve; eg and
+        # agd-joint used to run their whole budget on them.
+        monkeypatch.setattr(runner, "reference_solution", _unwanted_reference)
+        inst = gen_quadratic_spp(4, 4, 3.0, 1.0, 2.0, 1.0, 5.0, 2)
+        with pytest.raises(NonPositiveInput):
+            run_single(inst, solver, eps, max_outer=max_outer)
 
 
 class TestCli:
@@ -1066,6 +1106,17 @@ class TestCli:
         assert main(["bench", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: grid config eps") and "Traceback" not in err
+
+    @pytest.mark.parametrize("solver, flag, value", [
+        ("eg", "--eps", "0"), ("eg", "--eps", "nan"), ("agd-joint", "--eps", "-1"),
+        ("agd-joint", "--max-outer", "0"), ("sliding", "--max-outer", "-5"),
+    ])
+    def test_bad_solve_input_exit_code(self, tmp_path, capsys, solver, flag, value):
+        manifest = gen_quadratic_spp(4, 4, 3.0, 1.0, 2.0, 1.0, 5.0, 2).save(tmp_path / "q4")
+        assert main(["solve", "--manifest", str(manifest), "--solver", solver,
+                     flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: need a finite eps > 0") and "Traceback" not in err
 
     def test_budget_exit_code(self, tmp_path):
         inst = gen_quadratic_spp(4, 4, 3.0, 1.0, 2.0, 1.0, 5.0, seed=2)

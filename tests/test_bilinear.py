@@ -47,7 +47,9 @@ from saddleslide.errors import (
 from saddleslide.outer import SolverTuning, X_DOMINANT
 from saddleslide.problems import count_calls
 
-from conftest import random_sym_psd
+from conftest import (
+    kick_first_run, off_constraint, random_sym_psd, recording_bilinear,
+)
 
 
 def _random_bilinear(rng, d_x, d_y, L_p=4.0, mu_p=1.0, L_q=3.0, mu_q=0.8, sigma=2.0):
@@ -101,35 +103,6 @@ def _recipe_trial(index):
         scale = 10 ** rng.uniform(0, 3)
         args, x_star = _random_affine(rng, 6, m, scale)
     return args, x_star
-
-
-def _kick_first_run(monkeypatch, kick):
-    """Make the affine route's first regularized run return ``x + kick``.
-
-    Every call's start, positional arguments and report are recorded; the
-    report recorded for the first run is the kicked one the route sees.
-    """
-    runs = []
-    real = bilinear._solve_regularized
-
-    def double(bp, start, *args, **kwargs):
-        report = real(bp, start, *args, **kwargs)
-        if not runs:
-            x = report.final_pair.x
-            report = dataclasses.replace(
-                report, final_pair=PointPair(x + kick, report.final_pair.y)
-            )
-        runs.append((start, args, report))
-        return report
-
-    monkeypatch.setattr(bilinear, "_solve_regularized", double)
-    return runs
-
-
-def _off_constraint(coupling, residual):
-    """A vector in range(B) whose B^T image has norm ``residual``."""
-    w = coupling.matvec(np.random.default_rng(1).standard_normal(coupling.d_y))
-    return w * (residual / np.linalg.norm(coupling.rmatvec(w)))
 
 
 def _assert_affine_promises(report, x_star, c, eps):
@@ -340,11 +313,12 @@ class TestSolveBilinear:
         monkeypatch.setattr(inner, "STALL_WINDOW", 1)
         monkeypatch.setattr(inner, "STALL_RTOL", 1.0)
         bp, _, _ = _random_bilinear(rng, 6, 5, sigma=20.0)
-        report = solve_bilinear(
-            bp, PointPair(np.zeros(6), np.zeros(5)),
-            SolveConfig(eps=1e-6, psi_0=50.0, track_inner_details=True),
+        runs = recording_bilinear(monkeypatch)
+        solve_bilinear(
+            bp, PointPair(np.zeros(6), np.zeros(5)), SolveConfig(eps=1e-6, psi_0=50.0)
         )
-        assert any(log["accepted_by"] == "stall" for log in report.inner_logs)
+        (steps,) = runs
+        assert any(result.accepted_by == "stall" for _, result in steps)
 
     def test_inner_budget_raises_named_error(self, rng, monkeypatch):
         monkeypatch.setattr(inner, "MAX_INNER", 0)
@@ -527,7 +501,7 @@ class TestSolveAffineConstrained:
         assert args["D_y"] < math.sqrt(eps) / 3.0
         if resume:
             B = args["coupling"]
-            runs = _kick_first_run(monkeypatch, B.matvec(np.ones(B.d_y)))
+            runs = kick_first_run(monkeypatch, B.matvec(np.ones(B.d_y)))
         report = solve_affine_constrained(**args, eps=eps)
         _assert_affine_promises(report, x_star, args["c"], eps)
         if resume:
@@ -542,7 +516,7 @@ class TestSolveAffineConstrained:
         grad, _ = inst.local_objective()
         coupling, c = inst.coupling(), inst.arrays["c"]
         bound = math.sqrt(eps) * (1.0 + np.linalg.norm(c))
-        runs = _kick_first_run(monkeypatch, _off_constraint(coupling, 10.0 * bound))
+        runs = kick_first_run(monkeypatch, off_constraint(coupling, 10.0 * bound))
         mine = OracleCounters()
         counted = dataclasses.replace(
             coupling,
@@ -596,7 +570,7 @@ class TestSolveAffineConstrained:
         )
         outer = solve_affine_constrained(**args).counters.outer_iterations
         bound = math.sqrt(eps) * (1.0 + np.linalg.norm(args["c"]))
-        runs = _kick_first_run(monkeypatch, _off_constraint(args["coupling"], 100.0 * bound))
+        runs = kick_first_run(monkeypatch, off_constraint(args["coupling"], 100.0 * bound))
         report = solve_affine_constrained(**args, max_outer=outer + 1)
         assert len(runs) == 2
         assert runs[1][1][3] == 1

@@ -15,7 +15,9 @@ from saddleslide import (
     initial_potential,
     required_outer_iterations,
     solve,
+    solve_affine_constrained,
     solve_bilinear,
+    solve_bilinear_linear_composites,
     split_bilinear,
     tune_parameters,
     weighted_distance_sq,
@@ -25,6 +27,8 @@ from saddleslide import inner
 from saddleslide.bilinear import make_bilinear_inner_solver, wrap_counting_bilinear
 from saddleslide.bench.generators import (
     gen_bilinear,
+    gen_consensus,
+    gen_linear_bilinear,
     gen_quadratic_spp,
     reference_solution,
 )
@@ -47,7 +51,10 @@ from saddleslide.outer import (
     residual_bounds,
 )
 
-from conftest import random_quadratic_instance
+from conftest import (
+    kick_first_run, off_constraint, planned_run, random_quadratic_instance, recording,
+    recording_bilinear,
+)
 
 
 class TestTuneParameters:
@@ -243,23 +250,13 @@ class TestSolve:
             rng, 3, 3, 1.0, 1.0, 1.0, 1.0, 1.2
         )
         assert tune_parameters(spec).alpha == 1.0
-        seen = {}
-        from saddleslide.inner import solve_auxiliary
-
-        def probing_inner(aux, spec_, tuning):
-            result = solve_auxiliary(aux, spec_, tuning)
-            seen["x_hat"] = result.pair.x.copy()
-            seen["anchor"] = aux.grad_p_anchor.copy()
-            seen["x_k"] = aux.x_k.copy()
-            return result
-
-        config = SolveConfig(eps=1e-4, max_outer=1, track_inner_details=True)
-        report = solve(problem, spec, PointPair(rng.standard_normal(3), rng.standard_normal(3)),
-                       config, inner_solver=probing_inner)
-        log = report.inner_logs[0]
-        # x_g^0 == x^0 exactly and x_f^1 == x_hat exactly
-        assert np.array_equal(log["grad_p_g"], problem.grad_p(log["x_k"]))
-        assert np.array_equal(seen["x_hat"], log["x_hat"])
+        solver, steps = recording(solve_auxiliary)
+        config = SolveConfig(eps=1e-4, max_outer=1)
+        solve(problem, spec, PointPair(rng.standard_normal(3), rng.standard_normal(3)),
+              config, inner_solver=solver)
+        ((aux, _),) = steps
+        # x_g^0 == x^0 exactly
+        assert np.array_equal(aux.grad_p_anchor, problem.grad_p(aux.x_k))
 
     def test_oracle_parsimony(self, rng):
         problem, spec, saddle, _ = random_quadratic_instance(
@@ -279,16 +276,16 @@ class TestSolve:
         )
         start = PointPair(np.zeros(3), np.zeros(4))
         psi0 = initial_potential(problem, spec, start, saddle)
-        config = SolveConfig(eps=1e-6, psi_0=psi0, track_inner_details=True)
-        report = solve(problem, spec, start, config)
-        tuning = report.tuning
-        assert len(report.inner_logs) == report.counters.outer_iterations
-        for log in report.inner_logs:
-            assert log["accepted_by"] == "criterion"
+        solver, steps = recording(solve_auxiliary)
+        report = solve(problem, spec, start, SolveConfig(eps=1e-6, psi_0=psi0),
+                       inner_solver=solver)
+        assert len(steps) == report.counters.outer_iterations
+        for aux, result in steps:
+            assert result.accepted_by == "criterion"
             assert check_inner_criterion(
-                log["g_x"], log["g_y"],
-                log["x_hat"] - log["x_k"], log["y_hat"] - log["y_k"],
-                tuning, FLOOR_TOL,
+                result.grad_x, result.grad_y,
+                result.pair.x - aux.x_k, result.pair.y - aux.y_k,
+                report.tuning, FLOOR_TOL,
             )
 
     def test_record_counts_match_iterations(self, rng):
@@ -301,7 +298,6 @@ class TestSolve:
         report = solve(problem, spec, start, config)
         n = report.counters.outer_iterations
         assert len(report.weighted_dist_sq) == n
-        assert len(report.unweighted_dist_sq) == n
         assert len(report.potentials) == n
         assert len(report.inner_iterations) == n
 
@@ -420,8 +416,7 @@ class TestSolve:
 
     def test_tracking_never_sizes_the_budget(self, rng):
         # Without psi_0 the budget is max_outer, tracking on or off: the
-        # tracked initial potential is a diagnostic (it would plan 75 steps
-        # here).
+        # initial potential, which tracking knows, would plan 75 steps here.
         problem, spec, saddle, _ = random_quadratic_instance(
             rng, 3, 3, 2.0, 1.0, 2.0, 1.0, 1.5
         )
@@ -429,7 +424,8 @@ class TestSolve:
         plain = solve(problem, spec, start, SolveConfig(eps=1e-6, max_outer=200))
         tracked = solve(problem, spec, start, SolveConfig(
             eps=1e-6, max_outer=200, known_solution=saddle, track_potential=True))
-        assert required_outer_iterations(spec, tracked.psi_initial, 1e-6) < 200
+        psi_initial = initial_potential(problem, spec, start, saddle)
+        assert required_outer_iterations(spec, psi_initial, 1e-6) < 200
         assert plain.planned_outer == tracked.planned_outer == 200
         assert plain.counters.as_dict() == tracked.counters.as_dict()
         assert len(tracked.potentials) == 200
@@ -530,23 +526,24 @@ class TestExtrapolationStop:
 
     @staticmethod
     def _tracked_run(inst):
+        # The certified run with its inner steps recorded.
         problem, spec = inst.problem(), inst.spec()
         start = PointPair(np.zeros(problem.d_x), np.zeros(problem.d_y))
         reference = reference_solution(inst)
         psi_0 = initial_potential(problem, spec, start, reference)
-        config = SolveConfig(eps=1e-8, psi_0=psi_0, use_residual_stop=True,
-                             track_inner_details=True)
-        report = solve(problem, spec, start, config)
+        config = SolveConfig(eps=1e-8, psi_0=psi_0, use_residual_stop=True)
+        solver, steps = recording(solve_auxiliary)
+        report = solve(problem, spec, start, config, inner_solver=solver)
         _assert_certified(report, spec, psi_0, 1e-8, reference)
         c = report.counters
         assert c.calls_grad_p == c.outer_iterations
         assert c.calls_grad_R == 2 * c.inner_iterations + c.outer_iterations
-        return report
+        return report, steps
 
     def test_stops_on_extrapolation_point(self):
-        report = self._tracked_run(gen_quadratic_spp(10, 10, 100, 1, 100, 1, 2, 0))
+        report, steps = self._tracked_run(gen_quadratic_spp(10, 10, 100, 1, 100, 1, 2, 0))
         # Returning a point other than the last accepted pair means zg.
-        assert not np.array_equal(report.final_pair.x, report.inner_logs[-1]["x_hat"])
+        assert not np.array_equal(report.final_pair.x, steps[-1][1].pair.x)
         # 318 steps; the inner-pair bound alone needs 329 (412 without
         # co-coercivity).
         assert report.counters.outer_iterations <= 325
@@ -554,8 +551,8 @@ class TestExtrapolationStop:
     def test_pair_certifies_before_extrapolation_point(self):
         # Without co-coercivity this instance stopped on zg after 241
         # steps, and the pair's bound alone needed 282.
-        report = self._tracked_run(gen_quadratic_spp(10, 10, 100, 1, 100, 1, 10, 0))
-        assert np.array_equal(report.final_pair.x, report.inner_logs[-1]["x_hat"])
+        report, steps = self._tracked_run(gen_quadratic_spp(10, 10, 100, 1, 100, 1, 10, 0))
+        assert np.array_equal(report.final_pair.x, steps[-1][1].pair.x)
         assert report.counters.outer_iterations == 228
 
     @settings(max_examples=60, deadline=None)
@@ -636,6 +633,66 @@ class TestExtrapolationStop:
         steps = report.counters.outer_iterations
         assert steps <= counters.outer_iterations
         assert report.inner_iterations == inner_iterations[:steps]
+
+
+def _hooked_route(route, monkeypatch):
+    # A route's report, the hook's recorded steps of each `solve` it ran,
+    # and whether its last accepted pair is the returned point (None where
+    # that is not pinned).
+    if route in ("solve-zg", "solve-pair"):
+        l_r = 2 if route == "solve-zg" else 10
+        inst = gen_quadratic_spp(10, 10, 100, 1, 100, 1, l_r, 0)
+        report, steps = TestExtrapolationStop._tracked_run(inst)
+        return report, [steps], route == "solve-pair"
+    runs = recording_bilinear(monkeypatch)
+    if route == "bilinear":
+        report, _ = planned_run(gen_bilinear(20, 20, 4.0, 1.0, 4.0, 1.0, 5.0, 0), 1e-8)
+    elif route == "affine-resumed":
+        # The first run's point is moved off the constraint, so the route
+        # resumes from it.
+        inst = gen_consensus(8, "path", 1.0, 4.0, seed=0)
+        grad, _ = inst.local_objective()
+        coupling, c = inst.coupling(), inst.arrays["c"]
+        bound = math.sqrt(1e-6) * (1.0 + np.linalg.norm(c))
+        kick_first_run(monkeypatch, off_constraint(coupling, 10.0 * bound))
+        report = solve_affine_constrained(
+            grad_p=grad, L_p=inst.constants["local_L"], mu_p=inst.constants["local_mu"],
+            coupling=coupling, c=c, D_y=inst.constants["D_y"], eps=1e-6,
+        )
+        assert len(runs) == 2
+    else:
+        inst = gen_linear_bilinear(8, 4)
+        report = solve_bilinear_linear_composites(
+            d=inst.arrays["d"], c=inst.arrays["c"], coupling=inst.coupling(),
+            D_x=inst.constants["D_x"], D_y=inst.constants["D_y"], eps=1e-3,
+        )
+        assert len(runs) > 1
+    return report, runs, None
+
+
+@pytest.mark.parametrize("route", [
+    "solve-zg", "solve-pair", "bilinear", "affine-resumed", "linear-bilinear",
+])
+def test_inner_solver_hook_sees_every_outer_step(route, monkeypatch):
+    # The hook is the one window onto each outer step: one call per step,
+    # in order, whose results are the report's inner iterations.
+    report, runs, last_is_final = _hooked_route(route, monkeypatch)
+    assert sum(map(len, runs)) == report.counters.outer_iterations
+    assert [r.iterations for steps in runs for _, r in steps] == report.inner_iterations
+    for steps in runs:
+        assert steps[0][0].remainder is None
+        # Each step's subproblem starts where the previous result led:
+        # its remainder, and the main update from its accepted pair.
+        for (aux, r), (following, _) in zip(steps, steps[1:]):
+            assert following.remainder is r.remainder
+            assert np.array_equal(following.x_k, r.pair.x - aux.eta_x * r.grad_x)
+            assert np.array_equal(following.y_k, r.pair.y + aux.eta_y * r.grad_y)
+    if last_is_final is not None:
+        assert report.termination == TERMINATION_RESIDUAL
+        last = runs[-1][-1][1].pair
+        final = report.final_pair
+        assert (np.array_equal(final.x, last.x) and np.array_equal(final.y, last.y)
+                ) == last_is_final
 
 
 # ---------------------------------------------------------------------------
