@@ -12,7 +12,12 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from ..errors import BudgetExhausted, InnerBudgetExhausted, SaddleSlideError
+from ..errors import (
+    BudgetExhausted,
+    InnerBudgetExhausted,
+    ManifestError,
+    SaddleSlideError,
+)
 from . import generators, runner
 
 EXIT_OK = 0
@@ -120,7 +125,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     with open(args.config) as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except ValueError as exc:
+            raise ManifestError(f"bench config {args.config} is not JSON: {exc}") from None
     if args.max_outer is not None:
         config["max_outer"] = args.max_outer
     try:

@@ -295,12 +295,14 @@ def _instance(kind, label, seed, d_x, d_y, constants, arrays, **extra) -> Instan
     return Instance(manifest=manifest, arrays=arrays)
 
 
-def _check_inputs(sizes, constants):
-    """Refuse a block size below 1 or a constant that is not finite.
+def _check_inputs(seed, sizes, constants):
+    """Refuse a negative seed, a block size below 1 or a non-finite constant.
 
-    ``sizes`` and ``constants`` map names to values; either raises
+    ``sizes`` and ``constants`` map names to values; each raises
     InfeasibleConstants before anything is drawn.
     """
+    if not seed >= 0:
+        raise InfeasibleConstants(f"need a seed >= 0, got {seed}")
     for name, size in sizes.items():
         if not size >= 1:
             raise InfeasibleConstants(f"need {name} >= 1, got {size}")
@@ -334,7 +336,7 @@ def gen_quadratic_spp(
     Linear shifts place the saddle at a recorded nonzero point.
     """
     constants = {"L_p": L_p, "mu_x": mu_x, "L_q": L_q, "mu_y": mu_y, "L_R": L_R}
-    _check_inputs({"d_x": d_x, "d_y": d_y}, constants)
+    _check_inputs(seed, {"d_x": d_x, "d_y": d_y}, constants)
     if mu_x <= 0 or mu_y <= 0 or L_p < 0 or L_q < 0:
         raise InfeasibleConstants(
             f"need mu_x, mu_y > 0 and L_p, L_q >= 0, got "
@@ -344,7 +346,12 @@ def gen_quadratic_spp(
     half_sum = (mu_x + mu_y) / 2.0
     # Norm of [[mu_x I, B], [B', -mu_y I]] is |gap|/2 + sqrt(sum^2/4 + s^2)
     # at the top singular value s of B; invert for s.
-    inner = (L_R - half_gap) ** 2 - half_sum**2
+    try:
+        inner = (L_R - half_gap) ** 2 - half_sum**2
+    except OverflowError:
+        raise InfeasibleConstants(
+            f"L_R={L_R} or mu_x, mu_y={mu_x}, {mu_y} square beyond float range"
+        ) from None
     # At L_R = max(mu_x, mu_y), inner is 0 up to rounding of squares of
     # size L_R^2, so only L_R itself is compared.
     if L_R < max(mu_x, mu_y):
@@ -378,6 +385,7 @@ def gen_bilinear(
 ) -> Instance:
     """Bilinear SCSC instance ``p(x) + x'By - q(y)`` with a planted saddle."""
     _check_inputs(
+        seed,
         {"d_x": d_x, "d_y": d_y},
         {"L_p": L_p, "mu_p": mu_p, "L_q": L_q, "mu_q": mu_q, "sigma_max": sigma_max},
     )
@@ -446,7 +454,7 @@ def gen_consensus(
     with coupling W.  ``spread`` scales how far the local minimizers
     disagree; it directly controls the dual norm (and hence D_y).
     """
-    _check_inputs({}, {"local_mu": local_mu, "local_L": local_L, "spread": spread})
+    _check_inputs(seed, {}, {"local_mu": local_mu, "local_L": local_L, "spread": spread})
     if not (0 < local_mu <= local_L):
         raise InfeasibleConstants(f"need 0 < local_mu <= local_L")
     rng = np.random.default_rng(seed)
@@ -493,7 +501,7 @@ def gen_linear_bilinear(
     ``cond = 1`` gives a scaled orthogonal B.  ERM-style data matrices are
     drawn the same way with a spread spectrum.
     """
-    _check_inputs({"d": d}, {"scale": scale, "cond": cond})
+    _check_inputs(seed, {"d": d}, {"scale": scale, "cond": cond})
     if scale <= 0 or cond < 1:
         raise InfeasibleConstants(f"need scale > 0 and cond >= 1, got {scale}, {cond}")
     rng = np.random.default_rng(seed)

@@ -496,9 +496,8 @@ def _solve_regularized(
 def _summed(reports) -> ConvergenceReport:
     """The last of consecutive runs, with the tallies of all of them.
 
-    The tallies and planned budgets are summed and the inner iterations
-    listed in order; point, termination, tuning and target are the last
-    run's.
+    The tallies and planned budgets are summed; point, termination,
+    tuning and target are the last run's.
     """
     totals = OracleCounters()
     for name in totals.as_dict():
@@ -507,7 +506,6 @@ def _summed(reports) -> ConvergenceReport:
         reports[-1],
         counters=totals,
         planned_outer=sum(r.planned_outer for r in reports),
-        inner_iterations=[n for r in reports for n in r.inner_iterations],
     )
 
 

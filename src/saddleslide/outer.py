@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .problems import (
     PointPair,
     SmoothnessSpec,
     validate_spec,
-    weighted_distance_sq,
     wrap_counting,
 )
 
@@ -177,8 +176,7 @@ class SolveConfig:
     positive integer, and a supplied ``psi_0`` unless finite and
     non-negative.  The outer budget is ``required_outer_iterations`` from
     a positive ``psi_0``, capped by ``max_outer``, and ``max_outer``
-    without one; the diagnostics (``track_potential``, ``known_solution``)
-    never change it.  ``use_residual_stop`` stops the run, within that
+    without one.  ``use_residual_stop`` stops the run, within that
     budget, once a computable bound certifies the weighted squared
     distance ``eps`` at the accepted inner pair or at the extrapolation
     point, and returns that point; it costs no extra oracle calls.  The
@@ -189,21 +187,17 @@ class SolveConfig:
 
     eps: float
     max_outer: int = 10_000
-    track_potential: bool = False
-    known_solution: Optional[PointPair] = None
     psi_0: Optional[float] = None
     use_residual_stop: bool = False
 
 
 @dataclass
 class ConvergenceReport:
-    """Outcome of a solve run with per-iteration diagnostics.
+    """Outcome of a solve run: the returned point, tallies and stop.
 
-    Per-iteration lists all have length ``counters.outer_iterations``;
-    ``weighted_dist_sq`` is empty when no known solution was given, and
-    ``potentials`` is empty unless potential tracking ran.  Each step's
-    subproblem and inner result are seen through `solve`'s
-    ``inner_solver`` hook, not here.
+    It holds no per-step list: each step's subproblem and accepted inner
+    result are seen through `solve`'s ``inner_solver`` hook, from which a
+    caller can also rebuild the step's iterate, distances and `potential`.
     ``certificate_ratio`` is the residual stop's certified bound over
     ``eps`` at the step it fired, at most 1: ``weight * bound / eps`` with
     the weight and bound of `solve`'s proof.  It is None unless the run
@@ -214,9 +208,6 @@ class ConvergenceReport:
     counters: OracleCounters
     termination: str
     planned_outer: int
-    weighted_dist_sq: List[float] = field(default_factory=list)
-    potentials: List[float] = field(default_factory=list)
-    inner_iterations: List[int] = field(default_factory=list)
     constraint_residual: Optional[float] = None
     tuning: Optional[SolverTuning] = None
     eps: Optional[float] = None
@@ -343,16 +334,15 @@ def solve(
     computes both values; the stop returns the point it certified and
     records ``weight U / eps`` as the report's ``certificate_ratio``.
 
-    ``problem`` is wrapped here for counting; potential tracking uses it
-    unwrapped, so its oracle calls are never tallied, and no diagnostic
-    sizes the budget: the tallies are the same with tracking on or off.
+    ``problem`` is wrapped here for counting.
 
     Parameters
     ----------
     inner_solver : callable, optional
         ``(aux, spec, tuning) -> InnerResult``, called exactly once per
         outer step, in order: wrapping it is the way to see each step's
-        subproblem and accepted result.  Defaults to
+        subproblem and accepted result, and the one way to trace a run
+        step by step.  Defaults to
         `inner.solve_auxiliary`, forward-backward-forward on the
         subproblem.
     counters : OracleCounters, optional
@@ -376,11 +366,6 @@ def solve(
         inner_solver = inner.solve_auxiliary
 
     counted, counters = wrap_counting(problem, counters)
-
-    sol = config.known_solution
-    psi = None
-    if config.track_potential and sol is not None:
-        psi = potential(problem, tuning, sol)
 
     if config.psi_0 is not None and config.psi_0 > 0.0:
         planned = min(
@@ -458,29 +443,12 @@ def solve(
             x, y = z[:d_x], z[d_x:]
             counters.outer_iterations += 1
             counters.inner_iterations += result.iterations
-            report.inner_iterations.append(result.iterations)
 
-            # Guard against magnitudes whose squares overflow before the
-            # growth rule below could catch them; a custom inner solver need
-            # not pass its iterates through check_inner_criterion's guard.
-            # A NaN fails the test too.
+            # Guard against magnitudes whose squares overflow; a custom
+            # inner solver need not pass its iterates through
+            # check_inner_criterion's guard.  A NaN fails the test too.
             if not (x.dot(x) < 1e300 and y.dot(y) < 1e300):
                 raise DivergenceDetected(f"non-finite or huge iterate at outer step {k}")
-
-            if sol is not None:
-                wd = weighted_distance_sq(PointPair(x, y), sol, eta_x, eta_y)
-                report.weighted_dist_sq.append(wd)
-                n = len(report.weighted_dist_sq)
-                if n > 10:
-                    old = report.weighted_dist_sq[n - 11]
-                    # Growth below the target scale is floating-point
-                    # jitter, not divergence.
-                    if old > 0.0 and wd >= 10.0 * old and wd > config.eps:
-                        raise DivergenceDetected(
-                            f"weighted distance grew {wd / old:.1f}x over 10 steps"
-                        )
-            if psi is not None:
-                report.potentials.append(psi(x, y, zf[:d_x], zf[d_x:]))
 
             if config.use_residual_stop:
                 # The residual pairs the composite gradients at zg with the

@@ -2,7 +2,7 @@
 
 A problem ``min_x max_y p(x) + R(x, y) - q(y)`` is represented by its
 first-order oracles only.  Function-value oracles are optional and feed
-diagnostics (potential tracking); the solvers never need them.
+diagnostics (`outer.potential`); the solvers never need them.
 """
 
 from __future__ import annotations

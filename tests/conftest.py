@@ -13,8 +13,10 @@ from saddleslide import (
     initial_potential,
     solve,
     solve_bilinear,
+    weighted_distance_sq,
 )
 from saddleslide import bilinear
+from saddleslide.outer import potential
 from saddleslide.bench.generators import reference_solution
 from saddleslide.bench.runner import _scsc_problem
 
@@ -139,6 +141,37 @@ def recording(inner_solver):
         return result
 
     return solver, steps
+
+
+def step_trace(steps, tuning, solution, problem=None):
+    """Per-step weighted distances and potentials of one `solve` run.
+
+    ``steps`` is the run's `recording` list.  Each step's iterate
+    ``z = z_hat - E g``, with ``E = (eta_x, -eta_y)`` per entry, and its
+    extrapolation sequence ``zf = zg + alpha (z_hat - z_k)`` (``z_hat``
+    itself when alpha is 1), with ``zg = alpha z_k + (1 - alpha) zf``, are
+    rebuilt from the accepted results in `solve`'s own operations, so they
+    are its values bit for bit.  Returns ``(dists, potentials)``: the
+    iterates' weighted squared distances to the saddle ``solution`` and
+    their `potential` values (empty without ``problem``, which needs value
+    oracles).  Each step's inner iterations are its result's.
+    """
+    psi = None if problem is None else potential(problem, tuning, solution)
+    alpha = tuning.alpha
+    dists, potentials = [], []
+    zf = steps[0][0].z_k if steps else None
+    for aux, result in steps:
+        d_x = aux.x_k.size
+        zg = aux.z_k if alpha == 1.0 else alpha * aux.z_k + (1.0 - alpha) * zf
+        z_hat = np.concatenate((result.pair.x, result.pair.y))
+        g = np.concatenate((result.grad_x, result.grad_y))
+        z = z_hat - aux.vectors.signed_eta * g
+        zf = z_hat if alpha == 1.0 else zg + alpha * (z_hat - aux.z_k)
+        x, y = z[:d_x], z[d_x:]
+        dists.append(weighted_distance_sq(PointPair(x, y), solution, tuning.eta_x, tuning.eta_y))
+        if psi is not None:
+            potentials.append(psi(x, y, zf[:d_x], zf[d_x:]))
+    return dists, potentials
 
 
 def recording_bilinear(monkeypatch):

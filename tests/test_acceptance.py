@@ -36,11 +36,23 @@ from saddleslide import inner
 from saddleslide.bilinear import eliminate_y
 from saddleslide.inner import AuxiliaryProblem
 
-from conftest import central_diff, planned_run, random_sym_psd, recording_bilinear
+from conftest import (
+    central_diff, planned_run, random_sym_psd, recording, recording_bilinear, step_trace,
+)
 
 
 def _report(n, text):
     print(f"\n[acceptance] criterion {n}: PASS - {text}")
+
+
+def _traced(problem, spec, start, config, saddle, with_potentials=False):
+    """`solve`'s report and `step_trace`'s distances and potentials."""
+    solver, steps = recording(inner.solve_auxiliary)
+    report = solve(problem, spec, start, config, inner_solver=solver)
+    dists, potentials = step_trace(
+        steps, report.tuning, saddle, problem if with_potentials else None
+    )
+    return report, dists, potentials
 
 
 def _criterion_instances():
@@ -63,15 +75,11 @@ def test_criterion_01_potential_contraction(monkeypatch):
         problem, spec = inst.problem(), inst.spec()
         saddle = reference_solution(inst)
         psi0 = initial_potential(problem, spec, zeros, saddle)
-        config = SolveConfig(
-            eps=1e-3 * psi0,  # stops well before the float64 floor
-            psi_0=psi0,
-            known_solution=saddle,
-            track_potential=True,
-        )
-        report = solve(problem, spec, zeros, config)
+        # eps stops the run well before the float64 floor.
+        config = SolveConfig(eps=1e-3 * psi0, psi_0=psi0)
+        report, _, potentials = _traced(problem, spec, zeros, config, saddle, True)
         rate = 1.0 - report.tuning.alpha / 3.0
-        psis = [psi0] + report.potentials
+        psis = [psi0] + potentials
         assert len(psis) >= 10
         for k in range(len(psis) - 1):
             assert psis[k + 1] <= rate * psis[k] + 1e-9 * psis[0], (
@@ -92,10 +100,11 @@ def test_criterion_02_iteration_bound_conformance():
         saddle = reference_solution(inst)
         psi0 = initial_potential(problem, spec, zeros, saddle)
         for eps in (1e-4, 1e-8):
-            config = SolveConfig(eps=eps, psi_0=psi0, known_solution=saddle)
-            report = solve(problem, spec, zeros, config)
+            _, dists, _ = _traced(
+                problem, spec, zeros, SolveConfig(eps=eps, psi_0=psi0), saddle
+            )
             runs += 1
-            if report.weighted_dist_sq[-1] > eps:
+            if dists[-1] > eps:
                 failures += 1
     assert failures == 0
     _report(2, f"weighted distance under eps after the planned budget in "
@@ -115,9 +124,8 @@ def _sweep_coupling(seed, eps=1e-8):
     )
     reports = {}
     for L_R, inst in instances.items():
-        config = SolveConfig(eps=eps, psi_0=psi0,
-                             known_solution=reference_solution(inst))
-        reports[L_R] = solve(inst.problem(), inst.spec(), zeros, config)
+        reports[L_R] = _traced(inst.problem(), inst.spec(), zeros,
+                               SolveConfig(eps=eps, psi_0=psi0), reference_solution(inst))
     return reports
 
 
@@ -125,9 +133,9 @@ def test_criterion_03_complexity_separation():
     started = time.perf_counter()
     for seed in (11, 12, 13):
         reports = _sweep_coupling(seed)
-        grad_p = {L: r.counters.calls_grad_p for L, r in reports.items()}
-        grad_q = {L: r.counters.calls_grad_q for L, r in reports.items()}
-        grad_R = {L: r.counters.calls_grad_R for L, r in reports.items()}
+        grad_p = {L: r.counters.calls_grad_p for L, (r, _, _) in reports.items()}
+        grad_q = {L: r.counters.calls_grad_q for L, (r, _, _) in reports.items()}
+        grad_R = {L: r.counters.calls_grad_R for L, (r, _, _) in reports.items()}
         assert len(set(grad_p.values())) == 1, f"composite x-counts vary: {grad_p}"
         assert len(set(grad_q.values())) == 1, f"composite y-counts vary: {grad_q}"
         assert grad_R[1.0] <= grad_R[10.0] <= grad_R[100.0]
@@ -136,8 +144,8 @@ def test_criterion_03_complexity_separation():
         # composites that is the 10 -> 100 decade (sqrt(eta_x eta_y) = 1/6).
         factor = grad_R[100.0] / grad_R[10.0]
         assert 5.0 <= factor <= 20.0, f"seed {seed}: decade factor {factor:.2f}"
-        for report in reports.values():
-            assert report.weighted_dist_sq[-1] <= 1e-8
+        for _, dists, _ in reports.values():
+            assert dists[-1] <= 1e-8
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0
     _report(3, f"composite counts flat, coupling decade factor in [5, 20] "
@@ -154,9 +162,9 @@ def test_criterion_04_composite_scaling():
             inst = gen_quadratic_spp(10, 10, L_p, 1.0, 1.0, 1.0, 4.0, seed=seed)
             saddle = reference_solution(inst)
             psi0 = initial_potential(inst.problem(), inst.spec(), zeros, saddle)
-            config = SolveConfig(eps=1e-8, psi_0=psi0, known_solution=saddle)
-            report = solve(inst.problem(), inst.spec(), zeros, config)
-            assert report.weighted_dist_sq[-1] <= 1e-8
+            report, dists, _ = _traced(inst.problem(), inst.spec(), zeros,
+                                       SolveConfig(eps=1e-8, psi_0=psi0), saddle)
+            assert dists[-1] <= 1e-8
             calls.append(report.counters.calls_grad_p)
         slope = float(np.polyfit(np.log(lps), np.log(calls), 1)[0])
         assert 0.35 <= slope <= 0.65, f"seed {seed}: slope {slope:.3f}"
@@ -407,9 +415,9 @@ def test_criterion_10_baseline_contrast():
     saddle = reference_solution(inst)
     zeros = PointPair(np.zeros(10), np.zeros(10))
     psi0 = initial_potential(inst.problem(), inst.spec(), zeros, saddle)
-    sliding = solve(inst.problem(), inst.spec(), zeros,
-                    SolveConfig(eps=1e-8, psi_0=psi0, known_solution=saddle))
-    assert sliding.weighted_dist_sq[-1] <= 1e-8
+    sliding = solve(inst.problem(), inst.spec(), zeros, SolveConfig(eps=1e-8, psi_0=psi0))
+    t = sliding.tuning
+    assert weighted_distance_sq(sliding.final_pair, saddle, t.eta_x, t.eta_y) <= 1e-8
     eg = baseline_extragradient(
         inst.problem(), inst.spec(), zeros, 1e-8, max_iter=500_000, reference=saddle,
     )

@@ -88,9 +88,11 @@ class TestGenerators:
         assert coupling.lambda_min_BBt <= coupling.lambda_max_BBt
 
     def test_infeasible_constants_rejected(self):
-        # Every kind refuses block sizes below 1 and constants that are not
-        # finite (the CLI's --dx 0, --lr nan, --sigma inf, --local-l inf,
-        # --cond inf) before drawing anything, as it refuses infeasible ones.
+        # Every kind refuses negative seeds, block sizes below 1 and
+        # constants that are not finite (the CLI's --seed -1, --dx 0,
+        # --lr nan, --sigma inf, --local-l inf, --cond inf) before drawing
+        # anything, as it refuses infeasible ones; so does quadratic-spp an
+        # L_R whose square overflows (--lr 1e308).
         nan, inf = math.nan, math.inf
         makers = [
             lambda: gen_quadratic_spp(3, 3, 1.0, 2.0, 1.0, 2.0, 1.0, seed=0),
@@ -106,6 +108,11 @@ class TestGenerators:
             lambda: gen_linear_bilinear(4, seed=0, cond=inf),
             lambda: gen_linear_bilinear(4, seed=0, scale=inf),
             lambda: gen_linear_bilinear(0, seed=0),
+            lambda: gen_quadratic_spp(3, 3, 4.0, 1.0, 4.0, 1.0, 1e308, seed=0),
+            lambda: gen_quadratic_spp(3, 3, 4.0, 1.0, 4.0, 1.0, 10.0, seed=-1),
+            lambda: gen_bilinear(3, 3, 4.0, 1.0, 4.0, 1.0, 5.0, seed=-1),
+            lambda: gen_consensus(5, "path", 1.0, 4.0, seed=-1),
+            lambda: gen_linear_bilinear(4, seed=-1),
         ]
         for make in makers:
             with pytest.raises(InfeasibleConstants):
@@ -1097,6 +1104,22 @@ class TestCli:
         config.write_text(json.dumps({"instance": []}))
         assert main(["bench", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert "unknown grid config keys ['instance']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "{instances"])
+    def test_config_not_json_exit_code(self, tmp_path, capsys, text):
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        assert main(["bench", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bench config") and "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [["--seed", "-1"], ["--lr", "1e308"]])
+    def test_bad_gen_input_exit_code(self, tmp_path, capsys, args):
+        out = tmp_path / "i"
+        assert main(["gen", "--kind", "quadratic-spp", "--out", str(out), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("eps", ["lots", True])
     def test_bad_eps_exit_code(self, tmp_path, capsys, eps):

@@ -48,7 +48,7 @@ from saddleslide.outer import SolverTuning, X_DOMINANT
 from saddleslide.problems import count_calls
 
 from conftest import (
-    kick_first_run, off_constraint, random_sym_psd, recording_bilinear,
+    kick_first_run, off_constraint, random_sym_psd, recording_bilinear, step_trace,
 )
 
 
@@ -355,13 +355,18 @@ class TestSolveBilinear:
             solve_bilinear(bp, PointPair(np.zeros(4), np.zeros(3)),
                            SolveConfig(eps=1e-6, psi_0=50.0))
 
-    def test_potential_tracking_leaves_tallies_unchanged(self, rng):
+    def test_potential_tracking_leaves_tallies_unchanged(self, rng, monkeypatch):
+        # Potentials are rebuilt from the hook's recorded steps, on the
+        # uncounted composites, after the run.
         bp, _, saddle = _random_bilinear(rng, 5, 4)
         start = PointPair(np.zeros(5), np.zeros(4))
-        plain = solve_bilinear(bp, start, SolveConfig(eps=1e-6, psi_0=50.0))
-        tracked = solve_bilinear(bp, start, SolveConfig(
-            eps=1e-6, psi_0=50.0, track_potential=True, known_solution=saddle))
-        assert len(tracked.potentials) == tracked.counters.outer_iterations > 0
+        config = SolveConfig(eps=1e-6, psi_0=50.0)
+        plain = solve_bilinear(bp, start, config)
+        runs = recording_bilinear(monkeypatch)
+        tracked = solve_bilinear(bp, start, config)
+        composite, _ = split_bilinear(bp)
+        _, potentials = step_trace(runs[0], tracked.tuning, saddle, composite)
+        assert len(potentials) == tracked.counters.outer_iterations > 0
         assert tracked.counters.as_dict() == plain.counters.as_dict()
 
     def test_coupling_scale_sweep_separates_counts(self, rng):
@@ -430,7 +435,7 @@ class TestSolveAffineConstrained:
         centralized = reference_solution(inst)
         assert np.sum((x - centralized.x) ** 2) <= 1e-6
 
-    def test_long_path_needs_no_spectral_floor(self):
+    def test_long_path_needs_no_spectral_floor(self, monkeypatch):
         # The path Laplacian's smallest nonzero eigenvalue shrinks like
         # 1/n^2; an inner solver whose rate depends on it needs more than
         # 400 steps in some outer step here.
@@ -439,6 +444,7 @@ class TestSolveAffineConstrained:
         eps = 1e-6
         inst = gen_consensus(40, "path", 1.0, 4.0, seed=0)
         grad, _ = inst.local_objective()
+        runs = recording_bilinear(monkeypatch)
         report = solve_affine_constrained(
             grad_p=grad,
             L_p=inst.constants["local_L"],
@@ -448,7 +454,7 @@ class TestSolveAffineConstrained:
             D_y=inst.constants["D_y"],
             eps=eps,
         )
-        assert max(report.inner_iterations) <= 400
+        assert max(r.iterations for steps in runs for _, r in steps) <= 400
         x_ref = reference_solution(inst).x
         assert np.sum((report.final_pair.x - x_ref) ** 2) <= eps
         assert report.constraint_residual <= math.sqrt(eps)
@@ -517,6 +523,7 @@ class TestSolveAffineConstrained:
         coupling, c = inst.coupling(), inst.arrays["c"]
         bound = math.sqrt(eps) * (1.0 + np.linalg.norm(c))
         runs = kick_first_run(monkeypatch, off_constraint(coupling, 10.0 * bound))
+        recorded = recording_bilinear(monkeypatch)
         mine = OracleCounters()
         counted = dataclasses.replace(
             coupling,
@@ -549,7 +556,8 @@ class TestSolveAffineConstrained:
             assert total == getattr(first.counters, name) + getattr(second.counters, name)
         assert counters.calls_grad_p == counters.outer_iterations
         assert counters.calls_grad_R == 4 * counters.outer_iterations + 3 * counters.inner_iterations
-        assert report.inner_iterations == first.inner_iterations + second.inner_iterations
+        assert [sum(r.iterations for _, r in steps) for steps in recorded] == [
+            first.counters.inner_iterations, second.counters.inner_iterations]
         assert report.planned_outer == first.planned_outer + second.planned_outer
         # Outside the tallies: one grad_p(0) and a B^T check product per run.
         assert mine.calls_grad_p == counters.calls_grad_p + 1

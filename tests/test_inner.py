@@ -45,7 +45,9 @@ from saddleslide.errors import (
 from saddleslide.inner import InnerResult, fbf_iterates, fbf_start, fbf_step
 from saddleslide.outer import SolveConfig, SolverTuning, X_DOMINANT, solve
 
-from conftest import central_diff, random_quadratic_instance, random_sym_psd
+from conftest import (
+    central_diff, random_quadratic_instance, random_sym_psd, recording, recording_bilinear,
+)
 
 
 def _aux(problem, x, y, tuning, coupled=None):
@@ -676,28 +678,34 @@ class TestReferenceEquivalence:
         bp = gen_bilinear(30, 20, 4.0, 1.0, 0.04, 0.01, 2.0, 1).bilinear_problem()
         start = PointPair(np.zeros(30), np.zeros(20))
         solve_config = SolveConfig(eps=1e-8, max_outer=60)
+        runs = recording_bilinear(monkeypatch)
         got = solve_bilinear(bp, start, solve_config)
+        (got_steps,) = runs
 
         wrapped, counters = wrap_counting_bilinear(bp)
         composite, spec = split_bilinear(bp)
+        solver, want_steps = recording(_reference_bilinear_inner(wrapped))
         want = solve(composite, spec, start, solve_config,
-                     inner_solver=_reference_bilinear_inner(wrapped), counters=counters)
+                     inner_solver=solver, counters=counters)
         assert np.array_equal(got.final_pair.x, want.final_pair.x)
         assert np.array_equal(got.final_pair.y, want.final_pair.y)
         assert got.counters.as_dict() == want.counters.as_dict()
-        assert got.inner_iterations == want.inner_iterations
+        assert [r.iterations for _, r in got_steps] == [r.iterations for _, r in want_steps]
 
     @pytest.mark.parametrize("make, eps", REGULARIZED_CASES)
     def test_regularized_matches_reference(self, make, eps, monkeypatch):
         inst = make()
+        got_runs = recording_bilinear(monkeypatch)
         got = _regularized_run(inst, eps)
         monkeypatch.setattr(bilinear, "make_bilinear_inner_solver", _reference_bilinear_inner)
+        want_runs = recording_bilinear(monkeypatch)
         want = _regularized_run(inst, eps)
         assert got.termination == want.termination == "residual-met"
         assert np.array_equal(got.final_pair.x, want.final_pair.x)
         assert np.array_equal(got.final_pair.y, want.final_pair.y)
         assert got.counters.as_dict() == want.counters.as_dict()
-        assert got.inner_iterations == want.inner_iterations
+        assert [[r.iterations for _, r in steps] for steps in got_runs] == [
+            [r.iterations for _, r in steps] for steps in want_runs]
 
     @pytest.mark.parametrize("make, eps", [
         *REGULARIZED_CASES,
@@ -714,7 +722,7 @@ class TestReferenceEquivalence:
         B = inst.arrays["B"] if "B" in inst.arrays else inst.arrays["W"]
         seen = []
 
-        def recording(bp):
+        def making(bp):
             inner = make_bilinear_inner_solver(bp)
 
             def solver(aux, spec, tuning):
@@ -724,7 +732,7 @@ class TestReferenceEquivalence:
 
             return solver
 
-        monkeypatch.setattr(bilinear, "make_bilinear_inner_solver", recording)
+        monkeypatch.setattr(bilinear, "make_bilinear_inner_solver", making)
         _regularized_run(inst, eps)
         assert seen
         for mu_q, aux, result in seen:

@@ -207,9 +207,9 @@ class TestSolve:
         start = PointPair([2.0, -1.0, 0.5], [1.0, 3.0])
         origin = PointPair(np.zeros(3), np.zeros(2))
         psi0 = initial_potential(problem, spec, start, origin)
-        config = SolveConfig(eps=1e-8, psi_0=psi0, known_solution=origin)
-        report = solve(problem, spec, start, config)
-        assert report.weighted_dist_sq[-1] <= 1e-8
+        report = solve(problem, spec, start, SolveConfig(eps=1e-8, psi_0=psi0))
+        t = report.tuning
+        assert weighted_distance_sq(report.final_pair, origin, t.eta_x, t.eta_y) <= 1e-8
         assert report.counters.outer_iterations == report.planned_outer
 
     def test_quadratic_spp_matches_kkt(self, rng):
@@ -288,29 +288,17 @@ class TestSolve:
                 report.tuning, FLOOR_TOL,
             )
 
-    def test_record_counts_match_iterations(self, rng):
-        problem, spec, saddle, _ = random_quadratic_instance(
-            rng, 3, 3, 2.0, 1.0, 2.0, 1.0, 1.5
-        )
-        start = PointPair(np.zeros(3), np.zeros(3))
-        config = SolveConfig(eps=1e-4, max_outer=17, known_solution=saddle,
-                             track_potential=True)
-        report = solve(problem, spec, start, config)
-        n = report.counters.outer_iterations
-        assert len(report.weighted_dist_sq) == n
-        assert len(report.potentials) == n
-        assert len(report.inner_iterations) == n
-
     def test_divergence_detected_on_understated_constants(self, rng):
         # Declaring a far smaller coupling constant than the truth makes the
-        # inner step too long and the iteration explode.
-        problem, _, saddle, _ = random_quadratic_instance(
+        # inner step too long and the iteration explode; the inner
+        # criterion's guard names it.
+        problem, _, _, _ = random_quadratic_instance(
             rng, 3, 3, 1.0, 1.0, 1.0, 1.0, 60.0
         )
         lying_spec = SmoothnessSpec(L_p=1.0, L_q=1.0, L_R=1.0, mu_x=1.0, mu_y=1.0)
         start = PointPair(np.ones(3), np.ones(3))
-        config = SolveConfig(eps=1e-8, max_outer=500, known_solution=saddle)
-        with pytest.raises(DivergenceDetected):
+        config = SolveConfig(eps=1e-8, max_outer=500)
+        with pytest.raises(DivergenceDetected, match="inner iterate"):
             solve(problem, lying_spec, start, config)
 
     @pytest.mark.filterwarnings("error")
@@ -408,29 +396,15 @@ class TestSolve:
         with pytest.raises(NonPositiveInput):
             solve(problem, spec, start, SolveConfig(eps=eps, psi_0=psi_0, max_outer=50))
 
-    def test_zero_psi_0_plans_max_outer(self):
+    @pytest.mark.parametrize("psi_0", [None, 0.0])
+    def test_zero_psi_0_plans_max_outer(self, psi_0):
+        # Without a positive psi_0 the budget is max_outer, run to its end.
         problem, spec, start = self._small_instance()
-        report = solve(problem, spec, start, SolveConfig(eps=1e-6, psi_0=0.0, max_outer=7))
-        assert report.planned_outer == 7
-        assert report.counters.outer_iterations == 7
-
-    def test_tracking_never_sizes_the_budget(self, rng):
-        # Without psi_0 the budget is max_outer, tracking on or off: the
-        # initial potential, which tracking knows, would plan 75 steps here.
-        problem, spec, saddle, _ = random_quadratic_instance(
-            rng, 3, 3, 2.0, 1.0, 2.0, 1.0, 1.5
-        )
-        start = PointPair(np.ones(3), np.ones(3))
-        plain = solve(problem, spec, start, SolveConfig(eps=1e-6, max_outer=200))
-        tracked = solve(problem, spec, start, SolveConfig(
-            eps=1e-6, max_outer=200, known_solution=saddle, track_potential=True))
-        psi_initial = initial_potential(problem, spec, start, saddle)
-        assert required_outer_iterations(spec, psi_initial, 1e-6) < 200
-        assert plain.planned_outer == tracked.planned_outer == 200
-        assert plain.counters.as_dict() == tracked.counters.as_dict()
-        assert len(tracked.potentials) == 200
-        assert tracked.termination == TERMINATION_BUDGET
-        assert tracked.certificate_ratio is None
+        config = SolveConfig(eps=1e-6, psi_0=psi_0, max_outer=7)
+        report = solve(problem, spec, start, config)
+        assert report.planned_outer == report.counters.outer_iterations == 7
+        assert report.termination == TERMINATION_BUDGET
+        assert report.certificate_ratio is None
 
     def test_default_inner_solver_looked_up_per_call(self, monkeypatch):
         # A profiler patches inner.solve_auxiliary from outside; `solve`
@@ -627,12 +601,13 @@ class TestExtrapolationStop:
         inst = gen_quadratic_spp(
             d, d, cond_p * mu_x, mu_x, cond_q * mu_y, mu_y, gain * max(mu_x, mu_y), seed
         )
-        report, certified, args = _certified_run(inst, eps)
+        solver, steps = recording(solve_auxiliary)
+        report, certified, args = _certified_run(inst, eps, solver)
         _assert_certified(report, *certified)
         _, counters, inner_iterations, _ = _reference_solve(*args, bounds=_operator_bounds)
-        steps = report.counters.outer_iterations
-        assert steps <= counters.outer_iterations
-        assert report.inner_iterations == inner_iterations[:steps]
+        n = report.counters.outer_iterations
+        assert n <= counters.outer_iterations
+        assert [r.iterations for _, r in steps] == inner_iterations[:n]
 
 
 def _hooked_route(route, monkeypatch):
@@ -675,10 +650,11 @@ def _hooked_route(route, monkeypatch):
 ])
 def test_inner_solver_hook_sees_every_outer_step(route, monkeypatch):
     # The hook is the one window onto each outer step: one call per step,
-    # in order, whose results are the report's inner iterations.
+    # in order, whose results' inner iterations sum to the report's tally.
     report, runs, last_is_final = _hooked_route(route, monkeypatch)
     assert sum(map(len, runs)) == report.counters.outer_iterations
-    assert [r.iterations for steps in runs for _, r in steps] == report.inner_iterations
+    assert sum(r.iterations for steps in runs for _, r in steps) == (
+        report.counters.inner_iterations)
     for steps in runs:
         assert steps[0][0].remainder is None
         # Each step's subproblem starts where the previous result led:
@@ -749,12 +725,13 @@ def _reference_solve(problem, spec, start, config, inner_solver=None, counters=N
     return PointPair(x, y), counters, inner_iterations, TERMINATION_BUDGET
 
 
-def _assert_matches_reference(report, want):
+def _assert_matches_reference(report, steps, want):
+    # ``steps`` is the run's `recording` list.
     pair, counters, inner_iterations, termination = want
     assert np.array_equal(report.final_pair.x, pair.x)
     assert np.array_equal(report.final_pair.y, pair.y)
     assert report.counters.as_dict() == counters.as_dict()
-    assert report.inner_iterations == inner_iterations
+    assert [r.iterations for _, r in steps] == inner_iterations
     assert report.termination == termination
 
 
@@ -783,25 +760,27 @@ class TestSolveReference:
         start = PointPair(np.zeros(d_x), np.zeros(d_y))
         psi_0 = initial_potential(problem, spec, start, reference_solution(inst))
         config = SolveConfig(eps=1e-8, psi_0=psi_0, use_residual_stop=use_residual_stop)
-        report = solve(problem, spec, start, config)
+        solver, steps = recording(solve_auxiliary)
+        report = solve(problem, spec, start, config, inner_solver=solver)
         want = _reference_solve(problem, spec, start, config)
-        _assert_matches_reference(report, want)
+        _assert_matches_reference(report, steps, want)
         assert (report.termination == TERMINATION_RESIDUAL) == use_residual_stop
 
     @pytest.mark.parametrize("use_residual_stop", [True, False])
-    def test_bilinear_matches_reference(self, use_residual_stop):
+    def test_bilinear_matches_reference(self, use_residual_stop, monkeypatch):
         inst = gen_bilinear(30, 20, 4.0, 1.0, 0.04, 0.01, 2.0, 1)
         bp = inst.bilinear_problem()
         start = PointPair(np.zeros(30), np.zeros(20))
         composite, spec = split_bilinear(bp)
         psi_0 = initial_potential(composite, spec, start, reference_solution(inst))
         config = SolveConfig(eps=1e-8, psi_0=psi_0, use_residual_stop=use_residual_stop)
+        runs = recording_bilinear(monkeypatch)
         report = solve_bilinear(bp, start, config)
         wrapped, counters = wrap_counting_bilinear(bp)
         want = _reference_solve(composite, spec, start, config,
                                 inner_solver=make_bilinear_inner_solver(wrapped),
                                 counters=counters)
-        _assert_matches_reference(report, want)
+        _assert_matches_reference(report, runs[0], want)
         assert (report.termination == TERMINATION_RESIDUAL) == use_residual_stop
 
 
@@ -822,12 +801,14 @@ def test_rebuilt_custom_result_matches_default(case, use_residual_stop):
     start = PointPair(np.zeros(d_x), np.zeros(d_y))
     psi_0 = initial_potential(problem, spec, start, reference_solution(inst))
     config = SolveConfig(eps=1e-8, psi_0=psi_0, use_residual_stop=use_residual_stop)
-    want = solve(problem, spec, start, config)
-    got = solve(problem, spec, start, config, inner_solver=_rebuilt)
+    default, want_steps = recording(solve_auxiliary)
+    rebuilt, got_steps = recording(_rebuilt)
+    want = solve(problem, spec, start, config, inner_solver=default)
+    got = solve(problem, spec, start, config, inner_solver=rebuilt)
     assert np.array_equal(got.final_pair.x, want.final_pair.x)
     assert np.array_equal(got.final_pair.y, want.final_pair.y)
     assert got.counters.as_dict() == want.counters.as_dict()
-    assert got.inner_iterations == want.inner_iterations
+    assert [r.iterations for _, r in got_steps] == [r.iterations for _, r in want_steps]
     assert got.termination == want.termination
     assert got.certificate_ratio == want.certificate_ratio
     assert (got.certificate_ratio is None) != use_residual_stop
@@ -858,11 +839,13 @@ class TestWarmStart:
         # The warm start lands on the subproblem's solution closely enough
         # that every step after the cold first one accepts its start (228
         # steps, 230 coupling calls; 684 starting cold).
+        solver, steps = recording(solve_auxiliary)
         report, certified, _ = _certified_run(
-            gen_quadratic_spp(10, 10, 100, 1, 100, 1, 10, 0), 1e-8)
+            gen_quadratic_spp(10, 10, 100, 1, 100, 1, 10, 0), 1e-8, solver)
         _assert_certified(report, *certified)
-        assert report.inner_iterations[0] >= 1
-        assert report.inner_iterations[1:] == [0] * (len(report.inner_iterations) - 1)
+        first, *rest = [r.iterations for _, r in steps]
+        assert first >= 1
+        assert rest == [0] * len(rest)
         _assert_tally_identity(report)
 
     def test_custom_solver_without_remainder_starts_cold(self):
@@ -876,13 +859,14 @@ class TestWarmStart:
             result = solve_auxiliary(aux, spec, tuning)
             return dataclasses.replace(result, remainder=None)
 
+        solver, steps = recording(without_remainder)
         report, _, args = _certified_run(
-            gen_quadratic_spp(10, 10, 100, 1, 100, 1, 10, 0), 1e-8, without_remainder)
+            gen_quadratic_spp(10, 10, 100, 1, 100, 1, 10, 0), 1e-8, solver)
         assert remainders == [None] * report.counters.outer_iterations
         c = report.counters
         assert (c.calls_grad_p, c.calls_grad_R, c.inner_iterations) == (228, 684, 228)
         _assert_matches_reference(
-            report, _reference_solve(*args, inner_solver=without_remainder))
+            report, steps, _reference_solve(*args, inner_solver=without_remainder))
 
     def test_lopsided_moduli_certify_cheaply(self):
         # mu_y/mu_x = 1000 with no composite curvature: one scalar FBF step
